@@ -7,19 +7,19 @@ balanced words starting with U, and the subfamilies line up: superdiagonal
 multisets give Dyck words, star multisets give DUD-free words, and
 multisets repeating every value below the bound give UDU-free words.
 
-The heap side peels a word into maximal same-sign runs.  Each run, read
-as a Dyck word (below-axis runs are reversed first), is parsed by its
-arch structure into one of four constructors and built by gravity drops;
-successive run components are then superposed, each one column further
-left.  The inverse direction recovers the constructor arguments by
-searching for the unique split of the dimers that recomposes the heap.
+The heap side peels a word into maximal same-sign runs, each read as a
+Dyck word (below-axis runs are reversed first) and shifted one column
+further left than the run before it.  The heap is one drop sequence:
+each run's D steps, read right to left, fall by gravity at their heights
+plus the run's shift.  The inverse peels the heap bottom-up; at each step
+exactly one of the dimers free to leave can continue a drop sequence of
+that shape, so the peel recovers the columns and with them the word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from math import inf
 
 from . import heaps, multisets, paths
 from .heaps import Dimer, Heap
@@ -90,22 +90,6 @@ def path_to_multiset(word: str) -> multisets.Multiset:
 # --- word -> heap ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dyck_heap(word: str) -> tuple[Dimer, ...]:
-    """Build the subdiagonal heap of a nonempty Dyck word by arch structure."""
-    if word == "UD":
-        return GROUND
-    ys = paths.heights(word)
-    returns = [x for x in range(1, len(word) + 1) if ys[x] == 0]
-    if len(returns) == 1:
-        return _compose_ii(_dyck_heap(word[1:-1]))
-    last = returns[-2]
-    arch = word[last:]
-    if arch == "UD":
-        return _compose_iii(_dyck_heap(word[:last]))
-    return _compose_iv(_dyck_heap(arch[1:-1]), _dyck_heap(word[:last]))
-
-
 def run_components(word: str) -> list[RunComponent]:
     """Split a grand-Dyck word at its crossings into alternating sign runs."""
     bounds = [0, *paths.crossings(word), len(word)]
@@ -119,15 +103,24 @@ def run_components(word: str) -> list[RunComponent]:
     return comps
 
 
-def path_to_heap(word: str, require_grand_dyck: bool = True) -> Heap:
-    """Superpose the run components, each shifted one more column left."""
-    if require_grand_dyck and not paths.classify(word).grand_dyck:
+def path_to_heap(word: str) -> Heap:
+    """Drop each run's D steps, right to left, at their heights plus the run's shift."""
+    if not paths.classify(word).grand_dyck:
         raise paths.NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
-    acc: tuple[Dimer, ...] = ()
+    tops: dict[int, int] = {}
+    out = []
     for comp in run_components(word):
-        part = _dyck_heap(comp.dyck_word)
-        acc = part if comp.shift == 0 else heaps.superpose(acc, part, comp.shift)
-    return Heap(acc)
+        y = 0
+        columns = []
+        for step in comp.dyck_word:
+            y += 1 if step == "U" else -1
+            if step == "D":
+                columns.append(y + comp.shift)
+        for col in reversed(columns):
+            level = heaps._drop_level(tops, col)
+            tops[col] = level
+            out.append(Dimer(col, level))
+    return Heap(out)
 
 
 # --- constructors and their inversion ----------------------------------
@@ -178,21 +171,6 @@ def _up_closure(pieces, seed) -> set[Dimer]:
     return closure
 
 
-def _is_up_closed(pieces, subset) -> bool:
-    for p in subset:
-        for q in pieces:
-            if q in subset:
-                continue
-            if abs(q.column - p.column) <= 1 and q.level > p.level:
-                return False
-    return True
-
-
-def _subsets(items):
-    for r in range(len(items) + 1):
-        yield from combinations(items, r)
-
-
 def _factor_subdiagonal(dims: tuple[Dimer, ...]):
     """Invert one constructor step on a heap with no negative column."""
     if len(dims) == 1:
@@ -211,53 +189,26 @@ def _factor_subdiagonal(dims: tuple[Dimer, ...]):
         if b is None or _compose_iii(b) != dims:
             raise FactorizationFailedError(f"bad column-0 split of {dims}")
         return "iii", (b,)
-    forced = {d for d in rest if d.column == 0}
-    closure = _up_closure(rest, forced)
-    optional = [d for d in rest if d not in closure]
-    matches = []
-    for extra in _subsets(optional):
-        top = closure | set(extra)
-        if len(top) == len(rest) or not _is_up_closed(rest, top):
-            continue
-        b = _redrop((d for d in rest if d not in top), -1)
-        c = _redrop(top, 0)
-        if b is None or c is None:
-            continue
-        if _compose_iv(b, c) == dims:
-            matches.append((b, c))
-    if len(matches) != 1:
-        raise FactorizationFailedError(
-            f"{len(matches)} two-part splits of {dims}, expected exactly one"
-        )
-    return "iv", matches[0]
+    # the part dropped last is the up-closure of the column-0 dimers
+    top = _up_closure(rest, {d for d in rest if d.column == 0})
+    b = _redrop((d for d in rest if d not in top), -1)
+    c = _redrop(top, 0)
+    if len(top) == len(rest) or b is None or c is None or _compose_iv(b, c) != dims:
+        raise FactorizationFailedError(f"closure split of {dims} does not recompose")
+    return "iv", (b, c)
 
 
 def _factor_v(dims: tuple[Dimer, ...]):
-    """Split off the unique left component of a heap reaching column -1 or less."""
-    forced = {d for d in dims if d.column < 0}
-    closure = _up_closure(dims, forced)
-    ground = Dimer(0, 0)
-    if ground in closure:
-        raise FactorizationFailedError(f"left component swallows the ground in {dims}")
-    optional = [d for d in dims if d not in closure and d != ground]
-    matches = []
-    for extra in _subsets(optional):
-        top = closure | set(extra)
-        if not _is_up_closed(dims, top):
-            continue
-        base = tuple(d for d in dims if d not in top)
-        if heaps._check_heap(base) is not None:
-            continue
-        c = _redrop(top, 1)
-        if c is None:
-            continue
-        if _compose_v(base, c) == dims:
-            matches.append((base, c))
-    if len(matches) != 1:
-        raise FactorizationFailedError(
-            f"{len(matches)} left splits of {dims}, expected exactly one"
-        )
-    return matches[0]
+    """Split off the left component of a heap reaching column -1 or less.
+
+    The part dropped last is the up-closure of the negative-column dimers.
+    """
+    top = _up_closure(dims, {d for d in dims if d.column < 0})
+    base = tuple(d for d in dims if d not in top)
+    c = _redrop(top, 1)
+    if heaps._check_heap(base) is not None or c is None or _compose_v(base, c) != dims:
+        raise FactorizationFailedError(f"left split of {dims} does not recompose")
+    return base, c
 
 
 def factorize(h: Heap) -> Factorization:
@@ -289,31 +240,51 @@ def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
 # --- heap -> word ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dyck_word(dims: tuple[Dimer, ...]) -> str:
-    case, parts = _factor_subdiagonal(dims)
-    if case == "i":
-        return "UD"
-    if case == "ii":
-        return "U" + _dyck_word(parts[0]) + "D"
-    if case == "iii":
-        return _dyck_word(parts[0]) + "UD"
-    b, c = parts
-    return _dyck_word(c) + "U" + _dyck_word(b) + "D"
+def _word_of_heights(heights: list[int]) -> str:
+    """The Dyck word whose D steps, read right to left, end at these heights."""
+    # right to left, each D is preceded by the U steps that climb to the next height
+    backwards = (
+        "D" + "U" * (y + 1 - nxt) for y, nxt in zip(heights, [*heights[1:], 0])
+    )
+    return "".join(backwards)[::-1]
 
 
 def heap_to_path(h: Heap) -> str:
-    """Emit the run components left to right, reversing every other one."""
-    comps = []
-    dims = h.dimers
-    while min(d.column for d in dims) < 0:
-        base, c = _factor_v(dims)
-        comps.append(base)
-        dims = c
-    comps.append(dims)
+    """Peel the heap bottom-up in the order path_to_heap dropped it.
+
+    A dimer is free to leave when it is the lowest left in its column and
+    lies below the lowest left in both neighbouring columns.  The next
+    column lies in [floor - 1, prev + 1], prev being the column taken last
+    and floor the smallest so far, and floor - 1 starts the next run.  Of
+    the free columns there, only the largest can be next: the drops after
+    a smaller one climb by at most one column at a time, so they would put
+    a dimer below the larger one before it leaves.
+    """
+    left: dict[int, list[int]] = {}
+    for col, level in reversed(h.dimers):
+        left.setdefault(col, []).append(level)
+
+    def lowest(col: int) -> float:
+        levels = left.get(col)
+        return levels[-1] if levels else inf
+
+    runs: list[list[int]] = []
+    prev, floor = -1, 1
+    for _ in h.dimers:
+        col = prev + 1
+        while col >= floor - 1 and not lowest(col) < min(lowest(col - 1), lowest(col + 1)):
+            col -= 1
+        if col < floor - 1:
+            raise FactorizationFailedError(f"no dimer of {h} can be peeled after column {prev}")
+        left[col].pop()
+        if col < floor:
+            floor = col
+            runs.append([])
+        runs[-1].append(col - floor)
+        prev = col
     words = []
-    for j, comp in enumerate(comps):
-        w = _dyck_word(comp)
+    for j, heights in enumerate(runs):
+        w = _word_of_heights(heights)
         words.append(w[::-1] if j % 2 else w)
     return "".join(words)
 
@@ -410,8 +381,6 @@ def grammar_count(n: int, klass: str) -> int:
 
 
 def clear_caches() -> None:
-    """Drop memoized grammar tables and word/heap caches (used by tests)."""
+    """Drop the memoized grammar tables (used by tests)."""
     _GRAMMAR_MEMO.clear()
     _DECODED_CACHE.clear()
-    _dyck_heap.cache_clear()
-    _dyck_word.cache_clear()

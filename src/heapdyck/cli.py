@@ -254,11 +254,7 @@ def _do_table1(args) -> int:
 
 def _do_verify(args) -> int:
     if args.suite == "all":
-        reports = []
-        for name in verify.SUITES:
-            cap = verify.SUITE_CAPS[name]
-            bound = cap if args.max_n is None else max(1, min(args.max_n, cap))
-            reports.append(verify.run_suite(name, bound))
+        reports = verify.run_all(args.max_n)
     else:
         reports = [verify.run_suite(args.suite, args.max_n)]
     code = 0 if all(r.ok for r in reports) else 1

@@ -54,7 +54,8 @@ def _check_heap(dimers: tuple[Dimer, ...]) -> str | None:
     """Return a breach description, or None for a valid heap."""
     if not dimers:
         return "empty heap"
-    if len(set(dimers)) != len(dimers):
+    cells = set(dimers)
+    if len(cells) != len(dimers):
         return "repeated dimer"
     ground = [d for d in dimers if d.level == 0]
     if len(ground) != 1 or ground[0].column != 0:
@@ -67,12 +68,7 @@ def _check_heap(dimers: tuple[Dimer, ...]) -> str | None:
         if any(b - a <= 1 for a, b in zip(cols, cols[1:])):
             return f"overlapping dimers at level {level}"
     for col, level in dimers:
-        if level == 0:
-            continue
-        if not any(
-            other.level == level - 1 and abs(other.column - col) <= 1
-            for other in dimers
-        ):
+        if level and not any((c, level - 1) in cells for c in (col - 1, col, col + 1)):
             return f"dimer ({col},{level}) has no support"
     return None
 

@@ -129,7 +129,11 @@ def run_suite(suite: str, max_n: int | None = None) -> VerifyReport:
 
 
 def run_all(max_n: int | None = None) -> list[VerifyReport]:
-    return [run_suite(name, max_n if name != "series" else None) for name in SUITES]
+    """Every suite, each at max_n clamped into its own range 1..cap, or at its cap."""
+    return [
+        run_suite(name, None if max_n is None else max(1, min(max_n, SUITE_CAPS[name])))
+        for name in SUITES
+    ]
 
 
 # --- counts -------------------------------------------------------------
@@ -354,7 +358,7 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
             for comp in bijections.run_components(word):
                 cols = sorted(
                     d.column + comp.shift
-                    for d in bijections._dyck_heap(comp.dyck_word)
+                    for d in bijections.path_to_heap(comp.dyck_word).dimers
                 )
                 u_heights = sorted(
                     modified[i + 1]

@@ -1,7 +1,15 @@
-"""Reference values computed by routes independent of the code under test."""
+"""Reference values computed by routes independent of the code under test.
+
+The word <-> heap references share only the public constructors
+(`compose`, `heaps.superpose`) with the library code they check.
+"""
 
 from fractions import Fraction
+from itertools import accumulate, combinations
 from math import comb
+
+from heapdyck.bijections import compose
+from heapdyck.heaps import Dimer, Heap, NotAHeapError, superpose
 
 
 def catalan(n: int) -> int:
@@ -25,6 +33,16 @@ def square_animals(n: int) -> int:
     return q[n]
 
 
+def uniform_multiset(rng, n: int) -> list[int]:
+    """Sorted values of a uniform random multiset of n values over 1..n.
+
+    Stars and bars: an n-subset of 2n-1 slots is such a multiset, so its
+    staircase word is uniform among grand-Dyck words of semilength n.
+    """
+    slots = sorted(rng.sample(range(2 * n - 1), n))
+    return [s - j + 1 for j, s in enumerate(slots)]
+
+
 def binomial_sqrt(a: int, order: int) -> list[Fraction]:
     """Coefficients of (1 + a z)^(1/2) from the generalized binomial series."""
     out = [Fraction(1)]
@@ -41,3 +59,125 @@ def convolve(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
         sum((xs[i] * ys[k - i] for i in range(k + 1)), Fraction(0))
         for k in range(order + 1)
     ]
+
+
+# --- word <-> heap references ----------------------------------------------
+#
+# The constructor grammar read directly: an arch-recursive builder, and a
+# split found by trying every up-closed set of dimers, neither relying on
+# the drop-sequence argument the library uses.  Both recurse and the
+# split tries 2^k subsets, so they serve only at small n.
+
+
+def _runs(word: str) -> list[str]:
+    """Maximal same-sign runs of a grand-Dyck word, cut at axis crossings."""
+    runs, start, y = [], 0, 0
+    for x, step in enumerate(word, 1):
+        y += 1 if step == "U" else -1
+        if y == 0 and x < len(word) and word[x] == step:
+            runs.append(word[start:x])
+            start = x
+    return runs + [word[start:]]
+
+
+def arch_heap(word: str) -> Heap:
+    """Heap of a nonempty Dyck word, built from its last arch by the constructors."""
+    if word == "UD":
+        return compose("i", ())
+    ys = list(accumulate((1 if s == "U" else -1 for s in word), initial=0))
+    last = max(x for x in range(len(word)) if ys[x] == 0)
+    if last == 0:
+        return compose("ii", (arch_heap(word[1:-1]),))
+    if word[last:] == "UD":
+        return compose("iii", (arch_heap(word[:last]),))
+    return compose("iv", (arch_heap(word[last + 1 : -1]), arch_heap(word[:last])))
+
+
+def arch_path_to_heap(word: str) -> Heap:
+    """Superpose the runs' arch heaps, each one column further left."""
+    acc: tuple[Dimer, ...] = ()
+    for j, run in enumerate(_runs(word)):
+        part = arch_heap(run[::-1] if j % 2 else run).dimers
+        acc = part if j == 0 else superpose(acc, part, -j)
+    return Heap(acc)
+
+
+def _redrop(pieces, shift: int) -> Heap | None:
+    """The pieces dropped afresh in level order, columns shifted, if that makes a heap."""
+    try:
+        return Heap(superpose((), tuple(Dimer(c + shift, l) for c, l in pieces), 0))
+    except NotAHeapError:
+        return None
+
+
+def _up_sets(pieces: set, forced: set):
+    """Every up-closed subset of pieces holding forced, trying each set of extras."""
+    def above(p, q):
+        return abs(q.column - p.column) <= 1 and q.level > p.level
+
+    top = set(forced)
+    while more := {q for q in pieces for p in top if above(p, q)} - top:
+        top |= more
+    optional = sorted(pieces - top)
+    for r in range(len(optional) + 1):
+        for extra in combinations(optional, r):
+            candidate = top | set(extra)
+            if all(q in candidate for p in candidate for q in pieces if above(p, q)):
+                yield candidate
+
+
+def _only(matches: list, what: str):
+    if len(matches) != 1:
+        raise AssertionError(f"{len(matches)} {what} splits, expected exactly one")
+    return matches[0]
+
+
+def subset_factorize(h: Heap) -> tuple[str, tuple[Heap, ...]]:
+    """The constructor case and parts of h, the two-part splits found by search."""
+    dims = set(h.dimers)
+    if h.min_column() < 0:
+        matches = []
+        for top in _up_sets(dims, {d for d in dims if d.column < 0}):
+            try:
+                base = Heap(dims - top)
+            except NotAHeapError:
+                continue
+            c = _redrop(top, 1)
+            if c is not None and compose("v", (base, c)) == h:
+                matches.append((base, c))
+        return "v", _only(matches, "left")
+    rest = dims - {Dimer(0, 0)}
+    if not rest:
+        return "i", ()
+    if all(d.column >= 1 for d in rest):
+        return "ii", (_redrop(rest, -1),)
+    if Dimer(0, 1) in rest:
+        return "iii", (_redrop(rest, 0),)
+    matches = []
+    for top in _up_sets(rest, {d for d in rest if d.column == 0}):
+        b, c = _redrop(rest - top, -1), _redrop(top, 0)
+        if b is not None and c is not None and compose("iv", (b, c)) == h:
+            matches.append((b, c))
+    return "iv", _only(matches, "two-part")
+
+
+def _subset_dyck_word(h: Heap) -> str:
+    case, parts = subset_factorize(h)
+    if case == "i":
+        return "UD"
+    if case == "ii":
+        return "U" + _subset_dyck_word(parts[0]) + "D"
+    if case == "iii":
+        return _subset_dyck_word(parts[0]) + "UD"
+    b, c = parts
+    return _subset_dyck_word(c) + "U" + _subset_dyck_word(b) + "D"
+
+
+def subset_heap_to_path(h: Heap) -> str:
+    """Split off left components by search, then read each by its constructors."""
+    words = []
+    while h.min_column() < 0:
+        _, (base, h) = subset_factorize(h)
+        words.append(_subset_dyck_word(base))
+    words.append(_subset_dyck_word(h))
+    return "".join(w[::-1] if j % 2 else w for j, w in enumerate(words))

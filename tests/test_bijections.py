@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +11,15 @@ from heapdyck.bijections import (
 )
 from heapdyck.heaps import Dimer, Heap
 
-from oracles import catalan, motzkin, square_animals
+from oracles import (
+    arch_path_to_heap,
+    catalan,
+    motzkin,
+    square_animals,
+    subset_factorize,
+    subset_heap_to_path,
+    uniform_multiset,
+)
 
 EXAMPLE_A = ((2, 2, 2, 4, 4, 7, 7, 7), "UUDDDUUDDUUUDDDU")
 EXAMPLE_B = ((2, 5, 5, 7, 7, 7, 8, 8), "UUDUUUDDUUDDDUDD")
@@ -124,6 +134,33 @@ class TestPathToHeap:
         for w in paths.enumerate_family("grand_dyck", n):
             assert bijections.heap_to_path(bijections.path_to_heap(w)) == w
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_arch_references(self, n):
+        for w in paths.enumerate_family("grand_dyck", n):
+            h = bijections.path_to_heap(w)
+            assert h == arch_path_to_heap(w), w
+            assert bijections.heap_to_path(h) == subset_heap_to_path(h) == w
+
+    @pytest.mark.parametrize("n", [100, 500, 2000])
+    def test_seeded_large_round_trips(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            m = multisets.validate(uniform_multiset(rng, n), n)
+            w = bijections.multiset_to_path(m)
+            back = bijections.heap_to_path(bijections.path_to_heap(w))
+            assert back == w
+            assert bijections.path_to_multiset(back) == m
+
+    @pytest.mark.parametrize(
+        "word",
+        ["U" * 2000 + "D" * 2000, "UD" * 2000, "UDDU" * 1000],
+        ids=["nested", "arches", "crossings"],
+    )
+    def test_structured_round_trips_at_2000(self, word):
+        h = bijections.path_to_heap(word)
+        assert len(h) == 2000
+        assert bijections.heap_to_path(h) == word
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_image_is_grammar_t(self, n):
         image = {
@@ -183,6 +220,12 @@ class TestFactorize:
         for h in bijections.grammar_enumerate(n, "T"):
             f = bijections.factorize(h)
             assert bijections.compose(f.case, f.parts) == h
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closure_split_matches_subset_search(self, n):
+        for h in bijections.grammar_enumerate(n, "T"):
+            f = bijections.factorize(h)
+            assert (f.case, f.parts) == subset_factorize(h), h
 
     def test_compose_rejects_unknown_case(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from heapdyck import bijections, cli, heaps, multisets, paths
+
+from oracles import uniform_multiset
 
 
 def run(capsys, *argv):
@@ -110,6 +113,23 @@ class TestMap:
                     )
                     assert code == 0
                     assert back.strip() == token
+
+    @pytest.mark.parametrize("shape", ["nested", "uniform"])
+    def test_1200_step_word_maps_to_heap_and_back(self, capsys, shape):
+        if shape == "nested":
+            word = "U" * 600 + "D" * 600
+        else:
+            values = uniform_multiset(random.Random(1200), 600)
+            word = bijections.multiset_to_path(multisets.validate(values, 600))
+        code, out, err = run(
+            capsys, "map", "--from", "path", "--to", "heap", "--input", word
+        )
+        assert code == 0, err
+        code, back, _ = run(
+            capsys, "map", "--from", "heap", "--to", "path", "--input", out.strip()
+        )
+        assert code == 0
+        assert back.strip() == word
 
     def test_identity_map(self, capsys):
         code, out, _ = run(

@@ -5,10 +5,11 @@ clears every cache, and expects the relevant suite to flip to FAIL.
 """
 
 import dataclasses
+import json
 
 import pytest
 
-from heapdyck import bijections, heaps, multisets, paths, verify
+from heapdyck import bijections, cli, heaps, multisets, paths, verify
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +38,20 @@ class TestReports:
     def test_run_all_covers_every_suite(self):
         reports = verify.run_all(2)
         assert [r.suite for r in reports] == list(verify.SUITES)
+
+    def test_run_all_clamps_bounds_like_the_cli(self, monkeypatch, capsys):
+        reports = verify.run_all(9)
+        assert all(r.ok for r in reports)
+
+        def bound_only(suite, max_n=None):
+            bound = verify.SUITE_CAPS[suite] if max_n is None else max_n
+            return verify.VerifyReport(suite, bound, [])
+
+        monkeypatch.setattr(verify, "run_suite", bound_only)
+        assert cli.main(["verify", "all", "--max-n", "9", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["maxN"] for r in payload["reports"]] == [r.max_n for r in reports]
+        assert [r.max_n for r in reports] == [9, 8, 8, 9, 7]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

@@ -107,20 +107,16 @@ def path_to_heap(word: str) -> Heap:
     """Drop each run's D steps, right to left, at their heights plus the run's shift."""
     if not paths.classify(word).grand_dyck:
         raise paths.NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
-    tops: dict[int, int] = {}
-    out = []
+    columns = []
     for comp in run_components(word):
         y = 0
-        columns = []
+        run = []
         for step in comp.dyck_word:
             y += 1 if step == "U" else -1
             if step == "D":
-                columns.append(y + comp.shift)
-        for col in reversed(columns):
-            level = heaps._drop_level(tops, col)
-            tops[col] = level
-            out.append(Dimer(col, level))
-    return Heap(out)
+                run.append(y + comp.shift)
+        columns.extend(reversed(run))
+    return Heap(heaps.drop_columns((), columns))
 
 
 # --- constructors and their inversion ----------------------------------
@@ -142,83 +138,38 @@ def _compose_v(b: tuple[Dimer, ...], c: tuple[Dimer, ...]) -> tuple[Dimer, ...]:
     return heaps.superpose(b, c, -1)
 
 
-def _redrop(pieces, shift: int) -> tuple[Dimer, ...] | None:
-    """Re-drop a dimer subset from scratch; None unless a pyramid results."""
-    tops: dict[int, int] = {}
-    out: list[Dimer] = []
-    for d in sorted(pieces, key=lambda d: (d.level, d.column)):
-        col = d.column + shift
-        level = heaps._drop_level(tops, col)
-        if level == 0 and (out or col != 0):
-            return None
-        tops[col] = level
-        out.append(Dimer(col, level))
-    return tuple(sorted(out, key=lambda d: (d.level, d.column)))
-
-
-def _up_closure(pieces, seed) -> set[Dimer]:
-    """Close a dimer set upward: pull in anything touching it from above."""
-    closure = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for q in pieces:
-            if q in closure:
-                continue
-            if any(abs(q.column - p.column) <= 1 and q.level > p.level for p in closure):
-                closure.add(q)
-                changed = True
-    return closure
-
-
-def _factor_subdiagonal(dims: tuple[Dimer, ...]):
-    """Invert one constructor step on a heap with no negative column."""
-    if len(dims) == 1:
-        return "i", ()
-    rest = tuple(d for d in dims if d != Dimer(0, 0))
-    if all(d.column >= 1 for d in rest):
-        b = _redrop(rest, -1)
-        if b is None or _compose_ii(b) != dims:
-            raise FactorizationFailedError(f"bad single-part split of {dims}")
-        return "ii", (b,)
-    level1 = [d for d in rest if d.level == 1]
-    if len(level1) != 1:
-        raise FactorizationFailedError(f"expected one level-1 dimer in {dims}")
-    if level1[0].column == 0:
-        b = _redrop(rest, 0)
-        if b is None or _compose_iii(b) != dims:
-            raise FactorizationFailedError(f"bad column-0 split of {dims}")
-        return "iii", (b,)
-    # the part dropped last is the up-closure of the column-0 dimers
-    top = _up_closure(rest, {d for d in rest if d.column == 0})
-    b = _redrop((d for d in rest if d not in top), -1)
-    c = _redrop(top, 0)
-    if len(top) == len(rest) or b is None or c is None or _compose_iv(b, c) != dims:
-        raise FactorizationFailedError(f"closure split of {dims} does not recompose")
-    return "iv", (b, c)
-
-
-def _factor_v(dims: tuple[Dimer, ...]):
-    """Split off the left component of a heap reaching column -1 or less.
-
-    The part dropped last is the up-closure of the negative-column dimers.
-    """
-    top = _up_closure(dims, {d for d in dims if d.column < 0})
-    base = tuple(d for d in dims if d not in top)
-    c = _redrop(top, 1)
-    if heaps._check_heap(base) is not None or c is None or _compose_v(base, c) != dims:
-        raise FactorizationFailedError(f"left split of {dims} does not recompose")
-    return base, c
-
-
 def factorize(h: Heap) -> Factorization:
+    """The constructor case of h and its parts, read off the runs and arches of its word.
+
+    A word that crosses the axis is case v: its first run is the base, and
+    the later runs, each turned to the other side of the axis, are the part
+    dropped on top.  A Dyck word is UD (case i), one arch (ii), or ends in a
+    last arch that is UD (iii) or a longer arch (iv).
+    """
     if not isinstance(h, Heap):
         raise heaps.NotAHeapError(f"expected a Heap, got {type(h).__name__}")
-    if h.min_column() < 0:
-        base, c = _factor_v(h.dimers)
-        return Factorization("v", (Heap(base), Heap(c)))
-    case, parts = _factor_subdiagonal(h.dimers)
-    return Factorization(case, tuple(Heap(p) for p in parts))
+    comps = run_components(heap_to_path(h))
+    if len(comps) > 1:
+        rest = "".join(
+            c.dyck_word if j % 2 else c.dyck_word[::-1] for j, c in enumerate(comps[1:], 1)
+        )
+        case, words = "v", (comps[0].dyck_word, rest)
+    else:
+        word = comps[0].dyck_word
+        ys = paths.heights(word)
+        last = max(x for x in range(len(word)) if ys[x] == 0)  # where the last arch starts
+        if word == "UD":
+            case, words = "i", ()
+        elif last == 0:
+            case, words = "ii", (word[1:-1],)
+        elif word[last:] == "UD":
+            case, words = "iii", (word[:last],)
+        else:
+            case, words = "iv", (word[last + 1 : -1], word[:last])
+    parts = tuple(path_to_heap(w) for w in words)
+    if compose(case, parts) != h:
+        raise FactorizationFailedError(f"case {case} split of {h} does not recompose")
+    return Factorization(case, parts)
 
 
 def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
@@ -293,8 +244,6 @@ def heap_to_path(h: Heap) -> str:
 
 
 _GRAMMAR_MEMO: dict[tuple[str, int], tuple[bytes, ...]] = {}
-_DECODED_CACHE: dict[tuple[str, int], frozenset[Heap]] = {}
-_DECODED_CACHE_MAX_N = 8
 
 
 def _encode(dims: tuple[Dimer, ...]) -> bytes:
@@ -362,14 +311,7 @@ def grammar_enumerate(n: int, klass: str) -> frozenset[Heap]:
         raise ValueError(f"unknown class {klass!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    key = (klass, n)
-    got = _DECODED_CACHE.get(key)
-    if got is not None:
-        return got
-    result = frozenset(Heap(_decode(blob)) for blob in _encoded(klass, n))
-    if n <= _DECODED_CACHE_MAX_N:
-        _DECODED_CACHE[key] = result
-    return result
+    return frozenset(Heap(_decode(blob)) for blob in _encoded(klass, n))
 
 
 def grammar_count(n: int, klass: str) -> int:
@@ -383,4 +325,3 @@ def grammar_count(n: int, klass: str) -> int:
 def clear_caches() -> None:
     """Drop the memoized grammar tables (used by tests)."""
     _GRAMMAR_MEMO.clear()
-    _DECODED_CACHE.clear()

@@ -128,19 +128,23 @@ def _drop_level(tops: dict[int, int], column: int) -> int:
     return best + 1
 
 
-def superpose(base: tuple[Dimer, ...], part: tuple[Dimer, ...], shift: int) -> tuple[Dimer, ...]:
-    """Drop the dimers of part, columns shifted, onto base; canonical result."""
+def drop_columns(base: Iterable[Dimer], columns: Iterable[int]) -> list[Dimer]:
+    """Drop one dimer per column, in order, onto base; base's dimers, then the new ones."""
+    out = list(base)
     tops: dict[int, int] = {}
-    for col, level in base:
+    for col, level in out:
         if level > tops.get(col, -1):
             tops[col] = level
-    out = list(base)
-    for col, _ in _canonical(part):
-        target = col + shift
-        level = _drop_level(tops, target)
-        tops[target] = level
-        out.append(Dimer(target, level))
-    return _canonical(out)
+    for col in columns:
+        level = _drop_level(tops, col)
+        tops[col] = level
+        out.append(Dimer(col, level))
+    return out
+
+
+def superpose(base: tuple[Dimer, ...], part: tuple[Dimer, ...], shift: int) -> tuple[Dimer, ...]:
+    """Drop the dimers of part, columns shifted, onto base; canonical result."""
+    return _canonical(drop_columns(base, (col + shift for col, _ in _canonical(part))))
 
 
 def drop(heap: Heap | None, column: int) -> Heap:
@@ -149,7 +153,7 @@ def drop(heap: Heap | None, column: int) -> Heap:
         if column != 0:
             raise BadGroundError("first dimer must land in column 0")
         return Heap((Dimer(0, 0),))
-    return Heap(superpose(heap.dimers, (Dimer(column, 0),), 0))
+    return Heap(drop_columns(heap.dimers, (column,)))
 
 
 def heap_stats(h: Heap) -> AnimalStats:
@@ -225,14 +229,8 @@ class PointAnimal:
 
 def animal_to_heap(a: PointAnimal) -> Heap:
     """Drop one dimer per point, column x - y, in non-decreasing x + y order."""
-    tops: dict[int, int] = {}
-    out = []
-    for x, y in sorted(a.points, key=lambda p: (p[0] + p[1], p[0])):
-        col = x - y
-        level = _drop_level(tops, col)
-        tops[col] = level
-        out.append(Dimer(col, level))
-    return Heap(out)
+    points = sorted(a.points, key=lambda p: (p[0] + p[1], p[0]))
+    return Heap(drop_columns((), (x - y for x, y in points)))
 
 
 def animal_reflect(a: PointAnimal) -> PointAnimal:

@@ -135,27 +135,28 @@ def height_stats(word: str) -> PathStats:
 
 
 def _gen_balanced(n: int, dyck_only: bool) -> Iterator[str]:
-    # depth-first with U tried before D, so output is lexicographic (U < D)
-    buf: list[str] = []
+    """Balanced words starting with U, in lexicographic order (U < D), from U^n D^n.
 
-    def rec(ups: int, downs: int, y: int) -> Iterator[str]:
-        if ups == 0 and downs == 0:
-            yield "".join(buf)
-            return
-        if ups > 0:
-            buf.append("U")
-            yield from rec(ups - 1, downs, y + 1)
-            buf.pop()
-        if downs > 0 and (not dyck_only or y > 0):
-            buf.append("D")
-            yield from rec(ups, downs - 1, y - 1)
-            buf.pop()
-
+    The next word turns into D the rightmost U after the first step that
+    has a D after it (for Dyck words, also one starting at height 1 or
+    more), and then puts all the U steps after it before all the D steps.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    buf.append("U")
-    yield from rec(n - 1, n, 1)
-    buf.pop()
+    word = ["U"] * n + ["D"] * n
+    while True:
+        yield "".join(word)
+        ups = downs = 0  # steps right of i
+        for i in range(2 * n - 1, 0, -1):
+            if word[i] == "D":
+                downs += 1
+            elif downs and (not dyck_only or downs - ups > 1):
+                word[i:] = ["D"] + ["U"] * (ups + 1) + ["D"] * (downs - 1)
+                break
+            else:
+                ups += 1
+        else:
+            return
 
 
 def enumerate_family(family: str, n: int) -> Iterator[str]:

@@ -159,7 +159,7 @@ def closed_form(name: str, order: int) -> Series:
         if name == "Ts":
             return (polynomial([1, -2], n) - root).shift_down(1).scale(Fraction(1, 2))
         return ((polynomial([1, -4], n) - root) / polynomial([-2, 8], n)).truncate(order)
-    root = polynomial([1, -2, -3], n).sqrt()
+    root = polynomial([1, -2, -3], max(n, 2)).sqrt()  # the radicand needs order 2
     if name == "Qs":
         return (polynomial([1, -1], n) - root).shift_down(1).scale(Fraction(1, 2))
     return ((polynomial([1, -3], n) - root) / polynomial([-2, 6], n)).truncate(order)

@@ -235,6 +235,7 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 got == want,
                 f"n={n}: {len(got)} words vs {len(want)}",
             )
+        grammar = {k: bijections.grammar_enumerate(n, k) for k in bijections.GRAMMAR_CLASSES}
         heaps_seen = {}
         for w in words:
             h = bijections.path_to_heap(w)
@@ -247,7 +248,7 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
         rec.require(
             "run-heap-image-is-grammar-T",
             len(heaps_seen) == len(words)
-            and set(heaps_seen) == bijections.grammar_enumerate(n, "T"),
+            and set(heaps_seen) == grammar["T"],
             f"n={n}: {len(heaps_seen)} heaps",
         )
         dyck_image = {
@@ -255,7 +256,7 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
         }
         rec.require(
             "dyck-image-is-grammar-Ts",
-            dyck_image == bijections.grammar_enumerate(n, "Ts"),
+            dyck_image == grammar["Ts"],
             f"n={n}",
         )
         dud_free_image = {
@@ -264,7 +265,7 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
         }
         rec.require(
             "dud-free-image-is-grammar-Q",
-            dud_free_image == bijections.grammar_enumerate(n, "Q"),
+            dud_free_image == grammar["Q"],
             f"n={n}",
         )
         if n <= ANIMAL_ORACLE_CAP:
@@ -275,7 +276,7 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 }
                 rec.require(
                     "grammar-matches-brute-force-animals",
-                    brute == bijections.grammar_enumerate(n, klass),
+                    brute == grammar[klass],
                     f"{lattice}, n={n}",
                 )
             for lattice, klass in (("triangular", "Ts"), ("square", "Qs")):
@@ -285,7 +286,7 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 }
                 rec.require(
                     "grammar-matches-subdiagonal-animals",
-                    brute == bijections.grammar_enumerate(n, klass),
+                    brute == grammar[klass],
                     f"{lattice} subdiagonal, n={n}",
                 )
             square_heaps = {
@@ -311,6 +312,7 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
     dyck_offsets: set[int] = set()
     above_offsets: set[int] = set()
     below_offsets: set[int] = set()
+    run_columns: dict[str, list[int]] = {}  # sorted dimer columns of each run's own heap
     for n in range(1, max_n + 1):
         for word in paths.enumerate_family("grand_dyck", n):
             m = bijections.path_to_multiset(word)
@@ -356,10 +358,11 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
                 dyck_offsets.add(off)
             modified = paths.modified_heights(word)
             for comp in bijections.run_components(word):
-                cols = sorted(
-                    d.column + comp.shift
-                    for d in bijections.path_to_heap(comp.dyck_word).dimers
-                )
+                own = run_columns.get(comp.dyck_word)
+                if own is None:
+                    own = sorted(d.column for d in bijections.path_to_heap(comp.dyck_word).dimers)
+                    run_columns[comp.dyck_word] = own
+                cols = [c + comp.shift for c in own]
                 u_heights = sorted(
                     modified[i + 1]
                     for i in range(comp.start, comp.end)

@@ -1,0 +1,68 @@
+"""The package's modules use one another only through public names.
+
+A `_`-prefixed name is private to the module that defines it; when
+another module reaches for it, the two can no longer change apart.
+Tests may still use private names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import heapdyck
+
+PACKAGE = Path(heapdyck.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_uses(source: str) -> list[str]:
+    """Private names of other heapdyck modules that this source uses."""
+    tree = ast.parse(source)
+    modules = set()  # local names bound to heapdyck modules
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level and not module or module == "heapdyck":
+                modules.update(alias.asname or alias.name for alias in node.names)
+            elif node.level or module.startswith("heapdyck."):
+                uses += [f"{module}.{a.name}" for a in node.names if _is_private(a.name)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("heapdyck.") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _is_private(node.attr)
+        ):
+            uses.append(f"{node.value.id}.{node.attr}")
+    return uses
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_uses_another_modules_private_names(path):
+    assert private_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from . import heaps\nheaps._drop_level({}, 0)", ["heaps._drop_level"]),
+        ("from .heaps import Heap, _check_heap", ["heaps._check_heap"]),
+        ("from heapdyck import paths as p\np._gen_balanced(2, False)", ["p._gen_balanced"]),
+        ("import heapdyck.series as s\ns._ONE", ["s._ONE"]),
+        ("from . import heaps\nheaps.drop_columns((), [0])\nx._private", []),
+        ("from os import _exit\nimport heapdyck\nheapdyck.__version__", []),
+    ],
+    ids=["attribute", "from-import", "aliased-from", "aliased-import", "public", "foreign"],
+)
+def test_checker_sees_private_uses(source, found):
+    assert private_uses(source) == found

@@ -162,3 +162,11 @@ class TestEnumerate:
         b = list(paths.enumerate_family("grand_dyck", 5))
         assert a == b
         assert len(set(a)) == len(a)
+
+    @pytest.mark.parametrize("family", paths.FAMILIES)
+    def test_lexicographic_order(self, family):
+        words = list(paths.enumerate_family(family, 6))
+        assert words == sorted(words, key=lambda w: w.replace("U", "0").replace("D", "1"))
+
+    def test_first_word_at_600_needs_no_recursion(self):
+        assert next(paths.enumerate_family("grand_dyck", 600)) == "U" * 600 + "D" * 600

@@ -125,6 +125,10 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             series.closed_form("Z", 5)
 
+    @pytest.mark.parametrize("name", series.CLOSED_FORMS)
+    def test_order_zero(self, name):
+        assert series.closed_form(name, 0) == Series((0,))
+
     def test_integer_coefficients(self):
         for name in series.CLOSED_FORMS:
             s = series.closed_form(name, 20)

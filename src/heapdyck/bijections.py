@@ -122,22 +122,6 @@ def path_to_heap(word: str) -> Heap:
 # --- constructors and their inversion ----------------------------------
 
 
-def _compose_ii(b: tuple[Dimer, ...]) -> tuple[Dimer, ...]:
-    return heaps.superpose(GROUND, b, 1)
-
-
-def _compose_iii(b: tuple[Dimer, ...]) -> tuple[Dimer, ...]:
-    return heaps.superpose(GROUND, b, 0)
-
-
-def _compose_iv(b: tuple[Dimer, ...], c: tuple[Dimer, ...]) -> tuple[Dimer, ...]:
-    return heaps.superpose(heaps.superpose(GROUND, b, 1), c, 0)
-
-
-def _compose_v(b: tuple[Dimer, ...], c: tuple[Dimer, ...]) -> tuple[Dimer, ...]:
-    return heaps.superpose(b, c, -1)
-
-
 def factorize(h: Heap) -> Factorization:
     """The constructor case of h and its parts, read off the runs and arches of its word.
 
@@ -173,18 +157,25 @@ def factorize(h: Heap) -> Factorization:
 
 
 def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
-    """Rebuild a heap from a factorization; inverse of factorize."""
+    """Rebuild a heap from a factorization; inverse of factorize.
+
+    Case ii drops its part on the ground dimer one column to the right,
+    iii straight above it, iv drops b as in ii and then c straight above,
+    and v drops c one column to the left onto b.
+    """
     dims = tuple(p.dimers for p in parts)
     if case == "i":
         return Heap(GROUND)
     if case == "ii":
-        return Heap(_compose_ii(*dims))
+        return Heap(heaps.superpose(GROUND, *dims, 1))
     if case == "iii":
-        return Heap(_compose_iii(*dims))
+        return Heap(heaps.superpose(GROUND, *dims, 0))
     if case == "iv":
-        return Heap(_compose_iv(*dims))
+        b, c = dims
+        return Heap(heaps.superpose(heaps.superpose(GROUND, b, 1), c, 0))
     if case == "v":
-        return Heap(_compose_v(*dims))
+        b, c = dims
+        return Heap(heaps.superpose(b, c, -1))
     raise ValueError(f"unknown case {case!r}")
 
 
@@ -268,34 +259,75 @@ def _assert_distinct(built: list[bytes], klass: str, n: int) -> tuple[bytes, ...
     return tuple(built)
 
 
+# One byte per column byte (column + 64): one more than the level of the
+# column's top dimer, 0 for an empty column.  The spare byte at the end
+# keeps the neighbours of column bytes 0 and 255 in range.
+_NO_TOPS = bytes(257)
+
+
+def _tops(blob: bytes) -> bytearray:
+    tops = bytearray(_NO_TOPS)
+    for i in range(0, len(blob), 2):
+        tops[blob[i + 1]] = blob[i] + 1  # levels ascend, so a column's last dimer is its top
+    return tops
+
+
+def _chunks(blob: bytes) -> list[bytes]:
+    return [blob[i : i + 2] for i in range(0, len(blob), 2)]
+
+
+def _dropped(tops: bytearray, chunks: list[bytes], part: bytes, shift: int) -> bytes:
+    """The blob of a base heap, given by its tops and chunks, with part dropped on it.
+
+    The part's columns, read off its blob in canonical order and shifted,
+    fall by gravity one by one, as heaps.superpose drops them; the 2-byte
+    (level, column) chunks then sort into canonical order by themselves.
+    """
+    tops = tops[:]
+    out = chunks[:]
+    for col in part[1::2]:
+        col += shift
+        level = tops[col - 1]  # one above the highest top beside it
+        if tops[col] > level:
+            level = tops[col]
+        if tops[col + 1] > level:
+            level = tops[col + 1]
+        tops[col] = level + 1
+        out.append(bytes((level, col)))
+    out.sort()
+    return b"".join(out)
+
+
 def _encoded(klass: str, n: int) -> tuple[bytes, ...]:
     key = (klass, n)
     got = _GRAMMAR_MEMO.get(key)
     if got is not None:
         return got
+    ground = _encode(GROUND)
     if klass in ("Ts", "Qs"):
         if n == 1:
-            built = [_encode(GROUND)]
+            built = [ground]
         else:
+            ground_tops, ground_chunks = _tops(ground), _chunks(ground)
             built = []
             for blob in _encoded(klass, n - 1):
-                b = _decode(blob)
-                built.append(_encode(_compose_ii(b)))
+                built.append(_dropped(ground_tops, ground_chunks, blob, 1))  # case ii
                 if klass == "Ts":
-                    built.append(_encode(_compose_iii(b)))
+                    built.append(_dropped(ground_tops, ground_chunks, blob, 0))  # case iii
             for a in range(1, n - 1):
                 for blob_b in _encoded(klass, a):
-                    b = _decode(blob_b)
+                    base = _dropped(ground_tops, ground_chunks, blob_b, 1)
+                    tops, chunks = _tops(base), _chunks(base)
                     for blob_c in _encoded(klass, n - 1 - a):
-                        built.append(_encode(_compose_iv(b, _decode(blob_c))))
+                        built.append(_dropped(tops, chunks, blob_c, 0))  # case iv
     else:
-        base = "Ts" if klass == "T" else "Qs"
-        built = list(_encoded(base, n))
+        base_class = "Ts" if klass == "T" else "Qs"
+        built = list(_encoded(base_class, n))
         for a in range(1, n):
-            for blob_b in _encoded(base, a):
-                b = _decode(blob_b)
+            for blob_b in _encoded(base_class, a):
+                tops, chunks = _tops(blob_b), _chunks(blob_b)
                 for blob_c in _encoded(klass, n - a):
-                    built.append(_encode(_compose_v(b, _decode(blob_c))))
+                    built.append(_dropped(tops, chunks, blob_c, -1))  # case v
     result = _assert_distinct(built, klass, n)
     _GRAMMAR_MEMO[key] = result
     return result

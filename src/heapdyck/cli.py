@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on
-usage or parse errors.  Data goes to stdout, diagnostics to stderr.
+usage or parse errors and on a heap the grammar cannot factor or builds
+twice.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -182,8 +183,11 @@ def _do_enumerate(args) -> int:
     elif args.family in _PATH_FAMILIES:
         items = list(paths.enumerate_family(_PATH_FAMILIES[args.family], args.n))
     elif args.family in _HEAP_FAMILIES:
-        found = bijections.grammar_enumerate(args.n, _HEAP_FAMILIES[args.family])
-        items = sorted(heaps.to_text(h) for h in found)
+        klass = _HEAP_FAMILIES[args.family]
+        if args.count_only:
+            print(bijections.grammar_count(args.n, klass))
+            return 0
+        items = sorted(heaps.to_text(h) for h in bijections.grammar_enumerate(args.n, klass))
     else:
         found = heaps.animal_enumerate_bruteforce(
             args.n, _ANIMAL_FAMILIES[args.family], subdiagonal=args.subdiagonal
@@ -299,7 +303,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _DISPATCH[args.verb](args)
-    except ValueError as exc:
+    except (
+        ValueError,
+        bijections.FactorizationFailedError,
+        bijections.GrammarDuplicateError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

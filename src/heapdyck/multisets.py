@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 FAMILIES = ("all", "star", "super", "super_star", "no_single_except_k")
 
@@ -126,32 +126,77 @@ def stats(m: Multiset) -> MultisetStats:
     )
 
 
-def _keep(family: str, m: Multiset) -> bool:
-    if family == "all":
-        return True
-    flags = classify(m)
-    if family == "star":
-        return flags.star
-    if family == "super":
-        return flags.superdiagonal
-    if family == "super_star":
-        return flags.superdiagonal and flags.star
-    if family == "no_single_except_k":
-        return flags.no_single_except_bound
-    raise ValueError(f"unknown family {family!r}")
+def _next_star(values: list[int], n: int, k: int) -> Iterable[int]:
+    if not values:
+        return range(1, k + 1)
+    last = values[-1]
+    return [last, *range(last + 2, k + 1)]
+
+
+def _next_super(values: list[int], n: int, k: int) -> Iterable[int]:
+    return range(max(values[-1] if values else 1, len(values) + 1), k + 1)
+
+
+def _next_super_star(values: list[int], n: int, k: int) -> Iterable[int]:
+    allowed = _next_super(values, n, k)
+    return [v for v in allowed if v != values[-1] + 1] if values else allowed
+
+
+def _next_no_single(values: list[int], n: int, k: int) -> Iterable[int]:
+    if not values:
+        return range(1, k + 1) if n > 1 else range(max(k, 1), k + 1)
+    last = values[-1]
+    if last < k and (len(values) == 1 or values[-2] != last):
+        return (last,)  # a value below k closes its run only after a repeat
+    if len(values) == n - 1:
+        return sorted({last, k})  # no room left to repeat a new value below k
+    return range(last, k + 1)
+
+
+# Per family, the values that may come next after a prefix, smallest first.
+_NEXT = {
+    "star": _next_star,
+    "super": _next_super,
+    "super_star": _next_super_star,
+    "no_single_except_k": _next_no_single,
+}
+
+
+def _depth_first(n: int, k: int, next_values) -> Iterator[tuple[int, ...]]:
+    """Every length-n sequence grown one allowed value at a time, in lexicographic order."""
+    values: list[int] = []
+    stack = [iter(next_values(values, n, k))]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            if values:
+                values.pop()
+        elif len(values) == n - 1:
+            yield (*values, v)
+        else:
+            values.append(v)
+            stack.append(iter(next_values(values, n, k)))
 
 
 def enumerate_family(family: str, n: int, k: int | None = None) -> Iterator[Multiset]:
-    """Yield the family members of size n over {1..k} in lexicographic order."""
+    """Yield the family members of size n over {1..k} in lexicographic order.
+
+    Apart from "all", each family is grown value by value, and a value
+    that breaks the family's condition is never placed, so no multiset
+    outside the family is built.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be positive")
     bound = n if k is None else k
-    for tup in combinations_with_replacement(range(1, bound + 1), n):
-        m = Multiset(tup, bound)
-        if _keep(family, m):
-            yield m
+    if family == "all":
+        tuples = combinations_with_replacement(range(1, bound + 1), n)
+    else:
+        tuples = _depth_first(n, bound, _NEXT[family])
+    for tup in tuples:
+        yield Multiset(tup, bound)
 
 
 def count_family(family: str, n: int, k: int | None = None) -> int:

@@ -159,17 +159,69 @@ def _gen_balanced(n: int, dyck_only: bool) -> Iterator[str]:
             return
 
 
+def _gen_avoiding(n: int, pattern: str, dyck_only: bool) -> Iterator[str]:
+    """Balanced words starting with U that never contain a three-step pattern.
+
+    Depth first, U before D, so in lexicographic order.  A step that
+    completes the pattern is never taken.  A prefix can still end where
+    the one letter left would complete it; the search backs up from there
+    at once, one step deep.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    word: list[str] = []
+    ups = downs = 0
+
+    def allowed(step: str) -> bool:
+        if step == "U":
+            if ups == n:
+                return False
+        elif not word or downs == (ups if dyck_only else n):
+            return False
+        return "".join(word[-2:]) + step != pattern
+
+    while True:
+        while len(word) < 2 * n:
+            step = "U" if allowed("U") else "D" if allowed("D") else None
+            if step is None:
+                break
+            word.append(step)
+            if step == "U":
+                ups += 1
+            else:
+                downs += 1
+        else:
+            yield "".join(word)
+        # back up to the last U that may turn into a D
+        while word:
+            if word.pop() == "D":
+                downs -= 1
+                continue
+            ups -= 1
+            if allowed("D"):
+                word.append("D")
+                downs += 1
+                break
+        else:
+            return
+
+
+_AVOIDS = {"dyck_star": "DUD", "grand_dyck_star": "DUD", "grand_dyck_udu_free": "UDU"}
+
+
 def enumerate_family(family: str, n: int) -> Iterator[str]:
-    """Yield the words of semilength n in lexicographic order with U < D."""
+    """Yield the words of semilength n in lexicographic order with U < D.
+
+    The pattern-avoiding families are grown step by step and never build
+    a word that contains the pattern.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     dyck_only = family.startswith("dyck")
-    for word in _gen_balanced(n, dyck_only):
-        if family in ("dyck_star", "grand_dyck_star") and "DUD" in word:
-            continue
-        if family == "grand_dyck_udu_free" and "UDU" in word:
-            continue
-        yield word
+    if family in _AVOIDS:
+        yield from _gen_avoiding(n, _AVOIDS[family], dyck_only)
+    else:
+        yield from _gen_balanced(n, dyck_only)
 
 
 def count_family(family: str, n: int) -> int:

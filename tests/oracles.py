@@ -5,9 +5,10 @@ The word <-> heap references share only the public constructors
 """
 
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
+from heapdyck import multisets
 from heapdyck.bijections import compose
 from heapdyck.heaps import Dimer, Heap, NotAHeapError, superpose
 
@@ -181,3 +182,95 @@ def subset_heap_to_path(h: Heap) -> str:
         words.append(_subset_dyck_word(base))
     words.append(_subset_dyck_word(h))
     return "".join(w[::-1] if j % 2 else w for j, w in enumerate(words))
+
+
+# --- families by generate-and-filter, the grammar by superpose ---------------
+#
+# The family references build every multiset, or every balanced word, and
+# keep the ones that pass the family's test.  The grammar reference
+# superposes dimer tuples with heaps.superpose and encodes them at the end.
+# They do the work that the library's pruned generators and its bytes-level
+# grammar builder avoid, and share no code with them.
+
+
+def filtered_multisets(n: int, k: int) -> dict[str, list[multisets.Multiset]]:
+    """Each family's multisets in lexicographic order, by classifying every multiset."""
+    out: dict[str, list[multisets.Multiset]] = {family: [] for family in multisets.FAMILIES}
+    for values in combinations_with_replacement(range(1, k + 1), n):
+        m = multisets.Multiset(values, k)
+        flags = multisets.classify(m)
+        keep = {
+            "all": True,
+            "star": flags.star,
+            "super": flags.superdiagonal,
+            "super_star": flags.superdiagonal and flags.star,
+            "no_single_except_k": flags.no_single_except_bound,
+        }
+        for family, kept in keep.items():
+            if kept:
+                out[family].append(m)
+    return out
+
+
+def balanced_words(n: int) -> list[str]:
+    """Every balanced word of semilength n starting with U, in lexicographic order.
+
+    Words are listed by the positions of their U steps; where two words
+    first differ, the one with the U there has the smaller position tuple.
+    """
+    out = []
+    for ups in combinations(range(1, 2 * n), n - 1):
+        word = ["U"] + ["D"] * (2 * n - 1)
+        for x in ups:
+            word[x] = "U"
+        out.append("".join(word))
+    return out
+
+
+def filtered_words(family: str, words: list[str]) -> list[str]:
+    """The words of a family among balanced words starting with U, by testing each."""
+    if family.startswith("dyck"):
+        words = [w for w in words if min(accumulate(1 if s == "U" else -1 for s in w)) >= 0]
+    pattern = {"dyck_star": "DUD", "grand_dyck_star": "DUD", "grand_dyck_udu_free": "UDU"}.get(family)
+    return [w for w in words if pattern is None or pattern not in w]
+
+
+GROUND = (Dimer(0, 0),)
+
+
+def _blob(dims) -> bytes:
+    """(level, column + 64) per dimer, in (level, column) order."""
+    ordered = sorted(dims, key=lambda d: (d.level, d.column))
+    return bytes(b for col, level in ordered for b in (level, col + 64))
+
+
+def superposed_grammar(klass: str, n: int, memo: dict | None = None) -> list[bytes]:
+    """Every size-n heap of a class as a blob, in the grammar's order, built by superpose."""
+    memo = {} if memo is None else memo
+
+    def build(klass: str, n: int) -> list[tuple[Dimer, ...]]:
+        if (klass, n) in memo:
+            return memo[klass, n]
+        if klass in ("Ts", "Qs") and n == 1:
+            out = [GROUND]
+        elif klass in ("Ts", "Qs"):
+            out = []
+            for b in build(klass, n - 1):
+                out.append(superpose(GROUND, b, 1))
+                if klass == "Ts":
+                    out.append(superpose(GROUND, b, 0))
+            for a in range(1, n - 1):
+                for b in build(klass, a):
+                    for c in build(klass, n - 1 - a):
+                        out.append(superpose(superpose(GROUND, b, 1), c, 0))
+        else:
+            base = "Ts" if klass == "T" else "Qs"
+            out = list(build(base, n))
+            for a in range(1, n):
+                for b in build(base, a):
+                    for c in build(klass, n - a):
+                        out.append(superpose(b, c, -1))
+        memo[klass, n] = out
+        return out
+
+    return [_blob(dims) for dims in build(klass, n)]

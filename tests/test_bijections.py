@@ -18,6 +18,7 @@ from oracles import (
     square_animals,
     subset_factorize,
     subset_heap_to_path,
+    superposed_grammar,
     uniform_multiset,
 )
 
@@ -222,7 +223,7 @@ class TestFactorize:
             assert bijections.compose(f.case, f.parts) == h
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_closure_split_matches_subset_search(self, n):
+    def test_word_reading_matches_subset_search(self, n):
         for h in bijections.grammar_enumerate(n, "T"):
             f = bijections.factorize(h)
             assert (f.case, f.parts) == subset_factorize(h), h
@@ -295,3 +296,17 @@ class TestGrammar:
         before = bijections.grammar_enumerate(4, "T")
         bijections.clear_caches()
         assert bijections.grammar_enumerate(4, "T") == before
+
+    @pytest.mark.parametrize("klass", bijections.GRAMMAR_CLASSES)
+    def test_blobs_match_superposed_reference(self, klass):
+        bijections.clear_caches()
+        memo = {}
+        for n in range(1, 9):
+            assert list(bijections._encoded(klass, n)) == superposed_grammar(klass, n, memo), n
+
+    def test_duplicate_build_raises(self, monkeypatch):
+        bijections.clear_caches()
+        (ground,) = bijections._encoded("Ts", 1)
+        monkeypatch.setitem(bijections._GRAMMAR_MEMO, ("Ts", 1), (ground, ground))
+        with pytest.raises(GrammarDuplicateError):
+            bijections.grammar_count(2, "Ts")

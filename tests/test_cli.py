@@ -69,6 +69,16 @@ class TestEnumerate:
             "(0,0);(1,1)",
         ]
 
+    @pytest.mark.parametrize("family", ["heap-T", "heap-Ts", "heap-Q", "heap-Qs"])
+    def test_heap_count_only_matches_listing(self, capsys, family):
+        for n in range(1, 7):
+            _, listing, _ = run(capsys, "enumerate", "--family", family, "--n", str(n))
+            code, out, _ = run(
+                capsys, "enumerate", "--family", family, "--n", str(n), "--count-only"
+            )
+            assert code == 0
+            assert out == f"{len(listing.splitlines())}\n"
+
     def test_animal_subdiagonal_count(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--family", "animal-triangular",
@@ -247,6 +257,31 @@ class TestRender:
         code, _, err = run(capsys, "render", "--kind", "heap", "--input", "nope")
         assert code == 2
         assert err
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize(
+        "error, call, argv",
+        [
+            (
+                bijections.FactorizationFailedError,
+                "heap_to_path",
+                ["map", "--from", "heap", "--to", "path", "--input", "(0,0)"],
+            ),
+            (
+                bijections.GrammarDuplicateError,
+                "grammar_count",
+                ["enumerate", "--family", "heap-T", "--n", "3", "--count-only"],
+            ),
+        ],
+    )
+    def test_is_an_error_line_with_exit_2(self, capsys, monkeypatch, error, call, argv):
+        def fail(*args):
+            raise error("planted")
+
+        monkeypatch.setattr(bijections, call, fail)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: planted\n")
 
 
 class TestUsage:

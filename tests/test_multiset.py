@@ -12,6 +12,8 @@ from heapdyck.multisets import (
     OutOfRangeError,
 )
 
+from oracles import filtered_multisets
+
 LARGE_EXAMPLE = (3, 4, 5, 5, 5, 5, 5, 6, 6, 8, 8, 8, 8, 12, 15, 16, 17, 17, 17, 19, 19, 19)
 
 
@@ -147,6 +149,12 @@ class TestEnumerate:
     def test_lexicographic_order(self):
         seen = [m.values for m in multisets.enumerate_family("all", 4)]
         assert seen == sorted(seen)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_filtered_reference(self, n):
+        for k in (0, 1, n - 1, n, n + 2):
+            for family, want in filtered_multisets(n, k).items():
+                assert list(multisets.enumerate_family(family, n, k)) == want, (family, k)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

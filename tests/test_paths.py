@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from heapdyck import bijections, multisets, paths
 from heapdyck.paths import BadCharError, EmptyWordError, NotGrandDyckError
 
-from oracles import catalan, motzkin
+from oracles import balanced_words, catalan, filtered_words, motzkin
 
 EXAMPLE_WORD = "UUDDDUUDDUUUDDDU"
 
@@ -167,6 +167,12 @@ class TestEnumerate:
     def test_lexicographic_order(self, family):
         words = list(paths.enumerate_family(family, 6))
         assert words == sorted(words, key=lambda w: w.replace("U", "0").replace("D", "1"))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_filtered_reference(self, n):
+        words = balanced_words(n)
+        for family in paths.FAMILIES:
+            assert list(paths.enumerate_family(family, n)) == filtered_words(family, words), family
 
     def test_first_word_at_600_needs_no_recursion(self):
         assert next(paths.enumerate_family("grand_dyck", 600)) == "U" * 600 + "D" * 600

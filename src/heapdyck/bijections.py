@@ -22,21 +22,22 @@ from dataclasses import dataclass
 from math import inf
 
 from . import heaps, multisets, paths
+from .errors import HeapdyckError
 from .heaps import Dimer, Heap
 
 GRAMMAR_CLASSES = ("T", "Ts", "Q", "Qs")
 GROUND = (Dimer(0, 0),)
 
 
-class NotStartingUError(ValueError):
+class NotStartingUError(HeapdyckError, ValueError):
     pass
 
 
-class FactorizationFailedError(RuntimeError):
+class FactorizationFailedError(HeapdyckError, RuntimeError):
     pass
 
 
-class GrammarDuplicateError(RuntimeError):
+class GrammarDuplicateError(HeapdyckError, RuntimeError):
     pass
 
 
@@ -105,7 +106,8 @@ def run_components(word: str) -> list[RunComponent]:
 
 def path_to_heap(word: str) -> Heap:
     """Drop each run's D steps, right to left, at their heights plus the run's shift."""
-    if not paths.classify(word).grand_dyck:
+    # paths.classify(word).grand_dyck, without a heights scan: a step that is not U counts as down
+    if not (word[:1] == "U" and 2 * word.count("U") == len(word)):
         raise paths.NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
     columns = []
     for comp in run_components(word):

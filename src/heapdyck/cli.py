@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on
-usage or parse errors and on a heap the grammar cannot factor or builds
-twice.  Data goes to stdout, diagnostics to stderr.
+usage or parse errors and on every other library error (a HeapdyckError),
+such as a heap the grammar cannot factor or builds twice.  Data goes to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 
 from . import bijections, heaps, multisets, paths, render, series, verify
+from .errors import HeapdyckError
 
 _MS_FAMILIES = {
     "multiset-all": "all",
@@ -37,6 +39,10 @@ FAMILIES = (
 )
 REPRESENTATIONS = ("multiset", "path", "heap")
 STAT_KINDS = ("multiset", "path", "heap", "animal")
+
+
+class TableCheckError(HeapdyckError, RuntimeError):
+    """A table1 entry is not an integer or disagrees with enumeration."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,10 +245,10 @@ def table1_lines(max_n: int, max_k: int) -> list[str]:
         for n in range(1, max_n + 1):
             c = table.coefficient(n, k)
             if c.denominator != 1:
-                raise RuntimeError(f"non-integer table entry at n={n}, k={k}")
+                raise TableCheckError(f"non-integer table entry at n={n}, k={k}")
             value = int(c)
             if n <= 9 and k <= 9 and multisets.count_family("star", n, k) != value:
-                raise RuntimeError(
+                raise TableCheckError(
                     f"table entry n={n}, k={k} disagrees with enumeration"
                 )
             row.append(str(value))
@@ -303,11 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _DISPATCH[args.verb](args)
-    except (
-        ValueError,
-        bijections.FactorizationFailedError,
-        bijections.GrammarDuplicateError,
-    ) as exc:
+    except (ValueError, HeapdyckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

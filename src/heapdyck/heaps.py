@@ -15,29 +15,32 @@ heaps with no dimer directly on top of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
+
+from .errors import HeapdyckError
 
 BRUTE_FORCE_BOUND = 8
 LATTICES = ("square", "triangular")
 
 
-class BadGroundError(ValueError):
+class BadGroundError(HeapdyckError, ValueError):
     pass
 
 
-class NotAHeapError(ValueError):
+class NotAHeapError(HeapdyckError, ValueError):
     pass
 
 
-class MissingOriginError(ValueError):
+class MissingOriginError(HeapdyckError, ValueError):
     pass
 
 
-class TooLargeError(ValueError):
+class TooLargeError(HeapdyckError, ValueError):
     pass
 
 
-class HeapParseError(ValueError):
+class HeapParseError(HeapdyckError, ValueError):
     pass
 
 
@@ -46,31 +49,55 @@ class Dimer(NamedTuple):
     level: int
 
 
+_BY_LEVEL = itemgetter(1, 0)  # (level, column)
+
+
 def _canonical(dimers: Iterable[Dimer]) -> tuple[Dimer, ...]:
-    return tuple(sorted(dimers, key=lambda d: (d.level, d.column)))
+    return tuple(sorted(dimers, key=_BY_LEVEL))
 
 
 def _check_heap(dimers: tuple[Dimer, ...]) -> str | None:
-    """Return a breach description, or None for a valid heap."""
+    """Return a breach description, or None for a valid heap.
+
+    One sweep over the canonical dimers.  Levels ascend, so a repeat or an
+    overlap lies between neighbours on one level, and a dimer's support is
+    in the column set of the level just below.  A repeat ends the sweep;
+    the other breaches are kept, the first of each, and reported in the
+    order ground, overlap, support.
+    """
     if not dimers:
         return "empty heap"
-    cells = set(dimers)
-    if len(cells) != len(dimers):
-        return "repeated dimer"
-    ground = [d for d in dimers if d.level == 0]
-    if len(ground) != 1 or ground[0].column != 0:
+    grounds = 0  # level-0 dimers
+    ground_col = None
+    overlap = unsupported = None
+    level = prev = None
+    below: set[int] = set()  # columns of level - 1
+    here: set[int] = set()  # columns of level
+    for col, lvl in dimers:
+        if lvl != level:
+            below = here if lvl - 1 == level else set()
+            here = set()
+            level = lvl
+        elif col - prev <= 1:
+            if col == prev:
+                return "repeated dimer"
+            if overlap is None:
+                overlap = f"overlapping dimers at level {lvl}"
+        here.add(col)
+        prev = col
+        if not lvl:
+            grounds += 1
+            ground_col = col
+        elif (
+            unsupported is None
+            and col not in below
+            and col - 1 not in below
+            and col + 1 not in below
+        ):
+            unsupported = f"dimer ({col},{lvl}) has no support"
+    if grounds != 1 or ground_col != 0:
         return "need exactly one level-0 dimer, in column 0"
-    by_level: dict[int, list[int]] = {}
-    for col, level in dimers:
-        by_level.setdefault(level, []).append(col)
-    for level, cols in by_level.items():
-        cols.sort()
-        if any(b - a <= 1 for a, b in zip(cols, cols[1:])):
-            return f"overlapping dimers at level {level}"
-    for col, level in dimers:
-        if level and not any((c, level - 1) in cells for c in (col - 1, col, col + 1)):
-            return f"dimer ({col},{level}) has no support"
-    return None
+    return overlap or unsupported
 
 
 class Heap:
@@ -79,7 +106,7 @@ class Heap:
     __slots__ = ("dimers", "_hash")
 
     def __init__(self, dimers: Iterable[Dimer]):
-        canon = _canonical(Dimer(*d) for d in dimers)
+        canon = _canonical(d if isinstance(d, Dimer) else Dimer(*d) for d in dimers)
         breach = _check_heap(canon)
         if breach is not None:
             raise NotAHeapError(breach)

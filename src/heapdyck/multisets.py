@@ -22,22 +22,24 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
+from .errors import HeapdyckError
+
 FAMILIES = ("all", "star", "super", "super_star", "no_single_except_k")
 
 
-class EmptyMultisetError(ValueError):
+class EmptyMultisetError(HeapdyckError, ValueError):
     pass
 
 
-class NotSortedError(ValueError):
+class NotSortedError(HeapdyckError, ValueError):
     pass
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(HeapdyckError, ValueError):
     pass
 
 
-class MultisetParseError(ValueError):
+class MultisetParseError(HeapdyckError, ValueError):
     pass
 
 

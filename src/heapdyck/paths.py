@@ -13,18 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .errors import HeapdyckError
+
 FAMILIES = ("dyck", "dyck_star", "grand_dyck", "grand_dyck_star", "grand_dyck_udu_free")
 
 
-class EmptyWordError(ValueError):
+class EmptyWordError(HeapdyckError, ValueError):
     pass
 
 
-class BadCharError(ValueError):
+class BadCharError(HeapdyckError, ValueError):
     pass
 
 
-class NotGrandDyckError(ValueError):
+class NotGrandDyckError(HeapdyckError, ValueError):
     pass
 
 
@@ -65,12 +67,15 @@ def heights(word: str) -> list[int]:
     return ys
 
 
-def classify(word: str) -> PathFlags:
-    ys = heights(word)
+def _flags(word: str, ys: list[int]) -> PathFlags:
     balanced = ys[-1] == 0
     starts_u = word[:1] == "U"
     dyck = balanced and min(ys) >= 0
     return PathFlags(balanced, starts_u, dyck, balanced and starts_u)
+
+
+def classify(word: str) -> PathFlags:
+    return _flags(word, heights(word))
 
 
 def pattern_count(word: str, pattern: str) -> int:
@@ -84,9 +89,7 @@ def reverse(word: str) -> str:
     return word[::-1]
 
 
-def crossings(word: str) -> tuple[int, ...]:
-    """Interior x positions where the path changes sign through the axis."""
-    ys = heights(word)
+def _crossings(word: str, ys: list[int]) -> tuple[int, ...]:
     return tuple(
         x
         for x in range(1, len(word))
@@ -94,12 +97,15 @@ def crossings(word: str) -> tuple[int, ...]:
     )
 
 
-def modified_heights(word: str) -> list[int]:
-    """Per point: |y_x| minus the number of crossings strictly left of x."""
-    ys = heights(word)
+def crossings(word: str) -> tuple[int, ...]:
+    """Interior x positions where the path changes sign through the axis."""
+    return _crossings(word, heights(word))
+
+
+def _modified(ys: list[int], cross_at: tuple[int, ...]) -> list[int]:
     out = []
     seen = 0
-    cross_iter = iter(crossings(word))
+    cross_iter = iter(cross_at)
     next_cross = next(cross_iter, None)
     for x, y in enumerate(ys):
         if next_cross is not None and next_cross < x:
@@ -109,12 +115,18 @@ def modified_heights(word: str) -> list[int]:
     return out
 
 
+def modified_heights(word: str) -> list[int]:
+    """Per point: |y_x| minus the number of crossings strictly left of x."""
+    ys = heights(word)
+    return _modified(ys, _crossings(word, ys))
+
+
 def height_stats(word: str) -> PathStats:
-    flags = classify(word)
-    if not flags.grand_dyck:
+    ys = heights(word)  # the one scan; flags, crossings and modified heights come from it
+    if not _flags(word, ys).grand_dyck:
         raise NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
-    modified = modified_heights(word)
-    cross_at = crossings(word)
+    cross_at = _crossings(word, ys)
+    modified = _modified(ys, cross_at)
     nbu: dict[int, int] = {}
     d_ends = []
     for i, step in enumerate(word):

@@ -38,7 +38,6 @@ def _xy(x: float, y: float, height: int) -> tuple[float, float]:
 
 
 def path_ascii(word: str) -> str:
-    paths.classify(word)
     ys = paths.heights(word)
     cells = [ys[i] if step == "U" else ys[i + 1] for i, step in enumerate(word)]
     top, bottom = max(cells), min(cells)
@@ -49,7 +48,6 @@ def path_ascii(word: str) -> str:
 
 
 def path_svg(word: str) -> str:
-    paths.classify(word)
     ys = paths.heights(word)
     top, bottom = max(ys), min(ys)
     height = (top - bottom) * CELL

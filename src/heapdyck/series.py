@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import HeapdyckError
+
 CLOSED_FORMS = ("Ts", "T", "Qs", "Q", "Mdiag")
 BIVARIATE_NAMES = ("f", "h")
 
@@ -33,11 +35,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class DivByNonUnitError(ZeroDivisionError):
+class DivByNonUnitError(HeapdyckError, ZeroDivisionError):
     pass
 
 
-class SqrtBadConstantError(ValueError):
+class SqrtBadConstantError(HeapdyckError, ValueError):
     pass
 
 

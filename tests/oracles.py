@@ -62,6 +62,33 @@ def convolve(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
     ]
 
 
+# --- heap validation --------------------------------------------------------
+
+
+def reference_check_heap(dimers: tuple[Dimer, ...]) -> str | None:
+    """The heap rules checked one at a time over the canonical dimers, in the
+    library's priority order; the breach message, or None for a valid heap."""
+    if not dimers:
+        return "empty heap"
+    cells = set(dimers)
+    if len(cells) != len(dimers):
+        return "repeated dimer"
+    ground = [d for d in dimers if d.level == 0]
+    if len(ground) != 1 or ground[0].column != 0:
+        return "need exactly one level-0 dimer, in column 0"
+    by_level: dict[int, list[int]] = {}
+    for col, level in dimers:
+        by_level.setdefault(level, []).append(col)
+    for level, cols in by_level.items():
+        cols.sort()
+        if any(b - a <= 1 for a, b in zip(cols, cols[1:])):
+            return f"overlapping dimers at level {level}"
+    for col, level in dimers:
+        if level and not any((c, level - 1) in cells for c in (col - 1, col, col + 1)):
+            return f"dimer ({col},{level}) has no support"
+    return None
+
+
 # --- word <-> heap references ----------------------------------------------
 #
 # The constructor grammar read directly: an arch-recursive builder, and a

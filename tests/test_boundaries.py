@@ -6,6 +6,7 @@ Tests may still use private names.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,17 @@ def test_no_module_uses_another_modules_private_names(path):
 )
 def test_checker_sees_private_uses(source, found):
     assert private_uses(source) == found
+
+
+def test_every_library_error_is_a_heapdyck_error():
+    modules = [importlib.import_module(f"heapdyck.{path.stem}") for path in SOURCES]
+    errors = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and obj.__module__.startswith("heapdyck")
+    }
+    assert len(errors) >= 18
+    assert all(issubclass(e, heapdyck.HeapdyckError) for e in errors)

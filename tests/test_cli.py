@@ -1,9 +1,10 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from heapdyck import bijections, cli, heaps, multisets, paths
+from heapdyck import bijections, cli, heaps, multisets, paths, series
 
 from oracles import uniform_multiset
 
@@ -282,6 +283,19 @@ class TestLibraryErrors:
         monkeypatch.setattr(bijections, call, fail)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", "error: planted\n")
+
+    def test_non_integer_table_entry(self, capsys, monkeypatch):
+        orig = series.bivariate
+
+        def with_half_entry(*args):
+            table = orig(*args)
+            rows = [list(row) for row in table.rows]
+            rows[2][1] = Fraction(1, 2)
+            return series.BivarTable(tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(series, "bivariate", with_half_entry)
+        code, out, err = run(capsys, "table1", "--max-n", "3", "--max-k", "2")
+        assert (code, out, err) == (2, "", "error: non-integer table entry at n=2, k=1\n")
 
 
 class TestUsage:

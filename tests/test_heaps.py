@@ -1,8 +1,8 @@
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from heapdyck import heaps
+from heapdyck import bijections, heaps
 from heapdyck.heaps import (
     BadGroundError,
     Dimer,
@@ -14,7 +14,7 @@ from heapdyck.heaps import (
     TooLargeError,
 )
 
-from oracles import catalan, motzkin, square_animals
+from oracles import catalan, motzkin, reference_check_heap, square_animals
 
 STACK = ((0, 0), (0, 1))
 
@@ -57,6 +57,51 @@ class TestHeapValidation:
         b = Heap((Dimer(1, 1), Dimer(0, 0)))
         assert a == b
         assert hash(a) == hash(b)
+
+
+def _verdict(pairs):
+    """The breach message Heap gives for these dimers, or None when it accepts them."""
+    try:
+        Heap(pairs)
+    except NotAHeapError as exc:
+        return str(exc)
+    return None
+
+
+class TestSweepMatchesReference:
+    """Heap's one-sweep check gives the multi-pass reference's verdict and first message."""
+
+    CELLS = sorted(
+        (Dimer(c, l) for c in range(-2, 3) for l in range(-1, 3)),
+        key=lambda d: (d.level, d.column),
+    )
+
+    def test_every_small_tuple(self):
+        # the 21 700 sets of at most 5 of these 20 dimers, then the 4 430
+        # multisets of at most 4 that repeat one; fed in reverse, as plain pairs
+        tuples = [t for k in range(6) for t in combinations(self.CELLS, k)]
+        assert len(tuples) == 21_700
+        tuples += [
+            t
+            for k in range(5)
+            for t in combinations_with_replacement(self.CELLS, k)
+            if len(set(t)) < k
+        ]
+        messages = set()
+        for t in tuples:
+            expected = reference_check_heap(t)
+            assert _verdict([tuple(d) for d in reversed(t)]) == expected, t
+            messages.add(expected and expected.split(" ")[0])
+        assert messages == {None, "empty", "repeated", "need", "overlapping", "dimer"}
+
+    @pytest.mark.parametrize("klass", bijections.GRAMMAR_CLASSES)
+    def test_grammar_heaps_and_their_one_dimer_removals(self, klass):
+        for n in range(1, 8):
+            for h in bijections.grammar_enumerate(n, klass):
+                assert reference_check_heap(h.dimers) is None
+                for i in range(n):
+                    rest = h.dimers[:i] + h.dimers[i + 1 :]
+                    assert _verdict(rest) == reference_check_heap(rest), rest
 
 
 class TestDrop:

@@ -3,7 +3,9 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from heapdyck import bijections, multisets, paths
+from itertools import product
+
+from heapdyck import bijections, heaps, multisets, paths
 from heapdyck.paths import BadCharError, EmptyWordError, NotGrandDyckError
 
 from oracles import balanced_words, catalan, filtered_words, motzkin
@@ -103,6 +105,47 @@ class TestHeightStats:
         assert sum(s.nbu_profile.values()) == s.semilength
         assert len(s.d_end_heights) == s.semilength
         assert s.height_max >= 1
+
+
+class TestOneHeightScan:
+    @pytest.mark.parametrize(
+        "word",
+        ["UD", EXAMPLE_WORD, "UUUDDD" * 40, "UDDU" * 50],
+        ids=["UD", "example", "(UUUDDD)^40", "(UDDU)^50"],
+    )
+    @pytest.mark.parametrize(
+        "fn", [paths.height_stats, bijections.path_to_heap], ids=["height_stats", "path_to_heap"]
+    )
+    def test_heights_runs_at_most_once(self, monkeypatch, fn, word):
+        calls = []
+        orig = paths.heights
+
+        def counted(w):
+            calls.append(w)
+            return orig(w)
+
+        monkeypatch.setattr(paths, "heights", counted)
+        fn(word)
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize(
+        "fn", [paths.height_stats, bijections.path_to_heap], ids=["height_stats", "path_to_heap"]
+    )
+    def test_rejects_exactly_what_classify_rejects(self, fn):
+        words = ["", "UX", "XU"]
+        words += ["".join(w) for n in range(1, 11) for w in product("UD", repeat=n)]
+
+        def rejects(word):
+            try:
+                fn(word)
+            except NotGrandDyckError:
+                return True
+            except heaps.NotAHeapError:  # "UX" passes as grand-Dyck but has no D to drop
+                return False
+            return False
+
+        for word in words:
+            assert rejects(word) == (not paths.classify(word).grand_dyck), word
 
 
 class TestPatterns:

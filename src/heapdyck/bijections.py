@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from . import heaps, multisets, paths
+from . import counting, heaps, multisets, paths
 from .errors import HeapdyckError
 from .heaps import Dimer, Heap
 
-GRAMMAR_CLASSES = ("T", "Ts", "Q", "Qs")
+GRAMMAR_CLASSES = counting.CLASSES
 GROUND = (Dimer(0, 0),)
 
 
@@ -75,9 +75,7 @@ def path_to_multiset(word: str) -> multisets.Multiset:
     """Each D records how many U steps precede it; the U total is the bound."""
     if not word.startswith("U"):
         raise NotStartingUError(f"word must start with U: {word!r}")
-    bad = set(word) - {"U", "D"}
-    if bad:
-        raise paths.BadCharError(f"steps must be U or D, found {sorted(bad)}")
+    paths.check_steps(word)
     ups = 0
     values = []
     for step in word:
@@ -106,8 +104,10 @@ def run_components(word: str) -> list[RunComponent]:
 
 def path_to_heap(word: str) -> Heap:
     """Drop each run's D steps, right to left, at their heights plus the run's shift."""
-    # paths.classify(word).grand_dyck, without a heights scan: a step that is not U counts as down
+    # paths.classify(word).grand_dyck, without a heights scan; the scan in
+    # run_components checks the letters of a word that passes
     if not (word[:1] == "U" and 2 * word.count("U") == len(word)):
+        paths.check_steps(word)  # a bad letter is reported first
         raise paths.NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
     columns = []
     for comp in run_components(word):
@@ -349,11 +349,10 @@ def grammar_enumerate(n: int, klass: str) -> frozenset[Heap]:
 
 
 def grammar_count(n: int, klass: str) -> int:
-    if klass not in GRAMMAR_CLASSES:
-        raise ValueError(f"unknown class {klass!r}")
+    """The number of size-n heaps of a class, from the constructor cases' recurrences."""
     if n < 1:
         raise ValueError("n must be positive")
-    return len(_encoded(klass, n))
+    return counting.totals(klass, n)[n]
 
 
 def clear_caches() -> None:

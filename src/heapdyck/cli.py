@@ -31,6 +31,13 @@ _PATH_FAMILIES = {
 }
 _HEAP_FAMILIES = {"heap-T": "T", "heap-Ts": "Ts", "heap-Q": "Q", "heap-Qs": "Qs"}
 _ANIMAL_FAMILIES = {"animal-square": "square", "animal-triangular": "triangular"}
+# (lattice, subdiagonal) -> the heap class its animals map onto
+_ANIMAL_CLASSES = {
+    ("triangular", False): "T",
+    ("triangular", True): "Ts",
+    ("square", False): "Q",
+    ("square", True): "Qs",
+}
 FAMILIES = (
     *_MS_FAMILIES,
     *_PATH_FAMILIES,
@@ -195,9 +202,11 @@ def _do_enumerate(args) -> int:
             return 0
         items = sorted(heaps.to_text(h) for h in bijections.grammar_enumerate(args.n, klass))
     else:
-        found = heaps.animal_enumerate_bruteforce(
-            args.n, _ANIMAL_FAMILIES[args.family], subdiagonal=args.subdiagonal
-        )
+        lattice = _ANIMAL_FAMILIES[args.family]
+        if args.count_only:
+            print(bijections.grammar_count(args.n, _ANIMAL_CLASSES[lattice, args.subdiagonal]))
+            return 0
+        found = heaps.animal_enumerate_bruteforce(args.n, lattice, subdiagonal=args.subdiagonal)
         items = sorted(heaps.points_to_text(a) for a in found)
     if args.count_only:
         print(len(items))

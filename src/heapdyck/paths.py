@@ -53,17 +53,25 @@ def parse(text: str) -> str:
     word = text.strip()
     if not word:
         raise EmptyWordError("empty step word")
-    bad = set(word) - {"U", "D"}
-    if bad:
-        raise BadCharError(f"steps must be U or D, found {sorted(bad)}")
+    check_steps(word)
     return word
+
+
+def check_steps(word: str) -> None:
+    """Raise BadCharError unless every letter of the word is U or D."""
+    if word.count("U") + word.count("D") != len(word):
+        bad = sorted(set(word) - {"U", "D"})
+        raise BadCharError(f"steps must be U or D, found {bad}")
 
 
 def heights(word: str) -> list[int]:
     """Points y_0..y_L visited by the word, starting at 0."""
+    check_steps(word)
+    y = 0
     ys = [0]
     for step in word:
-        ys.append(ys[-1] + (1 if step == "U" else -1))
+        y += 1 if step == "U" else -1
+        ys.append(y)
     return ys
 
 

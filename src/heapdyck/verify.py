@@ -4,15 +4,20 @@ Each suite walks every object up to a size bound and records one result
 per named check.  The statistics suite does not assume the two empirical
 index relations it watches; it detects the constants from the data,
 fails if they drift anywhere in range, and reports what it found.
+
+The counts and symmetry suites also have a counting tier, which compares
+the constructor recurrences of `counting` with independent formulas at
+the fixed orders COUNT_ORDER and WIDTH_ORDER, whatever the size bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add, mul
 from typing import Callable, Iterable
 
-from . import bijections, heaps, multisets, paths, series
+from . import bijections, counting, heaps, multisets, paths, series
 
 SUITES = ("counts", "bijections", "statistics", "series", "symmetry")
 SUITE_CAPS = {
@@ -23,6 +28,8 @@ SUITE_CAPS = {
     "symmetry": 7,
 }
 ANIMAL_ORACLE_CAP = 7
+COUNT_ORDER = 300  # sizes of the counts suite's recurrence totals
+WIDTH_ORDER = 60  # sizes of the symmetry suite's width tables
 
 
 @dataclass
@@ -96,12 +103,13 @@ def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _motzkin(n: int) -> int:
+def _motzkin_row(n: int) -> list[int]:
+    """Motzkin numbers M_0..M_n."""
     row = [1]
     for _ in range(n):
         nxt = row[-1] + sum(row[i] * row[-2 - i] for i in range(len(row) - 1))
         row.append(nxt)
-    return row[n]
+    return row
 
 
 def _wrap(fn: Callable[[int], list[CheckResult]], max_n: int) -> list[CheckResult]:
@@ -145,6 +153,7 @@ def _suite_counts(max_n: int) -> list[CheckResult]:
     ts = series.closed_form("Ts", max_n)
     t = series.closed_form("T", max_n)
     qs = series.closed_form("Qs", max_n)
+    motzkin = _motzkin_row(COUNT_ORDER)
     for n in range(1, max_n + 1):
         rec.require(
             "dyck-count-is-catalan",
@@ -153,7 +162,7 @@ def _suite_counts(max_n: int) -> list[CheckResult]:
         )
         rec.require(
             "dyck-star-count-is-motzkin",
-            paths.count_family("dyck_star", n) == _motzkin(n - 1),
+            paths.count_family("dyck_star", n) == motzkin[n - 1],
             f"mismatch at n={n}",
         )
         rec.require(
@@ -196,7 +205,34 @@ def _suite_counts(max_n: int) -> list[CheckResult]:
                 bijections.grammar_count(n, klass) == ser[n],
                 f"class {klass}, n={n}",
             )
+    _count_tier(rec, motzkin)
     return rec.results(f"all sizes 1..{max_n}")
+
+
+def _first_difference(got: list[int], want: list[int]) -> int | None:
+    """The smallest size n >= 1 at which two count lists differ, or None."""
+    return next((n for n in range(1, len(want)) if got[n] != want[n]), None)
+
+
+def _count_tier(rec: _Recorder, motzkin: list[int]) -> None:
+    name = "grammar-counts-match-binomial-formulas"
+    sizes = range(1, COUNT_ORDER + 1)
+    central = [comb(k, k // 2) for k in range(COUNT_ORDER)]
+    directed = [0]  # sum over k of C(n - 1, k) C(k, k // 2)
+    pascal = [1]  # row n - 1 of Pascal's triangle
+    for _ in sizes:
+        directed.append(sum(map(mul, pascal, central)))
+        pascal = [1, *map(add, pascal, pascal[1:]), 1]
+    formulas = {
+        "Ts": [0, *map(_catalan, sizes)],
+        "T": [0, *(comb(2 * n - 1, n) for n in sizes)],
+        "Qs": [0, *motzkin[:COUNT_ORDER]],
+        "Q": directed,
+    }
+    for klass, want in formulas.items():
+        n = _first_difference(counting.totals(klass, COUNT_ORDER), want)
+        rec.require(name, n is None, f"class {klass}, n={n}")
+    rec.note(name, f"recurrence totals of T, Ts, Q, Qs, sizes 1..{COUNT_ORDER}")
 
 
 # --- bijections ---------------------------------------------------------
@@ -475,4 +511,32 @@ def _suite_symmetry(max_n: int) -> list[CheckResult]:
                     sb.lw + 1 == sa.rw and sb.rw == sa.lw + 1 and sb.area == sa.area,
                     f"n={n}, animal {a}",
                 )
+    _width_tier(rec)
     return rec.results(f"all sizes 1..{max_n}")
+
+
+def _times(f: list[int], g: list[int]) -> list[int]:
+    """The product of two power series with no constant term, to the same order."""
+    return [0, *(sum(map(mul, f[1:n], g[n - 1 : 0 : -1])) for n in range(1, len(f)))]
+
+
+def _width_tier(rec: _Recorder) -> None:
+    name = "left-width-counts-match-right-width-counts"
+    left = {klass: counting.by_left_width(klass, WIDTH_ORDER) for klass in ("T", "Q")}
+    for klass, by_lw in left.items():
+        by_rw = counting.by_right_width(klass, WIDTH_ORDER)
+        for a in range(WIDTH_ORDER):
+            n = _first_difference(by_lw[a], by_rw[a + 1])
+            rec.require(name, n is None, f"class {klass}, n={n}, lw <= {a}")
+    rec.note(name, f"#(lw <= a) = #(rw <= a + 1) in T and Q, sizes 1..{WIDTH_ORDER}")
+
+    # lw is the number of crossings, and a word with c crossings is c + 1 nonempty Dyck runs
+    name = "left-width-counts-match-crossing-counts"
+    runs = [0, *(_catalan(k) for k in range(1, WIDTH_ORDER + 1))]
+    power, upto = runs, runs
+    for a in range(WIDTH_ORDER):
+        n = _first_difference(left["T"][a], upto)
+        rec.require(name, n is None, f"class T, n={n}, lw <= {a}")
+        power = _times(power, runs)
+        upto = [x + y for x, y in zip(upto, power)]
+    rec.note(name, f"#(lw <= a) in T against words by crossings, sizes 1..{WIDTH_ORDER}")

@@ -273,6 +273,7 @@ class TestGrammar:
         named = {name: series.closed_form(name, order) for name in ("T", "Ts", "Q", "Qs")}
         for name, ser in named.items():
             for n in range(1, order + 1):
+                assert len(bijections._encoded(name, n)) == ser[n], (name, n)
                 assert bijections.grammar_count(n, name) == ser[n], (name, n)
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -309,4 +310,4 @@ class TestGrammar:
         (ground,) = bijections._encoded("Ts", 1)
         monkeypatch.setitem(bijections._GRAMMAR_MEMO, ("Ts", 1), (ground, ground))
         with pytest.raises(GrammarDuplicateError):
-            bijections.grammar_count(2, "Ts")
+            bijections.grammar_enumerate(2, "Ts")

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -87,6 +88,26 @@ class TestEnumerate:
         )
         assert code == 0
         assert out == "14\n"
+
+    @pytest.mark.parametrize("subdiagonal", [False, True], ids=["full", "subdiagonal"])
+    @pytest.mark.parametrize("family", ["animal-triangular", "animal-square"])
+    def test_animal_count_only_matches_listing(self, capsys, family, subdiagonal):
+        extra = ["--subdiagonal"] if subdiagonal else []
+        for n in range(1, 8):
+            argv = ["enumerate", "--family", family, "--n", str(n), *extra]
+            _, listing, _ = run(capsys, *argv)
+            code, out, _ = run(capsys, *argv, "--count-only")
+            assert code == 0
+            assert out == f"{len(listing.splitlines())}\n"
+
+    def test_animal_count_only_has_no_brute_force_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--family", "animal-triangular", "--n", "300", "--count-only"
+        )
+        assert (code, out) == (0, f"{comb(599, 300)}\n")
+        code, _, err = run(capsys, "enumerate", "--family", "animal-triangular", "--n", "9")
+        assert code == 2
+        assert "capped" in err
 
     def test_k_rejected_outside_multisets(self, capsys):
         code, _, err = run(
@@ -271,8 +292,8 @@ class TestLibraryErrors:
             ),
             (
                 bijections.GrammarDuplicateError,
-                "grammar_count",
-                ["enumerate", "--family", "heap-T", "--n", "3", "--count-only"],
+                "grammar_enumerate",
+                ["enumerate", "--family", "heap-T", "--n", "3"],
             ),
         ],
     )

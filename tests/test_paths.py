@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from itertools import product
 
-from heapdyck import bijections, heaps, multisets, paths
+from heapdyck import bijections, multisets, paths
 from heapdyck.paths import BadCharError, EmptyWordError, NotGrandDyckError
 
 from oracles import balanced_words, catalan, filtered_words, motzkin
@@ -132,20 +132,21 @@ class TestOneHeightScan:
         "fn", [paths.height_stats, bijections.path_to_heap], ids=["height_stats", "path_to_heap"]
     )
     def test_rejects_exactly_what_classify_rejects(self, fn):
-        words = ["", "UX", "XU"]
-        words += ["".join(w) for n in range(1, 11) for w in product("UD", repeat=n)]
+        words = [""] + ["".join(w) for n in range(1, 11) for w in product("UD", repeat=n)]
 
         def rejects(word):
             try:
                 fn(word)
             except NotGrandDyckError:
                 return True
-            except heaps.NotAHeapError:  # "UX" passes as grand-Dyck but has no D to drop
-                return False
             return False
 
         for word in words:
             assert rejects(word) == (not paths.classify(word).grand_dyck), word
+        for word in ("UX", "XU", "UXUD"):
+            for check in (paths.classify, fn):
+                with pytest.raises(BadCharError):
+                    check(word)
 
 
 class TestPatterns:

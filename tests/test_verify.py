@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from heapdyck import bijections, cli, heaps, multisets, paths, verify
+from heapdyck import bijections, cli, counting, heaps, multisets, paths, verify
 
 
 @pytest.fixture(autouse=True)
@@ -148,6 +148,17 @@ class TestMutationSmoke:
         monkeypatch.setattr(paths, "crossings", truncated)
         bijections.clear_caches()
         assert _fails("statistics")
+
+    def test_count_recurrence_without_case_iii_is_caught(self, monkeypatch):
+        orig = counting._strict_row
+
+        def no_case_iii(n, with_iii, narrower=None):
+            return orig(n, False, narrower)
+
+        monkeypatch.setattr(counting, "_strict_row", no_case_iii)
+        report = verify.run_suite("counts", 4)
+        failing = {c.name for c in report.checks if not c.ok}
+        assert failing == {"grammar-counts-match-series", "grammar-counts-match-binomial-formulas"}
 
     def test_wrong_series_sign_is_caught(self, monkeypatch):
         from heapdyck import series

@@ -7,6 +7,17 @@ only of series with constant term 1, and the closed forms below divide
 by their leading monomials through explicit valuation shifts, so the
 whole module stays exact.
 
+The quadratic kernels (product, quotient, square root, table division)
+run on Python ints and build one normalised Fraction per output
+coefficient.  Each operand becomes integer numerators over the lcm of its
+denominators, and every convolution sum is taken in ints.  The quotient
+and the square root keep the coefficients found so far as integer
+numerators over one running denominator, which grows only when a new
+coefficient's denominator does not divide it; a series with integer
+coefficients, such as every closed form below, keeps denominator 1.  The
+table divisors have constant term 1, so tables are computed in ints
+throughout.
+
 The four univariate closed forms count the heap classes by area:
 
     Ts: (1 - 2z - sqrt(1 - 4z)) / 2z          Catalan numbers
@@ -24,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import HeapdyckError
@@ -31,7 +44,6 @@ from .errors import HeapdyckError
 CLOSED_FORMS = ("Ts", "T", "Qs", "Q", "Mdiag")
 BIVARIATE_NAMES = ("f", "h")
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -41,6 +53,27 @@ class DivByNonUnitError(HeapdyckError, ZeroDivisionError):
 
 class SqrtBadConstantError(HeapdyckError, ValueError):
     pass
+
+
+def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the coefficients over their least common denominator."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _extend(num: list[int], den: int, c: Fraction) -> int:
+    """Append c to the numerators num over den, and return the denominator.
+
+    The denominator grows only when c's does not divide it, and then to
+    their lcm, so a series with integer coefficients keeps denominator 1.
+    """
+    q = c.denominator
+    if den % q:
+        scale = q // gcd(den, q)
+        num[:] = [x * scale for x in num]
+        den *= scale
+    num.append(c.numerator * (den // q))
+    return den
 
 
 @dataclass(frozen=True)
@@ -78,38 +111,47 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
-        out = [_ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return Series(tuple(out))
+        a, da = _over_lcm(self.coeffs[: n + 1])
+        b, db = _over_lcm(other.coeffs[: n + 1])
+        b.reverse()  # b[n - k:] runs b_k, b_(k-1), .., b_0, to pair with a_0, a_1, ..
+        d = da * db
+        return Series(
+            tuple(Fraction(sum(map(mul, a, b[n - k :])), d) for k in range(n + 1))
+        )
 
     def __truediv__(self, other: "Series") -> "Series":
         if other.coeffs[0] == 0:
             raise DivByNonUnitError("divisor has zero constant term")
         n = min(self.order, other.order)
-        inv0 = 1 / other.coeffs[0]
-        out: list[Fraction] = []
+        a, da = _over_lcm(self.coeffs[: n + 1])
+        b, db = _over_lcm(other.coeffs[: n + 1])
+        # out_k = (a_k - sum_j b_j out_(k-j)) / b_0, with out_i = num[i] / den
+        tail = b[1:]
+        num: list[int] = []
+        den = 1
+        out = []
         for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                acc -= other.coeffs[j] * out[k - j]
-            out.append(acc * inv0)
+            acc = sum(map(mul, tail, reversed(num)))
+            c = Fraction(a[k] * db * den - da * acc, da * den * b[0])
+            den = _extend(num, den, c)
+            out.append(c)
         return Series(tuple(out))
 
     def sqrt(self) -> "Series":
         if self.coeffs[0] != 1:
             raise SqrtBadConstantError("square root needs constant term 1")
+        a, da = _over_lcm(self.coeffs)
+        # out_k = (a_k - sum_(0<j<k) out_j out_(k-j)) / 2, with out_i = num[i] / den;
+        # the sum pairs each j with k - j, so it runs over half the terms
+        num = [1]
+        den = 1
         out = [_ONE]
         for k in range(1, self.order + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k):
-                acc -= out[j] * out[k - j]
-            out.append(acc / 2)
+            half = sum(map(mul, num[1 : (k + 1) // 2], reversed(num)))
+            acc = 2 * half + (num[k // 2] ** 2 if k % 2 == 0 else 0)
+            c = Fraction(a[k] * den * den - da * acc, 2 * da * den * den)
+            den = _extend(num, den, c)
+            out.append(c)
         return Series(tuple(out))
 
     def shift_down(self, k: int) -> "Series":
@@ -138,7 +180,14 @@ def from_ints(values: Iterable[int]) -> Series:
     return Series(tuple(Fraction(v) for v in values))
 
 
+def _check_order(*orders: int) -> None:
+    for order in orders:
+        if order < 0:
+            raise ValueError(f"order {order} is negative")
+
+
 def polynomial(coeffs: Sequence[int | Fraction], order: int) -> Series:
+    _check_order(order)
     out = [Fraction(0)] * (order + 1)
     for i, c in enumerate(coeffs):
         if i > order:
@@ -153,6 +202,7 @@ def closed_form(name: str, order: int) -> Series:
     """One of the five named area series, computed to the given order."""
     if name not in CLOSED_FORMS:
         raise ValueError(f"unknown series {name!r}")
+    _check_order(order)
     if name == "Mdiag":
         return bivariate("f", order, order).diagonal()
     n = order + 1
@@ -189,57 +239,51 @@ class BivarTable:
         return Series(tuple(self.rows[i][i] for i in range(n + 1)))
 
 
-def diagonal(table: BivarTable) -> Series:
-    return table.diagonal()
-
-
 def _divide_table(
     numerator: dict[tuple[int, int], int],
     denominator: dict[tuple[int, int], int],
     z_order: int,
     u_order: int,
 ) -> BivarTable:
-    d00 = Fraction(denominator.get((0, 0), 0))
-    if d00 == 0:
-        raise DivByNonUnitError("bivariate divisor has zero constant term")
-    rows = [[_ZERO] * (u_order + 1) for _ in range(z_order + 1)]
+    """Integer table of numerator / denominator; the denominator's constant term is 1."""
+    d00 = denominator.get((0, 0), 0)
+    if d00 != 1:
+        raise DivByNonUnitError(f"bivariate divisor has constant term {d00}, not 1")
+    terms = [(i, j, c) for (i, j), c in denominator.items() if (i, j) != (0, 0)]
+    rows: list[list[int]] = []
     for n in range(z_order + 1):
+        row: list[int] = []
         for k in range(u_order + 1):
-            acc = Fraction(numerator.get((n, k), 0))
-            for (i, j), c in denominator.items():
-                if (i, j) == (0, 0) or i > n or j > k:
-                    continue
-                acc -= c * rows[n - i][k - j]
-            rows[n][k] = acc / d00
-    return BivarTable(tuple(tuple(row) for row in rows))
+            acc = numerator.get((n, k), 0)
+            for i, j, c in terms:
+                if i <= n and j <= k:
+                    acc -= c * (rows[n - i] if i else row)[k - j]
+            row.append(acc)
+        rows.append(row)
+    return BivarTable(tuple(tuple(map(Fraction, row)) for row in rows))
+
+
+# name -> (numerator, denominator) of the rational function, as {(z, u) power: coefficient}
+_TABLES = {
+    # u z / ((1 - u)(1 - u - z + u z - u^2 z))
+    "f": (
+        {(1, 1): 1},
+        {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): -1, (1, 1): 2, (1, 2): -2, (1, 3): 1},
+    ),
+    # u / (1 - z - u (1 - z + z^2))
+    "h": (
+        {(0, 1): 1},
+        {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1, (2, 1): -1},
+    ),
+}
 
 
 def bivariate(name: str, z_order: int, u_order: int) -> BivarTable:
     """Expand one of the two rational multiset counters as a table."""
-    if name == "f":
-        # u z / ((1 - u)(1 - u - z + u z - u^2 z))
-        numerator = {(1, 1): 1}
-        denominator = {
-            (0, 0): 1,
-            (0, 1): -2,
-            (0, 2): 1,
-            (1, 0): -1,
-            (1, 1): 2,
-            (1, 2): -2,
-            (1, 3): 1,
-        }
-    elif name == "h":
-        # u / (1 - z - u (1 - z + z^2))
-        numerator = {(0, 1): 1}
-        denominator = {
-            (0, 0): 1,
-            (1, 0): -1,
-            (0, 1): -1,
-            (1, 1): 1,
-            (2, 1): -1,
-        }
-    else:
+    _check_order(z_order, u_order)
+    if name not in _TABLES:
         raise ValueError(f"unknown bivariate {name!r}")
+    numerator, denominator = _TABLES[name]
     return _divide_table(numerator, denominator, z_order, u_order)
 
 
@@ -252,9 +296,14 @@ class IdentityCheck:
 
 def check_identities(order: int) -> list[IdentityCheck]:
     """Verify the constructor equations and diagonal identities to an order."""
+    _check_order(order)
     n = order
-    z = polynomial([0, 1], n)
-    one = polynomial([1], n)
+
+    def poly(coeffs: list[int]) -> Series:
+        return polynomial(coeffs, max(n, len(coeffs) - 1)).truncate(n)
+
+    z = poly([0, 1])
+    one = poly([1])
     ts = closed_form("Ts", n)
     t = closed_form("T", n)
     qs = closed_form("Qs", n)
@@ -271,10 +320,10 @@ def check_identities(order: int) -> list[IdentityCheck]:
     record("Qs = z(1+Qs+Qs^2)", qs, z * (one + qs + qs * qs))
     record("T = Ts(1+T)", t, ts * (one + t))
     record("Q = Qs(1+Q)", q, qs * (one + q))
-    for radicand in ([1, -4], [1, -2, -3]):
-        poly = polynomial(radicand, n)
-        root = poly.sqrt()
-        record(f"sqrt{tuple(radicand)} squares back", root * root, poly)
+    for coeffs in ([1, -4], [1, -2, -3]):
+        radicand = poly(coeffs)
+        root = radicand.sqrt()
+        record(f"sqrt{tuple(coeffs)} squares back", root * root, radicand)
     record("diagonal(f) = Q", bivariate("f", n, n).diagonal(), q)
     record("diagonal(h) = Q", bivariate("h", n, n).diagonal(), q)
     return checks

@@ -62,6 +62,69 @@ def convolve(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
     ]
 
 
+# --- series arithmetic ------------------------------------------------------
+#
+# Series arithmetic as plain Fraction loops, one normalised Fraction
+# multiply-subtract per step.  They take and return coefficient tuples, so
+# they share no code with the integer kernels they check.
+
+
+def reference_mul(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    n = min(len(xs), len(ys)) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i, a in enumerate(xs[: n + 1]):
+        if a == 0:
+            continue
+        for j in range(n + 1 - i):
+            b = ys[j]
+            if b != 0:
+                out[i + j] += a * b
+    return tuple(out)
+
+
+def reference_div(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    n = min(len(xs), len(ys)) - 1
+    inv0 = 1 / ys[0]
+    out: list[Fraction] = []
+    for k in range(n + 1):
+        acc = xs[k]
+        for j in range(1, k + 1):
+            acc -= ys[j] * out[k - j]
+        out.append(acc * inv0)
+    return tuple(out)
+
+
+def reference_sqrt(xs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Square root of a series with constant term 1."""
+    out = [Fraction(1)]
+    for k in range(1, len(xs)):
+        acc = xs[k]
+        for j in range(1, k):
+            acc -= out[j] * out[k - j]
+        out.append(acc / 2)
+    return tuple(out)
+
+
+def reference_divide_table(
+    numerator: dict[tuple[int, int], int],
+    denominator: dict[tuple[int, int], int],
+    z_order: int,
+    u_order: int,
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows n of the coefficients of z^n u^k in numerator / denominator."""
+    d00 = Fraction(denominator[0, 0])
+    rows = [[Fraction(0)] * (u_order + 1) for _ in range(z_order + 1)]
+    for n in range(z_order + 1):
+        for k in range(u_order + 1):
+            acc = Fraction(numerator.get((n, k), 0))
+            for (i, j), c in denominator.items():
+                if (i, j) == (0, 0) or i > n or j > k:
+                    continue
+                acc -= c * rows[n - i][k - j]
+            rows[n][k] = acc / d00
+    return tuple(tuple(row) for row in rows)
+
+
 # --- heap validation --------------------------------------------------------
 
 

@@ -14,13 +14,48 @@ from heapdyck.series import (
     polynomial,
 )
 
-from oracles import binomial_sqrt, catalan, convolve, motzkin, square_animals
+from oracles import (
+    binomial_sqrt,
+    catalan,
+    convolve,
+    motzkin,
+    reference_div,
+    reference_divide_table,
+    reference_mul,
+    reference_sqrt,
+    square_animals,
+)
 
 
 def small_series(order=8):
     return st.lists(
         st.integers(-9, 9), min_size=order + 1, max_size=order + 1
     ).map(from_ints)
+
+
+def rational_series(max_order=8):
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 9]))
+    return st.lists(fractions, min_size=1, max_size=max_order + 1).map(
+        lambda cs: Series(tuple(cs))
+    )
+
+
+def with_constant(s, c):
+    return Series((Fraction(c),) + s.coeffs[1:])
+
+
+# constant terms of divisors; most are not units of the integers
+DIVISOR_CONSTANTS = [Fraction(-2, 3), Fraction(-2), Fraction(3, 4), Fraction(5), Fraction(1), Fraction(-1)]
+
+
+def sparse_table(max_power=3):
+    """{(i, j): c} with small integer coefficients, as the table kernel takes."""
+    power = st.integers(0, max_power)
+    return st.dictionaries(st.tuples(power, power), st.integers(-3, 3), max_size=6)
+
+
+def all_fractions(coeffs):
+    return all(type(c) is Fraction for c in coeffs)
 
 
 class TestArithmetic:
@@ -69,6 +104,55 @@ class TestArithmetic:
     def test_polynomial_degree_guard(self):
         with pytest.raises(ValueError):
             polynomial([1, 1, 1], 1)
+
+
+class TestKernelsMatchReference:
+    """The integer kernels against plain Fraction loops, on rational series."""
+
+    @given(rational_series(), rational_series())
+    def test_mul(self, a, b):
+        got = (a * b).coeffs
+        assert got == reference_mul(a.coeffs, b.coeffs)
+        assert all_fractions(got)
+
+    @given(rational_series(), rational_series(), st.sampled_from(DIVISOR_CONSTANTS))
+    def test_div(self, a, b, b0):
+        b = with_constant(b, b0)
+        got = (a / b).coeffs
+        assert got == reference_div(a.coeffs, b.coeffs)
+        assert all_fractions(got)
+
+    @given(rational_series(12))
+    def test_sqrt(self, a):
+        radicand = with_constant(a, 1)
+        got = radicand.sqrt().coeffs
+        assert got == reference_sqrt(radicand.coeffs)
+        assert all_fractions(got)
+
+    @pytest.mark.parametrize("radicand", [[1, 1], [1, -2, -3], [1, 3, 0, -5]])
+    def test_sqrt_of_integer_radicand_is_dyadic(self, radicand):
+        s = polynomial(radicand, 40)
+        got = s.sqrt().coeffs
+        assert got == reference_sqrt(s.coeffs)
+        assert all(c.denominator & (c.denominator - 1) == 0 for c in got)
+
+    @given(sparse_table(), sparse_table(), st.integers(0, 6), st.integers(0, 6))
+    def test_divide_table(self, numerator, denominator, z_order, u_order):
+        denominator[0, 0] = 1
+        got = series._divide_table(numerator, denominator, z_order, u_order).rows
+        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
+        assert all(all_fractions(row) for row in got)
+
+    @pytest.mark.parametrize("name", series.BIVARIATE_NAMES)
+    def test_bivariate_tables(self, name):
+        numerator, denominator = series._TABLES[name]
+        got = series.bivariate(name, 40, 30).rows
+        assert got == reference_divide_table(numerator, denominator, 40, 30)
+
+    @pytest.mark.parametrize("d00", [0, 2, -1])
+    def test_divide_table_requires_constant_one(self, d00):
+        with pytest.raises(DivByNonUnitError):
+            series._divide_table({(0, 0): 1}, {(0, 0): d00, (1, 0): 1}, 2, 2)
 
 
 class TestSqrt:
@@ -156,7 +240,7 @@ class TestBivariate:
 
     def test_diagonal_of_ones(self):
         ones = BivarTable(tuple((Fraction(1),) * 5 for _ in range(5)))
-        assert series.diagonal(ones).coeffs == (1, 1, 1, 1, 1)
+        assert ones.diagonal().coeffs == (1, 1, 1, 1, 1)
 
     def test_unknown_table(self):
         with pytest.raises(ValueError):
@@ -171,6 +255,29 @@ class TestIdentities:
 
     def test_low_order_sanity(self):
         assert all(c.ok for c in series.check_identities(2))
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_lowest_orders(self, order):
+        checks = series.check_identities(order)
+        assert len(checks) == len(series.check_identities(2))
+        assert all(c.ok for c in checks)
+
+
+NEGATIVE_ORDER_CALLS = {
+    **{name: (lambda name=name: series.closed_form(name, -1)) for name in series.CLOSED_FORMS},
+    "f-z": lambda: series.bivariate("f", -1, 3),
+    "f-u": lambda: series.bivariate("f", 3, -1),
+    "h-z": lambda: series.bivariate("h", -2, 3),
+    "h-u": lambda: series.bivariate("h", 3, -2),
+    "identities": lambda: series.check_identities(-1),
+    "polynomial": lambda: polynomial([1], -1),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_ORDER_CALLS.values(), ids=list(NEGATIVE_ORDER_CALLS))
+def test_negative_order_is_rejected(call):
+    with pytest.raises(ValueError, match=r"order -\d+ is negative"):
+        call()
 
 
 class TestFormatting:

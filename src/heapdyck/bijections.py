@@ -19,7 +19,6 @@ that shape, so the peel recovers the columns and with them the word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 from . import counting, heaps, multisets, paths
 from .errors import HeapdyckError
@@ -103,21 +102,36 @@ def run_components(word: str) -> list[RunComponent]:
 
 
 def path_to_heap(word: str) -> Heap:
-    """Drop each run's D steps, right to left, at their heights plus the run's shift."""
-    # paths.classify(word).grand_dyck, without a heights scan; the scan in
-    # run_components checks the letters of a word that passes
+    """Drop each run's D steps at their heights plus the run's shift.
+
+    One scan finds the crossings as it goes; the k-th crossing starts a
+    run shifted k columns left.  An above-axis run is a Dyck word, and its
+    D steps drop right to left, each at the height it ends at.  A
+    below-axis run reversed is a Dyck word too, and it is read in place:
+    its D steps drop left to right, each at the height |y| it starts from.
+    """
+    paths.check_steps(word)  # a bad letter is reported first
     if not (word[:1] == "U" and 2 * word.count("U") == len(word)):
-        paths.check_steps(word)  # a bad letter is reported first
         raise paths.NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
-    columns = []
-    for comp in run_components(word):
-        y = 0
-        run = []
-        for step in comp.dyck_word:
-            y += 1 if step == "U" else -1
-            if step == "D":
-                run.append(y + comp.shift)
-        columns.extend(reversed(run))
+    columns: list[int] = []
+    above: list[int] = []  # columns of the current above-axis run, left to right
+    y = shift = 0
+    prev = ""
+    for step in word:
+        if not y and step == prev:  # a crossing ends the run
+            columns.extend(reversed(above))
+            above.clear()
+            shift -= 1
+        if step == "U":
+            y += 1
+        else:
+            y -= 1
+            if y >= 0:
+                above.append(y + shift)
+            else:
+                columns.append(shift - y - 1)
+        prev = step
+    columns.extend(reversed(above))
     return Heap(heaps.drop_columns((), columns))
 
 
@@ -184,15 +198,6 @@ def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
 # --- heap -> word ------------------------------------------------------
 
 
-def _word_of_heights(heights: list[int]) -> str:
-    """The Dyck word whose D steps, read right to left, end at these heights."""
-    # right to left, each D is preceded by the U steps that climb to the next height
-    backwards = (
-        "D" + "U" * (y + 1 - nxt) for y, nxt in zip(heights, [*heights[1:], 0])
-    )
-    return "".join(backwards)[::-1]
-
-
 def heap_to_path(h: Heap) -> str:
     """Peel the heap bottom-up in the order path_to_heap dropped it.
 
@@ -203,34 +208,54 @@ def heap_to_path(h: Heap) -> str:
     the free columns there, only the largest can be next: the drops after
     a smaller one climb by at most one column at a time, so they would put
     a dimer below the larger one before it leaves.
+
+    Columns are list indices, shifted so that two empty columns pad each
+    side; an empty column's lowest level is the dimer count, above all.
     """
-    left: dict[int, list[int]] = {}
-    for col, level in reversed(h.dimers):
-        left.setdefault(col, []).append(level)
-
-    def lowest(col: int) -> float:
-        levels = left.get(col)
-        return levels[-1] if levels else inf
-
-    runs: list[list[int]] = []
-    prev, floor = -1, 1
-    for _ in h.dimers:
+    dims = h.dimers
+    off = min(dims)[0] - 2  # the tuples' order puts the extreme columns first and last
+    empty = len(dims)
+    left: list[list[int]] = [[] for _ in range(max(dims)[0] - off + 3)]
+    for col, level in reversed(dims):
+        left[col - off].append(level)  # each column's lowest level comes last
+    lowest = [levels[-1] if levels else empty for levels in left]
+    words: list[str] = []
+    run: list[str] = []  # the current run's Dyck word in pieces, right to left
+    prev, floor = -1 - off, 1 - off
+    y = 0  # the height the last D peeled ends at, within its run
+    for _ in dims:
         col = prev + 1
-        while col >= floor - 1 and not lowest(col) < min(lowest(col - 1), lowest(col + 1)):
+        while col >= floor - 1 and (
+            lowest[col] >= lowest[col - 1] or lowest[col] >= lowest[col + 1]
+        ):
             col -= 1
         if col < floor - 1:
-            raise FactorizationFailedError(f"no dimer of {h} can be peeled after column {prev}")
-        left[col].pop()
+            raise FactorizationFailedError(
+                f"no dimer of {h} can be peeled after column {prev + off}"
+            )
+        levels = left[col]
+        levels.pop()
+        lowest[col] = levels[-1] if levels else empty
         if col < floor:
+            if run:
+                _close_run(words, run, y)
             floor = col
-            runs.append([])
-        runs[-1].append(col - floor)
+        else:
+            run.append("U" * (y + 1 - (col - floor)))  # the U steps up to the D peeled before
+        run.append("D")
+        y = col - floor
         prev = col
-    words = []
-    for j, heights in enumerate(runs):
-        w = _word_of_heights(heights)
-        words.append(w[::-1] if j % 2 else w)
+    _close_run(words, run, y)
     return "".join(words)
+
+
+def _close_run(words: list[str], run: list[str], y: int) -> None:
+    """Append a run, given right to left in pieces and ending at height y, to the words."""
+    run.append("U" * (y + 1))
+    # an above-axis run is its Dyck word, a below-axis run that word reversed,
+    # and each piece reads the same both ways
+    words.append("".join(run if len(words) % 2 else reversed(run)))
+    run.clear()
 
 
 # --- grammar enumeration ------------------------------------------------

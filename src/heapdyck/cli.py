@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on
-usage or parse errors and on every other library error (a HeapdyckError),
-such as a heap the grammar cannot factor or builds twice.  Data goes to
-stdout, diagnostics to stderr.
+usage or parse errors, on an output file that cannot be written and on
+every other library error (a HeapdyckError), such as a heap the grammar
+cannot factor or builds twice.  Data goes to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ _PATH_FAMILIES = {
     "grand-dyck": "grand_dyck",
     "grand-dyck-star": "grand_dyck_star",
     "grand-dyck-udu-free": "grand_dyck_udu_free",
+}
+# path family -> the heap class its words map onto, which has as many members
+_PATH_CLASSES = {
+    "grand_dyck": "T",
+    "dyck": "Ts",
+    "dyck_star": "Qs",
+    "grand_dyck_star": "Q",
+    "grand_dyck_udu_free": "Q",
 }
 _HEAP_FAMILIES = {"heap-T": "T", "heap-Ts": "Ts", "heap-Q": "Q", "heap-Qs": "Qs"}
 _ANIMAL_FAMILIES = {"animal-square": "square", "animal-triangular": "triangular"}
@@ -194,7 +203,11 @@ def _do_enumerate(args) -> int:
             for m in multisets.enumerate_family(_MS_FAMILIES[args.family], args.n, args.k)
         ]
     elif args.family in _PATH_FAMILIES:
-        items = list(paths.enumerate_family(_PATH_FAMILIES[args.family], args.n))
+        family = _PATH_FAMILIES[args.family]
+        if args.count_only:
+            print(bijections.grammar_count(args.n, _PATH_CLASSES[family]))
+            return 0
+        items = list(paths.enumerate_family(family, args.n))
     elif args.family in _HEAP_FAMILIES:
         klass = _HEAP_FAMILIES[args.family]
         if args.count_only:
@@ -292,8 +305,12 @@ def _do_render(args) -> int:
     obj = _parse_object(args.kind, args.input)
     text = render.render(args.kind, obj, args.fmt)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

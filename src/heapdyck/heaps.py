@@ -184,15 +184,18 @@ def drop(heap: Heap | None, column: int) -> Heap:
 
 
 def heap_stats(h: Heap) -> AnimalStats:
-    cols = [d.column for d in h.dimers]
-    lo, hi = min(cols), max(cols)
+    """Widths, diagonal pairs and the per-column profile, in one loop over the dimers."""
+    dims = h.dimers
+    occupied = set(dims)  # a Dimer equals and hashes as its plain tuple
     profile: dict[int, int] = {}
-    for c in cols:
-        profile[c + 1] = profile.get(c + 1, 0) + 1
-    occupied = set(h.dimers)
-    diag = sum(1 for col, level in h.dimers if Dimer(col, level + 1) in occupied)
+    diag = 0
+    for col, level in dims:
+        if (col, level + 1) in occupied:
+            diag += 1
+        profile[col + 1] = profile.get(col + 1, 0) + 1
+    lo, hi = min(profile) - 1, max(profile) - 1
     return AnimalStats(
-        area=len(h.dimers),
+        area=len(dims),
         lw=-lo,
         rw=hi + 1,
         width=hi + 1 - lo,

@@ -130,27 +130,44 @@ def modified_heights(word: str) -> list[int]:
 
 
 def height_stats(word: str) -> PathStats:
-    ys = heights(word)  # the one scan; flags, crossings and modified heights come from it
-    if not _flags(word, ys).grand_dyck:
+    """The word's statistics, from one scan that finds crossings as it goes.
+
+    A step ends at modified height |y| minus the crossings seen so far,
+    one at its start included.  Every point after the first is the end
+    of a step, and the first step climbs to 1 from 0, so the largest end
+    height is height_max.
+    """
+    check_steps(word)
+    semilength = word.count("U")
+    if not (word[:1] == "U" and 2 * semilength == len(word)):
         raise NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
-    cross_at = _crossings(word, ys)
-    modified = _modified(ys, cross_at)
     nbu: dict[int, int] = {}
     d_ends = []
-    for i, step in enumerate(word):
-        h = modified[i + 1]
+    y = cross = 0
+    prev = ""
+    for step in word:
         if step == "U":
+            if not y and prev == "U":
+                cross += 1
+            y += 1
+            h = abs(y) - cross
             nbu[h] = nbu.get(h, 0) + 1
         else:
-            d_ends.append(h)
+            if not y and prev == "D":
+                cross += 1
+            y -= 1
+            d_ends.append(abs(y) - cross)
+        prev = step
     return PathStats(
-        semilength=word.count("U"),
-        cross=len(cross_at),
-        height_max=max(modified),
+        semilength=semilength,
+        cross=cross,
+        height_max=max(max(nbu), max(d_ends)),
         nbu_profile=nbu,
         d_end_heights=tuple(d_ends),
-        dud_count=pattern_count(word, "DUD"),
-        udu_count=pattern_count(word, "UDU"),
+        # doubling one letter lets adjacent matches share it, so the
+        # non-overlapping count finds the overlapping ones
+        dud_count=word.replace("D", "DD").count("DUD"),
+        udu_count=word.replace("U", "UU").count("UDU"),
     )
 
 

@@ -81,8 +81,11 @@ class Series:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        # the kernels pass Fractions already, and Fraction(c) of one is slow
         object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
+            self,
+            "coeffs",
+            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs),
         )
         if not self.coeffs:
             raise ValueError("series needs at least the constant term")

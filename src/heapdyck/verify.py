@@ -1,7 +1,9 @@
 """Verification suites behind the command line `verify` verb.
 
 Each suite walks every object up to a size bound and records one result
-per named check.  The statistics suite does not assume the two empirical
+per named check.  In the bijections and statistics suites, a library
+error raised on one object fails the check being computed, with the
+object named, and the walk carries on.  The statistics suite does not assume the two empirical
 index relations it watches; it detects the constants from the data,
 fails if they drift anywhere in range, and reports what it found.
 
@@ -12,12 +14,14 @@ the fixed orders COUNT_ORDER and WIDTH_ORDER, whatever the size bound.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import bijections, counting, heaps, multisets, paths, series
+from .errors import HeapdyckError
 
 SUITES = ("counts", "bijections", "statistics", "series", "symmetry")
 SUITE_CAPS = {
@@ -84,6 +88,24 @@ class _Recorder:
         self.declare(name)
         if not ok and name not in self.failures:
             self.failures[name] = detail
+
+    @contextmanager
+    def guard(self, name: str, where: str) -> Iterator[None]:
+        """Record a library error raised inside as a failure of check name at where."""
+        try:
+            yield
+        except HeapdyckError as exc:
+            self.require(name, False, f"{where}: {type(exc).__name__}: {exc}")
+
+    def image(self, name: str, fn: Callable, objects: Iterable, where: str) -> set:
+        """The set of fn(x) over the objects; a library error on an x fails check name."""
+        out = set()
+        for x in objects:
+            try:
+                out.add(fn(x))
+            except HeapdyckError as exc:
+                self.require(name, False, f"{where} {x}: {type(exc).__name__}: {exc}")
+        return out
 
     def note(self, name: str, detail: str) -> None:
         self.declare(name)
@@ -244,13 +266,11 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
         words = set(paths.enumerate_family("grand_dyck", n))
         images = {}
         for m in multisets.enumerate_family("all", n):
-            w = bijections.multiset_to_path(m)
-            images[w] = m
-            rec.require(
-                "staircase-round-trip",
-                bijections.path_to_multiset(w) == m,
-                f"n={n}, multiset {m}",
-            )
+            where = f"n={n}, multiset {m}"
+            with rec.guard("staircase-round-trip", where):
+                w = bijections.multiset_to_path(m)
+                images[w] = m
+                rec.require("staircase-round-trip", bijections.path_to_multiset(w) == m, where)
         rec.require(
             "staircase-is-bijective",
             len(images) == len(words) and set(images) == words,
@@ -261,81 +281,70 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
             ("star", "grand_dyck_star"),
             ("no_single_except_k", "grand_dyck_udu_free"),
         ):
-            got = {
-                bijections.multiset_to_path(m)
-                for m in multisets.enumerate_family(family, n)
-            }
-            want = set(paths.enumerate_family(target, n))
-            rec.require(
-                f"staircase-{family.replace('_', '-')}-image",
-                got == want,
-                f"n={n}: {len(got)} words vs {len(want)}",
+            name = f"staircase-{family.replace('_', '-')}-image"
+            got = rec.image(
+                name,
+                bijections.multiset_to_path,
+                multisets.enumerate_family(family, n),
+                f"n={n}, multiset",
             )
+            want = set(paths.enumerate_family(target, n))
+            rec.require(name, got == want, f"n={n}: {len(got)} words vs {len(want)}")
         grammar = {k: bijections.grammar_enumerate(n, k) for k in bijections.GRAMMAR_CLASSES}
         heaps_seen = {}
         for w in words:
-            h = bijections.path_to_heap(w)
-            heaps_seen[h] = w
-            rec.require(
-                "run-heap-round-trip",
-                bijections.heap_to_path(h) == w,
-                f"n={n}, word {w}",
-            )
+            where = f"n={n}, word {w}"
+            with rec.guard("run-heap-round-trip", where):
+                h = bijections.path_to_heap(w)
+                heaps_seen[h] = w
+                rec.require("run-heap-round-trip", bijections.heap_to_path(h) == w, where)
         rec.require(
             "run-heap-image-is-grammar-T",
             len(heaps_seen) == len(words)
             and set(heaps_seen) == grammar["T"],
             f"n={n}: {len(heaps_seen)} heaps",
         )
-        dyck_image = {
-            bijections.path_to_heap(w) for w in paths.enumerate_family("dyck", n)
-        }
-        rec.require(
-            "dyck-image-is-grammar-Ts",
-            dyck_image == grammar["Ts"],
-            f"n={n}",
-        )
-        dud_free_image = {
-            bijections.path_to_heap(w)
-            for w in paths.enumerate_family("grand_dyck_star", n)
-        }
-        rec.require(
-            "dud-free-image-is-grammar-Q",
-            dud_free_image == grammar["Q"],
-            f"n={n}",
-        )
+        for family, name, klass in (
+            ("dyck", "dyck-image-is-grammar-Ts", "Ts"),
+            ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
+        ):
+            image = rec.image(
+                name, bijections.path_to_heap, paths.enumerate_family(family, n), f"n={n}, word"
+            )
+            rec.require(name, image == grammar[klass], f"n={n}")
         if n <= ANIMAL_ORACLE_CAP:
             for lattice, klass in (("triangular", "T"), ("square", "Q")):
-                brute = {
-                    heaps.animal_to_heap(a)
-                    for a in heaps.animal_enumerate_bruteforce(n, lattice)
-                }
-                rec.require(
-                    "grammar-matches-brute-force-animals",
-                    brute == grammar[klass],
-                    f"{lattice}, n={n}",
+                name = "grammar-matches-brute-force-animals"
+                brute = rec.image(
+                    name,
+                    heaps.animal_to_heap,
+                    heaps.animal_enumerate_bruteforce(n, lattice),
+                    f"{lattice}, n={n}, animal",
                 )
+                rec.require(name, brute == grammar[klass], f"{lattice}, n={n}")
             for lattice, klass in (("triangular", "Ts"), ("square", "Qs")):
-                brute = {
-                    heaps.animal_to_heap(a)
-                    for a in heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal=True)
-                }
-                rec.require(
-                    "grammar-matches-subdiagonal-animals",
-                    brute == grammar[klass],
-                    f"{lattice} subdiagonal, n={n}",
+                name = "grammar-matches-subdiagonal-animals"
+                brute = rec.image(
+                    name,
+                    heaps.animal_to_heap,
+                    heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal=True),
+                    f"{lattice} subdiagonal, n={n}, animal",
                 )
-            square_heaps = {
-                heaps.animal_to_heap(a): a
-                for a in heaps.animal_enumerate_bruteforce(n, "square")
-            }
+                rec.require(name, brute == grammar[klass], f"{lattice} subdiagonal, n={n}")
+            name = "square-animals-are-diagonal-free-heaps"
+            square_heaps = rec.image(
+                name,
+                heaps.animal_to_heap,
+                heaps.animal_enumerate_bruteforce(n, "square"),
+                f"square, n={n}, animal",
+            )
             for a in heaps.animal_enumerate_bruteforce(n, "triangular"):
-                h = heaps.animal_to_heap(a)
-                rec.require(
-                    "square-animals-are-diagonal-free-heaps",
-                    (heaps.heap_stats(h).diag == 0) == (h in square_heaps),
-                    f"n={n}, animal {a}",
-                )
+                where = f"n={n}, animal {a}"
+                with rec.guard(name, where):
+                    h = heaps.animal_to_heap(a)
+                    rec.require(
+                        name, (heaps.heap_stats(h).diag == 0) == (h in square_heaps), where
+                    )
     return rec.results(f"all sizes 1..{max_n}")
 
 
@@ -351,67 +360,71 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
     run_columns: dict[str, list[int]] = {}  # sorted dimer columns of each run's own heap
     for n in range(1, max_n + 1):
         for word in paths.enumerate_family("grand_dyck", n):
-            m = bijections.path_to_multiset(word)
-            h = bijections.path_to_heap(word)
-            ms = multisets.stats(m)
-            ps = paths.height_stats(word)
-            hs = heaps.heap_stats(h)
             where = f"n={n}, word {word}"
-            rec.require(
-                "area-equals-semilength-equals-length",
-                hs.area == ps.semilength == ms.length,
-                where,
-            )
-            rec.require(
-                "left-width-equals-crossings",
-                hs.lw == ps.cross == ms.cross,
-                where,
-            )
-            rec.require("right-width-equals-height", hs.rw == ps.height_max, where)
-            rec.require(
-                "diagonal-pairs-equal-dud-equal-adjacency",
-                hs.diag == ps.dud_count == ms.adj,
-                where,
-            )
-            rec.require(
-                "width-splits-into-crossings-plus-height",
-                hs.width == ps.cross + ps.height_max,
-                where,
-            )
-            rec.require(
-                "gap-profile-equals-d-end-heights",
-                ms.gap_profile == ps.d_end_heights,
-                where,
-            )
-            rec.require(
-                "u-count-per-height-totals-semilength",
-                sum(ps.nbu_profile.values()) == ps.semilength,
-                where,
-            )
-            off = ps.height_max - ms.gap
-            gap_offsets[off] = gap_offsets.get(off, 0) + 1
-            if paths.classify(word).dyck:
-                dyck_offsets.add(off)
-            modified = paths.modified_heights(word)
-            for comp in bijections.run_components(word):
-                own = run_columns.get(comp.dyck_word)
-                if own is None:
-                    own = sorted(d.column for d in bijections.path_to_heap(comp.dyck_word).dimers)
-                    run_columns[comp.dyck_word] = own
-                cols = [c + comp.shift for c in own]
-                u_heights = sorted(
-                    modified[i + 1]
-                    for i in range(comp.start, comp.end)
-                    if word[i] == "U"
-                )
-                diffs = {uh - c for uh, c in zip(u_heights, cols)}
+            # a library error while computing the word's statistics fails the
+            # first check that reads them, and skips the word's other checks
+            with rec.guard("area-equals-semilength-equals-length", where):
+                ms = multisets.stats(bijections.path_to_multiset(word))
+                ps = paths.height_stats(word)
+                hs = heaps.heap_stats(bijections.path_to_heap(word))
                 rec.require(
-                    "u-heights-track-dimer-columns",
-                    len(diffs) == 1,
-                    f"{where}, run at {comp.start}",
+                    "area-equals-semilength-equals-length",
+                    hs.area == ps.semilength == ms.length,
+                    where,
                 )
-                if len(diffs) == 1:
-                    (below_offsets if comp.below else above_offsets).add(diffs.pop())
+                rec.require(
+                    "left-width-equals-crossings",
+                    hs.lw == ps.cross == ms.cross,
+                    where,
+                )
+                rec.require("right-width-equals-height", hs.rw == ps.height_max, where)
+                rec.require(
+                    "diagonal-pairs-equal-dud-equal-adjacency",
+                    hs.diag == ps.dud_count == ms.adj,
+                    where,
+                )
+                rec.require(
+                    "width-splits-into-crossings-plus-height",
+                    hs.width == ps.cross + ps.height_max,
+                    where,
+                )
+                rec.require(
+                    "gap-profile-equals-d-end-heights",
+                    ms.gap_profile == ps.d_end_heights,
+                    where,
+                )
+                rec.require(
+                    "u-count-per-height-totals-semilength",
+                    sum(ps.nbu_profile.values()) == ps.semilength,
+                    where,
+                )
+                off = ps.height_max - ms.gap
+                gap_offsets[off] = gap_offsets.get(off, 0) + 1
+                if paths.classify(word).dyck:
+                    dyck_offsets.add(off)
+            with rec.guard("u-heights-track-dimer-columns", where):
+                modified = paths.modified_heights(word)
+                for comp in bijections.run_components(word):
+                    own = run_columns.get(comp.dyck_word)
+                    if own is None:
+                        own = sorted(
+                            d.column for d in bijections.path_to_heap(comp.dyck_word).dimers
+                        )
+                        run_columns[comp.dyck_word] = own
+                    cols = [c + comp.shift for c in own]
+                    u_heights = sorted(
+                        modified[i + 1]
+                        for i in range(comp.start, comp.end)
+                        if word[i] == "U"
+                    )
+                    diffs = {uh - c for uh, c in zip(u_heights, cols)}
+                    rec.require(
+                        "u-heights-track-dimer-columns",
+                        len(diffs) == 1,
+                        f"{where}, run at {comp.start}",
+                    )
+                    if len(diffs) == 1:
+                        (below_offsets if comp.below else above_offsets).add(diffs.pop())
     bounded = set(gap_offsets) <= {0, 1}
     rec.require(
         "gap-stays-within-one-of-height",

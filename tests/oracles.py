@@ -8,9 +8,9 @@ from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
-from heapdyck import multisets
+from heapdyck import multisets, paths
 from heapdyck.bijections import compose
-from heapdyck.heaps import Dimer, Heap, NotAHeapError, superpose
+from heapdyck.heaps import AnimalStats, Dimer, Heap, NotAHeapError, superpose
 
 
 def catalan(n: int) -> int:
@@ -150,6 +150,55 @@ def reference_check_heap(dimers: tuple[Dimer, ...]) -> str | None:
         if level and not any((c, level - 1) in cells for c in (col - 1, col, col + 1)):
             return f"dimer ({col},{level}) has no support"
     return None
+
+
+# --- statistics references --------------------------------------------------
+#
+# The word and heap statistics the multi-pass way: a heights scan, then the
+# crossings and modified heights from it, patterns by slicing, and a heap's
+# diagonal pairs by looking each dimer's upper neighbour up in a set.
+
+
+def reference_height_stats(word: str) -> paths.PathStats:
+    ys = paths.heights(word)
+    if not (ys[-1] == 0 and word[:1] == "U"):
+        raise paths.NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
+    modified = paths.modified_heights(word)
+    nbu: dict[int, int] = {}
+    d_ends = []
+    for i, step in enumerate(word):
+        h = modified[i + 1]
+        if step == "U":
+            nbu[h] = nbu.get(h, 0) + 1
+        else:
+            d_ends.append(h)
+    return paths.PathStats(
+        semilength=word.count("U"),
+        cross=len(paths.crossings(word)),
+        height_max=max(modified),
+        nbu_profile=nbu,
+        d_end_heights=tuple(d_ends),
+        dud_count=paths.pattern_count(word, "DUD"),
+        udu_count=paths.pattern_count(word, "UDU"),
+    )
+
+
+def reference_heap_stats(h: Heap) -> AnimalStats:
+    cols = [d.column for d in h.dimers]
+    lo, hi = min(cols), max(cols)
+    profile: dict[int, int] = {}
+    for c in cols:
+        profile[c + 1] = profile.get(c + 1, 0) + 1
+    occupied = set(h.dimers)
+    diag = sum(1 for col, level in h.dimers if Dimer(col, level + 1) in occupied)
+    return AnimalStats(
+        area=len(h.dimers),
+        lw=-lo,
+        rw=hi + 1,
+        width=hi + 1 - lo,
+        diag=diag,
+        nbp_profile=profile,
+    )
 
 
 # --- word <-> heap references ----------------------------------------------

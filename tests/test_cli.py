@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -49,6 +50,9 @@ class TestPinnedExamples:
         assert rows[5].split()[-1] == "198"
 
 
+PATH_FAMILIES = ["dyck", "dyck-star", "grand-dyck", "grand-dyck-star", "grand-dyck-udu-free"]
+
+
 class TestEnumerate:
     def test_grand_dyck_listing(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--family", "grand-dyck", "--n", "2")
@@ -80,6 +84,25 @@ class TestEnumerate:
             )
             assert code == 0
             assert out == f"{len(listing.splitlines())}\n"
+
+    @pytest.mark.parametrize("family", PATH_FAMILIES)
+    def test_path_count_only_matches_listing(self, capsys, family):
+        for n in range(1, 9):
+            _, listing, _ = run(capsys, "enumerate", "--family", family, "--n", str(n))
+            code, out, _ = run(
+                capsys, "enumerate", "--family", family, "--n", str(n), "--count-only"
+            )
+            assert code == 0
+            assert out == f"{len(listing.splitlines())}\n"
+
+    @pytest.mark.parametrize("family", PATH_FAMILIES)
+    def test_path_count_only_does_not_list(self, capsys, family):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", "300", "--count-only")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        if family == "grand-dyck":
+            assert out == f"{comb(599, 300)}\n"
 
     def test_animal_subdiagonal_count(self, capsys):
         code, out, _ = run(
@@ -274,6 +297,17 @@ class TestRender:
         text = target.read_text()
         assert text.startswith("<svg")
         assert text.count("<rect") == 3
+
+    def test_unwritable_output_is_an_error_line(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.svg"
+        code, out, err = run(
+            capsys, "render", "--kind", "path", "--input", "UD",
+            "--format", "svg", "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.exists()
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "render", "--kind", "heap", "--input", "nope")

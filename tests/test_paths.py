@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -5,10 +6,18 @@ from hypothesis import given, strategies as st
 
 from itertools import product
 
-from heapdyck import bijections, multisets, paths
+from heapdyck import bijections, heaps, multisets, paths
 from heapdyck.paths import BadCharError, EmptyWordError, NotGrandDyckError
 
-from oracles import balanced_words, catalan, filtered_words, motzkin
+from oracles import (
+    balanced_words,
+    catalan,
+    filtered_words,
+    motzkin,
+    reference_heap_stats,
+    reference_height_stats,
+    uniform_multiset,
+)
 
 EXAMPLE_WORD = "UUDDDUUDDUUUDDDU"
 
@@ -147,6 +156,58 @@ class TestOneHeightScan:
             for check in (paths.classify, fn):
                 with pytest.raises(BadCharError):
                     check(word)
+
+
+def crossing_heavy(rng, n):
+    """Blocks U^a D^a and D^a U^a in turn, a from 1 to 3: every block boundary is a crossing."""
+    out, left = [], n
+    while left:
+        a = min(left, rng.randint(1, 3))
+        out.append("U" * a + "D" * a if len(out) % 2 == 0 else "D" * a + "U" * a)
+        left -= a
+    return "".join(out)
+
+
+def _seeded_words(n):
+    rng = random.Random(n)
+    return [
+        bijections.multiset_to_path(multisets.validate(uniform_multiset(rng, n), n))
+        for _ in range(5)
+    ]
+
+
+class TestStatsMatchReference:
+    """The one-scan statistics kernels against the multi-pass references,
+    on a word and on its heap."""
+
+    @staticmethod
+    def _same(words):
+        for w in words:
+            assert paths.height_stats(w) == reference_height_stats(w), w
+            h = bijections.path_to_heap(w)
+            assert heaps.heap_stats(h) == reference_heap_stats(h), w
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_small_word(self, n):
+        self._same(paths.enumerate_family("grand_dyck", n))
+
+    @pytest.mark.parametrize("n", [100, 500, 2000])
+    def test_seeded_uniform_words(self, n):
+        self._same(_seeded_words(n))
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "U" * 2000 + "D" * 2000,
+            "UD" * 2000,
+            "UDDU" * 1000,
+            crossing_heavy(random.Random(2000), 2000),
+        ],
+        ids=["nested", "arches", "crossings", "crossing-heavy"],
+    )
+    def test_structured_words_at_2000(self, word):
+        assert len(word) == 4000
+        self._same([word])
 
 
 class TestPatterns:

@@ -1,11 +1,15 @@
 """Suite plumbing plus mutation smoke checks.
 
 Each mutation swaps one implementation detail for a subtly wrong one,
-clears every cache, and expects the relevant suite to flip to FAIL.
+clears every cache, and expects the relevant suite to flip to FAIL
+through the named checks that see the defect, never through a crash of
+the whole suite.
 """
 
 import dataclasses
+import inspect
 import json
+import textwrap
 
 import pytest
 
@@ -69,9 +73,21 @@ class TestReports:
         assert "+ 1 above" in details["u-height-column-offsets-are-constant"]
 
 
-def _fails(suite, max_n=4):
+def _failing(suite, max_n=4):
+    """The detail of each check that fails, by name; a crash of the whole suite may not be one."""
     report = verify.run_suite(suite, max_n)
-    return not report.ok
+    failing = {c.name: c.detail for c in report.checks if not c.ok}
+    assert "suite-execution" not in failing
+    return failing
+
+
+def _mutated(fn, old, new):
+    """fn compiled again in its module with one piece of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{old!r} is not a unique piece of {fn.__name__}"
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
 
 
 class TestMutationSmoke:
@@ -84,20 +100,27 @@ class TestMutationSmoke:
 
         monkeypatch.setattr(bijections, "multiset_to_path", swapped_tail)
         bijections.clear_caches()
-        assert _fails("bijections")
+        assert _failing("bijections").keys() == {
+            "staircase-round-trip",
+            "staircase-is-bijective",
+            "staircase-super-image",
+            "staircase-star-image",
+            "staircase-no-single-except-k-image",
+        }
 
     def test_missing_run_reversal_is_caught(self, monkeypatch):
-        orig = bijections.run_components
-
-        def unreversed(word):
-            return [
-                dataclasses.replace(c, dyck_word=word[c.start : c.end])
-                for c in orig(word)
-            ]
-
-        monkeypatch.setattr(bijections, "run_components", unreversed)
+        # below-axis runs read as they stand, like the above-axis ones: D steps
+        # right to left at their signed heights.  Dyck words have no such run.
+        unreversed = _mutated(bijections.path_to_heap, "if y >= 0:", "if True:")
+        monkeypatch.setattr(bijections, "path_to_heap", unreversed)
         bijections.clear_caches()
-        assert _fails("bijections")
+        failing = _failing("bijections")
+        assert failing.keys() == {
+            "run-heap-round-trip",
+            "run-heap-image-is-grammar-T",
+            "dud-free-image-is-grammar-Q",
+        }
+        assert failing["run-heap-round-trip"].startswith("n=2, word UDDU: NotAHeapError: ")
 
     def test_one_sided_gravity_is_caught(self, monkeypatch):
         def lopsided(tops, column):
@@ -110,7 +133,15 @@ class TestMutationSmoke:
 
         monkeypatch.setattr(heaps, "_drop_level", lopsided)
         bijections.clear_caches()
-        assert _fails("bijections")
+        assert _failing("bijections").keys() == {
+            "run-heap-round-trip",
+            "run-heap-image-is-grammar-T",
+            "dyck-image-is-grammar-Ts",
+            "dud-free-image-is-grammar-Q",
+            "grammar-matches-brute-force-animals",
+            "grammar-matches-subdiagonal-animals",
+            "square-animals-are-diagonal-free-heaps",
+        }
 
     def test_inflated_height_is_caught(self, monkeypatch):
         orig = paths.height_stats
@@ -121,7 +152,12 @@ class TestMutationSmoke:
 
         monkeypatch.setattr(paths, "height_stats", taller)
         bijections.clear_caches()
-        assert _fails("statistics")
+        assert _failing("statistics").keys() == {
+            "right-width-equals-height",
+            "width-splits-into-crossings-plus-height",
+            "gap-stays-within-one-of-height",
+            "gap-is-height-minus-one-on-crossing-free-words",
+        }
 
     def test_shifted_gap_profile_is_caught(self, monkeypatch):
         orig = multisets.stats
@@ -134,10 +170,9 @@ class TestMutationSmoke:
 
         monkeypatch.setattr(multisets, "stats", shifted)
         bijections.clear_caches()
-        report = verify.run_suite("statistics", 4)
-        assert not report.ok
-        failing = [c for c in report.checks if not c.ok]
-        assert any("n=1" in c.detail for c in failing)
+        failing = _failing("statistics")
+        assert failing.keys() == {"gap-profile-equals-d-end-heights"}
+        assert failing["gap-profile-equals-d-end-heights"].startswith("n=1, ")
 
     def test_dropped_crossing_is_caught(self, monkeypatch):
         orig = paths.crossings
@@ -147,7 +182,7 @@ class TestMutationSmoke:
 
         monkeypatch.setattr(paths, "crossings", truncated)
         bijections.clear_caches()
-        assert _fails("statistics")
+        assert _failing("statistics").keys() == {"u-heights-track-dimer-columns"}
 
     def test_count_recurrence_without_case_iii_is_caught(self, monkeypatch):
         orig = counting._strict_row
@@ -170,4 +205,8 @@ class TestMutationSmoke:
             return s.scale(-1) if name == "Q" else s
 
         monkeypatch.setattr(series, "closed_form", negated)
-        assert _fails("series", 10)
+        assert _failing("series", 10).keys() == {
+            "series-identity: Q = Qs(1+Q)",
+            "series-identity: diagonal(f) = Q",
+            "series-identity: diagonal(h) = Q",
+        }

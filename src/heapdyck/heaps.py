@@ -174,15 +174,6 @@ def superpose(base: tuple[Dimer, ...], part: tuple[Dimer, ...], shift: int) -> t
     return _canonical(drop_columns(base, (col + shift for col, _ in _canonical(part))))
 
 
-def drop(heap: Heap | None, column: int) -> Heap:
-    """Add one dimer released above the column; it falls until supported."""
-    if heap is None:
-        if column != 0:
-            raise BadGroundError("first dimer must land in column 0")
-        return Heap((Dimer(0, 0),))
-    return Heap(drop_columns(heap.dimers, (column,)))
-
-
 def heap_stats(h: Heap) -> AnimalStats:
     """Widths, diagonal pairs and the per-column profile, in one loop over the dimers."""
     dims = h.dimers

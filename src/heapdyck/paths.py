@@ -92,11 +92,6 @@ def pattern_count(word: str, pattern: str) -> int:
     return sum(1 for i in range(len(word) - k + 1) if word[i : i + k] == pattern)
 
 
-def reverse(word: str) -> str:
-    """Read the steps right to left, each keeping its letter."""
-    return word[::-1]
-
-
 def _crossings(word: str, ys: list[int]) -> tuple[int, ...]:
     return tuple(
         x

@@ -1,6 +1,10 @@
 """Plain-text and SVG pictures of the four object kinds.
 
 Output is deterministic: fixed colours, fixed ordering, no timestamps.
+An ASCII picture is drawn one row at a time, from the (position, glyph)
+pairs gathered for each row in one pass over the object: the work done in
+Python is linear in the object, and the joins that pad the rows with
+blanks are linear in the output, whatever the bounding box.
 SVG uses 20-unit cells with the mathematical origin at the bottom left.
 """
 
@@ -13,13 +17,21 @@ KINDS = ("multiset", "path", "heap", "animal")
 CELL = 20
 PAD = 10
 
-
-def _grid(width: int, height: int) -> list[list[str]]:
-    return [[" "] * width for _ in range(height)]
+Cells = list[tuple[int, str]]  # (position, glyph) pairs of one row, left to right
 
 
-def _rows_to_text(rows: list[list[str]]) -> str:
-    return "\n".join("".join(r).rstrip() for r in rows)
+def _picture(rows: list[Cells]) -> str:
+    """Rows given bottom first, drawn top first, each with no trailing blanks."""
+    lines = []
+    for cells in reversed(rows):
+        parts = []
+        at = 0
+        for x, glyph in cells:
+            parts.append(" " * (x - at))
+            parts.append(glyph)
+            at = x + len(glyph)
+        lines.append("".join(parts))
+    return "\n".join(lines)
 
 
 def _svg_open(width: int, height: int) -> list[str]:
@@ -38,13 +50,17 @@ def _xy(x: float, y: float, height: int) -> tuple[float, float]:
 
 
 def path_ascii(word: str) -> str:
-    ys = paths.heights(word)
-    cells = [ys[i] if step == "U" else ys[i + 1] for i, step in enumerate(word)]
-    top, bottom = max(cells), min(cells)
-    rows = _grid(len(word), top - bottom + 1)
-    for i, (step, cell) in enumerate(zip(word, cells)):
-        rows[top - cell][i] = "/" if step == "U" else "\\"
-    return _rows_to_text(rows)
+    paths.check_steps(word)
+    rows: dict[int, Cells] = {}  # by the height of the cell a step crosses
+    y = 0
+    for x, step in enumerate(word):
+        if step == "U":
+            rows.setdefault(y, []).append((x, "/"))
+            y += 1
+        else:
+            y -= 1
+            rows.setdefault(y, []).append((x, "\\"))
+    return _picture([rows[y] for y in range(min(rows), max(rows) + 1)])
 
 
 def path_svg(word: str) -> str:
@@ -58,9 +74,7 @@ def path_svg(word: str) -> str:
         f'<line x1="{ax0[0]}" y1="{ax0[1]}" x2="{ax1[0]}" y2="{ax1[1]}" '
         'stroke="#999" stroke-dasharray="4 4"/>'
     )
-    pts = " ".join(
-        "{},{}".format(*_xy(x, y - bottom, height)) for x, y in enumerate(ys)
-    )
+    pts = " ".join([f"{PAD + x * CELL},{PAD + (top - y) * CELL}" for x, y in enumerate(ys)])
     out.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="2"/>')
     out.append("</svg>")
     return "\n".join(out)
@@ -68,13 +82,12 @@ def path_svg(word: str) -> str:
 
 def heap_ascii(h: heaps.Heap) -> str:
     lo = h.min_column()
-    hi = h.max_column()
-    top = max(d.level for d in h.dimers)
-    rows = _grid(2 * (hi - lo) + 4, top + 1)
-    for d in h.dimers:
-        at = 2 * (d.column - lo)
-        rows[top - d.level][at : at + 4] = list("[__]")
-    return _rows_to_text(rows)
+    rows: list[Cells] = []
+    for col, level in h.dimers:  # by (level, column), and no level is empty
+        if level == len(rows):
+            rows.append([])
+        rows[level].append((2 * (col - lo), "[__]"))
+    return _picture(rows)
 
 
 def heap_svg(h: heaps.Heap) -> str:
@@ -101,12 +114,10 @@ def heap_svg(h: heaps.Heap) -> str:
 
 
 def animal_ascii(a: heaps.PointAnimal) -> str:
-    top = max(y for _, y in a.points)
-    wide = max(x for x, _ in a.points)
-    rows = _grid(2 * wide + 1, top + 1)
-    for x, y in a.points:
-        rows[top - y][2 * x] = "o"
-    return _rows_to_text(rows)
+    rows: list[Cells] = [[] for _ in range(max(y for _, y in a.points) + 1)]
+    for x, y in sorted(a.points):
+        rows[y].append((2 * x, "o"))
+    return _picture(rows)
 
 
 def animal_svg(a: heaps.PointAnimal) -> str:
@@ -123,15 +134,13 @@ def animal_svg(a: heaps.PointAnimal) -> str:
 
 
 def multiset_ascii(m: multisets.Multiset) -> str:
-    n = len(m.values)
-    k = m.bound
-    rows = _grid(2 * n - 1, k)
+    rows: list[Cells] = [[] for _ in range(m.bound)]  # rows[v - 1] holds value v
     for i, v in enumerate(m.values, start=1):
-        rows[k - v][2 * (i - 1)] = "o"
-    for i in range(1, min(n, k) + 1):
-        if rows[k - i][2 * (i - 1)] == " ":
-            rows[k - i][2 * (i - 1)] = "."
-    return _rows_to_text(rows)
+        x = 2 * (i - 1)
+        if v != i and i <= m.bound:
+            rows[i - 1].append((x, "."))  # the diagonal cell (i, i), left free
+        rows[v - 1].append((x, "o"))
+    return _picture(rows)
 
 
 def multiset_svg(m: multisets.Multiset) -> str:

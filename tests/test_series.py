@@ -10,7 +10,6 @@ from heapdyck.series import (
     DivByNonUnitError,
     Series,
     SqrtBadConstantError,
-    from_ints,
     polynomial,
 )
 
@@ -18,6 +17,7 @@ from oracles import (
     binomial_sqrt,
     catalan,
     convolve,
+    from_ints,
     motzkin,
     reference_div,
     reference_divide_table,

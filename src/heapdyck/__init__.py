@@ -1,116 +1,13 @@
 """Multisets without consecutive values, DUD-free grand-Dyck paths, and
 directed lattice animals seen as heaps of dimers: bijections between the
 three pictures, their statistics, and exact generating series.
+
+The modules are the API (`heapdyck.bijections`, `heapdyck.heaps`, ...);
+the package root exports only the base error and the version.
 """
 
-from .bijections import (
-    GRAMMAR_CLASSES,
-    Factorization,
-    FactorizationFailedError,
-    GrammarDuplicateError,
-    NotStartingUError,
-    compose,
-    factorize,
-    grammar_count,
-    grammar_enumerate,
-    heap_to_path,
-    multiset_to_path,
-    path_to_heap,
-    path_to_multiset,
-    run_components,
-)
 from .errors import HeapdyckError
-from .heaps import (
-    BRUTE_FORCE_BOUND,
-    LATTICES,
-    AnimalStats,
-    BadGroundError,
-    Dimer,
-    Heap,
-    HeapParseError,
-    MissingOriginError,
-    NotAHeapError,
-    PointAnimal,
-    TooLargeError,
-    animal_enumerate_bruteforce,
-    animal_reflect,
-    animal_to_heap,
-    animal_validate,
-    heap_stats,
-)
-from .multisets import (
-    Multiset,
-    MultisetFlags,
-    MultisetStats,
-)
-from .paths import (
-    PathFlags,
-    PathStats,
-    crossings,
-    modified_heights,
-)
-from .series import (
-    CLOSED_FORMS,
-    BivarTable,
-    Series,
-    bivariate,
-    check_identities,
-    closed_form,
-)
-from .verify import SUITE_CAPS, SUITES, CheckResult, VerifyReport, run_all, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GRAMMAR_CLASSES",
-    "Factorization",
-    "FactorizationFailedError",
-    "GrammarDuplicateError",
-    "NotStartingUError",
-    "compose",
-    "factorize",
-    "grammar_count",
-    "grammar_enumerate",
-    "heap_to_path",
-    "multiset_to_path",
-    "path_to_heap",
-    "path_to_multiset",
-    "run_components",
-    "HeapdyckError",
-    "BRUTE_FORCE_BOUND",
-    "LATTICES",
-    "AnimalStats",
-    "BadGroundError",
-    "Dimer",
-    "Heap",
-    "HeapParseError",
-    "MissingOriginError",
-    "NotAHeapError",
-    "PointAnimal",
-    "TooLargeError",
-    "animal_enumerate_bruteforce",
-    "animal_reflect",
-    "animal_to_heap",
-    "animal_validate",
-    "heap_stats",
-    "Multiset",
-    "MultisetFlags",
-    "MultisetStats",
-    "PathFlags",
-    "PathStats",
-    "crossings",
-    "modified_heights",
-    "CLOSED_FORMS",
-    "BivarTable",
-    "Series",
-    "bivariate",
-    "check_identities",
-    "closed_form",
-    "SUITE_CAPS",
-    "SUITES",
-    "CheckResult",
-    "VerifyReport",
-    "run_all",
-    "run_suite",
-    "__version__",
-]
+__all__ = ["HeapdyckError", "__version__"]

@@ -24,7 +24,6 @@ from . import counting, heaps, multisets, paths
 from .errors import HeapdyckError
 from .heaps import Dimer, Heap
 
-GRAMMAR_CLASSES = counting.CLASSES
 GROUND = (Dimer(0, 0),)
 
 
@@ -175,24 +174,30 @@ def factorize(h: Heap) -> Factorization:
 def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
     """Rebuild a heap from a factorization; inverse of factorize.
 
-    Case ii drops its part on the ground dimer one column to the right,
-    iii straight above it, iv drops b as in ii and then c straight above,
-    and v drops c one column to the left onto b.
+    Each case is one drop sequence from the empty heap, a part's columns
+    taken in its canonical order: case i is the ground column 0 alone, ii
+    adds its part one column to the right, iii its part straight above,
+    iv b as in ii and then c straight above, and v is b followed by c one
+    column to the left.  A heap's own columns rebuild it, so b can lead.
     """
-    dims = tuple(p.dimers for p in parts)
+    cols = [[d.column for d in p.dimers] for p in parts]
     if case == "i":
-        return Heap(GROUND)
-    if case == "ii":
-        return Heap(heaps.superpose(GROUND, *dims, 1))
-    if case == "iii":
-        return Heap(heaps.superpose(GROUND, *dims, 0))
-    if case == "iv":
-        b, c = dims
-        return Heap(heaps.superpose(heaps.superpose(GROUND, b, 1), c, 0))
-    if case == "v":
-        b, c = dims
-        return Heap(heaps.superpose(b, c, -1))
-    raise ValueError(f"unknown case {case!r}")
+        seq = [0]
+    elif case == "ii":
+        (b,) = cols
+        seq = [0] + [x + 1 for x in b]
+    elif case == "iii":
+        (b,) = cols
+        seq = [0] + b
+    elif case == "iv":
+        b, c = cols
+        seq = [0] + [x + 1 for x in b] + c
+    elif case == "v":
+        b, c = cols
+        seq = b + [x - 1 for x in c]
+    else:
+        raise ValueError(f"unknown case {case!r}")
+    return Heap(heaps.drop_columns((), seq))
 
 
 # --- heap -> word ------------------------------------------------------
@@ -307,7 +312,7 @@ def _dropped(tops: bytearray, chunks: list[bytes], part: bytes, shift: int) -> b
     """The blob of a base heap, given by its tops and chunks, with part dropped on it.
 
     The part's columns, read off its blob in canonical order and shifted,
-    fall by gravity one by one, as heaps.superpose drops them; the 2-byte
+    fall by gravity one by one, as compose drops them; the 2-byte
     (level, column) chunks then sort into canonical order by themselves.
     """
     tops = tops[:]
@@ -366,7 +371,7 @@ def grammar_enumerate(n: int, klass: str) -> frozenset[Heap]:
     Classes: Ts = no negative column, T = all heaps, Qs and Q = the same
     with no dimer directly on top of another (square-lattice animals).
     """
-    if klass not in GRAMMAR_CLASSES:
+    if klass not in counting.CLASSES:
         raise ValueError(f"unknown class {klass!r}")
     if n < 1:
         raise ValueError("n must be positive")

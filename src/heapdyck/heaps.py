@@ -24,10 +24,6 @@ BRUTE_FORCE_BOUND = 8
 LATTICES = ("square", "triangular")
 
 
-class BadGroundError(HeapdyckError, ValueError):
-    pass
-
-
 class NotAHeapError(HeapdyckError, ValueError):
     pass
 
@@ -167,11 +163,6 @@ def drop_columns(base: Iterable[Dimer], columns: Iterable[int]) -> list[Dimer]:
         tops[col] = level
         out.append(Dimer(col, level))
     return out
-
-
-def superpose(base: tuple[Dimer, ...], part: tuple[Dimer, ...], shift: int) -> tuple[Dimer, ...]:
-    """Drop the dimers of part, columns shifted, onto base; canonical result."""
-    return _canonical(drop_columns(base, (col + shift for col, _ in _canonical(part))))
 
 
 def heap_stats(h: Heap) -> AnimalStats:
@@ -347,7 +338,12 @@ def to_text(h: Heap) -> str:
 
 
 def parse_points(text: str) -> PointAnimal:
-    return PointAnimal(frozenset(_parse_pairs(text, "point")))
+    points: set[Point] = set()
+    for x, y in _parse_pairs(text, "point"):
+        if (x, y) in points:
+            raise HeapParseError(f"repeated point ({x},{y})")
+        points.add((x, y))
+    return PointAnimal(frozenset(points))
 
 
 def points_to_text(a: PointAnimal) -> str:

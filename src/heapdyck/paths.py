@@ -86,12 +86,6 @@ def classify(word: str) -> PathFlags:
     return _flags(word, heights(word))
 
 
-def pattern_count(word: str, pattern: str) -> int:
-    """Occurrences of a step pattern as consecutive letters, overlaps allowed."""
-    k = len(pattern)
-    return sum(1 for i in range(len(word) - k + 1) if word[i : i + k] == pattern)
-
-
 def _crossings(word: str, ys: list[int]) -> tuple[int, ...]:
     return tuple(
         x

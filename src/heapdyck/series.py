@@ -42,7 +42,6 @@ from typing import Sequence
 from .errors import HeapdyckError
 
 CLOSED_FORMS = ("Ts", "T", "Qs", "Q", "Mdiag")
-BIVARIATE_NAMES = ("f", "h")
 
 _ONE = Fraction(1)
 
@@ -275,10 +274,11 @@ _TABLES = {
         {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1, (2, 1): -1},
     ),
 }
+BIVARIATE_NAMES = tuple(_TABLES)
 
 
 def bivariate(name: str, z_order: int, u_order: int) -> BivarTable:
-    """Expand one of the two rational multiset counters as a table."""
+    """Expand one of the rational multiset counters, named in BIVARIATE_NAMES, as a table."""
     _check_order(z_order, u_order)
     if name not in _TABLES:
         raise ValueError(f"unknown bivariate {name!r}")

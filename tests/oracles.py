@@ -1,7 +1,7 @@
 """Reference values computed by routes independent of the code under test.
 
-The word <-> heap references share only the public constructors
-(`compose`, `heaps.superpose`) with the library code they check.
+The word <-> heap references share only `compose` and the gravity of
+`heaps.drop_columns` with the library code they check.
 """
 
 from fractions import Fraction
@@ -12,13 +12,11 @@ from heapdyck import multisets, paths
 from heapdyck.bijections import compose
 from heapdyck.heaps import (
     AnimalStats,
-    BadGroundError,
     Dimer,
     Heap,
     NotAHeapError,
     PointAnimal,
     drop_columns,
-    superpose,
 )
 from heapdyck.series import Series
 
@@ -85,6 +83,10 @@ def convolve(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
 # --- helpers only the tests use --------------------------------------------
 
 
+class BadGroundError(ValueError):
+    pass
+
+
 def reverse(word: str) -> str:
     """Read the steps right to left, each keeping its letter."""
     return word[::-1]
@@ -97,6 +99,21 @@ def drop(heap: Heap | None, column: int) -> Heap:
             raise BadGroundError("first dimer must land in column 0")
         return Heap((Dimer(0, 0),))
     return Heap(drop_columns(heap.dimers, (column,)))
+
+
+def _by_level(dimers) -> tuple[Dimer, ...]:
+    return tuple(sorted(dimers, key=lambda d: (d.level, d.column)))
+
+
+def superpose(base: tuple[Dimer, ...], part: tuple[Dimer, ...], shift: int) -> tuple[Dimer, ...]:
+    """Drop the dimers of part, columns shifted, onto base; (level, column) order."""
+    return _by_level(drop_columns(base, (col + shift for col, _ in _by_level(part))))
+
+
+def pattern_count(word: str, pattern: str) -> int:
+    """Occurrences of a step pattern as consecutive letters, overlaps allowed."""
+    k = len(pattern)
+    return sum(1 for i in range(len(word) - k + 1) if word[i : i + k] == pattern)
 
 
 def from_ints(values) -> Series:
@@ -219,8 +236,8 @@ def reference_height_stats(word: str) -> paths.PathStats:
         height_max=max(modified),
         nbu_profile=nbu,
         d_end_heights=tuple(d_ends),
-        dud_count=paths.pattern_count(word, "DUD"),
-        udu_count=paths.pattern_count(word, "UDU"),
+        dud_count=pattern_count(word, "DUD"),
+        udu_count=pattern_count(word, "UDU"),
     )
 
 
@@ -368,7 +385,7 @@ def subset_heap_to_path(h: Heap) -> str:
 #
 # The family references build every multiset, or every balanced word, and
 # keep the ones that pass the family's test.  The grammar reference
-# superposes dimer tuples with heaps.superpose and encodes them at the end.
+# drops dimer tuples onto each other with superpose and encodes them at the end.
 # They do the work that the library's pruned generators and its bytes-level
 # grammar builder avoid, and share no code with them.
 

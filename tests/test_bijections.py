@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from heapdyck import bijections, heaps, multisets, paths, series
+from heapdyck import bijections, counting, heaps, multisets, paths, series
 from heapdyck.bijections import (
     FactorizationFailedError,
     GrammarDuplicateError,
@@ -298,7 +298,7 @@ class TestGrammar:
         bijections.clear_caches()
         assert bijections.grammar_enumerate(4, "T") == before
 
-    @pytest.mark.parametrize("klass", bijections.GRAMMAR_CLASSES)
+    @pytest.mark.parametrize("klass", counting.CLASSES)
     def test_blobs_match_superposed_reference(self, klass):
         bijections.clear_caches()
         memo = {}

@@ -7,6 +7,10 @@ Tests may still use private names.
 
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +85,18 @@ def test_every_library_error_is_a_heapdyck_error():
     }
     assert len(errors) >= 18
     assert all(issubclass(e, heapdyck.HeapdyckError) for e in errors)
+
+
+def test_package_root_exports_only_the_error_base_and_version():
+    """The modules are the API: importing the root loads none of them but errors."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import sys, heapdyck; print(sorted(m for m in sys.modules if m.startswith('heapdyck.')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "['heapdyck.errors']"
+    assert heapdyck.__all__ == ["HeapdyckError", "__version__"]
+    # __version__ must match the version pyproject.toml declares
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == heapdyck.__version__

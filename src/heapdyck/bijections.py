@@ -14,6 +14,9 @@ each run's D steps, read right to left, fall by gravity at their heights
 plus the run's shift.  The inverse peels the heap bottom-up; at each step
 exactly one of the dimers free to leave can continue a drop sequence of
 that shape, so the peel recovers the columns and with them the word.
+
+The constructor grammar lists heaps as drop sequences too: each case
+joins its parts' sequences, and `heaps.drop_columns` drops the result.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from dataclasses import dataclass
 
 from . import counting, heaps, multisets, paths
 from .errors import HeapdyckError
-from .heaps import Dimer, Heap
-
-GROUND = (Dimer(0, 0),)
+from .heaps import Heap
 
 
 class NotStartingUError(HeapdyckError, ValueError):
@@ -171,32 +172,33 @@ def factorize(h: Heap) -> Factorization:
     return Factorization(case, parts)
 
 
+_ARITY = {"i": 0, "ii": 1, "iii": 1, "iv": 2, "v": 2}  # parts per constructor case
+
+
+def _sequence(case: str, b: tuple[int, ...] = (), c: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """The drop sequence of a constructor case, given its parts' drop sequences.
+
+    Case i is the ground column 0 alone, ii adds b one column to the right,
+    iii b straight above, iv b as in ii and then c straight above, and v is
+    b followed by c one column to the left.
+    """
+    if case == "v":
+        return (*b, *[x - 1 for x in c])
+    if case in ("ii", "iv"):
+        return (0, *[x + 1 for x in b], *c)
+    return (0, *b, *c)
+
+
 def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
     """Rebuild a heap from a factorization; inverse of factorize.
 
-    Each case is one drop sequence from the empty heap, a part's columns
-    taken in its canonical order: case i is the ground column 0 alone, ii
-    adds its part one column to the right, iii its part straight above,
-    iv b as in ii and then c straight above, and v is b followed by c one
-    column to the left.  A heap's own columns rebuild it, so b can lead.
+    Each part enters the case's drop sequence as its canonical columns, which rebuild it.
     """
-    cols = [[d.column for d in p.dimers] for p in parts]
-    if case == "i":
-        seq = [0]
-    elif case == "ii":
-        (b,) = cols
-        seq = [0] + [x + 1 for x in b]
-    elif case == "iii":
-        (b,) = cols
-        seq = [0] + b
-    elif case == "iv":
-        b, c = cols
-        seq = [0] + [x + 1 for x in b] + c
-    elif case == "v":
-        b, c = cols
-        seq = b + [x - 1 for x in c]
-    else:
+    if case not in _ARITY:
         raise ValueError(f"unknown case {case!r}")
+    if len(parts) != _ARITY[case]:
+        raise FactorizationFailedError(f"case {case} takes {_ARITY[case]} parts, got {len(parts)}")
+    seq = _sequence(case, *(tuple(d.column for d in p.dimers) for p in parts))
     return Heap(heaps.drop_columns((), seq))
 
 
@@ -266,103 +268,36 @@ def _close_run(words: list[str], run: list[str], y: int) -> None:
 # --- grammar enumeration ------------------------------------------------
 
 
-_GRAMMAR_MEMO: dict[tuple[str, int], tuple[bytes, ...]] = {}
+_GRAMMAR_MEMO: dict[tuple[str, int], list[tuple[int, ...]]] = {}
 
 
-def _encode(dims: tuple[Dimer, ...]) -> bytes:
-    out = bytearray()
-    for col, level in dims:
-        out.append(level)
-        out.append(col + 64)
-    return bytes(out)
-
-
-def _decode(blob: bytes) -> tuple[Dimer, ...]:
-    return tuple(
-        Dimer(blob[i + 1] - 64, blob[i]) for i in range(0, len(blob), 2)
-    )
-
-
-def _assert_distinct(built: list[bytes], klass: str, n: int) -> tuple[bytes, ...]:
-    if len(set(built)) != len(built):
-        raise GrammarDuplicateError(
-            f"constructor overlap while building {klass} at size {n}"
-        )
-    return tuple(built)
-
-
-# One byte per column byte (column + 64): one more than the level of the
-# column's top dimer, 0 for an empty column.  The spare byte at the end
-# keeps the neighbours of column bytes 0 and 255 in range.
-_NO_TOPS = bytes(257)
-
-
-def _tops(blob: bytes) -> bytearray:
-    tops = bytearray(_NO_TOPS)
-    for i in range(0, len(blob), 2):
-        tops[blob[i + 1]] = blob[i] + 1  # levels ascend, so a column's last dimer is its top
-    return tops
-
-
-def _chunks(blob: bytes) -> list[bytes]:
-    return [blob[i : i + 2] for i in range(0, len(blob), 2)]
-
-
-def _dropped(tops: bytearray, chunks: list[bytes], part: bytes, shift: int) -> bytes:
-    """The blob of a base heap, given by its tops and chunks, with part dropped on it.
-
-    The part's columns, read off its blob in canonical order and shifted,
-    fall by gravity one by one, as compose drops them; the 2-byte
-    (level, column) chunks then sort into canonical order by themselves.
-    """
-    tops = tops[:]
-    out = chunks[:]
-    for col in part[1::2]:
-        col += shift
-        level = tops[col - 1]  # one above the highest top beside it
-        if tops[col] > level:
-            level = tops[col]
-        if tops[col + 1] > level:
-            level = tops[col + 1]
-        tops[col] = level + 1
-        out.append(bytes((level, col)))
-    out.sort()
-    return b"".join(out)
-
-
-def _encoded(klass: str, n: int) -> tuple[bytes, ...]:
+def _sequences(klass: str, n: int) -> list[tuple[int, ...]]:
+    """The drop sequences of the size-n heaps of a class, one per build, in grammar order."""
     key = (klass, n)
     got = _GRAMMAR_MEMO.get(key)
     if got is not None:
         return got
-    ground = _encode(GROUND)
-    if klass in ("Ts", "Qs"):
-        if n == 1:
-            built = [ground]
-        else:
-            ground_tops, ground_chunks = _tops(ground), _chunks(ground)
-            built = []
-            for blob in _encoded(klass, n - 1):
-                built.append(_dropped(ground_tops, ground_chunks, blob, 1))  # case ii
-                if klass == "Ts":
-                    built.append(_dropped(ground_tops, ground_chunks, blob, 0))  # case iii
-            for a in range(1, n - 1):
-                for blob_b in _encoded(klass, a):
-                    base = _dropped(ground_tops, ground_chunks, blob_b, 1)
-                    tops, chunks = _tops(base), _chunks(base)
-                    for blob_c in _encoded(klass, n - 1 - a):
-                        built.append(_dropped(tops, chunks, blob_c, 0))  # case iv
+    if klass in ("Ts", "Qs") and n == 1:
+        built = [_sequence("i")]
+    elif klass in ("Ts", "Qs"):
+        built = []
+        for b in _sequences(klass, n - 1):
+            built.append(_sequence("ii", b))
+            if klass == "Ts":
+                built.append(_sequence("iii", b))
+        for a in range(1, n - 1):
+            for b in _sequences(klass, a):
+                for c in _sequences(klass, n - 1 - a):
+                    built.append(_sequence("iv", b, c))
     else:
         base_class = "Ts" if klass == "T" else "Qs"
-        built = list(_encoded(base_class, n))
+        built = list(_sequences(base_class, n))
         for a in range(1, n):
-            for blob_b in _encoded(base_class, a):
-                tops, chunks = _tops(blob_b), _chunks(blob_b)
-                for blob_c in _encoded(klass, n - a):
-                    built.append(_dropped(tops, chunks, blob_c, -1))  # case v
-    result = _assert_distinct(built, klass, n)
-    _GRAMMAR_MEMO[key] = result
-    return result
+            for b in _sequences(base_class, a):
+                for c in _sequences(klass, n - a):
+                    built.append(_sequence("v", b, c))
+    _GRAMMAR_MEMO[key] = built
+    return built
 
 
 def grammar_enumerate(n: int, klass: str) -> frozenset[Heap]:
@@ -375,7 +310,12 @@ def grammar_enumerate(n: int, klass: str) -> frozenset[Heap]:
         raise ValueError(f"unknown class {klass!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    return frozenset(Heap(_decode(blob)) for blob in _encoded(klass, n))
+    seqs = _sequences(klass, n)
+    # a heap built twice below size n is built twice at n too (case ii or v on the ground)
+    out = frozenset(Heap(heaps.drop_columns((), seq)) for seq in seqs)
+    if len(out) != len(seqs):
+        raise GrammarDuplicateError(f"constructor overlap while building {klass} at size {n}")
+    return out
 
 
 def grammar_count(n: int, klass: str) -> int:

@@ -76,7 +76,7 @@ def _check_heap(dimers: tuple[Dimer, ...]) -> str | None:
             level = lvl
         elif col - prev <= 1:
             if col == prev:
-                return "repeated dimer"
+                return f"repeated dimer ({col},{lvl})"
             if overlap is None:
                 overlap = f"overlapping dimers at level {lvl}"
         here.add(col)

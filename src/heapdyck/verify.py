@@ -1,9 +1,10 @@
 """Verification suites behind the command line `verify` verb.
 
 Each suite walks every object up to a size bound and records one result
-per named check.  In the bijections and statistics suites, a library
-error raised on one object fails the check being computed, with the
-object named, and the walk carries on.  The statistics suite does not assume the two empirical
+per named check.  In the bijections, statistics and symmetry suites, a
+library error raised on one object, or while the grammar builds a class,
+fails the checks being computed, with the object or class named, and the
+walk carries on.  The statistics suite does not assume the two empirical
 index relations it watches; it detects the constants from the data,
 fails if they drift anywhere in range, and reports what it found.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache, partial
 from math import comb
 from operator import add, mul
 from typing import Callable, Iterable, Iterator
@@ -95,17 +97,25 @@ class _Recorder:
         try:
             yield
         except HeapdyckError as exc:
-            self.require(name, False, f"{where}: {type(exc).__name__}: {exc}")
+            self.fail(name, where, exc)
+
+    def fail(self, name: str, where: str, exc: HeapdyckError) -> None:
+        self.require(name, False, f"{where}: {type(exc).__name__}: {exc}")
+
+    def images(self, name: str, fn: Callable, objects: Iterable, where: str) -> dict:
+        """fn(x) for each of the objects, or the library error it raised, which fails check name."""
+        out = {}
+        for x in objects:
+            try:
+                out[x] = fn(x)
+            except HeapdyckError as exc:
+                out[x] = exc
+                self.fail(name, f"{where} {x}", exc)
+        return out
 
     def image(self, name: str, fn: Callable, objects: Iterable, where: str) -> set:
         """The set of fn(x) over the objects; a library error on an x fails check name."""
-        out = set()
-        for x in objects:
-            try:
-                out.add(fn(x))
-            except HeapdyckError as exc:
-                self.require(name, False, f"{where} {x}: {type(exc).__name__}: {exc}")
-        return out
+        return _found(self.images(name, fn, objects, where))
 
     def note(self, name: str, detail: str) -> None:
         self.declare(name)
@@ -119,6 +129,11 @@ class _Recorder:
             else:
                 out.append(CheckResult(name, True, self.notes.get(name, default_detail)))
         return out
+
+
+def _found(images: dict) -> set:
+    """The images that are not library errors."""
+    return {y for y in images.values() if not isinstance(y, HeapdyckError)}
 
 
 def _catalan(n: int) -> int:
@@ -293,7 +308,8 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
             )
             want = set(paths.enumerate_family(target, n))
             rec.require(name, got == want, f"n={n}: {len(got)} words vs {len(want)}")
-        grammar = {k: bijections.grammar_enumerate(n, k) for k in counting.CLASSES}
+        # built on first use, so that a library error fails only the checks against its class
+        grammar = cache(partial(bijections.grammar_enumerate, n))
         heaps_seen = {}
         for w in words:
             where = f"n={n}, word {w}"
@@ -301,12 +317,11 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 h = bijections.path_to_heap(w)
                 heaps_seen[h] = w
                 rec.require("run-heap-round-trip", bijections.heap_to_path(h) == w, where)
-        rec.require(
-            "run-heap-image-is-grammar-T",
-            len(heaps_seen) == len(words)
-            and set(heaps_seen) == grammar["T"],
-            f"n={n}: {len(heaps_seen)} heaps",
-        )
+        name, where = "run-heap-image-is-grammar-T", f"n={n}: {len(heaps_seen)} heaps"
+        with rec.guard(name, where):
+            rec.require(
+                name, len(heaps_seen) == len(words) and set(heaps_seen) == grammar("T"), where
+            )
         for family, name, klass in (
             ("dyck", "dyck-image-is-grammar-Ts", "Ts"),
             ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
@@ -314,37 +329,42 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
             image = rec.image(
                 name, bijections.path_to_heap, paths.enumerate_family(family, n), f"n={n}, word"
             )
-            rec.require(name, image == grammar[klass], f"n={n}")
+            with rec.guard(name, f"n={n}"):
+                rec.require(name, image == grammar(klass), f"n={n}")
         if n <= ANIMAL_ORACLE_CAP:
+            animal_heaps = {}
             for lattice, klass in (("triangular", "T"), ("square", "Q")):
-                name = "grammar-matches-brute-force-animals"
-                brute = rec.image(
+                name, where = "grammar-matches-brute-force-animals", f"{lattice}, n={n}"
+                animal_heaps[lattice] = rec.images(
                     name,
                     heaps.animal_to_heap,
                     heaps.animal_enumerate_bruteforce(n, lattice),
-                    f"{lattice}, n={n}, animal",
+                    f"{where}, animal",
                 )
-                rec.require(name, brute == grammar[klass], f"{lattice}, n={n}")
+                with rec.guard(name, where):
+                    rec.require(name, _found(animal_heaps[lattice]) == grammar(klass), where)
             for lattice, klass in (("triangular", "Ts"), ("square", "Qs")):
-                name = "grammar-matches-subdiagonal-animals"
+                name, where = "grammar-matches-subdiagonal-animals", f"{lattice} subdiagonal, n={n}"
                 brute = rec.image(
                     name,
                     heaps.animal_to_heap,
                     heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal=True),
-                    f"{lattice} subdiagonal, n={n}, animal",
+                    f"{where}, animal",
                 )
-                rec.require(name, brute == grammar[klass], f"{lattice} subdiagonal, n={n}")
-            name = "square-animals-are-diagonal-free-heaps"
-            square_heaps = rec.image(
-                name,
-                heaps.animal_to_heap,
-                heaps.animal_enumerate_bruteforce(n, "square"),
-                f"square, n={n}, animal",
-            )
-            for a in heaps.animal_enumerate_bruteforce(n, "triangular"):
-                where = f"n={n}, animal {a}"
                 with rec.guard(name, where):
-                    h = heaps.animal_to_heap(a)
+                    rec.require(name, brute == grammar(klass), where)
+            # the images above, not a second enumeration; an animal the map failed on fails here too
+            name = "square-animals-are-diagonal-free-heaps"
+            for a, h in animal_heaps["square"].items():
+                if isinstance(h, HeapdyckError):
+                    rec.fail(name, f"square, n={n}, animal {a}", h)
+            square_heaps = _found(animal_heaps["square"])
+            for a, h in animal_heaps["triangular"].items():
+                where = f"n={n}, animal {a}"
+                if isinstance(h, HeapdyckError):
+                    rec.fail(name, where, h)
+                    continue
+                with rec.guard(name, where):
                     rec.require(
                         name, (heaps.heap_stats(h).diag == 0) == (h in square_heaps), where
                     )
@@ -501,13 +521,14 @@ def _suite_symmetry(max_n: int) -> list[CheckResult]:
     rec = _Recorder()
     for n in range(1, max_n + 1):
         for klass in ("T", "Q"):
-            stats = [heaps.heap_stats(h) for h in bijections.grammar_enumerate(n, klass)]
-            rec.require(
-                "left-plus-one-matches-right-width",
-                _distribution(s.lw + 1 for s in stats)
-                == _distribution(s.rw for s in stats),
-                f"class {klass}, n={n}",
-            )
+            name, where = "left-plus-one-matches-right-width", f"class {klass}, n={n}"
+            with rec.guard(name, where):
+                stats = [heaps.heap_stats(h) for h in bijections.grammar_enumerate(n, klass)]
+                rec.require(
+                    name,
+                    _distribution(s.lw + 1 for s in stats) == _distribution(s.rw for s in stats),
+                    where,
+                )
         for family in ("grand_dyck", "grand_dyck_star"):
             stats = [
                 paths.height_stats(w) for w in paths.enumerate_family(family, n)
@@ -519,14 +540,17 @@ def _suite_symmetry(max_n: int) -> list[CheckResult]:
                 f"family {family}, n={n}",
             )
         if n <= ANIMAL_ORACLE_CAP - 1:
+            name = "reflection-swaps-widths"
             for a in heaps.animal_enumerate_bruteforce(n, "triangular"):
-                sa = heaps.heap_stats(heaps.animal_to_heap(a))
-                sb = heaps.heap_stats(heaps.animal_to_heap(heaps.animal_reflect(a)))
-                rec.require(
-                    "reflection-swaps-widths",
-                    sb.lw + 1 == sa.rw and sb.rw == sa.lw + 1 and sb.area == sa.area,
-                    f"n={n}, animal {a}",
-                )
+                where = f"n={n}, animal {a}"
+                with rec.guard(name, where):
+                    sa = heaps.heap_stats(heaps.animal_to_heap(a))
+                    sb = heaps.heap_stats(heaps.animal_to_heap(heaps.animal_reflect(a)))
+                    rec.require(
+                        name,
+                        sb.lw + 1 == sa.rw and sb.rw == sa.lw + 1 and sb.area == sa.area,
+                        where,
+                    )
     _width_tier(rec)
     return rec.results(f"all sizes 1..{max_n}")
 

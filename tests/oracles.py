@@ -1,7 +1,9 @@
 """Reference values computed by routes independent of the code under test.
 
 The word <-> heap references share only `compose` and the gravity of
-`heaps.drop_columns` with the library code they check.
+`heaps.drop_columns` with the library code they check.  The grammar
+reference, `encoded_grammar`, builds heaps as byte strings with a gravity
+of its own, so it shares nothing with `drop_columns`.
 """
 
 from fractions import Fraction
@@ -9,7 +11,7 @@ from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
 from heapdyck import multisets, paths
-from heapdyck.bijections import compose
+from heapdyck.bijections import GrammarDuplicateError, compose
 from heapdyck.heaps import (
     AnimalStats,
     Dimer,
@@ -193,7 +195,11 @@ def reference_check_heap(dimers: tuple[Dimer, ...]) -> str | None:
         return "empty heap"
     cells = set(dimers)
     if len(cells) != len(dimers):
-        return "repeated dimer"
+        seen = set()
+        for col, level in dimers:
+            if (col, level) in seen:
+                return f"repeated dimer ({col},{level})"
+            seen.add((col, level))
     ground = [d for d in dimers if d.level == 0]
     if len(ground) != 1 or ground[0].column != 0:
         return "need exactly one level-0 dimer, in column 0"
@@ -381,13 +387,13 @@ def subset_heap_to_path(h: Heap) -> str:
     return "".join(w[::-1] if j % 2 else w for j, w in enumerate(words))
 
 
-# --- families by generate-and-filter, the grammar by superpose ---------------
+# --- families by generate-and-filter, the grammar as bytes -------------------
 #
 # The family references build every multiset, or every balanced word, and
-# keep the ones that pass the family's test.  The grammar reference
-# drops dimer tuples onto each other with superpose and encodes them at the end.
-# They do the work that the library's pruned generators and its bytes-level
-# grammar builder avoid, and share no code with them.
+# keep the ones that pass the family's test.  They do the work that the
+# library's pruned generators avoid, and share no code with them.  The
+# grammar reference builds each heap as a byte string and drops parts on
+# bases by column tops kept in a bytearray, not by `heaps.drop_columns`.
 
 
 def filtered_multisets(n: int, k: int) -> dict[str, list[multisets.Multiset]]:
@@ -432,45 +438,90 @@ def filtered_words(family: str, words: list[str]) -> list[str]:
     return [w for w in words if pattern is None or pattern not in w]
 
 
-GROUND = (Dimer(0, 0),)
+# A heap as a blob: one 2-byte (level, column + 64) chunk per dimer, in
+# (level, column) order, so that sorting the chunks puts a heap in order.
+GROUND_BLOB = bytes((0, 64))
 
 
-def _blob(dims) -> bytes:
-    """(level, column + 64) per dimer, in (level, column) order."""
-    ordered = sorted(dims, key=lambda d: (d.level, d.column))
-    return bytes(b for col, level in ordered for b in (level, col + 64))
+def decoded(blob: bytes) -> Heap:
+    return Heap(Dimer(blob[i + 1] - 64, blob[i]) for i in range(0, len(blob), 2))
 
 
-def superposed_grammar(klass: str, n: int, memo: dict | None = None) -> list[bytes]:
-    """Every size-n heap of a class as a blob, in the grammar's order, built by superpose."""
+def _tops(blob: bytes) -> bytearray:
+    """One byte per column byte: one above the column's top level, 0 if empty.
+
+    The spare byte at the end keeps the neighbours of column bytes 0 and 255 in range.
+    """
+    tops = bytearray(257)
+    for i in range(0, len(blob), 2):
+        tops[blob[i + 1]] = blob[i] + 1  # levels ascend, so a column's last dimer is its top
+    return tops
+
+
+def _chunks(blob: bytes) -> list[bytes]:
+    return [blob[i : i + 2] for i in range(0, len(blob), 2)]
+
+
+def _dropped(tops: bytearray, chunks: list[bytes], part: bytes, shift: int) -> bytes:
+    """The blob of a base heap, given by its tops and chunks, with part dropped on it.
+
+    The part's columns, read off its blob in canonical order and shifted,
+    fall one by one onto the tallest of the three columns under each.
+    """
+    tops = tops[:]
+    out = chunks[:]
+    for col in part[1::2]:
+        col += shift
+        level = tops[col - 1]  # one above the highest top beside it
+        if tops[col] > level:
+            level = tops[col]
+        if tops[col + 1] > level:
+            level = tops[col + 1]
+        tops[col] = level + 1
+        out.append(bytes((level, col)))
+    out.sort()
+    return b"".join(out)
+
+
+def encoded_grammar(klass: str, n: int, memo: dict | None = None) -> tuple[bytes, ...]:
+    """Every size-n heap of a class as a blob, in the grammar's order.
+
+    Raises GrammarDuplicateError if two builds at any size up to n give one heap.
+    """
     memo = {} if memo is None else memo
 
-    def build(klass: str, n: int) -> list[tuple[Dimer, ...]]:
+    def build(klass: str, n: int) -> tuple[bytes, ...]:
         if (klass, n) in memo:
             return memo[klass, n]
+        ground_tops, ground_chunks = _tops(GROUND_BLOB), [GROUND_BLOB]
         if klass in ("Ts", "Qs") and n == 1:
-            out = [GROUND]
+            out = [GROUND_BLOB]
         elif klass in ("Ts", "Qs"):
             out = []
             for b in build(klass, n - 1):
-                out.append(superpose(GROUND, b, 1))
+                out.append(_dropped(ground_tops, ground_chunks, b, 1))  # case ii
                 if klass == "Ts":
-                    out.append(superpose(GROUND, b, 0))
+                    out.append(_dropped(ground_tops, ground_chunks, b, 0))  # case iii
             for a in range(1, n - 1):
                 for b in build(klass, a):
+                    base = _dropped(ground_tops, ground_chunks, b, 1)
+                    tops, chunks = _tops(base), _chunks(base)
                     for c in build(klass, n - 1 - a):
-                        out.append(superpose(superpose(GROUND, b, 1), c, 0))
+                        out.append(_dropped(tops, chunks, c, 0))  # case iv
         else:
-            base = "Ts" if klass == "T" else "Qs"
-            out = list(build(base, n))
+            base_class = "Ts" if klass == "T" else "Qs"
+            out = list(build(base_class, n))
             for a in range(1, n):
-                for b in build(base, a):
+                for b in build(base_class, a):
+                    tops, chunks = _tops(b), _chunks(b)
                     for c in build(klass, n - a):
-                        out.append(superpose(b, c, -1))
-        memo[klass, n] = out
-        return out
+                        out.append(_dropped(tops, chunks, c, -1))  # case v
+        if len(set(out)) != len(out):
+            raise GrammarDuplicateError(f"constructor overlap while building {klass} at size {n}")
+        memo[klass, n] = tuple(out)
+        return memo[klass, n]
 
-    return [_blob(dims) for dims in build(klass, n)]
+    return build(klass, n)
 
 
 # --- pictures ---------------------------------------------------------------

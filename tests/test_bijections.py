@@ -9,16 +9,18 @@ from heapdyck.bijections import (
     GrammarDuplicateError,
     NotStartingUError,
 )
+from heapdyck.errors import HeapdyckError
 from heapdyck.heaps import Dimer, Heap
 
 from oracles import (
     arch_path_to_heap,
     catalan,
+    decoded,
+    encoded_grammar,
     motzkin,
     square_animals,
     subset_factorize,
     subset_heap_to_path,
-    superposed_grammar,
     uniform_multiset,
 )
 
@@ -232,6 +234,11 @@ class TestFactorize:
         with pytest.raises(ValueError):
             bijections.compose("vi", ())
 
+    @pytest.mark.parametrize("case,takes", [("v", 2), ("i", 0)])
+    def test_compose_checks_part_count(self, case, takes):
+        with pytest.raises(HeapdyckError, match=f"^case {case} takes {takes} parts, got 1$"):
+            bijections.compose(case, (heap_of((0, 0)),))
+
     def test_strict_heaps_factor_without_case_iii(self):
         for n in range(2, 7):
             for h in bijections.grammar_enumerate(n, "Q"):
@@ -271,9 +278,10 @@ class TestGrammar:
         """Exhaustive grammar enumeration against the four closed forms."""
         order = 12
         named = {name: series.closed_form(name, order) for name in ("T", "Ts", "Q", "Qs")}
+        memo = {}
         for name, ser in named.items():
             for n in range(1, order + 1):
-                assert len(bijections._encoded(name, n)) == ser[n], (name, n)
+                assert len(encoded_grammar(name, n, memo)) == ser[n], (name, n)
                 assert bijections.grammar_count(n, name) == ser[n], (name, n)
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -299,15 +307,21 @@ class TestGrammar:
         assert bijections.grammar_enumerate(4, "T") == before
 
     @pytest.mark.parametrize("klass", counting.CLASSES)
-    def test_blobs_match_superposed_reference(self, klass):
+    def test_heaps_match_encoded_reference(self, klass):
         bijections.clear_caches()
         memo = {}
         for n in range(1, 9):
-            assert list(bijections._encoded(klass, n)) == superposed_grammar(klass, n, memo), n
+            built = [Heap(heaps.drop_columns((), seq)) for seq in bijections._sequences(klass, n)]
+            assert built == [decoded(blob) for blob in encoded_grammar(klass, n, memo)], n
 
     def test_duplicate_build_raises(self, monkeypatch):
-        bijections.clear_caches()
-        (ground,) = bijections._encoded("Ts", 1)
-        monkeypatch.setitem(bijections._GRAMMAR_MEMO, ("Ts", 1), (ground, ground))
+        (ground,) = bijections._sequences("Ts", 1)
+        # a memo of its own, so that the sizes built on the duplicate do not outlive the test
+        monkeypatch.setattr(bijections, "_GRAMMAR_MEMO", {("Ts", 1): [ground, ground]})
         with pytest.raises(GrammarDuplicateError):
             bijections.grammar_enumerate(2, "Ts")
+
+    def test_encoded_reference_raises_on_a_duplicate_build(self):
+        (ground,) = encoded_grammar("Ts", 1)
+        with pytest.raises(GrammarDuplicateError):
+            encoded_grammar("Ts", 2, {("Ts", 1): (ground, ground)})

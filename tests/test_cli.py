@@ -250,6 +250,12 @@ class TestStats:
         assert out == ""
         assert err.startswith("error: ") and "(0,0)" in err
 
+    def test_repeated_dimer_is_named(self, capsys):
+        code, out, err = run(capsys, "stats", "--kind", "heap", "--input", "(0,0);(1,1);(1,1)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "(1,1)" in err
+
 
 class TestVerify:
     def test_single_suite_exit_zero(self, capsys):

@@ -143,6 +143,17 @@ class TestMutationSmoke:
             "square-animals-are-diagonal-free-heaps",
         }
 
+    def test_one_sided_gravity_fails_symmetry_checks(self, monkeypatch):
+        # the grammar and the animal map both drop by heaps._drop_level
+        def lopsided(tops, column):
+            return max(tops.get(column, -1), tops.get(column + 1, -1)) + 1
+
+        monkeypatch.setattr(heaps, "_drop_level", lopsided)
+        bijections.clear_caches()
+        failing = _failing("symmetry")
+        assert failing.keys() == {"left-plus-one-matches-right-width", "reflection-swaps-widths"}
+        assert failing["left-plus-one-matches-right-width"].startswith("class T, n=2: ")
+
     def test_inflated_height_is_caught(self, monkeypatch):
         orig = paths.height_stats
 

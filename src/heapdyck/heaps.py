@@ -15,8 +15,10 @@ heaps with no dimer directly on top of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import HeapdyckError
 
@@ -46,10 +48,19 @@ class Dimer(NamedTuple):
 
 
 _BY_LEVEL = itemgetter(1, 0)  # (level, column)
+_AS_DIMER = partial(tuple.__new__, Dimer)  # Dimer from a pair, without a Python-level call
+_INT = {int}
 
 
-def _canonical(dimers: Iterable[Dimer]) -> tuple[Dimer, ...]:
-    return tuple(sorted(dimers, key=_BY_LEVEL))
+def _dimer(item: object) -> Dimer:
+    """The item as a Dimer, or the NotAHeapError that names it."""
+    try:
+        col, level = item
+    except (TypeError, ValueError):
+        col = level = None
+    if type(col) is not int or type(level) is not int:
+        raise NotAHeapError(f"{item!r} is not a pair of integers")
+    return Dimer(col, level)
 
 
 def _check_heap(dimers: tuple[Dimer, ...]) -> str | None:
@@ -97,12 +108,21 @@ def _check_heap(dimers: tuple[Dimer, ...]) -> str | None:
 
 
 class Heap:
-    """Immutable validated heap; dimers kept sorted by (level, column)."""
+    """Immutable validated heap of integer dimers, kept sorted by (level, column)."""
 
     __slots__ = ("dimers", "_hash")
 
     def __init__(self, dimers: Iterable[Dimer]):
-        canon = _canonical(d if isinstance(d, Dimer) else Dimer(*d) for d in dimers)
+        items = list(dimers)
+        # Dimers of int coordinates pass in two C-level sweeps; anything
+        # else is converted, or named in the error, one item at a time
+        if not (
+            all(map(isinstance, items, repeat(Dimer)))
+            and _INT.issuperset(map(type, chain.from_iterable(items)))
+        ):
+            items = [_dimer(d) for d in items]
+        items.sort(key=_BY_LEVEL)
+        canon = tuple(items)
         breach = _check_heap(canon)
         if breach is not None:
             raise NotAHeapError(breach)
@@ -125,10 +145,10 @@ class Heap:
         return len(self.dimers)
 
     def min_column(self) -> int:
-        return min(d.column for d in self.dimers)
+        return min(self.dimers)[0]
 
     def max_column(self) -> int:
-        return max(d.column for d in self.dimers)
+        return max(self.dimers)[0]
 
 
 @dataclass(frozen=True)
@@ -141,27 +161,32 @@ class AnimalStats:
     nbp_profile: dict[int, int]
 
 
-def _drop_level(tops: dict[int, int], column: int) -> int:
-    """Level a dimer dropped at this column lands on, given column tops."""
-    best = -1
-    for c in (column - 1, column, column + 1):
-        lvl = tops.get(c, -1)
-        if lvl > best:
-            best = lvl
-    return best + 1
-
-
 def drop_columns(base: Iterable[Dimer], columns: Iterable[int]) -> list[Dimer]:
-    """Drop one dimer per column, in order, onto base; base's dimers, then the new ones."""
+    """Drop one dimer per column, in order, onto base; base's dimers, then the new ones.
+
+    A dimer dropped at a column lands one level above the highest top of
+    that column and its two neighbours.
+    """
     out = list(base)
-    tops: dict[int, int] = {}
+    tops: dict[int, int] = {}  # column -> level of its highest dimer
     for col, level in out:
         if level > tops.get(col, -1):
             tops[col] = level
-    for col in columns:
-        level = _drop_level(tops, col)
+    cols = list(columns)
+    levels = []
+    get = tops.get
+    for col in cols:
+        level = get(col - 1, -1)
+        mid = get(col, -1)
+        right = get(col + 1, -1)
+        if mid > level:
+            level = mid
+        if right > level:
+            level = right
+        level += 1
         tops[col] = level
-        out.append(Dimer(col, level))
+        levels.append(level)
+    out += map(_AS_DIMER, zip(cols, levels))
     return out
 
 
@@ -315,26 +340,52 @@ def animal_enumerate_bruteforce(
 # --- text formats ------------------------------------------------------
 
 
+_MARKS = str.maketrans("();", ",,,")
+
+
 def _parse_pairs(text: str, what: str) -> list[tuple[int, int]]:
-    pairs = []
+    """The pairs of a text "(a,b);(a,b);...", blanks allowed around marks and numbers.
+
+    The text is cut at its marks all at once.  It is well formed when the
+    fields, glued back with "(", ",", ")" and ";" in turn, give the text
+    again, the fields outside the parentheses are blank, and `int` reads
+    the ones inside.
+    """
+    fields = text.translate(_MARKS).split(",")
+    pre, cols, levels, post = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+    if (
+        len(fields) % 4 == 0
+        and not "".join(pre + post).strip()
+        and ";".join(map("%s(%s,%s)%s".__mod__, zip(pre, cols, levels, post))) == text
+    ):
+        try:
+            return list(zip(map(int, cols), map(int, levels)))
+        except ValueError:
+            pass
+    raise _bad_token(text, what)
+
+
+def _bad_token(text: str, what: str) -> HeapParseError:
+    """The error naming the first token of a text that _parse_pairs rejects."""
     for chunk in text.strip().split(";"):
         chunk = chunk.strip()
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise HeapParseError(f"bad {what} token {chunk!r}")
         try:
-            a, b = (int(part) for part in chunk[1:-1].split(","))
-        except ValueError as exc:
-            raise HeapParseError(f"bad {what} token {chunk!r}") from exc
-        pairs.append((a, b))
-    return pairs
+            if chunk.startswith("(") and chunk.endswith(")"):
+                a, b = chunk[1:-1].split(",")
+                int(a), int(b)
+                continue
+        except ValueError:
+            pass
+        return HeapParseError(f"bad {what} token {chunk!r}")
+    raise AssertionError(f"no bad token in {text!r}")
 
 
 def parse_heap(text: str) -> Heap:
-    return Heap(Dimer(c, l) for c, l in _parse_pairs(text, "dimer"))
+    return Heap(map(_AS_DIMER, _parse_pairs(text, "dimer")))
 
 
 def to_text(h: Heap) -> str:
-    return ";".join(f"({d.column},{d.level})" for d in h.dimers)
+    return ";".join(map("(%d,%d)".__mod__, h.dimers))
 
 
 def parse_points(text: str) -> PointAnimal:

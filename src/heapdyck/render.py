@@ -93,7 +93,7 @@ def heap_ascii(h: heaps.Heap) -> str:
 def heap_svg(h: heaps.Heap) -> str:
     lo = h.min_column()
     hi = h.max_column()
-    top = max(d.level for d in h.dimers)
+    top = h.dimers[-1].level  # the dimers are in (level, column) order
     height = (top + 1) * CELL
     out = _svg_open((hi - lo + 2) * CELL, height)
     for d in sorted(h.dimers):

@@ -16,6 +16,7 @@ from heapdyck.heaps import (
     AnimalStats,
     Dimer,
     Heap,
+    HeapParseError,
     NotAHeapError,
     PointAnimal,
     drop_columns,
@@ -214,6 +215,48 @@ def reference_check_heap(dimers: tuple[Dimer, ...]) -> str | None:
         if level and not any((c, level - 1) in cells for c in (col - 1, col, col + 1)):
             return f"dimer ({col},{level}) has no support"
     return None
+
+
+# --- heap kernels, one Python step per dimer or token -------------------------
+
+
+def _drop_level(tops: dict[int, int], column: int) -> int:
+    """Level a dimer dropped at this column lands on, given column tops."""
+    best = -1
+    for c in (column - 1, column, column + 1):
+        lvl = tops.get(c, -1)
+        if lvl > best:
+            best = lvl
+    return best + 1
+
+
+def reference_drop_columns(base, columns) -> list[Dimer]:
+    """`heaps.drop_columns` as one `_drop_level` call and one `Dimer` per dimer."""
+    out = list(base)
+    tops: dict[int, int] = {}
+    for col, level in out:
+        if level > tops.get(col, -1):
+            tops[col] = level
+    for col in columns:
+        level = _drop_level(tops, col)
+        tops[col] = level
+        out.append(Dimer(col, level))
+    return out
+
+
+def reference_parse_pairs(text: str, what: str) -> list[tuple[int, int]]:
+    """`heaps._parse_pairs` as a loop over the ";"-separated tokens."""
+    pairs = []
+    for chunk in text.strip().split(";"):
+        chunk = chunk.strip()
+        if not (chunk.startswith("(") and chunk.endswith(")")):
+            raise HeapParseError(f"bad {what} token {chunk!r}")
+        try:
+            a, b = (int(part) for part in chunk[1:-1].split(","))
+        except ValueError as exc:
+            raise HeapParseError(f"bad {what} token {chunk!r}") from exc
+        pairs.append((a, b))
+    return pairs
 
 
 # --- statistics references --------------------------------------------------

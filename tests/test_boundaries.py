@@ -60,7 +60,7 @@ def test_no_module_uses_another_modules_private_names(path):
 @pytest.mark.parametrize(
     "source, found",
     [
-        ("from . import heaps\nheaps._drop_level({}, 0)", ["heaps._drop_level"]),
+        ("from . import heaps\nheaps._parse_pairs('', 'dimer')", ["heaps._parse_pairs"]),
         ("from .heaps import Heap, _check_heap", ["heaps._check_heap"]),
         ("from heapdyck import paths as p\np._gen_balanced(2, False)", ["p._gen_balanced"]),
         ("import heapdyck.series as s\ns._ONE", ["s._ONE"]),

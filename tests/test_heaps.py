@@ -1,6 +1,9 @@
+import random
+import re
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from heapdyck import bijections, counting, heaps
 from heapdyck.heaps import (
@@ -16,9 +19,12 @@ from heapdyck.heaps import (
 from oracles import (
     BadGroundError,
     catalan,
+    crossing_heavy,
     drop,
     motzkin,
     reference_check_heap,
+    reference_drop_columns,
+    reference_parse_pairs,
     square_animals,
     superpose,
 )
@@ -64,6 +70,14 @@ class TestHeapValidation:
         b = Heap((Dimer(1, 1), Dimer(0, 0)))
         assert a == b
         assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "item", [(0.0, 0), Dimer(0, 0.0), (0, 0, 0), 5, (True, 0)], ids=repr
+    )
+    def test_rejects_items_that_are_not_integer_pairs(self, item):
+        # a float or a bool would print under "%d" as another heap's text
+        with pytest.raises(NotAHeapError, match=f"^{re.escape(repr(item))} is not a pair"):
+            Heap([item])
 
 
 def _verdict(pairs):
@@ -129,6 +143,22 @@ class TestDrop:
     def test_detached_column_is_rejected(self):
         with pytest.raises(NotAHeapError):
             drop(drop(None, 0), 5)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(-1, 1)), max_size=12),
+        st.lists(st.integers(-20, 20), max_size=40),
+        st.booleans(),
+    )
+    def test_matches_the_per_dimer_loop(self, anchors, columns, grounded):
+        # no base, or a heap dropped from column 0 with each later column next
+        # to an earlier one; then columns anywhere, with repeats and gaps
+        base_columns = [0]
+        for k, step in anchors:
+            base_columns.append(base_columns[k % len(base_columns)] + step)
+        base = Heap(reference_drop_columns((), base_columns)).dimers if grounded else ()
+        got = heaps.drop_columns(base, iter(columns))
+        assert got == reference_drop_columns(base, columns)
+        assert all(type(d) is Dimer for d in got)
 
     def test_superpose_matches_repeated_drops(self):
         base = (Dimer(0, 0), Dimer(1, 1))
@@ -270,3 +300,74 @@ class TestText:
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(HeapParseError):
             heaps.parse_heap(bad)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_text_is_the_per_dimer_format(self, n):
+        for h in bijections.grammar_enumerate(n, "T"):
+            assert heaps.to_text(h) == ";".join(f"({d.column},{d.level})" for d in h.dimers)
+
+    def test_crossing_heap_round_trip_at_n_2000(self):
+        h = bijections.path_to_heap(crossing_heavy(random.Random(2000), 2000))
+        assert h.min_column() < 0
+        assert heaps.parse_heap(heaps.to_text(h)) == h
+
+
+# pieces of heap text: marks, blanks (one of them not ASCII), signs, digits
+# (one of them not ASCII), underscores and letters
+_PIECES = ["(", ")", ",", ";", " ", "\t", "\u00a0", "+", "-", "_", "0", "1", "7", "\u0663", "a"]
+
+
+def _number():
+    digits = st.text("0179\u0663", min_size=1, max_size=3)
+    return st.tuples(st.sampled_from(["", "+", "-"]), digits, st.sampled_from(["", "_0"])).map(
+        "".join
+    )
+
+
+def _token():
+    blank = st.sampled_from(["", " ", "  ", "\t"])
+    return st.tuples(blank, blank, _number(), blank, blank, _number(), blank, blank).map(
+        lambda p: f"{p[0]}({p[1]}{p[2]}{p[3]},{p[4]}{p[5]}{p[6]}){p[7]}"
+    )
+
+
+@st.composite
+def _heap_texts(draw):
+    """Well-formed texts, some with one piece inserted or deleted; or pieces at random."""
+    if draw(st.integers(0, 3)) == 0:
+        return "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=20)))
+    text = ";".join(draw(st.lists(_token(), min_size=1, max_size=5)))
+    edit = draw(st.sampled_from(["none", "insert", "insert", "delete"]))
+    # half the edits land on either side of a mark, where the blanks are
+    if draw(st.booleans()):
+        marks = [i for i, c in enumerate(text) if c in "(),;"]
+        at = draw(st.sampled_from(marks)) + draw(st.integers(0, 1))
+    else:
+        at = draw(st.integers(0, len(text)))
+    if edit == "insert":
+        text = text[:at] + draw(st.sampled_from(_PIECES)) + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1 :]
+    return text
+
+
+def _parsed(parse, text):
+    """The pairs a parser reads from the text, or its HeapParseError message."""
+    try:
+        return parse(text, "dimer")
+    except HeapParseError as exc:
+        return str(exc)
+
+
+@given(_heap_texts())
+@example("")
+@example("(0,0);")
+@example("((0,0))")
+@example("(1,2,3)")
+@example("(a,b)")
+@example(" ( +0 , -1_0 ) ;(-3,\t2) ")
+@example("(0,0),(1,1)")
+@example("a(0,0)")
+@example("(0,0) 7;(1,1)")
+def test_parse_pairs_matches_the_per_token_loop(text):
+    assert _parsed(heaps._parse_pairs, text) == _parsed(reference_parse_pairs, text)

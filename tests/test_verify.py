@@ -15,6 +15,8 @@ import pytest
 
 from heapdyck import bijections, cli, counting, heaps, multisets, paths, verify
 
+import oracles
+
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
@@ -90,6 +92,13 @@ def _mutated(fn, old, new):
     return namespace[fn.__name__]
 
 
+def _drop_with(monkeypatch, drop_level):
+    """heaps.drop_columns replaced by the per-dimer reference loop, landing by drop_level."""
+    monkeypatch.setattr(oracles, "_drop_level", drop_level)
+    monkeypatch.setattr(heaps, "drop_columns", oracles.reference_drop_columns)
+    bijections.clear_caches()
+
+
 class TestMutationSmoke:
     def test_broken_staircase_map_is_caught(self, monkeypatch):
         orig = bijections.multiset_to_path
@@ -131,8 +140,7 @@ class TestMutationSmoke:
                     best = lvl
             return best + 1
 
-        monkeypatch.setattr(heaps, "_drop_level", lopsided)
-        bijections.clear_caches()
+        _drop_with(monkeypatch, lopsided)
         assert _failing("bijections").keys() == {
             "run-heap-round-trip",
             "run-heap-image-is-grammar-T",
@@ -144,12 +152,11 @@ class TestMutationSmoke:
         }
 
     def test_one_sided_gravity_fails_symmetry_checks(self, monkeypatch):
-        # the grammar and the animal map both drop by heaps._drop_level
+        # the grammar and the animal map both drop by heaps.drop_columns
         def lopsided(tops, column):
             return max(tops.get(column, -1), tops.get(column + 1, -1)) + 1
 
-        monkeypatch.setattr(heaps, "_drop_level", lopsided)
-        bijections.clear_caches()
+        _drop_with(monkeypatch, lopsided)
         failing = _failing("symmetry")
         assert failing.keys() == {"left-plus-one-matches-right-width", "reflection-swaps-widths"}
         assert failing["left-plus-one-matches-right-width"].startswith("class T, n=2: ")

@@ -9,14 +9,17 @@ multisets repeating every value below the bound give UDU-free words.
 
 The heap side peels a word into maximal same-sign runs, each read as a
 Dyck word (below-axis runs are reversed first) and shifted one column
-further left than the run before it.  The heap is one drop sequence:
-each run's D steps, read right to left, fall by gravity at their heights
-plus the run's shift.  The inverse peels the heap bottom-up; at each step
-exactly one of the dimers free to leave can continue a drop sequence of
-that shape, so the peel recovers the columns and with them the word.
+further left than the run before it.  The word's drop sequence lists
+each run's D steps, read right to left, at their heights plus the run's
+shift, and the heap is that sequence fallen under gravity.  The inverse
+peels the heap bottom-up; at each step exactly one of the dimers free to
+leave can continue a drop sequence of that shape, so the peel recovers
+the columns and with them the word.
 
 The constructor grammar lists heaps as drop sequences too: each case
 joins its parts' sequences, and `heaps.drop_columns` drops the result.
+A heap is the same whatever linear extension of it is dropped, so
+`factorize` cuts its word's drop sequence by that same case table.
 """
 
 from __future__ import annotations
@@ -101,8 +104,8 @@ def run_components(word: str) -> list[RunComponent]:
     return comps
 
 
-def path_to_heap(word: str) -> Heap:
-    """Drop each run's D steps at their heights plus the run's shift.
+def drop_sequence(word: str) -> list[int]:
+    """The columns the word's D steps drop at, in order: run by run, each with its run's shift.
 
     One scan finds the crossings as it goes; the k-th crossing starts a
     run shifted k columns left.  An above-axis run is a Dyck word, and its
@@ -132,41 +135,36 @@ def path_to_heap(word: str) -> Heap:
                 columns.append(shift - y - 1)
         prev = step
     columns.extend(reversed(above))
-    return Heap(heaps.drop_columns((), columns))
+    return columns
+
+
+def path_to_heap(word: str) -> Heap:
+    """Drop the word's drop sequence under gravity."""
+    return Heap(heaps.drop_columns(drop_sequence(word)))
 
 
 # --- constructors and their inversion ----------------------------------
 
 
 def factorize(h: Heap) -> Factorization:
-    """The constructor case of h and its parts, read off the runs and arches of its word.
+    """The constructor case of h and its parts, cut from the drop sequence of its word.
 
-    A word that crosses the axis is case v: its first run is the base, and
-    the later runs, each turned to the other side of the axis, are the part
-    dropped on top.  A Dyck word is UD (case i), one arch (ii), or ends in a
-    last arch that is UD (iii) or a longer arch (iv).
+    The cuts follow `_sequence`.  The first negative column starts case v's
+    part c - 1, and the base b before it has no negative column.  With none,
+    the sequence is 0, then b + 1 (all positive) up to the next 0, then c;
+    which of b and c are empty names case i, ii, iii or iv.
     """
     if not isinstance(h, Heap):
         raise heaps.NotAHeapError(f"expected a Heap, got {type(h).__name__}")
-    comps = run_components(heap_to_path(h))
-    if len(comps) > 1:
-        rest = "".join(
-            c.dyck_word if j % 2 else c.dyck_word[::-1] for j, c in enumerate(comps[1:], 1)
-        )
-        case, words = "v", (comps[0].dyck_word, rest)
+    seq = drop_sequence(heap_to_path(h))
+    cut = next((i for i, x in enumerate(seq) if x < 0), None)
+    if cut is not None:
+        case, seqs = "v", (seq[:cut], [x + 1 for x in seq[cut:]])
     else:
-        word = comps[0].dyck_word
-        ys = paths.heights(word)
-        last = max(x for x in range(len(word)) if ys[x] == 0)  # where the last arch starts
-        if word == "UD":
-            case, words = "i", ()
-        elif last == 0:
-            case, words = "ii", (word[1:-1],)
-        elif word[last:] == "UD":
-            case, words = "iii", (word[:last],)
-        else:
-            case, words = "iv", (word[last + 1 : -1], word[:last])
-    parts = tuple(path_to_heap(w) for w in words)
+        cut = next((i for i, x in enumerate(seq) if i and not x), len(seq))
+        b, c = [x - 1 for x in seq[1:cut]], seq[cut:]
+        case, seqs = ("i", "iii", "ii", "iv")[2 * bool(b) + bool(c)], tuple(filter(None, (b, c)))
+    parts = tuple(Heap(heaps.drop_columns(s)) for s in seqs)
     if compose(case, parts) != h:
         raise FactorizationFailedError(f"case {case} split of {h} does not recompose")
     return Factorization(case, parts)
@@ -199,7 +197,7 @@ def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
     if len(parts) != _ARITY[case]:
         raise FactorizationFailedError(f"case {case} takes {_ARITY[case]} parts, got {len(parts)}")
     seq = _sequence(case, *(tuple(d.column for d in p.dimers) for p in parts))
-    return Heap(heaps.drop_columns((), seq))
+    return Heap(heaps.drop_columns(seq))
 
 
 # --- heap -> word ------------------------------------------------------
@@ -312,7 +310,7 @@ def grammar_enumerate(n: int, klass: str) -> frozenset[Heap]:
         raise ValueError("n must be positive")
     seqs = _sequences(klass, n)
     # a heap built twice below size n is built twice at n too (case ii or v on the ground)
-    out = frozenset(Heap(heaps.drop_columns((), seq)) for seq in seqs)
+    out = frozenset(Heap(heaps.drop_columns(seq)) for seq in seqs)
     if len(out) != len(seqs):
         raise GrammarDuplicateError(f"constructor overlap while building {klass} at size {n}")
     return out

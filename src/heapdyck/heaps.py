@@ -161,17 +161,13 @@ class AnimalStats:
     nbp_profile: dict[int, int]
 
 
-def drop_columns(base: Iterable[Dimer], columns: Iterable[int]) -> list[Dimer]:
-    """Drop one dimer per column, in order, onto base; base's dimers, then the new ones.
+def drop_columns(columns: Iterable[int]) -> list[Dimer]:
+    """Drop one dimer per column, in order, onto the ground; the dimers in drop order.
 
     A dimer dropped at a column lands one level above the highest top of
     that column and its two neighbours.
     """
-    out = list(base)
     tops: dict[int, int] = {}  # column -> level of its highest dimer
-    for col, level in out:
-        if level > tops.get(col, -1):
-            tops[col] = level
     cols = list(columns)
     levels = []
     get = tops.get
@@ -186,8 +182,7 @@ def drop_columns(base: Iterable[Dimer], columns: Iterable[int]) -> list[Dimer]:
         level += 1
         tops[col] = level
         levels.append(level)
-    out += map(_AS_DIMER, zip(cols, levels))
-    return out
+    return list(map(_AS_DIMER, zip(cols, levels)))
 
 
 def heap_stats(h: Heap) -> AnimalStats:
@@ -267,7 +262,7 @@ class PointAnimal:
 def animal_to_heap(a: PointAnimal) -> Heap:
     """Drop one dimer per point, column x - y, in non-decreasing x + y order."""
     points = sorted(a.points, key=lambda p: (p[0] + p[1], p[0]))
-    return Heap(drop_columns((), (x - y for x, y in points)))
+    return Heap(drop_columns(x - y for x, y in points))
 
 
 def animal_reflect(a: PointAnimal) -> PointAnimal:
@@ -385,7 +380,8 @@ def parse_heap(text: str) -> Heap:
 
 
 def to_text(h: Heap) -> str:
-    return ";".join(map("(%d,%d)".__mod__, h.dimers))
+    dims = h.dimers
+    return ";".join(["(%d,%d)"] * len(dims)) % tuple(chain.from_iterable(dims))
 
 
 def parse_points(text: str) -> PointAnimal:

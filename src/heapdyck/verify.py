@@ -18,6 +18,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import islice
 from math import comb
 from operator import add, mul
 from typing import Callable, Iterable, Iterator
@@ -380,16 +381,17 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
     dyck_offsets: set[int] = set()
     above_offsets: set[int] = set()
     below_offsets: set[int] = set()
-    run_columns: dict[str, list[int]] = {}  # sorted dimer columns of each run's own heap
     for n in range(1, max_n + 1):
         for word in paths.enumerate_family("grand_dyck", n):
             where = f"n={n}, word {word}"
+            seq: list[int] = []  # the word's drop sequence, once it is read
             # a library error while computing the word's statistics fails the
             # first check that reads them, and skips the word's other checks
             with rec.guard("area-equals-semilength-equals-length", where):
                 ms = multisets.stats(bijections.path_to_multiset(word))
                 ps = paths.height_stats(word)
-                hs = heaps.heap_stats(bijections.path_to_heap(word))
+                seq = bijections.drop_sequence(word)
+                hs = heaps.heap_stats(heaps.Heap(heaps.drop_columns(seq)))
                 rec.require(
                     "area-equals-semilength-equals-length",
                     hs.area == ps.semilength == ms.length,
@@ -423,18 +425,14 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
                 )
                 off = ps.height_max - ms.gap
                 gap_offsets[off] = gap_offsets.get(off, 0) + 1
-                if paths.classify(word).dyck:
+                if ps.cross == 0:
                     dyck_offsets.add(off)
             with rec.guard("u-heights-track-dimer-columns", where):
                 modified = paths.modified_heights(word)
+                # seq holds the runs' columns in run order, each run's shift included
+                drops = iter(seq)
                 for comp in bijections.run_components(word):
-                    own = run_columns.get(comp.dyck_word)
-                    if own is None:
-                        own = sorted(
-                            d.column for d in bijections.path_to_heap(comp.dyck_word).dimers
-                        )
-                        run_columns[comp.dyck_word] = own
-                    cols = [c + comp.shift for c in own]
+                    cols = sorted(islice(drops, (comp.end - comp.start) // 2))
                     u_heights = sorted(
                         modified[i + 1]
                         for i in range(comp.start, comp.end)

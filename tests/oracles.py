@@ -101,7 +101,7 @@ def drop(heap: Heap | None, column: int) -> Heap:
         if column != 0:
             raise BadGroundError("first dimer must land in column 0")
         return Heap((Dimer(0, 0),))
-    return Heap(drop_columns(heap.dimers, (column,)))
+    return Heap(drop_columns([*(d.column for d in heap.dimers), column]))
 
 
 def _by_level(dimers) -> tuple[Dimer, ...]:
@@ -109,8 +109,13 @@ def _by_level(dimers) -> tuple[Dimer, ...]:
 
 
 def superpose(base: tuple[Dimer, ...], part: tuple[Dimer, ...], shift: int) -> tuple[Dimer, ...]:
-    """Drop the dimers of part, columns shifted, onto base; (level, column) order."""
-    return _by_level(drop_columns(base, (col + shift for col, _ in _by_level(part))))
+    """Drop the dimers of part, columns shifted, onto base; (level, column) order.
+
+    The base enters as its columns in (level, column) order, which rebuild it.
+    """
+    columns = [col for col, _ in _by_level(base)]
+    columns += (col + shift for col, _ in _by_level(part))
+    return _by_level(drop_columns(columns))
 
 
 def pattern_count(word: str, pattern: str) -> int:
@@ -230,13 +235,10 @@ def _drop_level(tops: dict[int, int], column: int) -> int:
     return best + 1
 
 
-def reference_drop_columns(base, columns) -> list[Dimer]:
+def reference_drop_columns(columns) -> list[Dimer]:
     """`heaps.drop_columns` as one `_drop_level` call and one `Dimer` per dimer."""
-    out = list(base)
+    out = []
     tops: dict[int, int] = {}
-    for col, level in out:
-        if level > tops.get(col, -1):
-            tops[col] = level
     for col in columns:
         level = _drop_level(tops, col)
         tops[col] = level

@@ -188,6 +188,32 @@ class TestPathToHeap:
         assert image == bijections.grammar_enumerate(n, "Q")
 
 
+class TestDropSequence:
+    def test_pinned_sequence(self):
+        # runs UUDD, DU, UD, DU, UUDD, DU, each one column further left
+        assert bijections.drop_sequence(EXAMPLE_A[1]) == [0, 1, -1, -2, -3, -4, -3, -5]
+
+    @staticmethod
+    def by_runs(word):
+        """The runs' own drop sequences, each shifted by its run's shift, joined in run order."""
+        return [
+            x + c.shift
+            for c in bijections.run_components(word)
+            for x in bijections.drop_sequence(c.dyck_word)
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_splits_into_run_sequences(self, n):
+        for w in paths.enumerate_family("grand_dyck", n):
+            assert bijections.drop_sequence(w) == self.by_runs(w), w
+
+    def test_splits_into_run_sequences_at_300(self):
+        rng = random.Random(300)
+        for _ in range(50):
+            w = bijections.multiset_to_path(multisets.validate(uniform_multiset(rng, 300), 300))
+            assert bijections.drop_sequence(w) == self.by_runs(w), w
+
+
 class TestFactorize:
     def test_ground(self):
         f = bijections.factorize(heap_of((0, 0)))
@@ -229,6 +255,31 @@ class TestFactorize:
         for h in bijections.grammar_enumerate(n, "T"):
             f = bijections.factorize(h)
             assert (f.case, f.parts) == subset_factorize(h), h
+
+    @pytest.mark.parametrize("klass", ["T", "Q"])
+    @pytest.mark.parametrize("n", [200, 500])
+    def test_seeded_large_heaps(self, klass, n):
+        # T heaps from uniform words; Q heaps from DUD-free words, the images of
+        # star multisets, whose values climb by 0 or by 2 or more
+        rng = random.Random(n)
+        for _ in range(5):
+            if klass == "T":
+                values = uniform_multiset(rng, n)
+            else:
+                values = [rng.randint(1, 3)]
+                while len(values) < n:
+                    step = rng.choice((0, 0, 2, 3))
+                    values.append(values[-1] + (step if values[-1] + step <= n else 0))
+            h = bijections.path_to_heap(
+                bijections.multiset_to_path(multisets.validate(values, n))
+            )
+            assert klass == "T" or heaps.heap_stats(h).diag == 0
+            # the heap and its parts, so that the cases below v are met too
+            for g in (h, *bijections.factorize(h).parts):
+                f = bijections.factorize(g)
+                assert bijections.compose(f.case, f.parts) == g
+                assert sum(map(len, f.parts)) == (len(g) if f.case == "v" else len(g) - 1)
+                assert (f.case == "v") == (g.min_column() < 0)
 
     def test_compose_rejects_unknown_case(self):
         with pytest.raises(ValueError):
@@ -311,7 +362,7 @@ class TestGrammar:
         bijections.clear_caches()
         memo = {}
         for n in range(1, 9):
-            built = [Heap(heaps.drop_columns((), seq)) for seq in bijections._sequences(klass, n)]
+            built = [Heap(heaps.drop_columns(seq)) for seq in bijections._sequences(klass, n)]
             assert built == [decoded(blob) for blob in encoded_grammar(klass, n, memo)], n
 
     def test_duplicate_build_raises(self, monkeypatch):

@@ -64,7 +64,7 @@ def test_no_module_uses_another_modules_private_names(path):
         ("from .heaps import Heap, _check_heap", ["heaps._check_heap"]),
         ("from heapdyck import paths as p\np._gen_balanced(2, False)", ["p._gen_balanced"]),
         ("import heapdyck.series as s\ns._ONE", ["s._ONE"]),
-        ("from . import heaps\nheaps.drop_columns((), [0])\nx._private", []),
+        ("from . import heaps\nheaps.drop_columns([0])\nx._private", []),
         ("from os import _exit\nimport heapdyck\nheapdyck.__version__", []),
     ],
     ids=["attribute", "from-import", "aliased-from", "aliased-import", "public", "foreign"],

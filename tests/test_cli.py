@@ -1,8 +1,11 @@
+import importlib
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -378,3 +381,14 @@ class TestUsage:
 
     def test_unknown_verb(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_console_script_runs_cli_main(self, capsys):
+        # pyproject.toml's [project.scripts] entry, read without tomllib (3.10 has none)
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        module, name = re.search(r'^heapdyck = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+        main = getattr(importlib.import_module(module), name)
+        assert main is cli.main
+        code = main(["map", "--from", "path", "--to", "heap", "--input", "UUDD"])
+        assert type(code) is int and code == 0
+        assert capsys.readouterr().out == "(0,0);(1,1)\n"

@@ -151,13 +151,16 @@ class TestDrop:
     )
     def test_matches_the_per_dimer_loop(self, anchors, columns, grounded):
         # no base, or a heap dropped from column 0 with each later column next
-        # to an earlier one; then columns anywhere, with repeats and gaps
+        # to an earlier one, as its canonical columns; then columns anywhere,
+        # with repeats and gaps
         base_columns = [0]
         for k, step in anchors:
             base_columns.append(base_columns[k % len(base_columns)] + step)
-        base = Heap(reference_drop_columns((), base_columns)).dimers if grounded else ()
-        got = heaps.drop_columns(base, iter(columns))
-        assert got == reference_drop_columns(base, columns)
+        base = Heap(reference_drop_columns(base_columns)).dimers if grounded else ()
+        sequence = [d.column for d in base] + columns
+        got = heaps.drop_columns(iter(sequence))
+        assert got == reference_drop_columns(sequence)
+        assert got[: len(base)] == list(base)  # the canonical columns rebuild the base
         assert all(type(d) is Dimer for d in got)
 
     def test_superpose_matches_repeated_drops(self):

@@ -120,8 +120,8 @@ class TestMutationSmoke:
     def test_missing_run_reversal_is_caught(self, monkeypatch):
         # below-axis runs read as they stand, like the above-axis ones: D steps
         # right to left at their signed heights.  Dyck words have no such run.
-        unreversed = _mutated(bijections.path_to_heap, "if y >= 0:", "if True:")
-        monkeypatch.setattr(bijections, "path_to_heap", unreversed)
+        unreversed = _mutated(bijections.drop_sequence, "if y >= 0:", "if True:")
+        monkeypatch.setattr(bijections, "drop_sequence", unreversed)
         bijections.clear_caches()
         failing = _failing("bijections")
         assert failing.keys() == {

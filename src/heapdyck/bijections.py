@@ -49,15 +49,6 @@ class Factorization:
     parts: tuple[Heap, ...]
 
 
-@dataclass(frozen=True)
-class RunComponent:
-    start: int
-    end: int
-    below: bool
-    dyck_word: str
-    shift: int
-
-
 # --- multiset <-> word -------------------------------------------------
 
 
@@ -89,19 +80,6 @@ def path_to_multiset(word: str) -> multisets.Multiset:
 
 
 # --- word -> heap ------------------------------------------------------
-
-
-def run_components(word: str) -> list[RunComponent]:
-    """Split a grand-Dyck word at its crossings into alternating sign runs."""
-    bounds = [0, *paths.crossings(word), len(word)]
-    comps = []
-    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        run = word[a:b]
-        below = run[0] == "D"
-        if below != (j % 2 == 1):
-            raise FactorizationFailedError(f"runs do not alternate in {word!r}")
-        comps.append(RunComponent(a, b, below, run[::-1] if below else run, -j))
-    return comps
 
 
 def drop_sequence(word: str) -> list[int]:

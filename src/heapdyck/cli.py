@@ -58,7 +58,7 @@ STAT_KINDS = ("multiset", "path", "heap", "animal")
 
 
 class TableCheckError(HeapdyckError, RuntimeError):
-    """A table1 entry is not an integer or disagrees with enumeration."""
+    """A table1 entry is not an integer or disagrees with the star-multiset count."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,10 +198,11 @@ def _do_enumerate(args) -> int:
     if args.subdiagonal and args.family not in _ANIMAL_FAMILIES:
         raise ValueError("--subdiagonal applies to animal families only")
     if args.family in _MS_FAMILIES:
-        items = [
-            multisets.to_text(m)
-            for m in multisets.enumerate_family(_MS_FAMILIES[args.family], args.n, args.k)
-        ]
+        family = _MS_FAMILIES[args.family]
+        if args.count_only:
+            print(multisets.count_family(family, args.n, args.k))
+            return 0
+        items = [multisets.to_text(m) for m in multisets.enumerate_family(family, args.n, args.k)]
     elif args.family in _PATH_FAMILIES:
         family = _PATH_FAMILIES[args.family]
         if args.count_only:
@@ -221,11 +222,8 @@ def _do_enumerate(args) -> int:
             return 0
         found = heaps.animal_enumerate_bruteforce(args.n, lattice, subdiagonal=args.subdiagonal)
         items = sorted(heaps.points_to_text(a) for a in found)
-    if args.count_only:
-        print(len(items))
-    else:
-        for item in items:
-            print(item)
+    for item in items:
+        print(item)
     return 0
 
 
@@ -256,7 +254,7 @@ def table1_lines(max_n: int, max_k: int) -> list[str]:
     """Rows k = 1..max_k of star-multiset counts, columns n = 1..max_n.
 
     Entries come from the bivariate table and are cross-checked against
-    direct enumeration wherever that is affordable.
+    the transfer count of star multisets at n, k <= 9.
     """
     if max_n < 1 or max_k < 1:
         raise ValueError("table bounds must be at least 1")
@@ -271,7 +269,7 @@ def table1_lines(max_n: int, max_k: int) -> list[str]:
             value = int(c)
             if n <= 9 and k <= 9 and multisets.count_family("star", n, k) != value:
                 raise TableCheckError(
-                    f"table entry n={n}, k={k} disagrees with enumeration"
+                    f"table entry n={n}, k={k} disagrees with the star-multiset count"
                 )
             row.append(str(value))
         lines.append(" ".join(row))

@@ -181,6 +181,17 @@ def _depth_first(n: int, k: int, next_values) -> Iterator[tuple[int, ...]]:
             stack.append(iter(next_values(values, n, k)))
 
 
+def _bound(family: str, n: int, k: int | None) -> int:
+    """The value bound k, which defaults to n, once family, n and k are checked."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if k is not None and k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
+    return n if k is None else k
+
+
 def enumerate_family(family: str, n: int, k: int | None = None) -> Iterator[Multiset]:
     """Yield the family members of size n over {1..k} in lexicographic order.
 
@@ -188,11 +199,7 @@ def enumerate_family(family: str, n: int, k: int | None = None) -> Iterator[Mult
     that breaks the family's condition is never placed, so no multiset
     outside the family is built.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    bound = n if k is None else k
+    bound = _bound(family, n, k)
     if family == "all":
         tuples = combinations_with_replacement(range(1, bound + 1), n)
     else:
@@ -202,7 +209,34 @@ def enumerate_family(family: str, n: int, k: int | None = None) -> Iterator[Mult
 
 
 def count_family(family: str, n: int, k: int | None = None) -> int:
-    return sum(1 for _ in enumerate_family(family, n, k))
+    """The number of multisets enumerate_family yields, by a transfer count over the positions.
+
+    A state is the last value and whether it is already repeated.  The next
+    value repeats the last one or climbs past it: by two or more in the
+    star families, and in no_single_except_k only from a repeated value.
+    The superdiagonal families place no value below its position.  One
+    running sum serves every climb, so the count takes O(nk) steps.
+    """
+    bound = _bound(family, n, k)
+    gap = 2 if "star" in family else 1  # the smallest climb
+    single_climbs = family != "no_single_except_k"
+    once = [0, *[1] * bound]  # index v: prefixes ending at value v once
+    more = [0] * (bound + 1)  # index v: prefixes ending at value v twice or more
+    for i in range(2, n + 1):
+        least = i if family.startswith("super") else 1
+        climbers = 0  # prefixes that may climb to w: those ending at a value up to w - gap
+        grown_once, grown_more = [0] * (bound + 1), [0] * (bound + 1)
+        for w in range(1, bound + 1):
+            if w > gap:
+                v = w - gap
+                climbers += more[v] + (once[v] if single_climbs else 0)
+            if w >= least:
+                grown_once[w] = climbers
+                grown_more[w] = once[w] + more[w]
+        once, more = grown_once, grown_more
+    if single_climbs:
+        return sum(once) + sum(more)
+    return sum(more) + once[bound]  # only the bound may end on a single value
 
 
 def parse(text: str) -> Multiset:

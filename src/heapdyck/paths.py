@@ -31,14 +31,6 @@ class NotGrandDyckError(HeapdyckError, ValueError):
 
 
 @dataclass(frozen=True)
-class PathFlags:
-    balanced: bool
-    starts_with_u: bool
-    dyck: bool
-    grand_dyck: bool
-
-
-@dataclass(frozen=True)
 class PathStats:
     semilength: int
     cross: int
@@ -73,49 +65,6 @@ def heights(word: str) -> list[int]:
         y += 1 if step == "U" else -1
         ys.append(y)
     return ys
-
-
-def _flags(word: str, ys: list[int]) -> PathFlags:
-    balanced = ys[-1] == 0
-    starts_u = word[:1] == "U"
-    dyck = balanced and min(ys) >= 0
-    return PathFlags(balanced, starts_u, dyck, balanced and starts_u)
-
-
-def classify(word: str) -> PathFlags:
-    return _flags(word, heights(word))
-
-
-def _crossings(word: str, ys: list[int]) -> tuple[int, ...]:
-    return tuple(
-        x
-        for x in range(1, len(word))
-        if ys[x] == 0 and word[x - 1] == word[x]
-    )
-
-
-def crossings(word: str) -> tuple[int, ...]:
-    """Interior x positions where the path changes sign through the axis."""
-    return _crossings(word, heights(word))
-
-
-def _modified(ys: list[int], cross_at: tuple[int, ...]) -> list[int]:
-    out = []
-    seen = 0
-    cross_iter = iter(cross_at)
-    next_cross = next(cross_iter, None)
-    for x, y in enumerate(ys):
-        if next_cross is not None and next_cross < x:
-            seen += 1
-            next_cross = next(cross_iter, None)
-        out.append(abs(y) - seen)
-    return out
-
-
-def modified_heights(word: str) -> list[int]:
-    """Per point: |y_x| minus the number of crossings strictly left of x."""
-    ys = heights(word)
-    return _modified(ys, _crossings(word, ys))
 
 
 def height_stats(word: str) -> PathStats:
@@ -251,4 +200,27 @@ def enumerate_family(family: str, n: int) -> Iterator[str]:
 
 
 def count_family(family: str, n: int) -> int:
-    return sum(1 for _ in enumerate_family(family, n))
+    """The number of words enumerate_family yields, by a transfer count over the steps.
+
+    A state is the U count so far and the last two steps, and every word
+    starts with U.  A step is taken unless it overdraws the word (a letter
+    past n, or a Dyck word below the axis) or completes the family's
+    pattern, so the count walks O(n^2) states and builds no word.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    pattern = _AVOIDS.get(family)
+    dyck_only = family.startswith("dyck")
+    states = {(1, "U"): 1}  # (U steps, last two steps) -> prefixes
+    for length in range(1, 2 * n):
+        grown: dict[tuple[int, str], int] = {}
+        for (ups, tail), ways in states.items():
+            downs = length - ups
+            for step, room in (("U", ups < n), ("D", downs < (ups if dyck_only else n))):
+                if room and tail + step != pattern:
+                    key = (ups + (step == "U"), tail[-1] + step)
+                    grown[key] = grown.get(key, 0) + ways
+        states = grown
+    return sum(states.values())

@@ -1,7 +1,9 @@
 """Verification suites behind the command line `verify` verb.
 
-Each suite walks every object up to a size bound and records one result
-per named check.  In the bijections, statistics and symmetry suites, a
+Each suite records one result per named check.  The bijections,
+statistics and symmetry suites walk every object up to a size bound; the
+counts suite lists nothing, and compares transfer counts, formulas,
+series and recurrences up to that bound.  In the walking suites, a
 library error raised on one object, or while the grammar builds a class,
 fails the checks being computed, with the object or class named, and the
 walk carries on.  The statistics suite does not assume the two empirical
@@ -283,8 +285,11 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
     rec = _Recorder()
     for n in range(1, max_n + 1):
         words = set(paths.enumerate_family("grand_dyck", n))
+        every = list(multisets.enumerate_family("all", n))
+        # the distinct members of each family listed below, by module and family
+        listed = {(paths, "grand_dyck"): len(words), (multisets, "all"): len(set(every))}
         images = {}
-        for m in multisets.enumerate_family("all", n):
+        for m in every:
             where = f"n={n}, multiset {m}"
             with rec.guard("staircase-round-trip", where):
                 w = bijections.multiset_to_path(m)
@@ -301,14 +306,17 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
             ("no_single_except_k", "grand_dyck_udu_free"),
         ):
             name = f"staircase-{family.replace('_', '-')}-image"
-            got = rec.image(
+            members = rec.images(
                 name,
                 bijections.multiset_to_path,
                 multisets.enumerate_family(family, n),
                 f"n={n}, multiset",
             )
+            got = _found(members)
             want = set(paths.enumerate_family(target, n))
             rec.require(name, got == want, f"n={n}: {len(got)} words vs {len(want)}")
+            listed[multisets, family] = len(members)
+            listed[paths, target] = len(want)
         # built on first use, so that a library error fails only the checks against its class
         grammar = cache(partial(bijections.grammar_enumerate, n))
         heaps_seen = {}
@@ -369,10 +377,40 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                     rec.require(
                         name, (heaps.heap_stats(h).diag == 0) == (h in square_heaps), where
                     )
+        for (module, family), size in listed.items():
+            counted = module.count_family(family, n)
+            rec.require(
+                "listed-families-match-counts",
+                size == counted,
+                f"n={n}, {module.__name__} {family}: {size} listed, {counted} counted",
+            )
     return rec.results(f"all sizes 1..{max_n}")
 
 
 # --- statistics ---------------------------------------------------------
+
+
+def _run_u_heights(word: str) -> list[tuple[int, bool, list[int]]]:
+    """Per sign run of a grand-Dyck word: where it starts, whether it lies
+    below the axis, and the modified heights its U steps end at.
+
+    One scan; a crossing starts the next run.  A point's modified height is
+    |y| minus the crossings at or left of the step that ends there.
+    """
+    runs: list[tuple[int, bool, list[int]]] = [(0, False, [])]
+    y = cross = 0
+    prev = ""
+    for x, step in enumerate(word):
+        if not y and step == prev:
+            cross += 1
+            runs.append((x, step == "D", []))
+        if step == "U":
+            y += 1
+            runs[-1][2].append(abs(y) - cross)
+        else:
+            y -= 1
+        prev = step
+    return runs
 
 
 def _suite_statistics(max_n: int) -> list[CheckResult]:
@@ -427,25 +465,18 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
                 gap_offsets[off] = gap_offsets.get(off, 0) + 1
                 if ps.cross == 0:
                     dyck_offsets.add(off)
-            with rec.guard("u-heights-track-dimer-columns", where):
-                modified = paths.modified_heights(word)
-                # seq holds the runs' columns in run order, each run's shift included
-                drops = iter(seq)
-                for comp in bijections.run_components(word):
-                    cols = sorted(islice(drops, (comp.end - comp.start) // 2))
-                    u_heights = sorted(
-                        modified[i + 1]
-                        for i in range(comp.start, comp.end)
-                        if word[i] == "U"
-                    )
-                    diffs = {uh - c for uh, c in zip(u_heights, cols)}
-                    rec.require(
-                        "u-heights-track-dimer-columns",
-                        len(diffs) == 1,
-                        f"{where}, run at {comp.start}",
-                    )
-                    if len(diffs) == 1:
-                        (below_offsets if comp.below else above_offsets).add(diffs.pop())
+            # seq holds the runs' columns in run order, each run's shift included
+            drops = iter(seq)
+            for start, below, u_heights in _run_u_heights(word):
+                cols = sorted(islice(drops, len(u_heights)))
+                diffs = {uh - c for uh, c in zip(sorted(u_heights), cols)}
+                rec.require(
+                    "u-heights-track-dimer-columns",
+                    len(diffs) == 1,
+                    f"{where}, run at {start}",
+                )
+                if len(diffs) == 1:
+                    (below_offsets if below else above_offsets).add(diffs.pop())
     bounded = set(gap_offsets) <= {0, 1}
     rec.require(
         "gap-stays-within-one-of-height",

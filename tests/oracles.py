@@ -6,6 +6,8 @@ reference, `encoded_grammar`, builds heaps as byte strings with a gravity
 of its own, so it shares nothing with `drop_columns`.
 """
 
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
@@ -116,6 +118,63 @@ def superpose(base: tuple[Dimer, ...], part: tuple[Dimer, ...], shift: int) -> t
     columns = [col for col, _ in _by_level(base)]
     columns += (col + shift for col, _ in _by_level(part))
     return _by_level(drop_columns(columns))
+
+
+def listed_count(module, *args) -> int:
+    """How many objects module.enumerate_family(*args) yields: the count by listing them."""
+    return sum(1 for _ in module.enumerate_family(*args))
+
+
+@dataclass(frozen=True)
+class PathFlags:
+    balanced: bool
+    starts_with_u: bool
+    dyck: bool
+    grand_dyck: bool
+
+
+def classify(word: str) -> PathFlags:
+    """The word classes a step word belongs to, read off its heights."""
+    ys = paths.heights(word)
+    balanced = ys[-1] == 0
+    starts_u = word[:1] == "U"
+    return PathFlags(balanced, starts_u, balanced and min(ys) >= 0, balanced and starts_u)
+
+
+def crossings(word: str) -> tuple[int, ...]:
+    """Interior x positions where the path changes sign through the axis."""
+    ys = paths.heights(word)
+    return tuple(x for x in range(1, len(word)) if ys[x] == 0 and word[x - 1] == word[x])
+
+
+def modified_heights(word: str) -> list[int]:
+    """Per point: |y_x| minus the number of crossings strictly left of x."""
+    cross_at = crossings(word)
+    return [abs(y) - bisect_left(cross_at, x) for x, y in enumerate(paths.heights(word))]
+
+
+@dataclass(frozen=True)
+class RunComponent:
+    start: int
+    end: int
+    below: bool
+    dyck_word: str
+    shift: int
+
+
+def run_components(word: str) -> list[RunComponent]:
+    """Split a grand-Dyck word at its crossings into alternating sign runs.
+
+    A below-axis run's Dyck word is the run reversed, and the j-th run is
+    shifted j columns left.
+    """
+    bounds = [0, *crossings(word), len(word)]
+    comps = []
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        run = word[a:b]
+        below = run[0] == "D"
+        comps.append(RunComponent(a, b, below, run[::-1] if below else run, -j))
+    return comps
 
 
 def pattern_count(word: str, pattern: str) -> int:
@@ -272,7 +331,7 @@ def reference_height_stats(word: str) -> paths.PathStats:
     ys = paths.heights(word)
     if not (ys[-1] == 0 and word[:1] == "U"):
         raise paths.NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
-    modified = paths.modified_heights(word)
+    modified = modified_heights(word)
     nbu: dict[int, int] = {}
     d_ends = []
     for i, step in enumerate(word):
@@ -283,7 +342,7 @@ def reference_height_stats(word: str) -> paths.PathStats:
             d_ends.append(h)
     return paths.PathStats(
         semilength=word.count("U"),
-        cross=len(paths.crossings(word)),
+        cross=len(crossings(word)),
         height_max=max(modified),
         nbu_profile=nbu,
         d_end_heights=tuple(d_ends),

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from heapdyck import bijections, cli, heaps, multisets, paths, series, verify
-from oracles import motzkin
+from oracles import listed_count, motzkin
 
 TABLE1 = [
     "1 1 1 1 1 1 1 1 1",
@@ -64,6 +64,7 @@ def test_criterion_1_table_reproduction():
                     expected = int(entry)
                     assert table.coefficient(n, k) == expected
                     assert multisets.count_family("star", n, k) == expected
+                    assert listed_count(multisets, "star", n, k) == expected
 
 
 def test_criterion_2_four_way_count_agreement():
@@ -76,14 +77,11 @@ def test_criterion_2_four_way_count_agreement():
                 assert diag.coefficient(n, n) == q[n]
             for n in range(1, 11):
                 stars = multisets.count_family("star", n)
-                by_dud = sum(
-                    1 for _ in paths.enumerate_family("grand_dyck_star", n)
-                )
-                by_udu = sum(
-                    1 for _ in paths.enumerate_family("grand_dyck_udu_free", n)
-                )
+                by_dud = listed_count(paths, "grand_dyck_star", n)
+                by_udu = listed_count(paths, "grand_dyck_udu_free", n)
                 grammar = bijections.grammar_count(n, "Q")
                 assert stars == by_dud == by_udu == grammar == q[n]
+                assert listed_count(multisets, "star", n) == stars
 
 
 def test_criterion_3_classical_counts():

@@ -18,6 +18,7 @@ from oracles import (
     decoded,
     encoded_grammar,
     motzkin,
+    run_components,
     square_animals,
     subset_factorize,
     subset_heap_to_path,
@@ -89,7 +90,7 @@ class TestStaircase:
 
 class TestRunDecomposition:
     def test_example_components(self):
-        comps = bijections.run_components(EXAMPLE_A[1])
+        comps = run_components(EXAMPLE_A[1])
         assert [(c.start, c.end, c.below) for c in comps] == [
             (0, 4, False),
             (4, 6, True),
@@ -102,7 +103,7 @@ class TestRunDecomposition:
         assert [c.shift for c in comps] == [0, -1, -2, -3, -4, -5]
 
     def test_dyck_word_is_single_component(self):
-        comps = bijections.run_components("UUDUDD")
+        comps = run_components("UUDUDD")
         assert len(comps) == 1
         assert not comps[0].below
 
@@ -198,7 +199,7 @@ class TestDropSequence:
         """The runs' own drop sequences, each shifted by its run's shift, joined in run order."""
         return [
             x + c.shift
-            for c in bijections.run_components(word)
+            for c in run_components(word)
             for x in bijections.drop_sequence(c.dyck_word)
         ]
 

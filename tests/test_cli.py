@@ -54,6 +54,13 @@ class TestPinnedExamples:
 
 
 PATH_FAMILIES = ["dyck", "dyck-star", "grand-dyck", "grand-dyck-star", "grand-dyck-udu-free"]
+MULTISET_FAMILIES = [
+    "multiset-all",
+    "multiset-star",
+    "multiset-super",
+    "multiset-super-star",
+    "multiset-no-single-except-k",
+]
 
 
 class TestEnumerate:
@@ -106,6 +113,39 @@ class TestEnumerate:
         assert code == 0
         if family == "grand-dyck":
             assert out == f"{comb(599, 300)}\n"
+
+    @pytest.mark.parametrize("family", MULTISET_FAMILIES)
+    def test_multiset_count_only_matches_listing(self, capsys, family):
+        for n in range(1, 7):
+            for k in range(0, 8):
+                argv = ["enumerate", "--family", family, "--n", str(n), "--k", str(k)]
+                _, listing, _ = run(capsys, *argv)
+                code, out, _ = run(capsys, *argv, "--count-only")
+                assert code == 0
+                assert out == f"{len(listing.splitlines())}\n", k
+
+    @pytest.mark.parametrize("family", MULTISET_FAMILIES)
+    def test_multiset_count_only_does_not_list(self, capsys, family):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "enumerate", "--family", family, "--n", "300", "--k", "300", "--count-only"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        if family == "multiset-all":
+            assert out == f"{comb(599, 300)}\n"
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["listing", "count"])
+    def test_negative_bound_is_rejected(self, capsys, count_only):
+        code, out, err = run(
+            capsys, "enumerate", "--family", "multiset-star", "--n", "3", "--k", "-1", *count_only
+        )
+        assert (code, out, err) == (2, "", "error: k must be at least 0, got -1\n")
+
+    def test_zero_bound_counts_nothing(self, capsys):
+        argv = ["enumerate", "--family", "multiset-star", "--n", "3", "--k", "0"]
+        assert run(capsys, *argv, "--count-only") == (0, "0\n", "")
+        assert run(capsys, *argv) == (0, "", "")
 
     def test_animal_subdiagonal_count(self, capsys):
         code, out, _ = run(

@@ -12,7 +12,7 @@ from heapdyck.multisets import (
     OutOfRangeError,
 )
 
-from oracles import filtered_multisets
+from oracles import filtered_multisets, listed_count
 
 LARGE_EXAMPLE = (3, 4, 5, 5, 5, 5, 5, 6, 6, 8, 8, 8, 8, 12, 15, 16, 17, 17, 17, 19, 19, 19)
 
@@ -137,14 +137,17 @@ class TestEnumerate:
 
     def test_super_3_3_count(self):
         assert multisets.count_family("super", 3) == 5
+        assert listed_count(multisets, "super", 3) == 5
 
     def test_star_4_4_count(self):
         assert multisets.count_family("star", 4) == 13
+        assert listed_count(multisets, "star", 4) == 13
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("k", range(1, 7))
     def test_total_count_is_binomial(self, n, k):
         assert multisets.count_family("all", n, k) == comb(n + k - 1, n)
+        assert listed_count(multisets, "all", n, k) == comb(n + k - 1, n)
 
     def test_lexicographic_order(self):
         seen = [m.values for m in multisets.enumerate_family("all", 4)]
@@ -169,6 +172,36 @@ class TestEnumerate:
             multisets.enumerate_family("star", 5)
         )
 
+
+
+class TestCountFamily:
+    """The transfer count against the listing it replaced, and at sizes no listing reaches."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("family", multisets.FAMILIES)
+    def test_matches_listing(self, family, n):
+        for k in range(10):
+            assert multisets.count_family(family, n, k) == listed_count(multisets, family, n, k), k
+
+    def test_bound_defaults_to_size(self):
+        for family in multisets.FAMILIES:
+            assert multisets.count_family(family, 6) == multisets.count_family(family, 6, 6)
+
+    def test_formulas_at_300(self):
+        assert multisets.count_family("all", 300, 250) == comb(549, 300)
+        # a superdiagonal multiset over 1..n is a Dyck word by the staircase map
+        assert multisets.count_family("super", 300) == comb(600, 300) // 301
+
+    @pytest.mark.parametrize("family", multisets.FAMILIES)
+    def test_zero_bound_counts_nothing(self, family):
+        assert multisets.count_family(family, 3, 0) == 0 == listed_count(multisets, family, 3, 0)
+
+    @pytest.mark.parametrize("family,n,k", [("nope", 2, 2), ("star", 0, 2), ("star", 2, -1)])
+    def test_rejects_what_enumerate_rejects(self, family, n, k):
+        with pytest.raises(ValueError):
+            multisets.count_family(family, n, k)
+        with pytest.raises(ValueError):
+            list(multisets.enumerate_family(family, n, k))
 
 class TestText:
     def test_parse_with_bound(self):

@@ -12,8 +12,12 @@ from heapdyck.paths import BadCharError, EmptyWordError, NotGrandDyckError
 from oracles import (
     balanced_words,
     catalan,
+    classify,
     crossing_heavy,
+    crossings,
     filtered_words,
+    listed_count,
+    modified_heights,
     motzkin,
     pattern_count,
     reference_heap_stats,
@@ -50,34 +54,34 @@ class TestParse:
 
 class TestClassify:
     def test_dyck(self):
-        flags = paths.classify("UUDD")
+        flags = classify("UUDD")
         assert flags.balanced and flags.dyck and flags.grand_dyck
 
     def test_grand_dyck_not_dyck(self):
-        flags = paths.classify("UDDU")
+        flags = classify("UDDU")
         assert flags.grand_dyck and not flags.dyck
 
     def test_starts_with_d(self):
-        flags = paths.classify("DUUD")
+        flags = classify("DUUD")
         assert flags.balanced and not flags.grand_dyck
 
     def test_unbalanced(self):
-        assert not paths.classify("UUD").balanced
+        assert not classify("UUD").balanced
 
 
 class TestCrossings:
     def test_example_word(self):
-        assert paths.crossings(EXAMPLE_WORD) == (4, 6, 8, 10, 14)
+        assert crossings(EXAMPLE_WORD) == (4, 6, 8, 10, 14)
 
     def test_touch_is_not_crossing(self):
-        assert paths.crossings("UDUD") == ()
+        assert crossings("UDUD") == ()
 
     def test_dyck_words_never_cross(self):
         for w in paths.enumerate_family("dyck", 5):
-            assert paths.crossings(w) == ()
+            assert crossings(w) == ()
 
     def test_modified_heights_example(self):
-        assert paths.modified_heights(EXAMPLE_WORD) == [
+        assert modified_heights(EXAMPLE_WORD) == [
             0, 1, 2, 1, 0, 0, -1, -1, -2, -2, -3, -3, -2, -3, -4, -4, -5,
         ]
 
@@ -159,9 +163,9 @@ class TestOneHeightScan:
             return False
 
         for word in words:
-            assert rejects(word) == (not paths.classify(word).grand_dyck), word
+            assert rejects(word) == (not classify(word).grand_dyck), word
         for word in ("UX", "XU", "UXUD"):
-            for check in (paths.classify, fn):
+            for check in (classify, fn):
                 with pytest.raises(BadCharError):
                     check(word)
 
@@ -236,12 +240,17 @@ class TestEnumerate:
 
     def test_grand_dyck_star_4_count(self):
         assert paths.count_family("grand_dyck_star", 4) == 13
+        assert listed_count(paths, "grand_dyck_star", 4) == 13
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_counts(self, n):
-        assert paths.count_family("dyck", n) == catalan(n)
-        assert paths.count_family("dyck_star", n) == motzkin(n - 1)
-        assert paths.count_family("grand_dyck", n) == comb(2 * n - 1, n - 1)
+        for family, want in (
+            ("dyck", catalan(n)),
+            ("dyck_star", motzkin(n - 1)),
+            ("grand_dyck", comb(2 * n - 1, n - 1)),
+        ):
+            assert paths.count_family(family, n) == want, family
+            assert listed_count(paths, family, n) == want, family
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_star_and_udu_free_agree(self, n):
@@ -279,3 +288,27 @@ class TestEnumerate:
 
     def test_first_word_at_600_needs_no_recursion(self):
         assert next(paths.enumerate_family("grand_dyck", 600)) == "U" * 600 + "D" * 600
+
+
+class TestCountFamily:
+    """The transfer count against the listing it replaced, and at sizes no listing reaches."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("family", paths.FAMILIES)
+    def test_matches_listing(self, family, n):
+        assert paths.count_family(family, n) == listed_count(paths, family, n)
+
+    def test_formulas_at_150(self):
+        assert paths.count_family("grand_dyck", 150) == comb(299, 149)
+        assert paths.count_family("dyck", 150) == catalan(150)
+        assert paths.count_family("dyck_star", 150) == motzkin(149)
+        assert paths.count_family("grand_dyck_star", 150) == paths.count_family(
+            "grand_dyck_udu_free", 150
+        )
+
+    @pytest.mark.parametrize("family,n", [("nope", 2), ("dyck", 0), ("grand_dyck", -1)])
+    def test_rejects_what_enumerate_rejects(self, family, n):
+        with pytest.raises(ValueError):
+            paths.count_family(family, n)
+        with pytest.raises(ValueError):
+            list(paths.enumerate_family(family, n))

@@ -18,6 +18,7 @@ from oracles import (
     catalan,
     convolve,
     from_ints,
+    listed_count,
     motzkin,
     reference_div,
     reference_divide_table,
@@ -231,6 +232,7 @@ class TestBivariate:
     def test_f_counts_star_multisets(self, n, k):
         table = series.bivariate("f", 6, 6)
         assert table.coefficient(n, k) == multisets.count_family("star", n, k)
+        assert table.coefficient(n, k) == listed_count(multisets, "star", n, k)
 
     def test_diagonals_agree_with_q(self):
         q = series.closed_form("Q", 12)

@@ -193,14 +193,17 @@ class TestMutationSmoke:
         assert failing["gap-profile-equals-d-end-heights"].startswith("n=1, ")
 
     def test_dropped_crossing_is_caught(self, monkeypatch):
-        orig = paths.crossings
-
-        def truncated(word):
-            return orig(word)[:-1]
-
-        monkeypatch.setattr(paths, "crossings", truncated)
-        bijections.clear_caches()
-        assert _failing("statistics").keys() == {"u-heights-track-dimer-columns"}
+        # a crossing back up from below the axis still lowers the heights,
+        # but starts no run, so that run's U steps join the run before
+        merged = _mutated(
+            verify._run_u_heights,
+            'runs.append((x, step == "D", []))',
+            'if step == "D": runs.append((x, True, []))',
+        )
+        monkeypatch.setattr(verify, "_run_u_heights", merged)
+        failing = _failing("statistics")
+        assert failing.keys() == {"u-heights-track-dimer-columns"}
+        assert failing["u-heights-track-dimer-columns"] == "n=3, word UDDUUD, run at 2"
 
     def test_count_recurrence_without_case_iii_is_caught(self, monkeypatch):
         orig = counting._strict_row
@@ -212,6 +215,31 @@ class TestMutationSmoke:
         report = verify.run_suite("counts", 4)
         failing = {c.name for c in report.checks if not c.ok}
         assert failing == {"grammar-counts-match-series", "grammar-counts-match-binomial-formulas"}
+
+    def test_word_count_without_pattern_is_caught(self, monkeypatch):
+        # DUD-free words counted as all words, and UDU-free ones too, so the
+        # two pattern-avoiding word counts still agree with each other
+        unfiltered = _mutated(paths.count_family, "tail + step != pattern", "True")
+        monkeypatch.setattr(paths, "count_family", unfiltered)
+        assert _failing("counts").keys() == {
+            "dyck-star-count-is-motzkin",
+            "star-multisets-match-dud-free-words",
+            "no-single-multisets-match-udu-free-words",
+        }
+        assert _failing("bijections").keys() == {"listed-families-match-counts"}
+
+    def test_multiset_count_without_repeat_flag_is_caught(self, monkeypatch):
+        # no_single_except_k lets a value below the bound climb before it repeats
+        flagless = _mutated(
+            multisets.count_family, "(once[v] if single_climbs else 0)", "once[v]"
+        )
+        monkeypatch.setattr(multisets, "count_family", flagless)
+        assert _failing("counts").keys() == {"no-single-multisets-match-udu-free-words"}
+        failing = _failing("bijections")
+        assert failing == {
+            "listed-families-match-counts": "n=2, heapdyck.multisets no_single_except_k: "
+            "2 listed, 3 counted"
+        }
 
     def test_wrong_series_sign_is_caught(self, monkeypatch):
         from heapdyck import series
@@ -228,3 +256,17 @@ class TestMutationSmoke:
             "series-identity: diagonal(f) = Q",
             "series-identity: diagonal(h) = Q",
         }
+
+
+class TestRunUHeights:
+    """The statistics suite's one-scan runs against the multi-pass references."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_run_components_and_modified_heights(self, n):
+        for word in paths.enumerate_family("grand_dyck", n):
+            modified = oracles.modified_heights(word)
+            want = [
+                (c.start, c.below, [modified[i + 1] for i in range(c.start, c.end) if word[i] == "U"])
+                for c in oracles.run_components(word)
+            ]
+            assert verify._run_u_heights(word) == want, word

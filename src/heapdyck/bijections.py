@@ -174,7 +174,7 @@ def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
         raise ValueError(f"unknown case {case!r}")
     if len(parts) != _ARITY[case]:
         raise FactorizationFailedError(f"case {case} takes {_ARITY[case]} parts, got {len(parts)}")
-    seq = _sequence(case, *(tuple(d.column for d in p.dimers) for p in parts))
+    seq = _sequence(case, *(tuple(col for col, _ in p.dimers) for p in parts))
     return Heap(heaps.drop_columns(seq))
 
 

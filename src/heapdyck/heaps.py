@@ -5,6 +5,11 @@ is a finite set of dimers where every dimer above level 0 rests on some
 dimer one or more levels below within one column of it, no two dimers of
 a level overlap, and exactly one dimer sits at level 0, in column 0.
 
+A dimer is a plain ``(column, level)`` tuple of two ints, not a
+NamedTuple.  The garbage collector stops tracking a tuple of ints at its
+first collection, but never a tuple subclass, so a NamedTuple dimer
+would keep every dimer of every live heap on the collector's lists.
+
 Directed animals are point sets on the quarter plane grown from the
 origin by steps (1,0), (0,1) and, on the triangular lattice, (1,1).
 Rotating an animal 45 degrees and letting each point fall as a dimer in
@@ -15,10 +20,9 @@ heaps with no dimer directly on top of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import HeapdyckError
 
@@ -42,28 +46,26 @@ class HeapParseError(HeapdyckError, ValueError):
     pass
 
 
-class Dimer(NamedTuple):
-    column: int
-    level: int
-
+Pair = tuple[int, int]  # a dimer, (column, level)
 
 _BY_LEVEL = itemgetter(1, 0)  # (level, column)
-_AS_DIMER = partial(tuple.__new__, Dimer)  # Dimer from a pair, without a Python-level call
+_TUPLE = {tuple}
+_TWO = {2}
 _INT = {int}
 
 
-def _dimer(item: object) -> Dimer:
-    """The item as a Dimer, or the NotAHeapError that names it."""
+def _dimer(item: object) -> Pair:
+    """The item as a plain (column, level) pair, or the NotAHeapError that names it."""
     try:
         col, level = item
     except (TypeError, ValueError):
         col = level = None
     if type(col) is not int or type(level) is not int:
         raise NotAHeapError(f"{item!r} is not a pair of integers")
-    return Dimer(col, level)
+    return (col, level)
 
 
-def _check_heap(dimers: tuple[Dimer, ...]) -> str | None:
+def _check_heap(dimers: tuple[Pair, ...]) -> str | None:
     """Return a breach description, or None for a valid heap.
 
     One sweep over the canonical dimers.  Levels ascend, so a repeat or an
@@ -108,16 +110,22 @@ def _check_heap(dimers: tuple[Dimer, ...]) -> str | None:
 
 
 class Heap:
-    """Immutable validated heap of integer dimers, kept sorted by (level, column)."""
+    """Immutable validated heap of dimers, kept sorted by (level, column).
+
+    `dimers` is a tuple of plain ``(column, level)`` int pairs: exact
+    tuples, which the garbage collector untracks, not a NamedTuple, which
+    it would walk at every collection for as long as the heap lives.
+    """
 
     __slots__ = ("dimers", "_hash")
 
-    def __init__(self, dimers: Iterable[Dimer]):
+    def __init__(self, dimers: Iterable[Pair]):
         items = list(dimers)
-        # Dimers of int coordinates pass in two C-level sweeps; anything
-        # else is converted, or named in the error, one item at a time
+        # Exact tuples of two exact ints pass in three C-level sweeps;
+        # anything else is converted, or named in the error, one item at a time
         if not (
-            all(map(isinstance, items, repeat(Dimer)))
+            _TUPLE.issuperset(map(type, items))
+            and _TWO.issuperset(map(len, items))
             and _INT.issuperset(map(type, chain.from_iterable(items)))
         ):
             items = [_dimer(d) for d in items]
@@ -161,7 +169,7 @@ class AnimalStats:
     nbp_profile: dict[int, int]
 
 
-def drop_columns(columns: Iterable[int]) -> list[Dimer]:
+def drop_columns(columns: Iterable[int]) -> list[Pair]:
     """Drop one dimer per column, in order, onto the ground; the dimers in drop order.
 
     A dimer dropped at a column lands one level above the highest top of
@@ -182,13 +190,13 @@ def drop_columns(columns: Iterable[int]) -> list[Dimer]:
         level += 1
         tops[col] = level
         levels.append(level)
-    return list(map(_AS_DIMER, zip(cols, levels)))
+    return list(zip(cols, levels))
 
 
 def heap_stats(h: Heap) -> AnimalStats:
     """Widths, diagonal pairs and the per-column profile, in one loop over the dimers."""
     dims = h.dimers
-    occupied = set(dims)  # a Dimer equals and hashes as its plain tuple
+    occupied = set(dims)
     profile: dict[int, int] = {}
     diag = 0
     for col, level in dims:
@@ -351,7 +359,7 @@ def _parse_pairs(text: str, what: str) -> list[tuple[int, int]]:
     if (
         len(fields) % 4 == 0
         and not "".join(pre + post).strip()
-        and ";".join(map("%s(%s,%s)%s".__mod__, zip(pre, cols, levels, post))) == text
+        and ";".join(["%s(%s,%s)%s"] * len(pre)) % tuple(fields) == text
     ):
         try:
             return list(zip(map(int, cols), map(int, levels)))
@@ -376,7 +384,7 @@ def _bad_token(text: str, what: str) -> HeapParseError:
 
 
 def parse_heap(text: str) -> Heap:
-    return Heap(map(_AS_DIMER, _parse_pairs(text, "dimer")))
+    return Heap(_parse_pairs(text, "dimer"))
 
 
 def to_text(h: Heap) -> str:

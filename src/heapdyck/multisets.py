@@ -59,13 +59,6 @@ class Multiset:
 
 
 @dataclass(frozen=True)
-class MultisetFlags:
-    superdiagonal: bool
-    star: bool
-    no_single_except_bound: bool
-
-
-@dataclass(frozen=True)
 class MultisetStats:
     length: int
     cross: int
@@ -86,17 +79,6 @@ def validate(raw: Sequence[int], bound: int | None = None) -> Multiset:
     if values[0] < 1 or values[-1] > k:
         raise OutOfRangeError(f"values must lie in 1..{k}: {values}")
     return Multiset(values, k)
-
-
-def classify(m: Multiset) -> MultisetFlags:
-    v = m.values
-    super_ = all(v[i] >= i + 1 for i in range(len(v)))
-    star = adjacency_count(m) == 0
-    counts: dict[int, int] = {}
-    for x in v:
-        counts[x] = counts.get(x, 0) + 1
-    no_single = all(c != 1 for x, c in counts.items() if x != m.bound)
-    return MultisetFlags(super_, star, no_single)
 
 
 def adjacency_count(m: Multiset) -> int:

@@ -93,11 +93,11 @@ def heap_ascii(h: heaps.Heap) -> str:
 def heap_svg(h: heaps.Heap) -> str:
     lo = h.min_column()
     hi = h.max_column()
-    top = h.dimers[-1].level  # the dimers are in (level, column) order
+    top = h.dimers[-1][1]  # the dimers are in (level, column) order
     height = (top + 1) * CELL
     out = _svg_open((hi - lo + 2) * CELL, height)
-    for d in sorted(h.dimers):
-        x, y = _xy(d.column - lo, d.level + 1, height)
+    for col, level in sorted(h.dimers):
+        x, y = _xy(col - lo, level + 1, height)
         out.append(
             f'<rect x="{x}" y="{y}" width="{2 * CELL}" height="{CELL}" '
             'fill="#ddd" stroke="black"/>'

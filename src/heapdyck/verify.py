@@ -300,6 +300,7 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
             len(images) == len(words) and set(images) == words,
             f"n={n}: image size {len(images)}, target {len(words)}",
         )
+        targets = {}  # each target family's words, in listing order
         for family, target in (
             ("super", "dyck"),
             ("star", "grand_dyck_star"),
@@ -313,30 +314,32 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 f"n={n}, multiset",
             )
             got = _found(members)
-            want = set(paths.enumerate_family(target, n))
+            targets[target] = list(paths.enumerate_family(target, n))
+            want = set(targets[target])
             rec.require(name, got == want, f"n={n}: {len(got)} words vs {len(want)}")
             listed[multisets, family] = len(members)
             listed[paths, target] = len(want)
         # built on first use, so that a library error fails only the checks against its class
         grammar = cache(partial(bijections.grammar_enumerate, n))
-        heaps_seen = {}
-        for w in words:
-            where = f"n={n}, word {w}"
-            with rec.guard("run-heap-round-trip", where):
-                h = bijections.path_to_heap(w)
-                heaps_seen[h] = w
-                rec.require("run-heap-round-trip", bijections.heap_to_path(h) == w, where)
+        # word -> its heap, or the library error path_to_heap raised
+        word_heaps = rec.images(
+            "run-heap-round-trip", bijections.path_to_heap, words, f"n={n}, word"
+        )
+        for w, h in word_heaps.items():
+            if not isinstance(h, HeapdyckError):
+                where = f"n={n}, word {w}"
+                with rec.guard("run-heap-round-trip", where):
+                    rec.require("run-heap-round-trip", bijections.heap_to_path(h) == w, where)
+        heaps_seen = _found(word_heaps)
         name, where = "run-heap-image-is-grammar-T", f"n={n}: {len(heaps_seen)} heaps"
         with rec.guard(name, where):
-            rec.require(
-                name, len(heaps_seen) == len(words) and set(heaps_seen) == grammar("T"), where
-            )
+            rec.require(name, len(heaps_seen) == len(words) and heaps_seen == grammar("T"), where)
         for family, name, klass in (
             ("dyck", "dyck-image-is-grammar-Ts", "Ts"),
             ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
         ):
             image = rec.image(
-                name, bijections.path_to_heap, paths.enumerate_family(family, n), f"n={n}, word"
+                name, partial(_mapped_heap, word_heaps), targets[family], f"n={n}, word"
             )
             with rec.guard(name, f"n={n}"):
                 rec.require(name, image == grammar(klass), f"n={n}")
@@ -385,6 +388,15 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 f"n={n}, {module.__name__} {family}: {size} listed, {counted} counted",
             )
     return rec.results(f"all sizes 1..{max_n}")
+
+
+def _mapped_heap(word_heaps: dict, word: str) -> heaps.Heap:
+    """The word's heap from a word -> heap map, raising the error stored for it;
+    a word the map lacks is mapped afresh."""
+    h = word_heaps[word] if word in word_heaps else bijections.path_to_heap(word)
+    if isinstance(h, HeapdyckError):
+        raise h
+    return h
 
 
 # --- statistics ---------------------------------------------------------

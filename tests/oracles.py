@@ -16,10 +16,10 @@ from heapdyck import multisets, paths
 from heapdyck.bijections import GrammarDuplicateError, compose
 from heapdyck.heaps import (
     AnimalStats,
-    Dimer,
     Heap,
     HeapParseError,
     NotAHeapError,
+    Pair,
     PointAnimal,
     drop_columns,
 )
@@ -102,15 +102,15 @@ def drop(heap: Heap | None, column: int) -> Heap:
     if heap is None:
         if column != 0:
             raise BadGroundError("first dimer must land in column 0")
-        return Heap((Dimer(0, 0),))
-    return Heap(drop_columns([*(d.column for d in heap.dimers), column]))
+        return Heap(((0, 0),))
+    return Heap(drop_columns([*(col for col, _ in heap.dimers), column]))
 
 
-def _by_level(dimers) -> tuple[Dimer, ...]:
-    return tuple(sorted(dimers, key=lambda d: (d.level, d.column)))
+def _by_level(dimers) -> tuple[Pair, ...]:
+    return tuple(sorted(dimers, key=lambda d: (d[1], d[0])))
 
 
-def superpose(base: tuple[Dimer, ...], part: tuple[Dimer, ...], shift: int) -> tuple[Dimer, ...]:
+def superpose(base: tuple[Pair, ...], part: tuple[Pair, ...], shift: int) -> tuple[Pair, ...]:
     """Drop the dimers of part, columns shifted, onto base; (level, column) order.
 
     The base enters as its columns in (level, column) order, which rebuild it.
@@ -139,6 +139,25 @@ def classify(word: str) -> PathFlags:
     balanced = ys[-1] == 0
     starts_u = word[:1] == "U"
     return PathFlags(balanced, starts_u, balanced and min(ys) >= 0, balanced and starts_u)
+
+
+@dataclass(frozen=True)
+class MultisetFlags:
+    superdiagonal: bool
+    star: bool
+    no_single_except_bound: bool
+
+
+def classify_multiset(m: multisets.Multiset) -> MultisetFlags:
+    """The multiset families m belongs to, each read off its values by its definition."""
+    v = m.values
+    super_ = all(v[i] >= i + 1 for i in range(len(v)))
+    star = multisets.adjacency_count(m) == 0
+    counts: dict[int, int] = {}
+    for x in v:
+        counts[x] = counts.get(x, 0) + 1
+    no_single = all(c != 1 for x, c in counts.items() if x != m.bound)
+    return MultisetFlags(super_, star, no_single)
 
 
 def crossings(word: str) -> tuple[int, ...]:
@@ -253,7 +272,7 @@ def reference_divide_table(
 # --- heap validation --------------------------------------------------------
 
 
-def reference_check_heap(dimers: tuple[Dimer, ...]) -> str | None:
+def reference_check_heap(dimers: tuple[Pair, ...]) -> str | None:
     """The heap rules checked one at a time over the canonical dimers, in the
     library's priority order; the breach message, or None for a valid heap."""
     if not dimers:
@@ -265,8 +284,8 @@ def reference_check_heap(dimers: tuple[Dimer, ...]) -> str | None:
             if (col, level) in seen:
                 return f"repeated dimer ({col},{level})"
             seen.add((col, level))
-    ground = [d for d in dimers if d.level == 0]
-    if len(ground) != 1 or ground[0].column != 0:
+    ground = [col for col, level in dimers if level == 0]
+    if ground != [0]:
         return "need exactly one level-0 dimer, in column 0"
     by_level: dict[int, list[int]] = {}
     for col, level in dimers:
@@ -294,14 +313,14 @@ def _drop_level(tops: dict[int, int], column: int) -> int:
     return best + 1
 
 
-def reference_drop_columns(columns) -> list[Dimer]:
-    """`heaps.drop_columns` as one `_drop_level` call and one `Dimer` per dimer."""
+def reference_drop_columns(columns) -> list[Pair]:
+    """`heaps.drop_columns` as one `_drop_level` call and one pair per dimer."""
     out = []
     tops: dict[int, int] = {}
     for col in columns:
         level = _drop_level(tops, col)
         tops[col] = level
-        out.append(Dimer(col, level))
+        out.append((col, level))
     return out
 
 
@@ -352,13 +371,13 @@ def reference_height_stats(word: str) -> paths.PathStats:
 
 
 def reference_heap_stats(h: Heap) -> AnimalStats:
-    cols = [d.column for d in h.dimers]
+    cols = [col for col, _ in h.dimers]
     lo, hi = min(cols), max(cols)
     profile: dict[int, int] = {}
     for c in cols:
         profile[c + 1] = profile.get(c + 1, 0) + 1
     occupied = set(h.dimers)
-    diag = sum(1 for col, level in h.dimers if Dimer(col, level + 1) in occupied)
+    diag = sum(1 for col, level in h.dimers if (col, level + 1) in occupied)
     return AnimalStats(
         area=len(h.dimers),
         lw=-lo,
@@ -403,7 +422,7 @@ def arch_heap(word: str) -> Heap:
 
 def arch_path_to_heap(word: str) -> Heap:
     """Superpose the runs' arch heaps, each one column further left."""
-    acc: tuple[Dimer, ...] = ()
+    acc: tuple[Pair, ...] = ()
     for j, run in enumerate(_runs(word)):
         part = arch_heap(run[::-1] if j % 2 else run).dimers
         acc = part if j == 0 else superpose(acc, part, -j)
@@ -413,7 +432,7 @@ def arch_path_to_heap(word: str) -> Heap:
 def _redrop(pieces, shift: int) -> Heap | None:
     """The pieces dropped afresh in level order, columns shifted, if that makes a heap."""
     try:
-        return Heap(superpose((), tuple(Dimer(c + shift, l) for c, l in pieces), 0))
+        return Heap(superpose((), tuple((c + shift, l) for c, l in pieces), 0))
     except NotAHeapError:
         return None
 
@@ -421,7 +440,7 @@ def _redrop(pieces, shift: int) -> Heap | None:
 def _up_sets(pieces: set, forced: set):
     """Every up-closed subset of pieces holding forced, trying each set of extras."""
     def above(p, q):
-        return abs(q.column - p.column) <= 1 and q.level > p.level
+        return abs(q[0] - p[0]) <= 1 and q[1] > p[1]
 
     top = set(forced)
     while more := {q for q in pieces for p in top if above(p, q)} - top:
@@ -445,7 +464,7 @@ def subset_factorize(h: Heap) -> tuple[str, tuple[Heap, ...]]:
     dims = set(h.dimers)
     if h.min_column() < 0:
         matches = []
-        for top in _up_sets(dims, {d for d in dims if d.column < 0}):
+        for top in _up_sets(dims, {d for d in dims if d[0] < 0}):
             try:
                 base = Heap(dims - top)
             except NotAHeapError:
@@ -454,15 +473,15 @@ def subset_factorize(h: Heap) -> tuple[str, tuple[Heap, ...]]:
             if c is not None and compose("v", (base, c)) == h:
                 matches.append((base, c))
         return "v", _only(matches, "left")
-    rest = dims - {Dimer(0, 0)}
+    rest = dims - {(0, 0)}
     if not rest:
         return "i", ()
-    if all(d.column >= 1 for d in rest):
+    if all(col >= 1 for col, _ in rest):
         return "ii", (_redrop(rest, -1),)
-    if Dimer(0, 1) in rest:
+    if (0, 1) in rest:
         return "iii", (_redrop(rest, 0),)
     matches = []
-    for top in _up_sets(rest, {d for d in rest if d.column == 0}):
+    for top in _up_sets(rest, {d for d in rest if d[0] == 0}):
         b, c = _redrop(rest - top, -1), _redrop(top, 0)
         if b is not None and c is not None and compose("iv", (b, c)) == h:
             matches.append((b, c))
@@ -505,7 +524,7 @@ def filtered_multisets(n: int, k: int) -> dict[str, list[multisets.Multiset]]:
     out: dict[str, list[multisets.Multiset]] = {family: [] for family in multisets.FAMILIES}
     for values in combinations_with_replacement(range(1, k + 1), n):
         m = multisets.Multiset(values, k)
-        flags = multisets.classify(m)
+        flags = classify_multiset(m)
         keep = {
             "all": True,
             "star": flags.star,
@@ -548,7 +567,7 @@ GROUND_BLOB = bytes((0, 64))
 
 
 def decoded(blob: bytes) -> Heap:
-    return Heap(Dimer(blob[i + 1] - 64, blob[i]) for i in range(0, len(blob), 2))
+    return Heap((blob[i + 1] - 64, blob[i]) for i in range(0, len(blob), 2))
 
 
 def _tops(blob: bytes) -> bytearray:
@@ -684,13 +703,13 @@ def reference_path_svg(word: str) -> str:
 
 
 def reference_heap_ascii(h: Heap) -> str:
-    lo = min(d.column for d in h.dimers)
-    hi = max(d.column for d in h.dimers)
-    top = max(d.level for d in h.dimers)
+    lo = min(col for col, _ in h.dimers)
+    hi = max(col for col, _ in h.dimers)
+    top = max(level for _, level in h.dimers)
     rows = _grid(2 * (hi - lo) + 4, top + 1)
-    for d in h.dimers:
-        at = 2 * (d.column - lo)
-        rows[top - d.level][at : at + 4] = list("[__]")
+    for col, level in h.dimers:
+        at = 2 * (col - lo)
+        rows[top - level][at : at + 4] = list("[__]")
     return _rows_to_text(rows)
 
 

@@ -10,7 +10,7 @@ from heapdyck.bijections import (
     NotStartingUError,
 )
 from heapdyck.errors import HeapdyckError
-from heapdyck.heaps import Dimer, Heap
+from heapdyck.heaps import Heap
 
 from oracles import (
     arch_path_to_heap,
@@ -30,7 +30,7 @@ EXAMPLE_B = ((2, 5, 5, 7, 7, 7, 8, 8), "UUDUUUDDUUDDDUDD")
 
 
 def heap_of(*pairs):
-    return Heap(tuple(Dimer(c, l) for c, l in pairs))
+    return Heap(pairs)
 
 
 class TestStaircase:

@@ -1,13 +1,14 @@
+import gc
 import random
 import re
 from itertools import combinations, combinations_with_replacement
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from heapdyck import bijections, counting, heaps
 from heapdyck.heaps import (
-    Dimer,
     Heap,
     HeapParseError,
     MissingOriginError,
@@ -32,8 +33,15 @@ from oracles import (
 STACK = ((0, 0), (0, 1))
 
 
+class _Pair(NamedTuple):
+    """A tuple subclass, which Heap converts to a plain pair."""
+
+    column: int
+    level: int
+
+
 def heap_of(*pairs):
-    return Heap(tuple(Dimer(c, l) for c, l in pairs))
+    return Heap(pairs)
 
 
 class TestHeapValidation:
@@ -66,18 +74,52 @@ class TestHeapValidation:
             h.dimers = ()
 
     def test_equality_ignores_input_order(self):
-        a = Heap((Dimer(0, 0), Dimer(1, 1)))
-        b = Heap((Dimer(1, 1), Dimer(0, 0)))
+        a = Heap(((0, 0), (1, 1)))
+        b = Heap(((1, 1), (0, 0)))
         assert a == b
         assert hash(a) == hash(b)
 
     @pytest.mark.parametrize(
-        "item", [(0.0, 0), Dimer(0, 0.0), (0, 0, 0), 5, (True, 0)], ids=repr
+        "item",
+        [(0.0, 0), (0, 0.0), (True, 0), (0, 0, 0), (0,), 5, [0, 0.0], _Pair(0, 0.0)],
+        ids=repr,
     )
     def test_rejects_items_that_are_not_integer_pairs(self, item):
         # a float or a bool would print under "%d" as another heap's text
         with pytest.raises(NotAHeapError, match=f"^{re.escape(repr(item))} is not a pair"):
             Heap([item])
+
+
+def _plain(dimers) -> bool:
+    return all(type(d) is tuple and len(d) == 2 and {type(x) for x in d} == {int} for d in dimers)
+
+
+class TestPlainPairs:
+    """Every way of building a heap leaves exact int pairs, which the collector untracks."""
+
+    BUILDS = {
+        "drop_columns": lambda: Heap(heaps.drop_columns([0, 1, -1, 0, 2])),
+        "parse_heap": lambda: heaps.parse_heap("(0,0);(1,1); ( -1 , 1 );(0,2)"),
+        "lists": lambda: Heap([[0, 0], [1, 1], [-1, 1]]),
+        "tuple-subclass": lambda: Heap([_Pair(0, 0), _Pair(1, 1), _Pair(-1, 1)]),
+        "compose": lambda: bijections.compose("iv", (heap_of((0, 0)), heap_of(*STACK))),
+        "grammar_enumerate": lambda: max(bijections.grammar_enumerate(5, "T"), key=heaps.to_text),
+        "animal_to_heap": lambda: heaps.animal_to_heap(
+            PointAnimal(frozenset({(0, 0), (1, 0), (1, 1), (0, 1)}))
+        ),
+        "path_to_heap": lambda: bijections.path_to_heap("UUDUDDDUUDDU"),
+    }
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_dimers_are_untracked_int_pairs(self, build):
+        h = self.BUILDS[build]()
+        assert len(h) > 1
+        assert _plain(h.dimers)
+        gc.collect()
+        assert not any(map(gc.is_tracked, h.dimers))
+
+    def test_drop_columns_gives_plain_pairs(self):
+        assert _plain(heaps.drop_columns([0, 1, -1, 0, 2, 7]))
 
 
 def _verdict(pairs):
@@ -93,13 +135,13 @@ class TestSweepMatchesReference:
     """Heap's one-sweep check gives the multi-pass reference's verdict and first message."""
 
     CELLS = sorted(
-        (Dimer(c, l) for c in range(-2, 3) for l in range(-1, 3)),
-        key=lambda d: (d.level, d.column),
+        ((c, l) for c in range(-2, 3) for l in range(-1, 3)),
+        key=lambda d: (d[1], d[0]),
     )
 
     def test_every_small_tuple(self):
         # the 21 700 sets of at most 5 of these 20 dimers, then the 4 430
-        # multisets of at most 4 that repeat one; fed in reverse, as plain pairs
+        # multisets of at most 4 that repeat one; fed in reverse
         tuples = [t for k in range(6) for t in combinations(self.CELLS, k)]
         assert len(tuples) == 21_700
         tuples += [
@@ -111,7 +153,7 @@ class TestSweepMatchesReference:
         messages = set()
         for t in tuples:
             expected = reference_check_heap(t)
-            assert _verdict([tuple(d) for d in reversed(t)]) == expected, t
+            assert _verdict(t[::-1]) == expected, t
             messages.add(expected and expected.split(" ")[0])
         assert messages == {None, "empty", "repeated", "need", "overlapping", "dimer"}
 
@@ -157,17 +199,17 @@ class TestDrop:
         for k, step in anchors:
             base_columns.append(base_columns[k % len(base_columns)] + step)
         base = Heap(reference_drop_columns(base_columns)).dimers if grounded else ()
-        sequence = [d.column for d in base] + columns
+        sequence = [col for col, _ in base] + columns
         got = heaps.drop_columns(iter(sequence))
         assert got == reference_drop_columns(sequence)
         assert got[: len(base)] == list(base)  # the canonical columns rebuild the base
-        assert all(type(d) is Dimer for d in got)
+        assert all(type(d) is tuple for d in got)
 
     def test_superpose_matches_repeated_drops(self):
-        base = (Dimer(0, 0), Dimer(1, 1))
-        part = (Dimer(0, 0), Dimer(0, 1))
+        base = ((0, 0), (1, 1))
+        part = ((0, 0), (0, 1))
         merged = superpose(base, part, -1)
-        expect = drop(drop(heap_of(*((d.column, d.level) for d in base)), -1), -1)
+        expect = drop(drop(heap_of(*base), -1), -1)
         assert Heap(merged) == expect
 
 
@@ -223,7 +265,7 @@ class TestAnimals:
     def test_to_heap_column_is_x_minus_y(self):
         a = PointAnimal(frozenset({(0, 0), (1, 0), (1, 1)}))
         h = heaps.animal_to_heap(a)
-        assert {d.column for d in h.dimers} == {0, 1}
+        assert {col for col, _ in h.dimers} == {0, 1}
         assert heaps.heap_stats(h).area == 3
 
     def test_reflect(self):
@@ -307,7 +349,7 @@ class TestText:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_text_is_the_per_dimer_format(self, n):
         for h in bijections.grammar_enumerate(n, "T"):
-            assert heaps.to_text(h) == ";".join(f"({d.column},{d.level})" for d in h.dimers)
+            assert heaps.to_text(h) == ";".join(f"({c},{l})" for c, l in h.dimers)
 
     def test_crossing_heap_round_trip_at_n_2000(self):
         h = bijections.path_to_heap(crossing_heavy(random.Random(2000), 2000))

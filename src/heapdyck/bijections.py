@@ -91,9 +91,7 @@ def drop_sequence(word: str) -> list[int]:
     below-axis run reversed is a Dyck word too, and it is read in place:
     its D steps drop left to right, each at the height |y| it starts from.
     """
-    paths.check_steps(word)  # a bad letter is reported first
-    if not (word[:1] == "U" and 2 * word.count("U") == len(word)):
-        raise paths.NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
+    paths.check_grand_dyck(word)
     columns: list[int] = []
     above: list[int] = []  # columns of the current above-axis run, left to right
     y = shift = 0
@@ -244,36 +242,33 @@ def _close_run(words: list[str], run: list[str], y: int) -> None:
 # --- grammar enumeration ------------------------------------------------
 
 
-_GRAMMAR_MEMO: dict[tuple[str, int], list[tuple[int, ...]]] = {}
-
-
 def _sequences(klass: str, n: int) -> list[tuple[int, ...]]:
-    """The drop sequences of the size-n heaps of a class, one per build, in grammar order."""
-    key = (klass, n)
-    got = _GRAMMAR_MEMO.get(key)
-    if got is not None:
-        return got
-    if klass in ("Ts", "Qs") and n == 1:
-        built = [_sequence("i")]
-    elif klass in ("Ts", "Qs"):
-        built = []
-        for b in _sequences(klass, n - 1):
-            built.append(_sequence("ii", b))
-            if klass == "Ts":
-                built.append(_sequence("iii", b))
-        for a in range(1, n - 1):
-            for b in _sequences(klass, a):
-                for c in _sequences(klass, n - 1 - a):
-                    built.append(_sequence("iv", b, c))
-    else:
-        base_class = "Ts" if klass == "T" else "Qs"
-        built = list(_sequences(base_class, n))
-        for a in range(1, n):
-            for b in _sequences(base_class, a):
-                for c in _sequences(klass, n - a):
-                    built.append(_sequence("v", b, c))
-    _GRAMMAR_MEMO[key] = built
-    return built
+    """The drop sequences of the size-n heaps of a class, one per build, in grammar order.
+
+    Built bottom-up within the call, row by row as `counting` adds the
+    cases up: a strict row is case i, then ii and iii for each b, then iv
+    by a; a full row (T or Q) is the strict row, then v by a.
+    """
+    with_iii = klass.startswith("T")
+    strict: list[list[tuple[int, ...]]] = [[]]
+    for m in range(1, n + 1):
+        row = [_sequence("i")] if m == 1 else []
+        for b in strict[m - 1]:
+            row.append(_sequence("ii", b))
+            if with_iii:
+                row.append(_sequence("iii", b))
+        for a in range(1, m - 1):
+            row += [_sequence("iv", b, c) for b in strict[a] for c in strict[m - 1 - a]]
+        strict.append(row)
+    if klass.endswith("s"):
+        return strict[n]
+    full: list[list[tuple[int, ...]]] = [[]]
+    for m in range(1, n + 1):
+        row = strict[m][:]
+        for a in range(1, m):
+            row += [_sequence("v", b, c) for b in strict[a] for c in full[m - a]]
+        full.append(row)
+    return full[n]
 
 
 def grammar_enumerate(n: int, klass: str) -> frozenset[Heap]:
@@ -302,5 +297,4 @@ def grammar_count(n: int, klass: str) -> int:
 
 
 def clear_caches() -> None:
-    """Drop the memoized grammar tables (used by tests)."""
-    _GRAMMAR_MEMO.clear()
+    """Nothing to clear: the grammar keeps no state between calls."""

@@ -13,23 +13,11 @@ import argparse
 import json
 import sys
 
-from . import bijections, heaps, multisets, paths, render, series, verify
+from . import bijections, counting, heaps, multisets, paths, render, series, verify
 from .errors import HeapdyckError
 
-_MS_FAMILIES = {
-    "multiset-all": "all",
-    "multiset-star": "star",
-    "multiset-super": "super",
-    "multiset-super-star": "super_star",
-    "multiset-no-single-except-k": "no_single_except_k",
-}
-_PATH_FAMILIES = {
-    "dyck": "dyck",
-    "dyck-star": "dyck_star",
-    "grand-dyck": "grand_dyck",
-    "grand-dyck-star": "grand_dyck_star",
-    "grand-dyck-udu-free": "grand_dyck_udu_free",
-}
+_MS_FAMILIES = {f"multiset-{f}".replace("_", "-"): f for f in multisets.FAMILIES}
+_PATH_FAMILIES = {f.replace("_", "-"): f for f in paths.FAMILIES}
 # path family -> the heap class its words map onto, which has as many members
 _PATH_CLASSES = {
     "grand_dyck": "T",
@@ -38,8 +26,8 @@ _PATH_CLASSES = {
     "grand_dyck_star": "Q",
     "grand_dyck_udu_free": "Q",
 }
-_HEAP_FAMILIES = {"heap-T": "T", "heap-Ts": "Ts", "heap-Q": "Q", "heap-Qs": "Qs"}
-_ANIMAL_FAMILIES = {"animal-square": "square", "animal-triangular": "triangular"}
+_HEAP_FAMILIES = {f"heap-{klass}": klass for klass in counting.CLASSES}
+_ANIMAL_FAMILIES = {f"animal-{lattice}": lattice for lattice in heaps.LATTICES}
 # (lattice, subdiagonal) -> the heap class its animals map onto
 _ANIMAL_CLASSES = {
     ("triangular", False): "T",

@@ -56,6 +56,19 @@ def check_steps(word: str) -> None:
         raise BadCharError(f"steps must be U or D, found {bad}")
 
 
+def check_grand_dyck(word: str) -> int:
+    """The semilength of a grand-Dyck word.
+
+    Raises BadCharError on a letter other than U or D, first, and
+    NotGrandDyckError unless the word is balanced and starts with U.
+    """
+    check_steps(word)
+    semilength = word.count("U")
+    if not (word[:1] == "U" and 2 * semilength == len(word)):
+        raise NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
+    return semilength
+
+
 def heights(word: str) -> list[int]:
     """Points y_0..y_L visited by the word, starting at 0."""
     check_steps(word)
@@ -75,10 +88,7 @@ def height_stats(word: str) -> PathStats:
     of a step, and the first step climbs to 1 from 0, so the largest end
     height is height_max.
     """
-    check_steps(word)
-    semilength = word.count("U")
-    if not (word[:1] == "U" and 2 * semilength == len(word)):
-        raise NotGrandDyckError(f"need a balanced word starting with U: {word!r}")
+    semilength = check_grand_dyck(word)
     nbu: dict[int, int] = {}
     d_ends = []
     y = cross = 0

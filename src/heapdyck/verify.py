@@ -470,7 +470,7 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
                 )
                 rec.require(
                     "u-count-per-height-totals-semilength",
-                    sum(ps.nbu_profile.values()) == ps.semilength,
+                    sum(ps.nbu_profile.values()) == ms.length,
                     where,
                 )
                 off = ps.height_max - ms.gap

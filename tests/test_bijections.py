@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -367,11 +368,32 @@ class TestGrammar:
             assert built == [decoded(blob) for blob in encoded_grammar(klass, n, memo)], n
 
     def test_duplicate_build_raises(self, monkeypatch):
-        (ground,) = bijections._sequences("Ts", 1)
-        # a memo of its own, so that the sizes built on the duplicate do not outlive the test
-        monkeypatch.setattr(bijections, "_GRAMMAR_MEMO", {("Ts", 1): [ground, ground]})
+        sequence = bijections._sequence
+
+        def overlapping(case, *parts):
+            # case iii builds what case ii builds from the same part
+            return sequence("ii" if case == "iii" else case, *parts)
+
+        monkeypatch.setattr(bijections, "_sequence", overlapping)
         with pytest.raises(GrammarDuplicateError):
             bijections.grammar_enumerate(2, "Ts")
+
+    def test_grammar_keeps_no_module_state(self):
+        bijections.clear_caches()  # so that no earlier test has filled what this call would fill
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "heapdyck"]
+        assert bijections in modules
+
+        def sizes():
+            return {
+                (m.__name__, name): len(value)
+                for m in modules
+                for name, value in vars(m).items()
+                if not name.startswith("__") and type(value) in (dict, list, set)
+            }
+
+        before = sizes()
+        assert bijections.grammar_enumerate(8, "T")
+        assert sizes() == before
 
     def test_encoded_reference_raises_on_a_duplicate_build(self):
         (ground,) = encoded_grammar("Ts", 1)

@@ -10,13 +10,6 @@ from heapdyck import bijections, counting, heaps, series
 ORDER = 300
 
 
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    bijections.clear_caches()
-    yield
-    bijections.clear_caches()
-
-
 def by_size(values, n):
     """[#{v <= b} for b = 0..n] from a list of statistic values."""
     return [sum(v <= b for v in values) for b in range(n + 1)]
@@ -59,12 +52,15 @@ def test_totals_follow_p_recurrences():
         assert (n + 2) * qs[n + 1] == (2 * n + 1) * qs[n] + 3 * (n - 1) * qs[n - 1], n
 
 
-def test_grammar_count_reaches_hundreds():
+def test_grammar_count_reaches_hundreds(monkeypatch):
+    def no_listing(klass, n):
+        raise AssertionError("grammar_count listed the heaps it counts")
+
+    monkeypatch.setattr(bijections, "_sequences", no_listing)  # counted without building a heap
     start = time.perf_counter()
     got = bijections.grammar_count(300, "T")
     assert time.perf_counter() - start < 1.0
     assert got == comb(599, 300)
-    assert not bijections._GRAMMAR_MEMO  # counted without building a heap
 
 
 def test_widths_bound_every_heap():

@@ -115,6 +115,26 @@ class TestHeightStats:
         with pytest.raises(NotGrandDyckError):
             paths.height_stats("UUD")
 
+    @pytest.mark.parametrize(
+        "word,error,message",
+        [
+            ("DUUD", NotGrandDyckError, "need a balanced word starting with U: 'DUUD'"),
+            ("UUD", NotGrandDyckError, "need a balanced word starting with U: 'UUD'"),
+            ("", NotGrandDyckError, "need a balanced word starting with U: ''"),
+            ("DXU", BadCharError, "steps must be U or D, found ['X']"),
+        ],
+    )
+    def test_one_shape_check_for_stats_and_drops(self, word, error, message):
+        # a bad letter is reported before the shape, by every caller alike
+        for check in (paths.check_grand_dyck, paths.height_stats, bijections.drop_sequence):
+            with pytest.raises(error) as info:
+                check(word)
+            assert str(info.value) == message
+
+    def test_shape_check_returns_semilength(self):
+        assert paths.check_grand_dyck("UD") == 1
+        assert paths.check_grand_dyck(EXAMPLE_WORD) == len(EXAMPLE_WORD) // 2
+
     @given(grand_dyck_words())
     def test_profile_sizes(self, w):
         s = paths.height_stats(w)

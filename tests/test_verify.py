@@ -1,9 +1,9 @@
 """Suite plumbing plus mutation smoke checks.
 
-Each mutation swaps one implementation detail for a subtly wrong one,
-clears every cache, and expects the relevant suite to flip to FAIL
-through the named checks that see the defect, never through a crash of
-the whole suite.
+Each mutation swaps one implementation detail for a subtly wrong one
+and expects the relevant suite to flip to FAIL through the named checks
+that see the defect, never through a crash of the whole suite.  Nothing
+is cached between calls, so a mutation takes effect at once.
 """
 
 import dataclasses
@@ -16,13 +16,6 @@ import pytest
 from heapdyck import bijections, cli, counting, heaps, multisets, paths, verify
 
 import oracles
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    bijections.clear_caches()
-    yield
-    bijections.clear_caches()
 
 
 class TestReports:
@@ -96,7 +89,6 @@ def _drop_with(monkeypatch, drop_level):
     """heaps.drop_columns replaced by the per-dimer reference loop, landing by drop_level."""
     monkeypatch.setattr(oracles, "_drop_level", drop_level)
     monkeypatch.setattr(heaps, "drop_columns", oracles.reference_drop_columns)
-    bijections.clear_caches()
 
 
 class TestMutationSmoke:
@@ -108,7 +100,6 @@ class TestMutationSmoke:
             return w[:-2] + w[-1] + w[-2]
 
         monkeypatch.setattr(bijections, "multiset_to_path", swapped_tail)
-        bijections.clear_caches()
         assert _failing("bijections").keys() == {
             "staircase-round-trip",
             "staircase-is-bijective",
@@ -122,7 +113,6 @@ class TestMutationSmoke:
         # right to left at their signed heights.  Dyck words have no such run.
         unreversed = _mutated(bijections.drop_sequence, "if y >= 0:", "if True:")
         monkeypatch.setattr(bijections, "drop_sequence", unreversed)
-        bijections.clear_caches()
         failing = _failing("bijections")
         assert failing.keys() == {
             "run-heap-round-trip",
@@ -169,13 +159,30 @@ class TestMutationSmoke:
             return dataclasses.replace(s, height_max=s.height_max + 1)
 
         monkeypatch.setattr(paths, "height_stats", taller)
-        bijections.clear_caches()
         assert _failing("statistics").keys() == {
             "right-width-equals-height",
             "width-splits-into-crossings-plus-height",
             "gap-stays-within-one-of-height",
             "gap-is-height-minus-one-on-crossing-free-words",
         }
+
+    def test_positive_only_u_profile_is_caught(self, monkeypatch):
+        # U steps at modified height 0 or below dropped from the profile, and
+        # from the U count with them, so the scan agrees with itself
+        orig = paths.height_stats
+
+        def positive_only(word):
+            s = orig(word)
+            nbu = {h: k for h, k in s.nbu_profile.items() if h > 0}
+            return dataclasses.replace(s, semilength=sum(nbu.values()), nbu_profile=nbu)
+
+        monkeypatch.setattr(paths, "height_stats", positive_only)
+        failing = _failing("statistics")
+        assert failing.keys() == {
+            "area-equals-semilength-equals-length",
+            "u-count-per-height-totals-semilength",
+        }
+        assert failing["u-count-per-height-totals-semilength"] == "n=2, word UDDU"
 
     def test_shifted_gap_profile_is_caught(self, monkeypatch):
         orig = multisets.stats
@@ -187,7 +194,6 @@ class TestMutationSmoke:
             )
 
         monkeypatch.setattr(multisets, "stats", shifted)
-        bijections.clear_caches()
         failing = _failing("statistics")
         assert failing.keys() == {"gap-profile-equals-d-end-heights"}
         assert failing["gap-profile-equals-d-end-heights"].startswith("n=1, ")

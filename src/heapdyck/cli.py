@@ -18,14 +18,6 @@ from .errors import HeapdyckError
 
 _MS_FAMILIES = {f"multiset-{f}".replace("_", "-"): f for f in multisets.FAMILIES}
 _PATH_FAMILIES = {f.replace("_", "-"): f for f in paths.FAMILIES}
-# path family -> the heap class its words map onto, which has as many members
-_PATH_CLASSES = {
-    "grand_dyck": "T",
-    "dyck": "Ts",
-    "dyck_star": "Qs",
-    "grand_dyck_star": "Q",
-    "grand_dyck_udu_free": "Q",
-}
 _HEAP_FAMILIES = {f"heap-{klass}": klass for klass in counting.CLASSES}
 _ANIMAL_FAMILIES = {f"animal-{lattice}": lattice for lattice in heaps.LATTICES}
 # (lattice, subdiagonal) -> the heap class its animals map onto
@@ -194,7 +186,7 @@ def _do_enumerate(args) -> int:
     elif args.family in _PATH_FAMILIES:
         family = _PATH_FAMILIES[args.family]
         if args.count_only:
-            print(bijections.grammar_count(args.n, _PATH_CLASSES[family]))
+            print(paths.count_family(family, args.n))
             return 0
         items = list(paths.enumerate_family(family, args.n))
     elif args.family in _HEAP_FAMILIES:

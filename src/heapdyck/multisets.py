@@ -175,19 +175,18 @@ def _bound(family: str, n: int, k: int | None) -> int:
 
 
 def enumerate_family(family: str, n: int, k: int | None = None) -> Iterator[Multiset]:
-    """Yield the family members of size n over {1..k} in lexicographic order.
+    """The family members of size n over {1..k} in lexicographic order.
 
-    Apart from "all", each family is grown value by value, and a value
-    that breaks the family's condition is never placed, so no multiset
-    outside the family is built.
+    Family, n and k are checked at the call.  Apart from "all", each
+    family is grown value by value, and a value that breaks the family's
+    condition is never placed, so no multiset outside the family is built.
     """
     bound = _bound(family, n, k)
     if family == "all":
         tuples = combinations_with_replacement(range(1, bound + 1), n)
     else:
         tuples = _depth_first(n, bound, _NEXT[family])
-    for tup in tuples:
-        yield Multiset(tup, bound)
+    return (Multiset(tup, bound) for tup in tuples)
 
 
 def count_family(family: str, n: int, k: int | None = None) -> int:

@@ -11,6 +11,7 @@ by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator
 
 from .errors import HeapdyckError
@@ -119,118 +120,87 @@ def height_stats(word: str) -> PathStats:
     )
 
 
-def _gen_balanced(n: int, dyck_only: bool) -> Iterator[str]:
-    """Balanced words starting with U, in lexicographic order (U < D), from U^n D^n.
-
-    The next word turns into D the rightmost U after the first step that
-    has a D after it (for Dyck words, also one starting at height 1 or
-    more), and then puts all the U steps after it before all the D steps.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    word = ["U"] * n + ["D"] * n
-    while True:
-        yield "".join(word)
-        ups = downs = 0  # steps right of i
-        for i in range(2 * n - 1, 0, -1):
-            if word[i] == "D":
-                downs += 1
-            elif downs and (not dyck_only or downs - ups > 1):
-                word[i:] = ["D"] + ["U"] * (ups + 1) + ["D"] * (downs - 1)
-                break
-            else:
-                ups += 1
-        else:
-            return
-
-
-def _gen_avoiding(n: int, pattern: str, dyck_only: bool) -> Iterator[str]:
-    """Balanced words starting with U that never contain a three-step pattern.
-
-    Depth first, U before D, so in lexicographic order.  A step that
-    completes the pattern is never taken.  A prefix can still end where
-    the one letter left would complete it; the search backs up from there
-    at once, one step deep.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    word: list[str] = []
-    ups = downs = 0
-
-    def allowed(step: str) -> bool:
-        if step == "U":
-            if ups == n:
-                return False
-        elif not word or downs == (ups if dyck_only else n):
-            return False
-        return "".join(word[-2:]) + step != pattern
-
-    while True:
-        while len(word) < 2 * n:
-            step = "U" if allowed("U") else "D" if allowed("D") else None
-            if step is None:
-                break
-            word.append(step)
-            if step == "U":
-                ups += 1
-            else:
-                downs += 1
-        else:
-            yield "".join(word)
-        # back up to the last U that may turn into a D
-        while word:
-            if word.pop() == "D":
-                downs -= 1
-                continue
-            ups -= 1
-            if allowed("D"):
-                word.append("D")
-                downs += 1
-                break
-        else:
-            return
-
-
 _AVOIDS = {"dyck_star": "DUD", "grand_dyck_star": "DUD", "grand_dyck_udu_free": "UDU"}
 
 
-def enumerate_family(family: str, n: int) -> Iterator[str]:
-    """Yield the words of semilength n in lexicographic order with U < D.
-
-    The pattern-avoiding families are grown step by step and never build
-    a word that contains the pattern.
-    """
+def _rule(family: str, n: int) -> tuple[str | None, bool]:
+    """The family's pattern (or None) and whether it keeps to Dyck words, once checked."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    dyck_only = family.startswith("dyck")
-    if family in _AVOIDS:
-        yield from _gen_avoiding(n, _AVOIDS[family], dyck_only)
-    else:
-        yield from _gen_balanced(n, dyck_only)
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _AVOIDS.get(family), family.startswith("dyck")
+
+
+def _depth_first(n: int, pattern: str | None, dyck_only: bool) -> Iterator[str]:
+    """Balanced words starting with U that never contain the pattern, U before D.
+
+    A step is taken only if it leaves room for the rest of the word (a
+    letter past n, or a Dyck word below the axis, does not) and does not
+    complete the pattern.  A prefix with no step left, or a whole word,
+    backs up to its last U and tries D in its place.
+    """
+    word = ["U"]
+    ups, downs = 1, 0
+    tail = "U"  # the last two steps
+    tried_u = False  # whether U was already tried at the next position
+    while True:
+        if ups + downs < 2 * n:
+            if not tried_u and ups < n and tail + "U" != pattern:
+                word.append("U")
+                ups += 1
+                tail = tail[-1] + "U"
+                continue
+            if downs < (ups if dyck_only else n) and tail + "D" != pattern:
+                word.append("D")
+                downs += 1
+                tail = tail[-1] + "D"
+                tried_u = False
+                continue
+        else:
+            yield "".join(word)
+        while word.pop() == "D":
+            downs -= 1
+        if not word:
+            return
+        ups -= 1
+        tail = "".join(word[-2:])
+        tried_u = True
+
+
+def enumerate_family(family: str, n: int) -> Iterator[str]:
+    """The words of semilength n in lexicographic order with U < D.
+
+    Family and n are checked at the call.  The words are grown step by
+    step, and a word that contains the family's pattern is never built.
+    """
+    return _depth_first(n, *_rule(family, n))
 
 
 def count_family(family: str, n: int) -> int:
     """The number of words enumerate_family yields, by a transfer count over the steps.
 
-    A state is the U count so far and the last two steps, and every word
-    starts with U.  A step is taken unless it overdraws the word (a letter
-    past n, or a Dyck word below the axis) or completes the family's
-    pattern, so the count walks O(n^2) states and builds no word.
+    There is one list of prefix counts per tail (the last two steps),
+    indexed by the U count, and every word starts with U.  A step is
+    taken unless it overdraws the word (a letter past n, or a Dyck word
+    below the axis) or completes the family's pattern, so each of the 2n
+    steps moves a few whole lists and no word is built.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    pattern = _AVOIDS.get(family)
-    dyck_only = family.startswith("dyck")
-    states = {(1, "U"): 1}  # (U steps, last two steps) -> prefixes
+    pattern, dyck_only = _rule(family, n)
+    states = {"U": [0, 1] + [0] * (n - 1)}  # tail -> prefixes by U count
     for length in range(1, 2 * n):
-        grown: dict[tuple[int, str], int] = {}
-        for (ups, tail), ways in states.items():
-            downs = length - ups
-            for step, room in (("U", ups < n), ("D", downs < (ups if dyck_only else n))):
-                if room and tail + step != pattern:
-                    key = (ups + (step == "U"), tail[-1] + step)
-                    grown[key] = grown.get(key, 0) + ways
+        # D keeps the length - ups D steps below n, and below ups in a Dyck
+        # word, so it is open to the prefixes with least_d U steps or more
+        least_d = length // 2 + 1 if dyck_only else max(length - n + 1, 0)
+        grown: dict[str, list[int]] = {}
+        for tail, ways in states.items():
+            for step in "UD":
+                if tail + step != pattern:
+                    if step == "U":
+                        moved = [0, *ways[:-1]]  # the prefixes with n U steps take none
+                    else:
+                        moved = [0] * least_d + ways[least_d:]
+                    key = tail[-1] + step
+                    grown[key] = list(map(add, grown[key], moved)) if key in grown else moved
         states = grown
-    return sum(states.values())
+    return sum(map(sum, states.values()))

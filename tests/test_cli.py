@@ -114,6 +114,17 @@ class TestEnumerate:
         if family == "grand-dyck":
             assert out == f"{comb(599, 300)}\n"
 
+    @pytest.mark.parametrize("family", PATH_FAMILIES)
+    def test_path_count_only_counts_words(self, capsys, monkeypatch, family):
+        # the word count stands on its own: no heap class is counted in its place
+        def no_grammar(n, klass):
+            raise AssertionError(f"grammar_count({n}, {klass!r}) called for a word family")
+
+        monkeypatch.setattr(bijections, "grammar_count", no_grammar)
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", "12", "--count-only")
+        assert code == 0
+        assert out == f"{paths.count_family(family.replace('-', '_'), 12)}\n"
+
     @pytest.mark.parametrize("family", MULTISET_FAMILIES)
     def test_multiset_count_only_matches_listing(self, capsys, family):
         for n in range(1, 7):

@@ -202,6 +202,8 @@ class TestCountFamily:
             multisets.count_family(family, n, k)
         with pytest.raises(ValueError):
             list(multisets.enumerate_family(family, n, k))
+        with pytest.raises(ValueError):
+            multisets.enumerate_family(family, n, k)  # at the call, not at the first multiset
 
 class TestText:
     def test_parse_with_bound(self):

@@ -306,8 +306,14 @@ class TestEnumerate:
         for family in paths.FAMILIES:
             assert list(paths.enumerate_family(family, n)) == filtered_words(family, words), family
 
-    def test_first_word_at_600_needs_no_recursion(self):
-        assert next(paths.enumerate_family("grand_dyck", 600)) == "U" * 600 + "D" * 600
+    @pytest.mark.parametrize("family", paths.FAMILIES)
+    def test_first_word_at_600_needs_no_recursion(self, family):
+        # 1200 steps deep: a generator that recursed once per step would hit the limit
+        words = paths.enumerate_family(family, 600)
+        first, second = next(words), next(words)
+        assert first == "U" * 600 + "D" * 600
+        assert len(second) == 1200 and second != first
+        assert filtered_words(family, [second]) == [second]
 
 
 class TestCountFamily:
@@ -332,3 +338,5 @@ class TestCountFamily:
             paths.count_family(family, n)
         with pytest.raises(ValueError):
             list(paths.enumerate_family(family, n))
+        with pytest.raises(ValueError):
+            paths.enumerate_family(family, n)  # at the call, not at the first word

@@ -24,7 +24,7 @@ A heap is the same whatever linear extension of it is dropped, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import counting, heaps, multisets, paths
 from .errors import HeapdyckError
@@ -43,8 +43,7 @@ class GrammarDuplicateError(HeapdyckError, RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     case: str
     parts: tuple[Heap, ...]
 

@@ -19,10 +19,9 @@ heaps with no dimer directly on top of another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import HeapdyckError
 
@@ -159,8 +158,7 @@ class Heap:
         return max(self.dimers)[0]
 
 
-@dataclass(frozen=True)
-class AnimalStats:
+class AnimalStats(NamedTuple):
     area: int
     lw: int
     rw: int
@@ -247,15 +245,28 @@ def animal_validate(points: Iterable[Point], lattice: str = "triangular") -> boo
     return len(seen) == len(pts)
 
 
-@dataclass(frozen=True)
 class PointAnimal:
     """Finite point set containing the origin, connected on the triangular lattice."""
 
-    points: frozenset[Point]
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        if not animal_validate(self.points, "triangular"):
+    def __init__(self, points: frozenset[Point]):
+        if not animal_validate(points, "triangular"):
             raise ValueError("points are not connected to the origin")
+        object.__setattr__(self, "points", points)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("PointAnimal is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PointAnimal) and self.points == other.points
+
+    def __hash__(self) -> int:
+        # the hash of the field tuple, so that sets of animals iterate as they always have
+        return hash((self.points,))
+
+    def __repr__(self) -> str:
+        return f"PointAnimal(points={self.points!r})"
 
     def __len__(self) -> int:
         return len(self.points)

@@ -18,9 +18,8 @@ changes seen so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HeapdyckError
 
@@ -43,12 +42,30 @@ class MultisetParseError(HeapdyckError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Multiset:
     """Sorted values drawn from {1, ..., bound}, possibly with repeats."""
 
-    values: tuple[int, ...]
-    bound: int
+    __slots__ = ("values", "bound")
+
+    def __init__(self, values: tuple[int, ...], bound: int):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "bound", bound)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Multiset is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Multiset)
+            and self.values == other.values
+            and self.bound == other.bound
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.bound))
+
+    def __repr__(self) -> str:
+        return f"Multiset(values={self.values!r}, bound={self.bound!r})"
 
     def __str__(self) -> str:
         return to_text(self)
@@ -58,8 +75,7 @@ class Multiset:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class MultisetStats:
+class MultisetStats(NamedTuple):
     length: int
     cross: int
     adj: int

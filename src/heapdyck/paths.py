@@ -10,9 +10,8 @@ by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import HeapdyckError
 
@@ -31,8 +30,7 @@ class NotGrandDyckError(HeapdyckError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(NamedTuple):
     semilength: int
     cross: int
     height_max: int

@@ -33,11 +33,10 @@ expanded by bottom-up division with sparse polynomial denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import HeapdyckError
 
@@ -75,19 +74,29 @@ def _extend(num: list[int], den: int, c: Fraction) -> int:
     return den
 
 
-@dataclass(frozen=True)
 class Series:
-    coeffs: tuple[Fraction, ...]
+    """Coefficients of z^0 .. z^order; not a tuple, so + - * / act on series."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[Fraction]):
         # the kernels pass Fractions already, and Fraction(c) of one is slow
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs),
-        )
-        if not self.coeffs:
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        if not coeffs:
             raise ValueError("series needs at least the constant term")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Series is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Series) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"Series(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:
@@ -215,11 +224,25 @@ def closed_form(name: str, order: int) -> Series:
     return ((polynomial([1, -3], n) - root) / polynomial([-2, 6], n)).truncate(order)
 
 
-@dataclass(frozen=True)
 class BivarTable:
     """Coefficients c[n][k] of z^n u^k, exact, up to fixed z and u orders."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BivarTable is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BivarTable) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"BivarTable(rows={self.rows!r})"
 
     @property
     def z_order(self) -> int:
@@ -286,8 +309,7 @@ def bivariate(name: str, z_order: int, u_order: int) -> BivarTable:
     return _divide_table(numerator, denominator, z_order, u_order)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -18,12 +18,11 @@ the fixed orders COUNT_ORDER and WIDTH_ORDER, whatever the size bound.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, counting, heaps, multisets, paths, series
 from .errors import HeapdyckError
@@ -41,8 +40,7 @@ COUNT_ORDER = 300  # sizes of the counts suite's recurrence totals
 WIDTH_ORDER = 60  # sizes of the symmetry suite's width tables
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -52,8 +50,7 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     suite: str
     max_n: int
     checks: list[CheckResult]
@@ -89,18 +86,21 @@ class _Recorder:
             if name not in self.order:
                 self.order.append(name)
 
-    def require(self, name: str, ok: bool, detail: str) -> None:
+    def require(self, name: str, ok: bool, detail: str, *args: object) -> None:
+        """Fail check name unless ok; given args, the detail is detail % args,
+        formatted only when it is recorded."""
         self.declare(name)
         if not ok and name not in self.failures:
-            self.failures[name] = detail
+            self.failures[name] = detail % args if args else detail
 
     @contextmanager
-    def guard(self, name: str, where: str) -> Iterator[None]:
-        """Record a library error raised inside as a failure of check name at where."""
+    def guard(self, name: str, where: str, *args: object) -> Iterator[None]:
+        """Record a library error raised inside as a failure of check name at
+        where, or at where % args, formatted only then."""
         try:
             yield
         except HeapdyckError as exc:
-            self.fail(name, where, exc)
+            self.fail(name, where % args if args else where, exc)
 
     def fail(self, name: str, where: str, exc: HeapdyckError) -> None:
         self.require(name, False, f"{where}: {type(exc).__name__}: {exc}")
@@ -289,12 +289,14 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
         # the distinct members of each family listed below, by module and family
         listed = {(paths, "grand_dyck"): len(words), (multisets, "all"): len(set(every))}
         images = {}
+        at_multiset = "n=%d, multiset %s"
         for m in every:
-            where = f"n={n}, multiset {m}"
-            with rec.guard("staircase-round-trip", where):
+            with rec.guard("staircase-round-trip", at_multiset, n, m):
                 w = bijections.multiset_to_path(m)
                 images[w] = m
-                rec.require("staircase-round-trip", bijections.path_to_multiset(w) == m, where)
+                rec.require(
+                    "staircase-round-trip", bijections.path_to_multiset(w) == m, at_multiset, n, m
+                )
         rec.require(
             "staircase-is-bijective",
             len(images) == len(words) and set(images) == words,
@@ -371,15 +373,14 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 if isinstance(h, HeapdyckError):
                     rec.fail(name, f"square, n={n}, animal {a}", h)
             square_heaps = _found(animal_heaps["square"])
+            at_animal = "n=%d, animal %s"
             for a, h in animal_heaps["triangular"].items():
-                where = f"n={n}, animal {a}"
                 if isinstance(h, HeapdyckError):
-                    rec.fail(name, where, h)
+                    rec.fail(name, at_animal % (n, a), h)
                     continue
-                with rec.guard(name, where):
-                    rec.require(
-                        name, (heaps.heap_stats(h).diag == 0) == (h in square_heaps), where
-                    )
+                with rec.guard(name, at_animal, n, a):
+                    diagonal_free = heaps.heap_stats(h).diag == 0
+                    rec.require(name, diagonal_free == (h in square_heaps), at_animal, n, a)
         for (module, family), size in listed.items():
             counted = module.count_family(family, n)
             rec.require(

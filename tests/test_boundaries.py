@@ -100,3 +100,17 @@ def test_package_root_exports_only_the_error_base_and_version():
     pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text()
     project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
     assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == heapdyck.__version__
+
+
+def test_command_line_imports_without_dataclasses():
+    """Result records are NamedTuples and slotted classes, so that a cold
+    `heapdyck` call does not load `dataclasses` and the `inspect` it pulls in."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import heapdyck.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -6,7 +6,6 @@ that see the defect, never through a crash of the whole suite.  Nothing
 is cached between calls, so a mutation takes effect at once.
 """
 
-import dataclasses
 import inspect
 import json
 import textwrap
@@ -100,12 +99,37 @@ class TestMutationSmoke:
             return w[:-2] + w[-1] + w[-2]
 
         monkeypatch.setattr(bijections, "multiset_to_path", swapped_tail)
-        assert _failing("bijections").keys() == {
+        failing = _failing("bijections")
+        assert failing.keys() == {
             "staircase-round-trip",
             "staircase-is-bijective",
             "staircase-super-image",
             "staircase-star-image",
             "staircase-no-single-except-k-image",
+        }
+        assert failing["staircase-round-trip"] == (
+            "n=1, multiset 1: NotStartingUError: word must start with U: 'DU'"
+        )
+
+    def test_wrong_staircase_inverse_names_the_multiset(self, monkeypatch):
+        # every word read back as the all-ones multiset of its semilength
+        def all_ones(word):
+            n = len(word) // 2
+            return multisets.Multiset((1,) * n, n)
+
+        monkeypatch.setattr(bijections, "path_to_multiset", all_ones)
+        assert _failing("bijections", 3) == {"staircase-round-trip": "n=2, multiset 1,2"}
+
+    def test_miscounted_diagonals_name_the_animal(self, monkeypatch):
+        orig = heaps.heap_stats
+
+        def one_more_at_three(h):
+            s = orig(h)
+            return s._replace(diag=s.diag + 1) if len(h) == 3 else s
+
+        monkeypatch.setattr(heaps, "heap_stats", one_more_at_three)
+        assert _failing("bijections") == {
+            "square-animals-are-diagonal-free-heaps": "n=3, animal (0,0);(0,1);(1,1)"
         }
 
     def test_missing_run_reversal_is_caught(self, monkeypatch):
@@ -156,7 +180,7 @@ class TestMutationSmoke:
 
         def taller(word):
             s = orig(word)
-            return dataclasses.replace(s, height_max=s.height_max + 1)
+            return s._replace(height_max=s.height_max + 1)
 
         monkeypatch.setattr(paths, "height_stats", taller)
         assert _failing("statistics").keys() == {
@@ -174,7 +198,7 @@ class TestMutationSmoke:
         def positive_only(word):
             s = orig(word)
             nbu = {h: k for h, k in s.nbu_profile.items() if h > 0}
-            return dataclasses.replace(s, semilength=sum(nbu.values()), nbu_profile=nbu)
+            return s._replace(semilength=sum(nbu.values()), nbu_profile=nbu)
 
         monkeypatch.setattr(paths, "height_stats", positive_only)
         failing = _failing("statistics")
@@ -189,9 +213,7 @@ class TestMutationSmoke:
 
         def shifted(m):
             s = orig(m)
-            return dataclasses.replace(
-                s, gap_profile=tuple(g + 1 for g in s.gap_profile)
-            )
+            return s._replace(gap_profile=tuple(g + 1 for g in s.gap_profile))
 
         monkeypatch.setattr(multisets, "stats", shifted)
         failing = _failing("statistics")

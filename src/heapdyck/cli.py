@@ -33,8 +33,29 @@ FAMILIES = (
     *_HEAP_FAMILIES,
     *_ANIMAL_FAMILIES,
 )
-REPRESENTATIONS = ("multiset", "path", "heap")
-STAT_KINDS = ("multiset", "path", "heap", "animal")
+# kind -> (parse, to_text, stats record) for the objects read from --input
+_KINDS = {
+    "multiset": (multisets.parse, multisets.to_text, multisets.stats),
+    "path": (paths.parse, str, paths.height_stats),
+    "heap": (heaps.parse_heap, heaps.to_text, heaps.heap_stats),
+    "animal": (
+        heaps.parse_points,
+        heaps.points_to_text,
+        lambda animal: heaps.heap_stats(heaps.animal_to_heap(animal)),
+    ),
+}
+# map goes through the word, and a path is its own word.  The bijections
+# are looked up at the call, so that a patched one is the one that runs.
+_TO_WORD = {
+    "multiset": lambda m: bijections.multiset_to_path(m),
+    "path": str,
+    "heap": lambda h: bijections.heap_to_path(h),
+}
+_FROM_WORD = {
+    "multiset": lambda w: bijections.path_to_multiset(w),
+    "path": str,
+    "heap": lambda w: bijections.path_to_heap(w),
+}
 
 
 class TableCheckError(HeapdyckError, RuntimeError):
@@ -55,12 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("map", help="convert an object between representations")
-    p.add_argument("--from", dest="src", required=True, choices=REPRESENTATIONS)
-    p.add_argument("--to", dest="dst", required=True, choices=REPRESENTATIONS)
+    p.add_argument("--from", dest="src", required=True, choices=tuple(_TO_WORD))
+    p.add_argument("--to", dest="dst", required=True, choices=tuple(_TO_WORD))
     p.add_argument("--input", required=True)
 
     p = sub.add_parser("stats", help="statistics of one object")
-    p.add_argument("--kind", required=True, choices=STAT_KINDS)
+    p.add_argument("--kind", required=True, choices=tuple(_KINDS))
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
 
@@ -86,89 +107,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_object(kind: str, token: str):
-    if kind == "multiset":
-        return multisets.parse(token)
-    if kind == "path":
-        return paths.parse(token)
-    if kind == "heap":
-        return heaps.parse_heap(token)
-    return heaps.parse_points(token)
-
-
-def _object_text(kind: str, obj) -> str:
-    if kind == "multiset":
-        return multisets.to_text(obj)
-    if kind == "path":
-        return obj
-    if kind == "heap":
-        return heaps.to_text(obj)
-    return heaps.points_to_text(obj)
-
-
-def _convert(src: str, dst: str, obj):
-    if src == dst:
-        return obj
-    if src == "multiset":
-        word = bijections.multiset_to_path(obj)
-        return word if dst == "path" else bijections.path_to_heap(word)
-    if src == "heap":
-        word = bijections.heap_to_path(obj)
-        return word if dst == "path" else bijections.path_to_multiset(word)
-    return (
-        bijections.path_to_multiset(obj)
-        if dst == "multiset"
-        else bijections.path_to_heap(obj)
-    )
-
-
-def _profile_text(profile: dict[int, int]) -> str:
-    return " ".join(f"{k}:{profile[k]}" for k in sorted(profile))
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(part.capitalize() for part in rest)
 
 
 def _stats_payload(kind: str, obj) -> dict:
-    if kind == "multiset":
-        s = multisets.stats(obj)
-        return {
-            "length": s.length,
-            "cross": s.cross,
-            "adj": s.adj,
-            "gapProfile": list(s.gap_profile),
-            "gap": s.gap,
-            "deltaProfile": list(s.delta_profile),
-        }
-    if kind == "path":
-        s = paths.height_stats(obj)
-        return {
-            "semilength": s.semilength,
-            "cross": s.cross,
-            "heightMax": s.height_max,
-            "nbuProfile": dict(sorted(s.nbu_profile.items())),
-            "dEndHeights": list(s.d_end_heights),
-            "dudCount": s.dud_count,
-            "uduCount": s.udu_count,
-        }
-    h = obj if kind == "heap" else heaps.animal_to_heap(obj)
-    s = heaps.heap_stats(h)
-    return {
-        "area": s.area,
-        "lw": s.lw,
-        "rw": s.rw,
-        "width": s.width,
-        "diag": s.diag,
-        "nbpProfile": dict(sorted(s.nbp_profile.items())),
-    }
+    """The kind's stats record, keyed by its camel-cased field names in field order."""
+    payload = {}
+    for name, value in _KINDS[kind][2](obj)._asdict().items():
+        if isinstance(value, dict):
+            value = dict(sorted(value.items()))
+        elif isinstance(value, tuple):
+            value = list(value)
+        payload[_camel(name)] = value
+    return payload
 
 
 def _stats_lines(payload: dict) -> list[str]:
     out = []
     for key, value in payload.items():
         if isinstance(value, dict):
-            out.append(f"{key}\t{_profile_text(value)}")
+            value = " ".join(f"{k}:{v}" for k, v in value.items())
         elif isinstance(value, list):
-            out.append(f"{key}\t{','.join(str(v) for v in value)}")
-        else:
-            out.append(f"{key}\t{value}")
+            value = ",".join(str(v) for v in value)
+        out.append(f"{key}\t{value}")
     return out
 
 
@@ -208,13 +171,16 @@ def _do_enumerate(args) -> int:
 
 
 def _do_map(args) -> int:
-    obj = _parse_object(args.src, args.input)
-    print(_object_text(args.dst, _convert(args.src, args.dst, obj)))
+    src, dst = args.src, args.dst
+    obj = _KINDS[src][0](args.input)
+    if src != dst:
+        obj = _FROM_WORD[dst](_TO_WORD[src](obj))
+    print(_KINDS[dst][1](obj))
     return 0
 
 
 def _do_stats(args) -> int:
-    payload = _stats_payload(args.kind, _parse_object(args.kind, args.input))
+    payload = _stats_payload(args.kind, _KINDS[args.kind][0](args.input))
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -280,7 +246,7 @@ def _do_verify(args) -> int:
 
 
 def _do_render(args) -> int:
-    obj = _parse_object(args.kind, args.input)
+    obj = _KINDS[args.kind][0](args.input)
     text = render.render(args.kind, obj, args.fmt)
     if args.output:
         try:

@@ -10,6 +10,13 @@ bound k.  The subfamilies of interest:
 * ``no_single_except_k``: every value below the bound occurs zero times
   or at least twice.
 
+Every family, ``all`` included, is one rule over the sorted values (see
+``_rule``): after v comes v again or a climb of at least 1, or at least 2
+in the star families; the superdiagonal families place no value below its
+position; and in ``no_single_except_k`` only a repeated value may climb,
+and only k may end the sequence on a single value.  ``count_family``
+counts that rule and ``enumerate_family`` lists it.
+
 Statistics are driven by the indicator delta(i) = [values[i] >= i]: the
 number of sign changes of delta, the adjacency count, and a per-position
 gap profile that discounts each |values[i] - i| by the number of delta
@@ -18,8 +25,7 @@ changes seen so far.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import HeapdyckError
 
@@ -126,82 +132,65 @@ def stats(m: Multiset) -> MultisetStats:
     )
 
 
-def _next_star(values: list[int], n: int, k: int) -> Iterable[int]:
-    if not values:
-        return range(1, k + 1)
-    last = values[-1]
-    return [last, *range(last + 2, k + 1)]
+def _rule(family: str, n: int, k: int | None) -> tuple[int, int, bool, bool]:
+    """The family's transition, once family, n and k are checked.
 
-
-def _next_super(values: list[int], n: int, k: int) -> Iterable[int]:
-    return range(max(values[-1] if values else 1, len(values) + 1), k + 1)
-
-
-def _next_super_star(values: list[int], n: int, k: int) -> Iterable[int]:
-    allowed = _next_super(values, n, k)
-    return [v for v in allowed if v != values[-1] + 1] if values else allowed
-
-
-def _next_no_single(values: list[int], n: int, k: int) -> Iterable[int]:
-    if not values:
-        return range(1, k + 1) if n > 1 else range(max(k, 1), k + 1)
-    last = values[-1]
-    if last < k and (len(values) == 1 or values[-2] != last):
-        return (last,)  # a value below k closes its run only after a repeat
-    if len(values) == n - 1:
-        return sorted({last, k})  # no room left to repeat a new value below k
-    return range(last, k + 1)
-
-
-# Per family, the values that may come next after a prefix, smallest first.
-_NEXT = {
-    "star": _next_star,
-    "super": _next_super,
-    "super_star": _next_super_star,
-    "no_single_except_k": _next_no_single,
-}
-
-
-def _depth_first(n: int, k: int, next_values) -> Iterator[tuple[int, ...]]:
-    """Every length-n sequence grown one allowed value at a time, in lexicographic order."""
-    values: list[int] = []
-    stack = [iter(next_values(values, n, k))]
-    while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            if values:
-                values.pop()
-        elif len(values) == n - 1:
-            yield (*values, v)
-        else:
-            values.append(v)
-            stack.append(iter(next_values(values, n, k)))
-
-
-def _bound(family: str, n: int, k: int | None) -> int:
-    """The value bound k, which defaults to n, once family, n and k are checked."""
+    The bound k (n by default), the smallest climb, whether a value seen
+    once may climb, and whether no value may fall below its position.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if k is not None and k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
-    return n if k is None else k
+    bound = n if k is None else k
+    gap = 2 if "star" in family else 1
+    return bound, gap, family != "no_single_except_k", family.startswith("super")
+
+
+def _depth_first(
+    n: int, k: int, gap: int, single_climbs: bool, superdiagonal: bool
+) -> Iterator[tuple[int, ...]]:
+    """Every length-n sequence over 1..k the transition allows, in lexicographic order.
+
+    After v comes v again or a climb of at least gap, and in the
+    superdiagonal families no value below its position.  Without single
+    climbs a climb starts only from a repeated value, and only k may end
+    the sequence on a single value.
+    """
+    if superdiagonal and n > k:
+        return  # position n would need a value above k
+    values: list[int] = []
+    stack = [iter(range(1, k + 1))]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            if values:
+                values.pop()
+            continue
+        repeated = bool(values) and values[-1] == v
+        if len(values) == n - 1:
+            if single_climbs or repeated or v == k:
+                yield (*values, v)
+            continue
+        values.append(v)
+        least = len(values) + 1 if superdiagonal else 1
+        climbs = range(max(v + gap, least), k + 1) if single_climbs or repeated else ()
+        stack.append(iter([v, *climbs] if v >= least else climbs))
 
 
 def enumerate_family(family: str, n: int, k: int | None = None) -> Iterator[Multiset]:
     """The family members of size n over {1..k} in lexicographic order.
 
-    Family, n and k are checked at the call.  Apart from "all", each
-    family is grown value by value, and a value that breaks the family's
-    condition is never placed, so no multiset outside the family is built.
+    Family, n and k are checked at the call.  Every family is grown value
+    by value by the transition count_family counts, and a value that
+    breaks the family's condition is never placed, so no multiset outside
+    the family is built.
     """
-    bound = _bound(family, n, k)
-    if family == "all":
-        tuples = combinations_with_replacement(range(1, bound + 1), n)
-    else:
-        tuples = _depth_first(n, bound, _NEXT[family])
+    bound, gap, single_climbs, superdiagonal = _rule(family, n, k)
+    tuples = _depth_first(n, bound, gap, single_climbs, superdiagonal)
     return (Multiset(tup, bound) for tup in tuples)
 
 
@@ -214,13 +203,11 @@ def count_family(family: str, n: int, k: int | None = None) -> int:
     The superdiagonal families place no value below its position.  One
     running sum serves every climb, so the count takes O(nk) steps.
     """
-    bound = _bound(family, n, k)
-    gap = 2 if "star" in family else 1  # the smallest climb
-    single_climbs = family != "no_single_except_k"
+    bound, gap, single_climbs, superdiagonal = _rule(family, n, k)
     once = [0, *[1] * bound]  # index v: prefixes ending at value v once
     more = [0] * (bound + 1)  # index v: prefixes ending at value v twice or more
     for i in range(2, n + 1):
-        least = i if family.startswith("super") else 1
+        least = i if superdiagonal else 1
         climbers = 0  # prefixes that may climb to w: those ending at a value up to w - gap
         grown_once, grown_more = [0] * (bound + 1), [0] * (bound + 1)
         for w in range(1, bound + 1):

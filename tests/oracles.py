@@ -519,22 +519,26 @@ def subset_heap_to_path(h: Heap) -> str:
 # bases by column tops kept in a bytearray, not by `heaps.drop_columns`.
 
 
+def multiset_families(m: multisets.Multiset) -> set[str]:
+    """The names in multisets.FAMILIES of the families m belongs to."""
+    flags = classify_multiset(m)
+    keep = {
+        "all": True,
+        "star": flags.star,
+        "super": flags.superdiagonal,
+        "super_star": flags.superdiagonal and flags.star,
+        "no_single_except_k": flags.no_single_except_bound,
+    }
+    return {family for family, kept in keep.items() if kept}
+
+
 def filtered_multisets(n: int, k: int) -> dict[str, list[multisets.Multiset]]:
     """Each family's multisets in lexicographic order, by classifying every multiset."""
     out: dict[str, list[multisets.Multiset]] = {family: [] for family in multisets.FAMILIES}
     for values in combinations_with_replacement(range(1, k + 1), n):
         m = multisets.Multiset(values, k)
-        flags = classify_multiset(m)
-        keep = {
-            "all": True,
-            "star": flags.star,
-            "super": flags.superdiagonal,
-            "super_star": flags.superdiagonal and flags.star,
-            "no_single_except_k": flags.no_single_except_bound,
-        }
-        for family, kept in keep.items():
-            if kept:
-                out[family].append(m)
+        for family in multiset_families(m):
+            out[family].append(m)
     return out
 
 

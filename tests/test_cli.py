@@ -1,7 +1,10 @@
 import importlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -84,6 +87,19 @@ class TestEnumerate:
             "(0,0);(0,1)",
             "(0,0);(1,1)",
         ]
+
+    @pytest.mark.parametrize("family", ["multiset-super", "multiset-super-star"])
+    def test_superdiagonal_past_the_bound_lists_nothing_at_once(self, family):
+        # a subprocess, so that a listing that walks every prefix times out
+        # here rather than hanging the suite
+        src = Path(multisets.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = ["enumerate", "--family", family, "--n", "40", "--k", "20"]
+        done = subprocess.run(
+            [sys.executable, "-m", "heapdyck.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
     @pytest.mark.parametrize("family", ["heap-T", "heap-Ts", "heap-Q", "heap-Qs"])
     def test_heap_count_only_matches_listing(self, capsys, family):
@@ -277,26 +293,42 @@ class TestStats:
             capsys, "stats", "--kind", "multiset", "--input", "2,2"
         )
         assert code == 0
-        lines = dict(line.split("\t") for line in out.splitlines())
-        assert lines["cross"] == "0"
-        assert lines["gapProfile"] == "1,0"
-        assert lines["gap"] == "1"
+        assert out.splitlines() == [
+            "length\t2",
+            "cross\t0",
+            "adj\t0",
+            "gapProfile\t1,0",
+            "gap\t1",
+            "deltaProfile\t1,1",
+        ]
 
     def test_heap_json(self, capsys):
         code, out, _ = run(
             capsys, "stats", "--kind", "heap", "--input", "(0,0);(0,1)", "--json"
         )
         assert code == 0
-        payload = json.loads(out)
-        assert payload["diag"] == 1
-        assert payload["nbpProfile"] == {"1": 2}
+        assert json.loads(out) == {
+            "area": 2,
+            "lw": 0,
+            "rw": 1,
+            "width": 1,
+            "diag": 1,
+            "nbpProfile": {"1": 2},
+        }
 
     def test_animal_stats(self, capsys):
         code, out, _ = run(
             capsys, "stats", "--kind", "animal", "--input", "(0,0);(1,1)", "--json"
         )
         assert code == 0
-        assert json.loads(out)["area"] == 2
+        assert json.loads(out) == {
+            "area": 2,
+            "lw": 0,
+            "rw": 1,
+            "width": 1,
+            "diag": 1,
+            "nbpProfile": {"1": 2},
+        }
 
     def test_repeated_animal_point_is_parse_error(self, capsys):
         code, out, err = run(capsys, "stats", "--kind", "animal", "--input", "(0,0);(0,0)")

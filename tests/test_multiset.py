@@ -12,7 +12,7 @@ from heapdyck.multisets import (
     OutOfRangeError,
 )
 
-from oracles import classify_multiset, filtered_multisets, listed_count
+from oracles import classify_multiset, filtered_multisets, listed_count, multiset_families
 
 LARGE_EXAMPLE = (3, 4, 5, 5, 5, 5, 5, 6, 6, 8, 8, 8, 8, 12, 15, 16, 17, 17, 17, 19, 19, 19)
 
@@ -158,6 +158,16 @@ class TestEnumerate:
         for k in (0, 1, n - 1, n, n + 2):
             for family, want in filtered_multisets(n, k).items():
                 assert list(multisets.enumerate_family(family, n, k)) == want, (family, k)
+
+    @pytest.mark.parametrize("family", multisets.FAMILIES)
+    def test_first_members_at_600_need_no_recursion(self, family):
+        # 600 values deep: a generator that recursed once per value would hit the limit
+        members = multisets.enumerate_family(family, 600)
+        first, second = next(members), next(members)
+        assert first.values < second.values
+        for m in (first, second):
+            assert len(m.values) == 600 and m.bound == 600
+            assert family in multiset_families(m), m.values
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import HeapdyckError
+from .value import Value
 
 BRUTE_FORCE_BOUND = 8
 LATTICES = ("square", "triangular")
@@ -108,7 +109,7 @@ def _check_heap(dimers: tuple[Pair, ...]) -> str | None:
     return overlap or unsupported
 
 
-class Heap:
+class Heap(Value):
     """Immutable validated heap of dimers, kept sorted by (level, column).
 
     `dimers` is a tuple of plain ``(column, level)`` int pairs: exact
@@ -136,9 +137,8 @@ class Heap:
         object.__setattr__(self, "dimers", canon)
         object.__setattr__(self, "_hash", hash(canon))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Heap is immutable")
-
+    # Value gives only immutability here: grammar sets hash heaps by the
+    # thousand, so a heap hashes as hash(dimers), computed once
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Heap) and self.dimers == other.dimers
 
@@ -245,7 +245,7 @@ def animal_validate(points: Iterable[Point], lattice: str = "triangular") -> boo
     return len(seen) == len(pts)
 
 
-class PointAnimal:
+class PointAnimal(Value):
     """Finite point set containing the origin, connected on the triangular lattice."""
 
     __slots__ = ("points",)
@@ -254,19 +254,6 @@ class PointAnimal:
         if not animal_validate(points, "triangular"):
             raise ValueError("points are not connected to the origin")
         object.__setattr__(self, "points", points)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PointAnimal is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PointAnimal) and self.points == other.points
-
-    def __hash__(self) -> int:
-        # the hash of the field tuple, so that sets of animals iterate as they always have
-        return hash((self.points,))
-
-    def __repr__(self) -> str:
-        return f"PointAnimal(points={self.points!r})"
 
     def __len__(self) -> int:
         return len(self.points)
@@ -348,7 +335,14 @@ def animal_enumerate_bruteforce(
                 chosen.pop()
 
     extend(1, 1)
-    return frozenset(PointAnimal(pts) for pts in found)
+    return frozenset(map(_connected_animal, found))
+
+
+def _connected_animal(points: frozenset[Point]) -> PointAnimal:
+    """The animal of points the scan built connected, without a second search."""
+    animal = object.__new__(PointAnimal)
+    object.__setattr__(animal, "points", points)
+    return animal
 
 
 # --- text formats ------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import HeapdyckError
+from .value import Value
 
 FAMILIES = ("all", "star", "super", "super_star", "no_single_except_k")
 
@@ -48,7 +49,7 @@ class MultisetParseError(HeapdyckError, ValueError):
     pass
 
 
-class Multiset:
+class Multiset(Value):
     """Sorted values drawn from {1, ..., bound}, possibly with repeats."""
 
     __slots__ = ("values", "bound")
@@ -56,22 +57,6 @@ class Multiset:
     def __init__(self, values: tuple[int, ...], bound: int):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bound", bound)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Multiset is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Multiset)
-            and self.values == other.values
-            and self.bound == other.bound
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.bound))
-
-    def __repr__(self) -> str:
-        return f"Multiset(values={self.values!r}, bound={self.bound!r})"
 
     def __str__(self) -> str:
         return to_text(self)

@@ -39,6 +39,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import HeapdyckError
+from .value import Value
 
 CLOSED_FORMS = ("Ts", "T", "Qs", "Q", "Mdiag")
 
@@ -74,7 +75,7 @@ def _extend(num: list[int], den: int, c: Fraction) -> int:
     return den
 
 
-class Series:
+class Series(Value):
     """Coefficients of z^0 .. z^order; not a tuple, so + - * / act on series."""
 
     __slots__ = ("coeffs",)
@@ -85,18 +86,6 @@ class Series:
         if not coeffs:
             raise ValueError("series needs at least the constant term")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Series is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Series) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"Series(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:
@@ -224,25 +213,13 @@ def closed_form(name: str, order: int) -> Series:
     return ((polynomial([1, -3], n) - root) / polynomial([-2, 6], n)).truncate(order)
 
 
-class BivarTable:
+class BivarTable(Value):
     """Coefficients c[n][k] of z^n u^k, exact, up to fixed z and u orders."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BivarTable is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BivarTable) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __repr__(self) -> str:
-        return f"BivarTable(rows={self.rows!r})"
 
     @property
     def z_order(self) -> int:

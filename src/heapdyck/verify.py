@@ -17,6 +17,7 @@ the fixed orders COUNT_ORDER and WIDTH_ORDER, whatever the size bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from functools import cache, partial
 from itertools import islice
@@ -552,13 +553,6 @@ def _suite_series(max_n: int) -> list[CheckResult]:
 # --- symmetry -----------------------------------------------------------
 
 
-def _distribution(values: Iterable[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return out
-
-
 def _suite_symmetry(max_n: int) -> list[CheckResult]:
     rec = _Recorder()
     for n in range(1, max_n + 1):
@@ -568,7 +562,7 @@ def _suite_symmetry(max_n: int) -> list[CheckResult]:
                 stats = [heaps.heap_stats(h) for h in bijections.grammar_enumerate(n, klass)]
                 rec.require(
                     name,
-                    _distribution(s.lw + 1 for s in stats) == _distribution(s.rw for s in stats),
+                    Counter(s.lw + 1 for s in stats) == Counter(s.rw for s in stats),
                     where,
                 )
         for family in ("grand_dyck", "grand_dyck_star"):
@@ -577,8 +571,7 @@ def _suite_symmetry(max_n: int) -> list[CheckResult]:
             ]
             rec.require(
                 "crossings-plus-one-matches-height",
-                _distribution(s.cross + 1 for s in stats)
-                == _distribution(s.height_max for s in stats),
+                Counter(s.cross + 1 for s in stats) == Counter(s.height_max for s in stats),
                 f"family {family}, n={n}",
             )
         if n <= ANIMAL_ORACLE_CAP - 1:

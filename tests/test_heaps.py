@@ -311,6 +311,16 @@ class TestBruteForce:
         got = {a.points for a in heaps.animal_enumerate_bruteforce(n, lattice)}
         assert got == naive
 
+    @pytest.mark.parametrize("subdiagonal", [False, True])
+    @pytest.mark.parametrize("lattice", heaps.LATTICES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_animal_is_connected_on_its_lattice(self, n, lattice, subdiagonal):
+        """The scan builds its animals without PointAnimal's search, so check them here."""
+        for a in heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal):
+            assert type(a) is PointAnimal and type(a.points) is frozenset
+            assert len(a) == n and heaps.animal_validate(a.points, lattice)
+            assert not subdiagonal or all(y <= x for x, y in a.points)
+
     def test_rejects_large_n(self):
         with pytest.raises(TooLargeError):
             heaps.animal_enumerate_bruteforce(heaps.BRUTE_FORCE_BOUND + 1)

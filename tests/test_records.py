@@ -3,9 +3,11 @@
 Plain results (`AnimalStats`, `PathStats`, `MultisetStats`,
 `Factorization`, `IdentityCheck`, `CheckResult`, `VerifyReport`) are
 NamedTuples.  The types with an invariant or operators of their own
-(`Multiset`, `PointAnimal`, `Series`, `BivarTable`) are slotted classes:
-immutable, equal only to their own kind, hashed as the tuple of their
-fields, and not tuples, so `+` on two series adds series.
+(`Multiset`, `PointAnimal`, `Series`, `BivarTable`) are slotted classes
+that take one value protocol from `heapdyck.value.Value`: immutable,
+equal only to their own kind, hashed as the tuple of their fields, and
+not tuples, so `+` on two series adds series.  `Heap` takes only the
+immutability from it and keeps its own equality, hash and repr.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from heapdyck import bijections, heaps, multisets, paths, series, verify
+from heapdyck.value import Value
 
 F = Fraction
 
@@ -167,3 +170,31 @@ def test_records_keep_their_methods():
     assert report.format_lines() == ["OK c: all", "FAIL d: n=1"]
     assert multisets.Multiset((1, 3), 3).size == 2
     assert str(multisets.Multiset((1, 3), 3)) == "1,3|k=3"
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [multisets.Multiset, heaps.PointAnimal, series.Series, series.BivarTable, heaps.Heap],
+    ids=lambda kind: kind.__name__,
+)
+def test_slotted_types_share_one_value_protocol(kind):
+    assert issubclass(kind, Value)
+
+
+def test_heap_is_immutable():
+    h = heaps.parse_heap("(0,0);(1,1)")
+    with pytest.raises(AttributeError) as raised:
+        h.dimers = ()
+    assert str(raised.value) == "Heap is immutable"
+    assert h.dimers == ((0, 0), (1, 1))
+
+
+@pytest.mark.parametrize("name", SLOTTED)
+def test_slotted_constructors_take_their_own_arguments(name):
+    """Each type keeps its explicit __init__: a wrong argument count is a TypeError."""
+    build, fields, _ = VALUES[name]
+    kind = type(build())
+    with pytest.raises(TypeError):
+        kind()
+    with pytest.raises(TypeError):
+        kind(*fields.values(), None)

@@ -2,9 +2,10 @@
 
 A subclass names its fields in ``__slots__`` and sets them in its own
 ``__init__`` with ``object.__setattr__``.  Its values are then
-immutable, equal only to values of the same type with equal fields,
-hashed as the tuple of their fields (a one-field type as ``(field,)``),
-and shown as ``Type(field=value, ...)`` in slot order.
+immutable, no field being set or deleted, equal only to values of the
+same type with equal fields, hashed as the tuple of their fields (a
+one-field type as ``(field,)``), and shown as ``Type(field=value, ...)``
+in slot order.
 """
 
 from operator import attrgetter
@@ -22,6 +23,9 @@ class Value:
         cls._field_values = staticmethod(get if len(names) > 1 else lambda v: (get(v),))
 
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other: object) -> bool:

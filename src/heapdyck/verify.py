@@ -199,50 +199,29 @@ def _suite_counts(max_n: int) -> list[CheckResult]:
     qs = series.closed_form("Qs", max_n)
     motzkin = _motzkin_row(COUNT_ORDER)
     for n in range(1, max_n + 1):
-        rec.require(
-            "dyck-count-is-catalan",
-            paths.count_family("dyck", n) == _catalan(n),
-            f"mismatch at n={n}",
-        )
-        rec.require(
-            "dyck-star-count-is-motzkin",
-            paths.count_family("dyck_star", n) == motzkin[n - 1],
-            f"mismatch at n={n}",
-        )
-        rec.require(
-            "grand-dyck-count-is-central-binomial",
-            paths.count_family("grand_dyck", n) == comb(2 * n - 1, n - 1),
-            f"mismatch at n={n}",
-        )
-        rec.require(
-            "multiset-count-is-binomial",
-            multisets.count_family("all", n) == comb(2 * n - 1, n),
-            f"mismatch at n={n}",
-        )
         star = multisets.count_family("star", n)
         dud_free = paths.count_family("grand_dyck_star", n)
         udu_free = paths.count_family("grand_dyck_udu_free", n)
-        no_single = multisets.count_family("no_single_except_k", n)
-        rec.require(
-            "star-multisets-match-dud-free-words",
-            star == dud_free,
-            f"n={n}: {star} vs {dud_free}",
+        identities = (
+            ("dyck-count-is-catalan", paths.count_family("dyck", n), _catalan(n)),
+            ("dyck-star-count-is-motzkin", paths.count_family("dyck_star", n), motzkin[n - 1]),
+            (
+                "grand-dyck-count-is-central-binomial",
+                paths.count_family("grand_dyck", n),
+                comb(2 * n - 1, n - 1),
+            ),
+            ("multiset-count-is-binomial", multisets.count_family("all", n), comb(2 * n - 1, n)),
+            ("star-multisets-match-dud-free-words", star, dud_free),
+            ("dud-free-matches-udu-free-count", dud_free, udu_free),
+            (
+                "no-single-multisets-match-udu-free-words",
+                multisets.count_family("no_single_except_k", n),
+                udu_free,
+            ),
+            ("star-count-matches-series-Q", star, q[n]),
         )
-        rec.require(
-            "dud-free-matches-udu-free-count",
-            dud_free == udu_free,
-            f"n={n}: {dud_free} vs {udu_free}",
-        )
-        rec.require(
-            "no-single-multisets-match-udu-free-words",
-            no_single == udu_free,
-            f"n={n}: {no_single} vs {udu_free}",
-        )
-        rec.require(
-            "star-count-matches-series-Q",
-            star == q[n],
-            f"n={n}: {star} vs {q[n]}",
-        )
+        for name, got, want in identities:
+            rec.require(name, got == want, "n=%d: %s vs %s", n, got, want)
         for klass, ser in (("T", t), ("Ts", ts), ("Q", q), ("Qs", qs)):
             rec.require(
                 "grammar-counts-match-series",
@@ -285,10 +264,12 @@ def _count_tier(rec: _Recorder, motzkin: list[int]) -> None:
 def _suite_bijections(max_n: int) -> list[CheckResult]:
     rec = _Recorder()
     for n in range(1, max_n + 1):
-        words = set(paths.enumerate_family("grand_dyck", n))
+        # walked in listing order, so that a failure names the same word under any hash seed
+        words = list(paths.enumerate_family("grand_dyck", n))
+        unique = set(words)
         every = list(multisets.enumerate_family("all", n))
         # the distinct members of each family listed below, by module and family
-        listed = {(paths, "grand_dyck"): len(words), (multisets, "all"): len(set(every))}
+        listed = {(paths, "grand_dyck"): len(unique), (multisets, "all"): len(set(every))}
         images = {}
         at_multiset = "n=%d, multiset %s"
         for m in every:
@@ -300,14 +281,15 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 )
         rec.require(
             "staircase-is-bijective",
-            len(images) == len(words) and set(images) == words,
-            f"n={n}: image size {len(images)}, target {len(words)}",
+            images.keys() == unique,
+            f"n={n}: image size {len(images)}, target {len(unique)}",
         )
         targets = {}  # each target family's words, in listing order
         for family, target in (
             ("super", "dyck"),
             ("star", "grand_dyck_star"),
             ("no_single_except_k", "grand_dyck_udu_free"),
+            ("super_star", "dyck_star"),
         ):
             name = f"staircase-{family.replace('_', '-')}-image"
             members = rec.images(
@@ -336,10 +318,11 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
         heaps_seen = _found(word_heaps)
         name, where = "run-heap-image-is-grammar-T", f"n={n}: {len(heaps_seen)} heaps"
         with rec.guard(name, where):
-            rec.require(name, len(heaps_seen) == len(words) and heaps_seen == grammar("T"), where)
+            rec.require(name, len(heaps_seen) == len(unique) and heaps_seen == grammar("T"), where)
         for family, name, klass in (
             ("dyck", "dyck-image-is-grammar-Ts", "Ts"),
             ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
+            ("dyck_star", "dud-free-dyck-image-is-grammar-Qs", "Qs"),
         ):
             image = rec.image(
                 name, partial(_mapped_heap, word_heaps), targets[family], f"n={n}, word"
@@ -427,6 +410,21 @@ def _run_u_heights(word: str) -> list[tuple[int, bool, list[int]]]:
     return runs
 
 
+# per grand-Dyck word, a relation between its heap's, path's and multiset's statistics
+_WORD_RELATIONS = (
+    ("area-equals-semilength-equals-length", lambda h, p, m: h.area == p.semilength == m.length),
+    ("left-width-equals-crossings", lambda h, p, m: h.lw == p.cross == m.cross),
+    ("right-width-equals-height", lambda h, p, m: h.rw == p.height_max),
+    ("diagonal-pairs-equal-dud-equal-adjacency", lambda h, p, m: h.diag == p.dud_count == m.adj),
+    ("width-splits-into-crossings-plus-height", lambda h, p, m: h.width == p.cross + p.height_max),
+    ("gap-profile-equals-d-end-heights", lambda h, p, m: m.gap_profile == p.d_end_heights),
+    (
+        "u-count-per-height-totals-semilength",
+        lambda h, p, m: sum(p.nbu_profile.values()) == m.length,
+    ),
+)
+
+
 def _suite_statistics(max_n: int) -> list[CheckResult]:
     rec = _Recorder()
     gap_offsets: dict[int, int] = {}
@@ -439,42 +437,13 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
             seq: list[int] = []  # the word's drop sequence, once it is read
             # a library error while computing the word's statistics fails the
             # first check that reads them, and skips the word's other checks
-            with rec.guard("area-equals-semilength-equals-length", where):
+            with rec.guard(_WORD_RELATIONS[0][0], where):
                 ms = multisets.stats(bijections.path_to_multiset(word))
                 ps = paths.height_stats(word)
                 seq = bijections.drop_sequence(word)
                 hs = heaps.heap_stats(heaps.Heap(heaps.drop_columns(seq)))
-                rec.require(
-                    "area-equals-semilength-equals-length",
-                    hs.area == ps.semilength == ms.length,
-                    where,
-                )
-                rec.require(
-                    "left-width-equals-crossings",
-                    hs.lw == ps.cross == ms.cross,
-                    where,
-                )
-                rec.require("right-width-equals-height", hs.rw == ps.height_max, where)
-                rec.require(
-                    "diagonal-pairs-equal-dud-equal-adjacency",
-                    hs.diag == ps.dud_count == ms.adj,
-                    where,
-                )
-                rec.require(
-                    "width-splits-into-crossings-plus-height",
-                    hs.width == ps.cross + ps.height_max,
-                    where,
-                )
-                rec.require(
-                    "gap-profile-equals-d-end-heights",
-                    ms.gap_profile == ps.d_end_heights,
-                    where,
-                )
-                rec.require(
-                    "u-count-per-height-totals-semilength",
-                    sum(ps.nbu_profile.values()) == ms.length,
-                    where,
-                )
+                for name, holds in _WORD_RELATIONS:
+                    rec.require(name, holds(hs, ps, ms), where)
                 off = ps.height_max - ms.gap
                 gap_offsets[off] = gap_offsets.get(off, 0) + 1
                 if ps.cross == 0:
@@ -529,25 +498,19 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
 
 
 def _suite_series(max_n: int) -> list[CheckResult]:
-    out = []
+    rec = _Recorder()
     for check in series.check_identities(max_n):
-        out.append(
-            CheckResult(
-                f"series-identity: {check.name}",
-                check.ok,
-                check.detail if check.ok else f"coefficients differ, {check.detail}",
-            )
-        )
+        name = f"series-identity: {check.name}"
+        rec.note(name, check.detail)
+        rec.require(name, check.ok, "coefficients differ, %s", check.detail)
     table = series.bivariate("f", max_n, 3)
-    row1 = all(table.coefficient(n, 1) == 1 for n in range(1, max_n + 1))
-    out.append(
-        CheckResult(
-            "bound-1-column-counts-one-multiset",
-            row1,
-            f"f(n, 1) = 1 for n <= {max_n}",
-        )
+    row1 = f"f(n, 1) = 1 for n <= {max_n}"
+    rec.require(
+        "bound-1-column-counts-one-multiset",
+        all(table.coefficient(n, 1) == 1 for n in range(1, max_n + 1)),
+        row1,
     )
-    return out
+    return rec.results(row1)
 
 
 # --- symmetry -----------------------------------------------------------

@@ -183,11 +183,10 @@ class TestPathToHeap:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_dud_free_lands_in_strict(self, n):
-        image = {
-            bijections.path_to_heap(w)
-            for w in paths.enumerate_family("grand_dyck_star", n)
-        }
-        assert image == bijections.grammar_enumerate(n, "Q")
+        # DUD-free words onto Q, and the Dyck ones among them onto Qs
+        for family, klass in (("grand_dyck_star", "Q"), ("dyck_star", "Qs")):
+            image = {bijections.path_to_heap(w) for w in paths.enumerate_family(family, n)}
+            assert image == bijections.grammar_enumerate(n, klass), family
 
 
 class TestDropSequence:

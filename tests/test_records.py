@@ -189,6 +189,18 @@ def test_heap_is_immutable():
     assert h.dimers == ((0, 0), (1, 1))
 
 
+@pytest.mark.parametrize("name", [*SLOTTED, "Heap"])
+def test_fields_cannot_be_deleted(name):
+    """A deleted slot would leave a value whose repr, equality and hash raise."""
+    build = (lambda: heaps.parse_heap("(0,0);(1,1)")) if name == "Heap" else VALUES[name][0]
+    value = build()
+    for field in type(value).__slots__:
+        with pytest.raises(AttributeError) as raised:
+            delattr(value, field)
+        assert str(raised.value) == f"{name} is immutable"
+    assert value == build() and hash(value) == hash(build()) and repr(value) == repr(build())
+
+
 @pytest.mark.parametrize("name", SLOTTED)
 def test_slotted_constructors_take_their_own_arguments(name):
     """Each type keeps its explicit __init__: a wrong argument count is a TypeError."""

@@ -8,7 +8,11 @@ is cached between calls, so a mutation takes effect at once.
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,90 @@ class TestReports:
         with pytest.raises(ValueError):
             verify.run_suite("bijections", bad)
 
+    @pytest.mark.parametrize(
+        "suite,names",
+        [
+            (
+                "counts",
+                [
+                    "dyck-count-is-catalan",
+                    "dyck-star-count-is-motzkin",
+                    "grand-dyck-count-is-central-binomial",
+                    "multiset-count-is-binomial",
+                    "star-multisets-match-dud-free-words",
+                    "dud-free-matches-udu-free-count",
+                    "no-single-multisets-match-udu-free-words",
+                    "star-count-matches-series-Q",
+                    "grammar-counts-match-series",
+                    "grammar-counts-match-binomial-formulas",
+                ],
+            ),
+            (
+                "bijections",
+                [
+                    "staircase-round-trip",
+                    "staircase-is-bijective",
+                    "staircase-super-image",
+                    "staircase-star-image",
+                    "staircase-no-single-except-k-image",
+                    "staircase-super-star-image",
+                    "run-heap-round-trip",
+                    "run-heap-image-is-grammar-T",
+                    "dyck-image-is-grammar-Ts",
+                    "dud-free-image-is-grammar-Q",
+                    "dud-free-dyck-image-is-grammar-Qs",
+                    "grammar-matches-brute-force-animals",
+                    "grammar-matches-subdiagonal-animals",
+                    "square-animals-are-diagonal-free-heaps",
+                    "listed-families-match-counts",
+                ],
+            ),
+            (
+                "statistics",
+                [
+                    "area-equals-semilength-equals-length",
+                    "left-width-equals-crossings",
+                    "right-width-equals-height",
+                    "diagonal-pairs-equal-dud-equal-adjacency",
+                    "width-splits-into-crossings-plus-height",
+                    "gap-profile-equals-d-end-heights",
+                    "u-count-per-height-totals-semilength",
+                    "u-heights-track-dimer-columns",
+                    "gap-stays-within-one-of-height",
+                    "gap-is-height-minus-one-on-crossing-free-words",
+                    "u-height-column-offsets-are-constant",
+                ],
+            ),
+            (
+                "series",
+                [
+                    "series-identity: Ts = z(1+Ts)^2",
+                    "series-identity: Qs = z(1+Qs+Qs^2)",
+                    "series-identity: T = Ts(1+T)",
+                    "series-identity: Q = Qs(1+Q)",
+                    "series-identity: sqrt(1, -4) squares back",
+                    "series-identity: sqrt(1, -2, -3) squares back",
+                    "series-identity: diagonal(f) = Q",
+                    "series-identity: diagonal(h) = Q",
+                    "bound-1-column-counts-one-multiset",
+                ],
+            ),
+            (
+                "symmetry",
+                [
+                    "left-plus-one-matches-right-width",
+                    "crossings-plus-one-matches-height",
+                    "reflection-swaps-widths",
+                    "left-width-counts-match-right-width-counts",
+                    "left-width-counts-match-crossing-counts",
+                ],
+            ),
+        ],
+    )
+    def test_check_names_in_order(self, suite, names):
+        """Each suite reports every check it has, once, in a fixed order."""
+        assert [c.name for c in verify.run_suite(suite, 2).checks] == names
+
     def test_statistics_reports_detected_relations(self):
         report = verify.run_suite("statistics", 4)
         details = {c.name: c.detail for c in report.checks}
@@ -106,6 +194,7 @@ class TestMutationSmoke:
             "staircase-super-image",
             "staircase-star-image",
             "staircase-no-single-except-k-image",
+            "staircase-super-star-image",
         }
         assert failing["staircase-round-trip"] == (
             "n=1, multiset 1: NotStartingUError: word must start with U: 'DU'"
@@ -119,6 +208,25 @@ class TestMutationSmoke:
 
         monkeypatch.setattr(bijections, "path_to_multiset", all_ones)
         assert _failing("bijections", 3) == {"staircase-round-trip": "n=2, multiset 1,2"}
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_failure_names_the_same_word_under_any_hash_seed(self, seed):
+        # every size-4 heap read back as its word reversed, in a process of its own hash seed
+        probe = textwrap.dedent(
+            """
+            from heapdyck import bijections, verify
+            orig = bijections.heap_to_path
+            bijections.heap_to_path = lambda h: orig(h)[::-1] if len(h) == 4 else orig(h)
+            print(*verify.run_suite("bijections", 4).format_lines(), sep="\\n")
+            """
+        )
+        src = Path(verify.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        failing = [line for line in done.stdout.splitlines() if not line.startswith("OK ")]
+        assert failing == ["FAIL run-heap-round-trip: n=4, word UUUUDDDD"]
 
     def test_miscounted_diagonals_name_the_animal(self, monkeypatch):
         orig = heaps.heap_stats
@@ -160,6 +268,7 @@ class TestMutationSmoke:
             "run-heap-image-is-grammar-T",
             "dyck-image-is-grammar-Ts",
             "dud-free-image-is-grammar-Q",
+            "dud-free-dyck-image-is-grammar-Qs",
             "grammar-matches-brute-force-animals",
             "grammar-matches-subdiagonal-animals",
             "square-animals-are-diagonal-free-heaps",
@@ -249,11 +358,13 @@ class TestMutationSmoke:
         # two pattern-avoiding word counts still agree with each other
         unfiltered = _mutated(paths.count_family, "tail + step != pattern", "True")
         monkeypatch.setattr(paths, "count_family", unfiltered)
-        assert _failing("counts").keys() == {
+        failing = _failing("counts")
+        assert failing.keys() == {
             "dyck-star-count-is-motzkin",
             "star-multisets-match-dud-free-words",
             "no-single-multisets-match-udu-free-words",
         }
+        assert failing["dyck-star-count-is-motzkin"] == "n=2: 2 vs 1"
         assert _failing("bijections").keys() == {"listed-families-match-counts"}
 
     def test_multiset_count_without_repeat_flag_is_caught(self, monkeypatch):

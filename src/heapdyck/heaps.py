@@ -9,6 +9,9 @@ A dimer is a plain ``(column, level)`` tuple of two ints, not a
 NamedTuple.  The garbage collector stops tracking a tuple of ints at its
 first collection, but never a tuple subclass, so a NamedTuple dimer
 would keep every dimer of every live heap on the collector's lists.
+The heaps of one `bijections.grammar_enumerate` call share their dimer
+tuples, one object per distinct dimer.  A dimer is its value: which
+tuple object a heap holds is not part of the contract.
 
 Directed animals are point sets on the quarter plane grown from the
 origin by steps (1,0), (0,1) and, on the triangular lattice, (1,1).
@@ -114,7 +117,10 @@ class Heap(Value):
 
     `dimers` is a tuple of plain ``(column, level)`` int pairs: exact
     tuples, which the garbage collector untracks, not a NamedTuple, which
-    it would walk at every collection for as long as the heap lives.
+    it would walk at every collection for as long as the heap lives.  Pairs
+    that already are such tuples are kept as given, so heaps built from the
+    same pair objects share them, as grammar heaps do; equality and hashing
+    read only their values, never their identity.
     """
 
     __slots__ = ("dimers", "_hash")

@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,6 +135,10 @@ class TestPathToHeap:
     def test_rejects_non_grand_dyck(self):
         with pytest.raises(ValueError):
             bijections.path_to_heap("DUUD")
+
+    def test_inverse_rejects_non_heap(self):
+        with pytest.raises(heaps.NotAHeapError, match="^expected a Heap, got str$"):
+            bijections.heap_to_path("(0,0)")
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_round_trip(self, n):
@@ -291,6 +297,10 @@ class TestFactorize:
         with pytest.raises(HeapdyckError, match=f"^case {case} takes {takes} parts, got 1$"):
             bijections.compose(case, (heap_of((0, 0)),))
 
+    def test_compose_rejects_non_heap_part(self):
+        with pytest.raises(heaps.NotAHeapError, match="^expected a Heap, got str$"):
+            bijections.compose("ii", ("x",))
+
     def test_strict_heaps_factor_without_case_iii(self):
         for n in range(2, 7):
             for h in bijections.grammar_enumerate(n, "Q"):
@@ -393,6 +403,25 @@ class TestGrammar:
         before = sizes()
         assert bijections.grammar_enumerate(8, "T")
         assert sizes() == before
+
+    @pytest.mark.parametrize("klass", counting.CLASSES)
+    def test_heaps_share_one_tuple_per_distinct_dimer(self, klass):
+        for n in range(1, 9):
+            dimers = [d for h in bijections.grammar_enumerate(n, klass) for d in h.dimers]
+            assert len(set(map(id, dimers))) == len(set(dimers)), n
+
+    def test_heaps_retain_little_memory(self):
+        # about 270 bytes per heap with shared dimers, 715 with a tuple per dimer per heap
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            built = bijections.grammar_enumerate(8, "T")
+            gc.collect()  # the free lists go too, so that only what the heaps hold is left
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained / len(built) <= 400
 
     def test_encoded_reference_raises_on_a_duplicate_build(self):
         (ground,) = encoded_grammar("Ts", 1)

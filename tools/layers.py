@@ -1,0 +1,133 @@
+"""Layer timings outside the benchmark harness, one fresh interpreter per run.
+
+    python3 tools/layers.py --label change
+    python3 tools/layers.py --label parent --src ../parent/src
+
+Each row is one library call at one size.  A run imports heapdyck from
+--src, makes the call once, and records the call's CPU time and the
+process's max RSS, which includes the interpreter and its imports.  Every
+row runs REPS times, in a new process each time; a metric is the median
+over the runs.  A run fails when the call lists the wrong number of
+objects (against `grammar_count`) or the CLI exits non-zero.
+
+The result goes to BENCH_layers-<label>.json at the repository root, with
+the top-level keys of the line benchmarks/run.py prints: correct,
+attempted, failed and metrics of {value, unit}.  The lines printed before
+it are for people.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIZES = (9, 10)
+REPS = 3  # fresh processes per row and size
+
+
+class _Lines:
+    """A stdout that counts the lines written to it and keeps none of them."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def write(self, text: str) -> int:
+        self.count += text.count("\n")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _grammar_enumerate(n: int) -> int:
+    from heapdyck import bijections
+
+    return len(bijections.grammar_enumerate(n, "T"))
+
+
+def _cli_enumerate(n: int) -> int:
+    from heapdyck import cli
+
+    sink, sys.stdout = sys.stdout, _Lines()
+    try:
+        code = cli.main(["enumerate", "--family", "heap-T", "--n", str(n)])
+        lines = sys.stdout.count
+    finally:
+        sys.stdout = sink
+    return lines if code == 0 else -1
+
+
+# row name -> the call; it returns how many heaps of class T at size n it listed
+ROWS = {
+    "grammar_enumerate.T": _grammar_enumerate,
+    "cli.enumerate.heap-T": _cli_enumerate,
+}
+
+
+def child(row: str, n: int, src: str) -> None:
+    """One run in this process: the call, then its CPU time, max RSS and listing size."""
+    sys.path.insert(0, src)
+    import heapdyck.cli  # noqa: F401  (imports are not part of the call's time)
+    from heapdyck import bijections
+
+    start = time.process_time()
+    listed = ROWS[row](n)
+    cpu_s = time.process_time() - start
+    max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    ok = listed == bijections.grammar_count(n, "T")
+    print(json.dumps({"cpu_s": cpu_s, "max_rss_mb": max_rss_mb, "ok": ok}))
+
+
+def run(src: str) -> dict:
+    attempted = failed = 0
+    metrics = {}
+    for row in ROWS:
+        for n in SIZES:
+            runs = []
+            for _ in range(REPS):
+                done = subprocess.run(
+                    [sys.executable, "-I", os.path.abspath(__file__),
+                     "--child", row, str(n), "--src", src],
+                    capture_output=True, text=True, timeout=600,
+                )
+                attempted += 1
+                if done.returncode != 0:
+                    raise SystemExit(f"{row} at n = {n} did not run:\n{done.stderr}")
+                runs.append(json.loads(done.stdout.splitlines()[-1]))
+                failed += not runs[-1]["ok"]
+            cpu_s = statistics.median(r["cpu_s"] for r in runs)
+            rss = statistics.median(r["max_rss_mb"] for r in runs)
+            print(f"{row} n={n}: cpu {cpu_s:.3f} s, max rss {rss:.1f} MB (median of {REPS})")
+            metrics[f"{row}.n{n}.cpu_s"] = {"value": cpu_s, "unit": "s"}
+            metrics[f"{row}.n{n}.max_rss_mb"] = {"value": rss, "unit": "MB"}
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--label", help="names the output file BENCH_layers-<label>.json")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="the source tree to import heapdyck from")
+    parser.add_argument("--child", nargs=2, metavar=("ROW", "N"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.child[0], int(args.child[1]), args.src)
+        return 0
+    if not args.label:
+        parser.error("--label is required")
+    result = run(os.path.abspath(args.src))
+    with open(os.path.join(ROOT, f"BENCH_layers-{args.label}.json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(result) + "\n")
+    print(json.dumps(result))
+    return 0 if result["correct"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -121,11 +121,6 @@ def path_to_heap(word: str) -> Heap:
 # --- constructors and their inversion ----------------------------------
 
 
-def _require_heap(h: object) -> None:
-    if not isinstance(h, Heap):
-        raise heaps.NotAHeapError(f"expected a Heap, got {type(h).__name__}")
-
-
 def factorize(h: Heap) -> Factorization:
     """The constructor case of h and its parts, cut from the drop sequence of its word.
 
@@ -175,7 +170,7 @@ def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
     if len(parts) != _ARITY[case]:
         raise FactorizationFailedError(f"case {case} takes {_ARITY[case]} parts, got {len(parts)}")
     for p in parts:
-        _require_heap(p)
+        heaps.require_heap(p)
     seq = _sequence(case, *(tuple(col for col, _ in p.dimers) for p in parts))
     return Heap(heaps.drop_columns(seq))
 
@@ -197,7 +192,7 @@ def heap_to_path(h: Heap) -> str:
     Columns are list indices, shifted so that two empty columns pad each
     side; an empty column's lowest level is the dimer count, above all.
     """
-    _require_heap(h)
+    heaps.require_heap(h)
     dims = h.dimers
     off = min(dims)[0] - 2  # the tuples' order puts the extreme columns first and last
     empty = len(dims)

@@ -1,16 +1,17 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on
-usage or parse errors, on an output file that cannot be written and on
-every other library error (a HeapdyckError), such as a heap the grammar
-cannot factor or builds twice.  Data goes to stdout, diagnostics to
-stderr.
+usage or parse errors, on output that cannot be written (a file, or a
+stdout its reader closed) and on every other library error (a
+HeapdyckError), such as a heap the grammar cannot factor.  Data goes to
+stdout, as it is made, and diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijections, counting, heaps, multisets, paths, render, series, verify
@@ -19,14 +20,10 @@ from .errors import HeapdyckError
 _MS_FAMILIES = {f"multiset-{f}".replace("_", "-"): f for f in multisets.FAMILIES}
 _PATH_FAMILIES = {f.replace("_", "-"): f for f in paths.FAMILIES}
 _HEAP_FAMILIES = {f"heap-{klass}": klass for klass in counting.CLASSES}
-_ANIMAL_FAMILIES = {f"animal-{lattice}": lattice for lattice in heaps.LATTICES}
-# (lattice, subdiagonal) -> the heap class its animals map onto
-_ANIMAL_CLASSES = {
-    ("triangular", False): "T",
-    ("triangular", True): "Ts",
-    ("square", False): "Q",
-    ("square", True): "Qs",
-}
+# heap class -> the word family whose path_to_heap images it lists
+_HEAP_WORDS = {"Ts": "dyck", "T": "grand_dyck", "Q": "grand_dyck_star", "Qs": "dyck_star"}
+# animal family -> its lattice and the heap class its animals map onto (+ "s" if subdiagonal)
+_ANIMAL_FAMILIES = {"animal-square": ("square", "Q"), "animal-triangular": ("triangular", "T")}
 FAMILIES = (
     *_MS_FAMILIES,
     *_PATH_FAMILIES,
@@ -145,23 +142,24 @@ def _do_enumerate(args) -> int:
         if args.count_only:
             print(multisets.count_family(family, args.n, args.k))
             return 0
-        items = [multisets.to_text(m) for m in multisets.enumerate_family(family, args.n, args.k)]
+        items = map(multisets.to_text, multisets.enumerate_family(family, args.n, args.k))
     elif args.family in _PATH_FAMILIES:
         family = _PATH_FAMILIES[args.family]
         if args.count_only:
             print(paths.count_family(family, args.n))
             return 0
-        items = list(paths.enumerate_family(family, args.n))
+        items = paths.enumerate_family(family, args.n)
     elif args.family in _HEAP_FAMILIES:
         klass = _HEAP_FAMILIES[args.family]
         if args.count_only:
             print(bijections.grammar_count(args.n, klass))
             return 0
-        items = sorted(heaps.to_text(h) for h in bijections.grammar_enumerate(args.n, klass))
+        words = paths.enumerate_family(_HEAP_WORDS[klass], args.n)
+        items = map(heaps.to_text, map(_FROM_WORD["heap"], words))
     else:
-        lattice = _ANIMAL_FAMILIES[args.family]
+        lattice, klass = _ANIMAL_FAMILIES[args.family]
         if args.count_only:
-            print(bijections.grammar_count(args.n, _ANIMAL_CLASSES[lattice, args.subdiagonal]))
+            print(bijections.grammar_count(args.n, klass + "s" * args.subdiagonal))
             return 0
         found = heaps.animal_enumerate_bruteforce(args.n, lattice, subdiagonal=args.subdiagonal)
         items = sorted(heaps.points_to_text(a) for a in found)
@@ -278,9 +276,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _DISPATCH[args.verb](args)
+        code = _DISPATCH[args.verb](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except (ValueError, HeapdyckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -197,8 +197,15 @@ def drop_columns(columns: Iterable[int]) -> list[Pair]:
     return list(zip(cols, levels))
 
 
+def require_heap(h: object) -> None:
+    """Raise the NotAHeapError that names h's type unless h is a Heap."""
+    if not isinstance(h, Heap):
+        raise NotAHeapError(f"expected a Heap, got {type(h).__name__}")
+
+
 def heap_stats(h: Heap) -> AnimalStats:
     """Widths, diagonal pairs and the per-column profile, in one loop over the dimers."""
+    require_heap(h)
     dims = h.dimers
     occupied = set(dims)
     profile: dict[int, int] = {}
@@ -283,12 +290,7 @@ def animal_reflect(a: PointAnimal) -> PointAnimal:
 
 def _candidates(n: int, lattice: str, subdiagonal: bool) -> list[Point]:
     if lattice == "square":
-        region = [
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if x + y <= n - 1
-        ]
+        region = [(x, y) for x in range(n) for y in range(n - x)]
     else:
         # diagonal steps reach sums up to 2(n-1), so only max(x, y) is bounded
         region = [(x, y) for x in range(n) for y in range(n)]
@@ -399,6 +401,7 @@ def parse_heap(text: str) -> Heap:
 
 
 def to_text(h: Heap) -> str:
+    require_heap(h)
     dims = h.dimers
     return ";".join(["(%d,%d)"] * len(dims)) % tuple(chain.from_iterable(dims))
 

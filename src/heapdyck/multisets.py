@@ -95,25 +95,22 @@ def adjacency_count(m: Multiset) -> int:
 
 
 def stats(m: Multiset) -> MultisetStats:
-    v = m.values
-    n = len(v)
-    delta = tuple(1 if v[i] >= i + 1 else 0 for i in range(n))
-    changes = [delta[i] != delta[i + 1] for i in range(n - 1)]
-    cross = sum(changes)
-    profile = []
-    seen = 0
-    for i in range(n):
-        # seen counts delta changes at pairs strictly left of position i+1
-        profile.append(abs(v[i] - (i + 1)) - seen)
-        if i < n - 1 and changes[i]:
-            seen += 1
+    delta: list[int] = []
+    profile: list[int] = []
+    cross = 0  # the changes of delta so far, which each later gap discounts
+    for i, v in enumerate(m.values, start=1):
+        d = 1 if v >= i else 0
+        if delta and d != delta[-1]:
+            cross += 1
+        delta.append(d)
+        profile.append(abs(v - i) - cross)
     return MultisetStats(
-        length=n,
+        length=len(delta),
         cross=cross,
         adj=adjacency_count(m),
         gap_profile=tuple(profile),
         gap=max(profile),
-        delta_profile=delta,
+        delta_profile=tuple(delta),
     )
 
 
@@ -228,6 +225,4 @@ def parse(text: str) -> Multiset:
 
 def to_text(m: Multiset) -> str:
     body = ",".join(str(v) for v in m.values)
-    if m.bound == len(m.values):
-        return body
-    return f"{body}|k={m.bound}"
+    return body if m.bound == len(m.values) else f"{body}|k={m.bound}"

@@ -81,6 +81,7 @@ def path_svg(word: str) -> str:
 
 
 def heap_ascii(h: heaps.Heap) -> str:
+    heaps.require_heap(h)
     lo = h.min_column()
     rows: list[Cells] = []
     for col, level in h.dimers:  # by (level, column), and no level is empty
@@ -91,6 +92,7 @@ def heap_ascii(h: heaps.Heap) -> str:
 
 
 def heap_svg(h: heaps.Heap) -> str:
+    heaps.require_heap(h)
     lo = h.min_column()
     hi = h.max_column()
     top = h.dimers[-1][1]  # the dimers are in (level, column) order

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -15,6 +17,20 @@ import pytest
 from heapdyck import bijections, cli, heaps, multisets, paths, series
 
 from oracles import uniform_multiset
+
+
+class _Lines:
+    """A stdout that counts the lines written to it and keeps none of them."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def write(self, text: str) -> int:
+        self.count += text.count("\n")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 def run(capsys, *argv):
@@ -87,6 +103,67 @@ class TestEnumerate:
             "(0,0);(0,1)",
             "(0,0);(1,1)",
         ]
+
+    @pytest.mark.parametrize(
+        "family, words",
+        [
+            ("heap-Ts", "dyck"),
+            ("heap-T", "grand-dyck"),
+            ("heap-Q", "grand-dyck-star"),
+            ("heap-Qs", "dyck-star"),
+        ],
+    )
+    def test_heap_listing_is_the_word_listing_mapped(self, capsys, family, words):
+        # line i of the heap listing is `map --from path --to heap` of line i of the words
+        for n in range(1, 7):
+            _, listing, _ = run(capsys, "enumerate", "--family", words, "--n", str(n))
+            code, out, _ = run(capsys, "enumerate", "--family", family, "--n", str(n))
+            assert code == 0
+            mapped = []
+            for w in listing.splitlines():
+                mapped += run(capsys, "map", "--from", "path", "--to", "heap", "--input", w)[1:2]
+            assert out == "".join(mapped), n
+
+    def test_listings_do_not_build_the_grammar(self, capsys, monkeypatch):
+        def no_grammar(*args):
+            raise AssertionError("the grammar built a class")
+
+        monkeypatch.setattr(bijections, "grammar_enumerate", no_grammar)
+        for family in cli.FAMILIES:
+            code, out, err = run(capsys, "enumerate", "--family", family, "--n", "5")
+            assert (code, err) == (0, "") and out, family
+
+    def test_heap_listing_holds_no_class_in_memory(self, monkeypatch):
+        # the stream peaks at about 0.37 MiB (0.53 on a cold first call), the
+        # sorted grammar class at about 3.1 MiB
+        sink = _Lines()
+        monkeypatch.setattr(sys, "stdout", sink)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = cli.main(["enumerate", "--family", "heap-T", "--n", "8"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.count) == (0, 6435)
+        assert peak <= 2**20
+
+    def test_closed_stdout_exits_2_without_traceback(self):
+        # the listing is far longer than a pipe's buffer, so it is still writing when
+        # the reader goes; the exit flush is covered too, or the exit status would be 120
+        src = Path(cli.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = ["enumerate", "--family", "grand-dyck", "--n", "10"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "heapdyck.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert first == "U" * 10 + "D" * 10 + "\n"
+        assert (proc.returncode, err) == (2, "")
 
     @pytest.mark.parametrize("family", ["multiset-super", "multiset-super-star"])
     def test_superdiagonal_past_the_bound_lists_nothing_at_once(self, family):
@@ -430,8 +507,8 @@ class TestLibraryErrors:
                 ["map", "--from", "heap", "--to", "path", "--input", "(0,0)"],
             ),
             (
-                bijections.GrammarDuplicateError,
-                "grammar_enumerate",
+                heaps.NotAHeapError,
+                "path_to_heap",
                 ["enumerate", "--family", "heap-T", "--n", "3"],
             ),
         ],
@@ -443,6 +520,22 @@ class TestLibraryErrors:
         monkeypatch.setattr(bijections, call, fail)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", "error: planted\n")
+
+    def test_listing_that_fails_part_way_keeps_the_lines_before(self, capsys, monkeypatch):
+        mapped = []
+        path_to_heap = bijections.path_to_heap
+
+        def fail_on_third(word):
+            if len(mapped) == 2:
+                raise heaps.NotAHeapError("planted")
+            h = path_to_heap(word)
+            mapped.append(heaps.to_text(h))
+            return h
+
+        monkeypatch.setattr(bijections, "path_to_heap", fail_on_third)
+        code, out, err = run(capsys, "enumerate", "--family", "heap-T", "--n", "3")
+        assert (code, out.splitlines(), err) == (2, mapped, "error: planted\n")
+        assert len(mapped) == 2
 
     def test_non_integer_table_entry(self, capsys, monkeypatch):
         orig = series.bivariate

@@ -1,13 +1,14 @@
 import gc
 import random
 import re
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from heapdyck import bijections, counting, heaps
+from heapdyck import bijections, counting, heaps, render
 from heapdyck.heaps import (
     Heap,
     HeapParseError,
@@ -88,6 +89,21 @@ class TestHeapValidation:
         # a float or a bool would print under "%d" as another heap's text
         with pytest.raises(NotAHeapError, match=f"^{re.escape(repr(item))} is not a pair"):
             Heap([item])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            heaps.heap_stats,
+            heaps.to_text,
+            partial(render.render, "heap"),
+            partial(render.render, "heap", fmt="svg"),
+        ],
+        ids=["heap_stats", "to_text", "render-ascii", "render-svg"],
+    )
+    def test_heap_functions_reject_a_non_heap(self, call):
+        # the error bijections raises, not an AttributeError on the text
+        with pytest.raises(NotAHeapError, match="^expected a Heap, got str$"):
+            call("(0,0)")
 
 
 def _plain(dimers) -> bool:

@@ -8,7 +8,8 @@ Each row is one library call at one size.  A run imports heapdyck from
 process's max RSS, which includes the interpreter and its imports.  Every
 row runs REPS times, in a new process each time; a metric is the median
 over the runs.  A run fails when the call lists the wrong number of
-objects (against `grammar_count`) or the CLI exits non-zero.
+objects (against `grammar_count(n, "T")`, which every row's family
+matches) or the CLI exits non-zero.
 
 The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
@@ -26,6 +27,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (9, 10)
@@ -52,22 +54,25 @@ def _grammar_enumerate(n: int) -> int:
     return len(bijections.grammar_enumerate(n, "T"))
 
 
-def _cli_enumerate(n: int) -> int:
+def _cli_enumerate(family: str, n: int) -> int:
     from heapdyck import cli
 
     sink, sys.stdout = sys.stdout, _Lines()
     try:
-        code = cli.main(["enumerate", "--family", "heap-T", "--n", str(n)])
+        code = cli.main(["enumerate", "--family", family, "--n", str(n)])
         lines = sys.stdout.count
     finally:
         sys.stdout = sink
     return lines if code == 0 else -1
 
 
-# row name -> the call; it returns how many heaps of class T at size n it listed
+# row name -> the call; it returns how many objects of size n it listed.  Each row
+# lists C(2n - 1, n): the T heaps, the grand-Dyck words and the multisets over {1..n}
 ROWS = {
     "grammar_enumerate.T": _grammar_enumerate,
-    "cli.enumerate.heap-T": _cli_enumerate,
+    "cli.enumerate.heap-T": partial(_cli_enumerate, "heap-T"),
+    "cli.enumerate.grand-dyck": partial(_cli_enumerate, "grand-dyck"),
+    "cli.enumerate.multiset-all": partial(_cli_enumerate, "multiset-all"),
 }
 
 

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on
-usage or parse errors, on output that cannot be written (a file, or a
-stdout its reader closed) and on every other library error (a
-HeapdyckError), such as a heap the grammar cannot factor.  Data goes to
+usage or parse errors, on a size past its reach, on output that cannot
+be written (a file, or a stdout its reader closed), on running out of
+memory and on every other library error (a HeapdyckError).  Data goes to
 stdout, as it is made, and diagnostics to stderr.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -84,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="print coefficients of a named series")
     p.add_argument("--name", required=True, choices=series.CLOSED_FORMS)
-    p.add_argument("--order", required=True, type=int)
+    reach = ", ".join(f"{x} {_series_reach(x) or 'unlimited'}" for x in series.CLOSED_FORMS)
+    p.add_argument("--order", required=True, type=int, help=f"reach: {reach}")
 
     p = sub.add_parser("table1", help="counts of star multisets by size and bound")
     p.add_argument("--max-n", type=int, default=9)
@@ -187,9 +189,21 @@ def _do_stats(args) -> int:
     return 0
 
 
+def _series_reach(name: str) -> int | None:
+    """The largest order `series` prints: Ts_n, T_n < 4^n and Qs_n, Q_n < 3^n print within
+    the int-to-str digit limit (0 or none: no reach), and Mdiag's order-by-order table
+    takes about 10 s and 0.6 GB at order 1500."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    reach = int(digits / math.log10(4 if name in ("Ts", "T") else 3)) if digits else None
+    return min(reach or 1500, 1500) if name == "Mdiag" else reach
+
+
 def _do_series(args) -> int:
     if args.order < 1:
         raise ValueError("--order must be at least 1")
+    reach = _series_reach(args.name)
+    if reach is not None and args.order > reach:
+        raise ValueError(f"--order {args.order} is beyond the reach of {args.name} ({reach})")
     print(series.closed_form(args.name, args.order).format_terms(start=1))
     return 0
 
@@ -281,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (ValueError, HeapdyckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader is gone: send what is left, and the flush at exit, to devnull

@@ -7,16 +7,17 @@ only of series with constant term 1, and the closed forms below divide
 by their leading monomials through explicit valuation shifts, so the
 whole module stays exact.
 
-The quadratic kernels (product, quotient, square root, table division)
-run on Python ints and build one normalised Fraction per output
-coefficient.  Each operand becomes integer numerators over the lcm of its
-denominators, and every convolution sum is taken in ints.  The quotient
-and the square root keep the coefficients found so far as integer
-numerators over one running denominator, which grows only when a new
-coefficient's denominator does not divide it; a series with integer
-coefficients, such as every closed form below, keeps denominator 1.  The
-table divisors have constant term 1, so tables are computed in ints
-throughout.
+The kernels (product, quotient, square root, table division) run on
+Python ints and build one normalised Fraction per output coefficient.
+Each operand becomes integer numerators over the lcm of its
+denominators, and every convolution sum is taken in ints.  Product and
+table division are quadratic; quotient and square root visit only their
+operand's nonzero terms, O(N t) products for t of them.  Those two keep
+the coefficients found so far as integer numerators over one running
+denominator, which grows only when a new coefficient's denominator does
+not divide it; a series with integer coefficients, such as every closed
+form below, keeps denominator 1.  The table divisors have constant term
+1, so tables are computed in ints throughout.
 
 The four univariate closed forms count the heap classes by area:
 
@@ -125,13 +126,15 @@ class Series(Value):
         n = min(self.order, other.order)
         a, da = _over_lcm(self.coeffs[: n + 1])
         b, db = _over_lcm(other.coeffs[: n + 1])
-        # out_k = (a_k - sum_j b_j out_(k-j)) / b_0, with out_i = num[i] / den
-        tail = b[1:]
-        num: list[int] = []
+        # out_k = (a_k - sum_j b_j out_(k-j)) / b_0 over the divisor's nonzero b_j, with
+        # out_(k-j) = num[-j] / den; the zeros before out_0 stand for out_(k-j) at j > k
+        js = [j for j in range(1, n + 1) if b[j]]
+        back, bs = [-j for j in js], [b[j] for j in js]
+        num = [0] * n
         den = 1
         out = []
         for k in range(n + 1):
-            acc = sum(map(mul, tail, reversed(num)))
+            acc = sum(map(mul, bs, map(num.__getitem__, back)))
             c = Fraction(a[k] * db * den - da * acc, da * den * b[0])
             den = _extend(num, den, c)
             out.append(c)
@@ -141,15 +144,17 @@ class Series(Value):
         if self.coeffs[0] != 1:
             raise SqrtBadConstantError("square root needs constant term 1")
         a, da = _over_lcm(self.coeffs)
-        # out_k = (a_k - sum_(0<j<k) out_j out_(k-j)) / 2, with out_i = num[i] / den;
-        # the sum pairs each j with k - j, so it runs over half the terms
-        num = [1]
+        # Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2, 4.7):
+        # out_k = sum_(0<j<=k) (3j - 2k) a_j out_(k-j) / 2k, num as in the quotient
+        js = [j for j in range(1, len(a)) if a[j]]
+        back, aj, jaj = [-j for j in js], [a[j] for j in js], [j * a[j] for j in js]
+        num = [0] * self.order + [1]
         den = 1
         out = [_ONE]
         for k in range(1, self.order + 1):
-            half = sum(map(mul, num[1 : (k + 1) // 2], reversed(num)))
-            acc = 2 * half + (num[k // 2] ** 2 if k % 2 == 0 else 0)
-            c = Fraction(a[k] * den * den - da * acc, 2 * da * den * den)
+            g = list(map(num.__getitem__, back))
+            acc = 3 * sum(map(mul, jaj, g)) - 2 * k * sum(map(mul, aj, g))
+            c = Fraction(acc, 2 * k * da * den)
             den = _extend(num, den, c)
             out.append(c)
         return Series(tuple(out))

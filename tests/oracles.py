@@ -47,6 +47,16 @@ def square_animals(n: int) -> int:
     return q[n]
 
 
+def directed_animals(n: int) -> int:
+    """Q_n in closed form, sum_k C(n-1, k) C(k, floor(k/2)) (OEIS A005773)."""
+    total, choose, central = 0, 1, 1  # C(n-1, k) and C(k, floor(k/2)) at k
+    for k in range(n):
+        total += choose * central
+        choose = choose * (n - 1 - k) // (k + 1)
+        central = central * 2 if k % 2 else central * (k + 1) // (k // 2 + 1)
+    return total
+
+
 def uniform_multiset(rng, n: int) -> list[int]:
     """Sorted values of a uniform random multiset of n values over 1..n.
 

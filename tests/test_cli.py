@@ -1,9 +1,11 @@
 import gc
 import importlib
 import json
+import math
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -16,7 +18,7 @@ import pytest
 
 from heapdyck import bijections, cli, heaps, multisets, paths, series
 
-from oracles import uniform_multiset
+from oracles import directed_animals, uniform_multiset
 
 
 class _Lines:
@@ -549,6 +551,52 @@ class TestLibraryErrors:
         monkeypatch.setattr(series, "bivariate", with_half_entry)
         code, out, err = run(capsys, "table1", "--max-n", "3", "--max-k", "2")
         assert (code, out, err) == (2, "", "error: non-integer table entry at n=2, k=1\n")
+
+
+class TestReach:
+    """A size past its command's reach is an error line and exit 2, before any work."""
+
+    DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    @pytest.mark.skipif(not DIGITS, reason="this interpreter prints ints of any length")
+    @pytest.mark.parametrize(
+        "name, base, last", [("T", 4, lambda n: comb(2 * n - 1, n)), ("Q", 3, directed_animals)]
+    )
+    def test_series_prints_to_its_reach_and_no_further(self, capsys, monkeypatch, name, base, last):
+        # the last coefficient is below base^n, so it has at most DIGITS digits
+        reach = int(self.DIGITS / math.log10(base))
+        code, out, _ = run(capsys, "series", "--name", name, "--order", str(reach))
+        assert code == 0
+        assert out.splitlines()[-1] == f"{reach}\t{last(reach)}"
+        assert f"{name} {reach}," in run(capsys, "series", "--help")[1]
+
+        def no_work(*args):
+            pytest.fail("closed_form called past the reach")
+
+        monkeypatch.setattr(series, "closed_form", no_work)
+        code, out, err = run(capsys, "series", "--name", name, "--order", str(reach + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: --order {reach + 1} is beyond the reach of {name} ({reach})\n"
+
+    def test_mdiag_past_its_table_reach(self, capsys, monkeypatch):
+        monkeypatch.setattr(series, "bivariate", lambda *args: pytest.fail("table expanded"))
+        code, out, err = run(capsys, "series", "--name", "Mdiag", "--order", "1501")
+        assert (code, out, err) == (2, "", "error: --order 1501 is beyond the reach of Mdiag (1500)\n")
+
+    @pytest.mark.parametrize("family", ["dyck", "heap-T", "multiset-star"])
+    def test_out_of_memory_is_an_error_line_with_exit_2(self, family):
+        # the child's address space is capped, so the count cannot take the machine's memory
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+        src = Path(cli.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = ["enumerate", "--family", family, "--n", str(10**12), "--count-only"]
+        done = subprocess.run(
+            [sys.executable, "-m", "heapdyck.cli", *argv], env=env, capture_output=True,
+            text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 class TestUsage:

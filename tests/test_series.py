@@ -2,9 +2,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from heapdyck import multisets, series
+from heapdyck import counting, multisets, series
 from heapdyck.series import (
     BivarTable,
     DivByNonUnitError,
@@ -17,6 +17,7 @@ from oracles import (
     binomial_sqrt,
     catalan,
     convolve,
+    directed_animals,
     from_ints,
     listed_count,
     motzkin,
@@ -38,6 +39,15 @@ def rational_series(max_order=8):
     fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 9]))
     return st.lists(fractions, min_size=1, max_size=max_order + 1).map(
         lambda cs: Series(tuple(cs))
+    )
+
+
+def sparse_series(max_terms=6):
+    """Nonzero rational terms after gaps of 0 to 10 zeros, such as 1 + 5z^7."""
+    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 6]))
+    runs = st.lists(st.tuples(st.integers(0, 10), nonzero), max_size=max_terms)
+    return st.tuples(nonzero, runs).map(
+        lambda cr: Series((cr[0],) + sum(((0,) * gap + (c,) for gap, c in cr[1]), ()))
     )
 
 
@@ -156,6 +166,20 @@ class TestKernelsMatchReference:
             series._divide_table({(0, 0): 1}, {(0, 0): d00, (1, 0): 1}, 2, 2)
 
 
+class TestSparseKernels:
+    """The kernels walk only their operand's nonzero terms; gaps must not skip any."""
+
+    @given(rational_series(40), sparse_series())
+    def test_div_by_sparse_divisor(self, a, b):
+        assert (a / b).coeffs == reference_div(a.coeffs, b.coeffs)
+
+    @given(sparse_series())
+    @example(polynomial([1, 0, 0, 0, 0, 0, 0, 5], 30))
+    def test_sqrt_of_sparse_radicand(self, a):
+        radicand = with_constant(a, 1)
+        assert radicand.sqrt().coeffs == reference_sqrt(radicand.coeffs)
+
+
 class TestSqrt:
     def test_sqrt_one_minus_4z(self):
         got = polynomial([1, -4], 4).sqrt()
@@ -202,6 +226,15 @@ class TestClosedForms:
         q = series.closed_form("Q", 12)
         assert [int(q[n]) for n in range(1, 7)] == [1, 2, 5, 13, 35, 96]
         assert all(q[n] == square_animals(n) for n in range(1, 13))
+
+    @pytest.mark.parametrize("name", ["Ts", "T", "Qs", "Q"])
+    def test_matches_the_constructor_recurrences_to_order_500(self, name):
+        assert list(series.closed_form(name, 500).coeffs) == counting.totals(name, 500)
+
+    def test_last_coefficients_at_order_2000(self):
+        n = 2000
+        assert series.closed_form("T", n)[n] == comb(2 * n - 1, n)
+        assert series.closed_form("Q", n)[n] == directed_animals(n)
 
     def test_mdiag_equals_q(self):
         assert series.closed_form("Mdiag", 15) == series.closed_form("Q", 15)

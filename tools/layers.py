@@ -3,13 +3,14 @@
     python3 tools/layers.py --label change
     python3 tools/layers.py --label parent --src ../parent/src
 
-Each row is one library call at one size.  A run imports heapdyck from
---src, makes the call once, and records the call's CPU time and the
-process's max RSS, which includes the interpreter and its imports.  Every
-row runs REPS times, in a new process each time; a metric is the median
-over the runs.  A run fails when the call lists the wrong number of
-objects (against `grammar_count(n, "T")`, which every row's family
-matches) or the CLI exits non-zero.
+Each row is one library call at each of its sizes.  A run imports
+heapdyck from --src, makes the call once, and records the call's CPU time
+and the process's max RSS, which includes the interpreter and its
+imports.  Every row runs REPS times per size, in a new process each time;
+a metric is the median over the runs.  A run fails when the call's result
+is wrong: a listing row's number of objects against `grammar_count(n,
+"T")`, which every listed family matches, or a CLI exit other than 0; a
+series row's last coefficient against its closed formula.
 
 The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
@@ -27,10 +28,13 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from functools import partial
+from math import comb
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIZES = (9, 10)
+LISTING_SIZES = (9, 10)
+SERIES_ORDERS = (1000, 2000, 5000)
 REPS = 3  # fresh processes per row and size
 
 
@@ -66,35 +70,54 @@ def _cli_enumerate(family: str, n: int) -> int:
     return lines if code == 0 else -1
 
 
-# row name -> the call; it returns how many objects of size n it listed.  Each row
-# lists C(2n - 1, n): the T heaps, the grand-Dyck words and the multisets over {1..n}
+def _closed_form(name: str, order: int) -> Fraction:
+    from heapdyck import series
+
+    return series.closed_form(name, order)[order]
+
+
+def _t_heaps(n: int) -> int:
+    from heapdyck import bijections
+
+    return bijections.grammar_count(n, "T")
+
+
+# row name -> (the call, its sizes, the result it must give at size n).  Each listing
+# row lists C(2n - 1, n) objects: the T heaps, the grand-Dyck words and the multisets
+# over {1..n}.  A series row gives its last coefficient: T_n = C(2n - 1, n), and Q_n,
+# the directed animals of size n (OEIS A005773)
 ROWS = {
-    "grammar_enumerate.T": _grammar_enumerate,
-    "cli.enumerate.heap-T": partial(_cli_enumerate, "heap-T"),
-    "cli.enumerate.grand-dyck": partial(_cli_enumerate, "grand-dyck"),
-    "cli.enumerate.multiset-all": partial(_cli_enumerate, "multiset-all"),
+    "grammar_enumerate.T": (_grammar_enumerate, LISTING_SIZES, _t_heaps),
+    "cli.enumerate.heap-T": (partial(_cli_enumerate, "heap-T"), LISTING_SIZES, _t_heaps),
+    "cli.enumerate.grand-dyck": (partial(_cli_enumerate, "grand-dyck"), LISTING_SIZES, _t_heaps),
+    "cli.enumerate.multiset-all": (partial(_cli_enumerate, "multiset-all"), LISTING_SIZES, _t_heaps),
+    "closed_form.T": (partial(_closed_form, "T"), SERIES_ORDERS, lambda n: comb(2 * n - 1, n)),
+    "closed_form.Q": (
+        partial(_closed_form, "Q"),
+        SERIES_ORDERS,
+        lambda n: sum(comb(n - 1, k) * comb(k, k // 2) for k in range(n)),
+    ),
 }
 
 
 def child(row: str, n: int, src: str) -> None:
-    """One run in this process: the call, then its CPU time, max RSS and listing size."""
+    """One run in this process: the call, then its CPU time, max RSS and whether it was right."""
     sys.path.insert(0, src)
     import heapdyck.cli  # noqa: F401  (imports are not part of the call's time)
-    from heapdyck import bijections
 
+    call, _, expected = ROWS[row]
     start = time.process_time()
-    listed = ROWS[row](n)
+    got = call(n)
     cpu_s = time.process_time() - start
     max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    ok = listed == bijections.grammar_count(n, "T")
-    print(json.dumps({"cpu_s": cpu_s, "max_rss_mb": max_rss_mb, "ok": ok}))
+    print(json.dumps({"cpu_s": cpu_s, "max_rss_mb": max_rss_mb, "ok": got == expected(n)}))
 
 
 def run(src: str) -> dict:
     attempted = failed = 0
     metrics = {}
-    for row in ROWS:
-        for n in SIZES:
+    for row, (_, sizes, _) in ROWS.items():
+        for n in sizes:
             runs = []
             for _ in range(REPS):
                 done = subprocess.run(

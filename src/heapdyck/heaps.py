@@ -10,8 +10,9 @@ NamedTuple.  The garbage collector stops tracking a tuple of ints at its
 first collection, but never a tuple subclass, so a NamedTuple dimer
 would keep every dimer of every live heap on the collector's lists.
 The heaps of one `bijections.grammar_enumerate` call share their dimer
-tuples, one object per distinct dimer.  A dimer is its value: which
-tuple object a heap holds is not part of the contract.
+tuples, one object per distinct dimer; a dimer is its value, and that
+sharing is not part of the contract.  A heap holds only its dimers and
+caches nothing, its hash included.
 
 Directed animals are point sets on the quarter plane grown from the
 origin by steps (1,0), (0,1) and, on the triangular lattice, (1,1).
@@ -119,11 +120,11 @@ class Heap(Value):
     tuples, which the garbage collector untracks, not a NamedTuple, which
     it would walk at every collection for as long as the heap lives.  Pairs
     that already are such tuples are kept as given, so heaps built from the
-    same pair objects share them, as grammar heaps do; equality and hashing
-    read only their values, never their identity.
+    same pair objects share them, as grammar heaps do; `Value`'s equality
+    and hashing read only their values, never their identity, at each call.
     """
 
-    __slots__ = ("dimers", "_hash")
+    __slots__ = ("dimers",)
 
     def __init__(self, dimers: Iterable[Pair]):
         items = list(dimers)
@@ -141,15 +142,6 @@ class Heap(Value):
         if breach is not None:
             raise NotAHeapError(breach)
         object.__setattr__(self, "dimers", canon)
-        object.__setattr__(self, "_hash", hash(canon))
-
-    # Value gives only immutability here: grammar sets hash heaps by the
-    # thousand, so a heap hashes as hash(dimers), computed once
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Heap) and self.dimers == other.dimers
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Heap({to_text(self)!r})"

@@ -26,7 +26,7 @@ The four univariate closed forms count the heap classes by area:
     Qs: (1 - z - sqrt(1 - 2z - 3z^2)) / 2z    Motzkin numbers, shifted
     Q:  (1 - 3z - sqrt(1 - 2z - 3z^2)) / (6z - 2)
 
-Mdiag is the diagonal of the bivariate table f below; it coincides with Q.
+Mdiag is the diagonal of the table f below, read row by row; it equals Q.
 The bivariate tables f (multisets without consecutive values, by size n
 and bound k) and h (multisets repeating every value below the bound) are
 expanded by bottom-up division with sparse polynomial denominators.
@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import HeapdyckError
 from .value import Value
@@ -45,6 +45,7 @@ from .value import Value
 CLOSED_FORMS = ("Ts", "T", "Qs", "Q", "Mdiag")
 
 _ONE = Fraction(1)
+Terms = dict[tuple[int, int], int]  # a bivariate polynomial, {(z, u) power: coefficient}
 
 
 class DivByNonUnitError(HeapdyckError, ZeroDivisionError):
@@ -204,8 +205,9 @@ def closed_form(name: str, order: int) -> Series:
     if name not in CLOSED_FORMS:
         raise ValueError(f"unknown series {name!r}")
     _check_order(order)
-    if name == "Mdiag":
-        return bivariate("f", order, order).diagonal()
+    if name == "Mdiag":  # entry n of each row of f, one row at a time
+        rows = _table_rows(*_TABLES["f"], order, order)
+        return Series(tuple(row[n] for n, row in enumerate(rows)))
     n = order + 1
     if name in ("Ts", "T"):
         root = polynomial([1, -4], n).sqrt()
@@ -242,18 +244,17 @@ class BivarTable(Value):
         return Series(tuple(self.rows[i][i] for i in range(n + 1)))
 
 
-def _divide_table(
-    numerator: dict[tuple[int, int], int],
-    denominator: dict[tuple[int, int], int],
-    z_order: int,
-    u_order: int,
-) -> BivarTable:
-    """Integer table of numerator / denominator; the denominator's constant term is 1."""
+def _table_rows(
+    numerator: Terms, denominator: Terms, z_order: int, u_order: int
+) -> Iterator[list[int]]:
+    """The int rows of numerator / denominator, one at a time; the denominator's constant
+    term is 1.  Only the rows the denominator reaches back to are kept."""
     d00 = denominator.get((0, 0), 0)
     if d00 != 1:
         raise DivByNonUnitError(f"bivariate divisor has constant term {d00}, not 1")
     terms = [(i, j, c) for (i, j), c in denominator.items() if (i, j) != (0, 0)]
-    rows: list[list[int]] = []
+    back = max((i for i, _, _ in terms), default=0)
+    rows: list[list[int] | None] = []
     for n in range(z_order + 1):
         row: list[int] = []
         for k in range(u_order + 1):
@@ -263,10 +264,18 @@ def _divide_table(
                     acc -= c * (rows[n - i] if i else row)[k - j]
             row.append(acc)
         rows.append(row)
+        if n >= back:
+            rows[n - back] = None  # no later row reads it
+        yield row
+
+
+def _divide_table(numerator: Terms, denominator: Terms, z_order: int, u_order: int) -> BivarTable:
+    """Table of numerator / denominator: the int rows first, then their Fractions."""
+    rows = list(_table_rows(numerator, denominator, z_order, u_order))
     return BivarTable(tuple(tuple(map(Fraction, row)) for row in rows))
 
 
-# name -> (numerator, denominator) of the rational function, as {(z, u) power: coefficient}
+# name -> (numerator, denominator) of the rational function, as Terms
 _TABLES = {
     # u z / ((1 - u)(1 - u - z + u z - u^2 z))
     "f": (

@@ -3,11 +3,12 @@
 Plain results (`AnimalStats`, `PathStats`, `MultisetStats`,
 `Factorization`, `IdentityCheck`, `CheckResult`, `VerifyReport`) are
 NamedTuples.  The types with an invariant or operators of their own
-(`Multiset`, `PointAnimal`, `Series`, `BivarTable`) are slotted classes
-that take one value protocol from `heapdyck.value.Value`: immutable,
-equal only to their own kind, hashed as the tuple of their fields, and
-not tuples, so `+` on two series adds series.  `Heap` takes only the
-immutability from it and keeps its own equality, hash and repr.
+(`Multiset`, `PointAnimal`, `Series`, `BivarTable`, `Heap`) are slotted
+classes that take one value protocol from `heapdyck.value.Value`:
+immutable, equal only to their own kind, hashed as the tuple of their
+fields, and not tuples, so `+` on two series adds series.  None of them
+defines its own equality or hash; `Heap` keeps only its own repr, the
+heap's text form.
 """
 
 from fractions import Fraction
@@ -42,6 +43,11 @@ def _values():
             lambda: series.BivarTable(((F(1), F(0)), (F(2), F(3)))),
             {"rows": ((F(1), F(0)), (F(2), F(3)))},
             "BivarTable(rows=((Fraction(1, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(3, 1))))",
+        ),
+        "Heap": (
+            lambda: heaps.parse_heap("(0,0);(1,1)"),
+            {"dimers": ((0, 0), (1, 1))},
+            "Heap('(0,0);(1,1)')",
         ),
         "AnimalStats": (
             lambda: heaps.heap_stats(heaps.parse_heap("(0,0);(1,1);(-1,1)")),
@@ -88,7 +94,7 @@ def _values():
 
 
 VALUES = _values()
-SLOTTED = ("Multiset", "PointAnimal", "Series", "BivarTable")
+SLOTTED = ("Multiset", "PointAnimal", "Series", "BivarTable", "Heap")
 # records holding a dict or a list, which no frozen record could hash either
 UNHASHABLE = ("AnimalStats", "PathStats", "VerifyReport")
 
@@ -181,6 +187,18 @@ def test_slotted_types_share_one_value_protocol(kind):
     assert issubclass(kind, Value)
 
 
+def test_no_value_type_defines_its_own_equality_or_hash():
+    """Value binds __eq__ and __hash__ into each subclass; a class body that defines one is refused."""
+    kinds = {k.__name__: k for k in Value.__subclasses__() if k.__module__.startswith("heapdyck.")}
+    assert sorted(kinds) == sorted(SLOTTED)
+    for kind in kinds.values():
+        for method in ("__eq__", "__hash__"):
+            assert vars(kind)[method].__qualname__.startswith("Value.__init_subclass__.")
+    for method in ("__eq__", "__hash__"):
+        with pytest.raises(TypeError, match="defines its own equality or hash"):
+            type("Own", (Value,), {"__slots__": ("x",), method: lambda self, *other: 0})
+
+
 def test_heap_is_immutable():
     h = heaps.parse_heap("(0,0);(1,1)")
     with pytest.raises(AttributeError) as raised:
@@ -189,10 +207,10 @@ def test_heap_is_immutable():
     assert h.dimers == ((0, 0), (1, 1))
 
 
-@pytest.mark.parametrize("name", [*SLOTTED, "Heap"])
+@pytest.mark.parametrize("name", SLOTTED)
 def test_fields_cannot_be_deleted(name):
     """A deleted slot would leave a value whose repr, equality and hash raise."""
-    build = (lambda: heaps.parse_heap("(0,0);(1,1)")) if name == "Heap" else VALUES[name][0]
+    build = VALUES[name][0]
     value = build()
     for field in type(value).__slots__:
         with pytest.raises(AttributeError) as raised:

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -238,6 +240,20 @@ class TestClosedForms:
 
     def test_mdiag_equals_q(self):
         assert series.closed_form("Mdiag", 15) == series.closed_form("Q", 15)
+
+    def test_mdiag_equals_q_at_order_300(self):
+        assert series.closed_form("Mdiag", 300) == series.closed_form("Q", 300)
+
+    def test_mdiag_keeps_only_the_rows_f_reaches_back_to(self):
+        # traced peak at order 200: about 0.04 MB a row at a time, 4.4 MB for the whole table
+        gc.collect()
+        tracemalloc.start()
+        try:
+            series.closed_form("Mdiag", 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

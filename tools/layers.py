@@ -35,6 +35,7 @@ from math import comb
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LISTING_SIZES = (9, 10)
 SERIES_ORDERS = (1000, 2000, 5000)
+MDIAG_ORDERS = (1000, 1500)  # trees that keep f's whole table take 0.5 GB at 1500
 REPS = 3  # fresh processes per row and size
 
 
@@ -82,21 +83,22 @@ def _t_heaps(n: int) -> int:
     return bijections.grammar_count(n, "T")
 
 
+def _directed_animals(n: int) -> int:
+    return sum(comb(n - 1, k) * comb(k, k // 2) for k in range(n))
+
+
 # row name -> (the call, its sizes, the result it must give at size n).  Each listing
 # row lists C(2n - 1, n) objects: the T heaps, the grand-Dyck words and the multisets
-# over {1..n}.  A series row gives its last coefficient: T_n = C(2n - 1, n), and Q_n,
-# the directed animals of size n (OEIS A005773)
+# over {1..n}.  A series row gives its last coefficient: T_n = C(2n - 1, n), and Q_n and
+# Mdiag_n, the directed animals of size n (OEIS A005773)
 ROWS = {
     "grammar_enumerate.T": (_grammar_enumerate, LISTING_SIZES, _t_heaps),
     "cli.enumerate.heap-T": (partial(_cli_enumerate, "heap-T"), LISTING_SIZES, _t_heaps),
     "cli.enumerate.grand-dyck": (partial(_cli_enumerate, "grand-dyck"), LISTING_SIZES, _t_heaps),
     "cli.enumerate.multiset-all": (partial(_cli_enumerate, "multiset-all"), LISTING_SIZES, _t_heaps),
     "closed_form.T": (partial(_closed_form, "T"), SERIES_ORDERS, lambda n: comb(2 * n - 1, n)),
-    "closed_form.Q": (
-        partial(_closed_form, "Q"),
-        SERIES_ORDERS,
-        lambda n: sum(comb(n - 1, k) * comb(k, k // 2) for k in range(n)),
-    ),
+    "closed_form.Q": (partial(_closed_form, "Q"), SERIES_ORDERS, _directed_animals),
+    "closed_form.Mdiag": (partial(_closed_form, "Mdiag"), MDIAG_ORDERS, _directed_animals),
 }
 
 

@@ -7,17 +7,17 @@ only of series with constant term 1, and the closed forms below divide
 by their leading monomials through explicit valuation shifts, so the
 whole module stays exact.
 
-The kernels (product, quotient, square root, table division) run on
-Python ints and build one normalised Fraction per output coefficient.
-Each operand becomes integer numerators over the lcm of its
-denominators, and every convolution sum is taken in ints.  Product and
-table division are quadratic; quotient and square root visit only their
-operand's nonzero terms, O(N t) products for t of them.  Those two keep
-the coefficients found so far as integer numerators over one running
-denominator, which grows only when a new coefficient's denominator does
-not divide it; a series with integer coefficients, such as every closed
-form below, keeps denominator 1.  The table divisors have constant term
-1, so tables are computed in ints throughout.
+The series kernels (product, quotient, square root) run on Python ints
+and build one normalised Fraction per output coefficient.  Each operand
+becomes integer numerators over the lcm of its denominators, and every
+convolution sum is taken in ints.  The product is quadratic; quotient
+and square root visit only their operand's nonzero terms, O(N t)
+products for t of them.  Those two keep the coefficients found so far as
+integer numerators over one running denominator, which grows only when
+a new coefficient's denominator does not divide it; a series with
+integer coefficients, such as every closed form below, keeps
+denominator 1.  The table divisors have constant term 1, so a table is
+divided in ints, a row at a time, and its entries stay ints.
 
 The four univariate closed forms count the heap classes by area:
 
@@ -26,10 +26,11 @@ The four univariate closed forms count the heap classes by area:
     Qs: (1 - z - sqrt(1 - 2z - 3z^2)) / 2z    Motzkin numbers, shifted
     Q:  (1 - 3z - sqrt(1 - 2z - 3z^2)) / (6z - 2)
 
-Mdiag is the diagonal of the table f below, read row by row; it equals Q.
 The bivariate tables f (multisets without consecutive values, by size n
 and bound k) and h (multisets repeating every value below the bound) are
 expanded by bottom-up division with sparse polynomial denominators.
+Mdiag is the diagonal of f, read off its row stream; it equals Q, and
+so does h's diagonal, which the identity checks read the same way.
 """
 
 from __future__ import annotations
@@ -205,9 +206,8 @@ def closed_form(name: str, order: int) -> Series:
     if name not in CLOSED_FORMS:
         raise ValueError(f"unknown series {name!r}")
     _check_order(order)
-    if name == "Mdiag":  # entry n of each row of f, one row at a time
-        rows = _table_rows(*_TABLES["f"], order, order)
-        return Series(tuple(row[n] for n, row in enumerate(rows)))
+    if name == "Mdiag":
+        return _diagonal("f", order)
     n = order + 1
     if name in ("Ts", "T"):
         root = polynomial([1, -4], n).sqrt()
@@ -221,11 +221,11 @@ def closed_form(name: str, order: int) -> Series:
 
 
 class BivarTable(Value):
-    """Coefficients c[n][k] of z^n u^k, exact, up to fixed z and u orders."""
+    """Coefficients c[n][k] of z^n u^k, exact ints, up to fixed z and u orders."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -236,12 +236,8 @@ class BivarTable(Value):
     def u_order(self) -> int:
         return len(self.rows[0]) - 1
 
-    def coefficient(self, n: int, k: int) -> Fraction:
+    def coefficient(self, n: int, k: int) -> int:
         return self.rows[n][k]
-
-    def diagonal(self) -> Series:
-        n = min(self.z_order, self.u_order)
-        return Series(tuple(self.rows[i][i] for i in range(n + 1)))
 
 
 def _table_rows(
@@ -270,9 +266,8 @@ def _table_rows(
 
 
 def _divide_table(numerator: Terms, denominator: Terms, z_order: int, u_order: int) -> BivarTable:
-    """Table of numerator / denominator: the int rows first, then their Fractions."""
-    rows = list(_table_rows(numerator, denominator, z_order, u_order))
-    return BivarTable(tuple(tuple(map(Fraction, row)) for row in rows))
+    """Table of numerator / denominator, its int rows kept as they come."""
+    return BivarTable(tuple(map(tuple, _table_rows(numerator, denominator, z_order, u_order))))
 
 
 # name -> (numerator, denominator) of the rational function, as Terms
@@ -289,6 +284,12 @@ _TABLES = {
     ),
 }
 BIVARIATE_NAMES = tuple(_TABLES)
+
+
+def _diagonal(name: str, order: int) -> Series:
+    """Entry n of row n of the named table, read off its rows one at a time."""
+    rows = _table_rows(*_TABLES[name], order, order)
+    return Series(tuple(row[n] for n, row in enumerate(rows)))
 
 
 def bivariate(name: str, z_order: int, u_order: int) -> BivarTable:
@@ -336,6 +337,6 @@ def check_identities(order: int) -> list[IdentityCheck]:
         radicand = poly(coeffs)
         root = radicand.sqrt()
         record(f"sqrt{tuple(coeffs)} squares back", root * root, radicand)
-    record("diagonal(f) = Q", bivariate("f", n, n).diagonal(), q)
-    record("diagonal(h) = Q", bivariate("h", n, n).diagonal(), q)
+    record("diagonal(f) = Q", _diagonal("f", n), q)
+    record("diagonal(h) = Q", _diagonal("h", n), q)
     return checks

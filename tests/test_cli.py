@@ -550,7 +550,9 @@ class TestLibraryErrors:
 
         monkeypatch.setattr(series, "bivariate", with_half_entry)
         code, out, err = run(capsys, "table1", "--max-n", "3", "--max-k", "2")
-        assert (code, out, err) == (2, "", "error: non-integer table entry at n=2, k=1\n")
+        assert (code, out, err) == (
+            2, "", "error: table entry n=2, k=1 disagrees with the star-multiset count\n"
+        )
 
 
 class TestReach:
@@ -579,7 +581,7 @@ class TestReach:
         assert err == f"error: --order {reach + 1} is beyond the reach of {name} ({reach})\n"
 
     def test_mdiag_past_its_table_reach(self, capsys, monkeypatch):
-        monkeypatch.setattr(series, "bivariate", lambda *args: pytest.fail("table expanded"))
+        monkeypatch.setattr(series, "closed_form", lambda *args: pytest.fail("closed_form called"))
         code, out, err = run(capsys, "series", "--name", "Mdiag", "--order", "1501")
         assert (code, out, err) == (2, "", "error: --order 1501 is beyond the reach of Mdiag (1500)\n")
 

@@ -10,7 +10,9 @@ imports.  Every row runs REPS times per size, in a new process each time;
 a metric is the median over the runs.  A run fails when the call's result
 is wrong: a listing row's number of objects against `grammar_count(n,
 "T")`, which every listed family matches, or a CLI exit other than 0; a
-series row's last coefficient against its closed formula.
+series row's last coefficient against its closed formula; a table row's
+entry (n, n) against the directed-animal sum; an identity row when any
+of its checks fails.
 
 The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
@@ -36,6 +38,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LISTING_SIZES = (9, 10)
 SERIES_ORDERS = (1000, 2000, 5000)
 MDIAG_ORDERS = (1000, 1500)  # trees that keep f's whole table take 0.5 GB at 1500
+IDENTITY_ORDERS = (100, 300)
+TABLE_ORDERS = (150, 300)
 REPS = 3  # fresh processes per row and size
 
 
@@ -77,6 +81,18 @@ def _closed_form(name: str, order: int) -> Fraction:
     return series.closed_form(name, order)[order]
 
 
+def _check_identities(order: int) -> bool:
+    from heapdyck import series
+
+    return all(check.ok for check in series.check_identities(order))
+
+
+def _bivariate_diagonal(name: str, order: int) -> int:
+    from heapdyck import series
+
+    return series.bivariate(name, order, order).coefficient(order, order)
+
+
 def _t_heaps(n: int) -> int:
     from heapdyck import bijections
 
@@ -90,7 +106,8 @@ def _directed_animals(n: int) -> int:
 # row name -> (the call, its sizes, the result it must give at size n).  Each listing
 # row lists C(2n - 1, n) objects: the T heaps, the grand-Dyck words and the multisets
 # over {1..n}.  A series row gives its last coefficient: T_n = C(2n - 1, n), and Q_n and
-# Mdiag_n, the directed animals of size n (OEIS A005773)
+# Mdiag_n, the directed animals of size n (OEIS A005773).  A table row gives entry
+# (n, n) of its table to order n, which is Q_n for both f and h
 ROWS = {
     "grammar_enumerate.T": (_grammar_enumerate, LISTING_SIZES, _t_heaps),
     "cli.enumerate.heap-T": (partial(_cli_enumerate, "heap-T"), LISTING_SIZES, _t_heaps),
@@ -99,6 +116,9 @@ ROWS = {
     "closed_form.T": (partial(_closed_form, "T"), SERIES_ORDERS, lambda n: comb(2 * n - 1, n)),
     "closed_form.Q": (partial(_closed_form, "Q"), SERIES_ORDERS, _directed_animals),
     "closed_form.Mdiag": (partial(_closed_form, "Mdiag"), MDIAG_ORDERS, _directed_animals),
+    "check_identities": (_check_identities, IDENTITY_ORDERS, lambda n: True),
+    "bivariate.f": (partial(_bivariate_diagonal, "f"), TABLE_ORDERS, _directed_animals),
+    "bivariate.h": (partial(_bivariate_diagonal, "h"), TABLE_ORDERS, _directed_animals),
 }
 
 

@@ -1,23 +1,18 @@
-"""Exact truncated power series over the rationals.
+"""Exact truncated power series over the integers.
 
-A Series holds Fraction coefficients for z^0 .. z^order; coefficients
-beyond the order are unknown, never assumed zero, and every arithmetic
-result carries the minimum order of its operands.  Square roots are taken
-only of series with constant term 1, and the closed forms below divide
-by their leading monomials through explicit valuation shifts, so the
-whole module stays exact.
+A Series holds int coefficients for z^0 .. z^order; coefficients beyond
+the order are unknown, never assumed zero, and every arithmetic result
+carries the minimum order of its operands.  Every series here counts
+objects, so every coefficient is an int, and the arithmetic is that of
+Z[[z]]: a quotient or a square root whose next coefficient does not
+divide exactly raises NotIntegralError.  Square roots are taken only of
+series with constant term 1, and the closed forms below divide by their
+leading monomials through explicit valuation shifts.
 
-The series kernels (product, quotient, square root) run on Python ints
-and build one normalised Fraction per output coefficient.  Each operand
-becomes integer numerators over the lcm of its denominators, and every
-convolution sum is taken in ints.  The product is quadratic; quotient
-and square root visit only their operand's nonzero terms, O(N t)
-products for t of them.  Those two keep the coefficients found so far as
-integer numerators over one running denominator, which grows only when
-a new coefficient's denominator does not divide it; a series with
-integer coefficients, such as every closed form below, keeps
-denominator 1.  The table divisors have constant term 1, so a table is
-divided in ints, a row at a time, and its entries stay ints.
+The product is quadratic; quotient and square root visit only their
+operand's nonzero terms, O(N t) products for t of them.  The table
+divisors have constant term 1, so a table is divided a row at a time,
+and its entries are ints too.
 
 The four univariate closed forms count the heap classes by area:
 
@@ -35,9 +30,7 @@ so does h's diagonal, which the identity checks read the same way.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import HeapdyckError
@@ -45,7 +38,6 @@ from .value import Value
 
 CLOSED_FORMS = ("Ts", "T", "Qs", "Q", "Mdiag")
 
-_ONE = Fraction(1)
 Terms = dict[tuple[int, int], int]  # a bivariate polynomial, {(z, u) power: coefficient}
 
 
@@ -57,25 +49,16 @@ class SqrtBadConstantError(HeapdyckError, ValueError):
     pass
 
 
-def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of the coefficients over their least common denominator."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+class NotIntegralError(HeapdyckError, ArithmeticError):
+    pass
 
 
-def _extend(num: list[int], den: int, c: Fraction) -> int:
-    """Append c to the numerators num over den, and return the denominator.
-
-    The denominator grows only when c's does not divide it, and then to
-    their lcm, so a series with integer coefficients keeps denominator 1.
-    """
-    q = c.denominator
-    if den % q:
-        scale = q // gcd(den, q)
-        num[:] = [x * scale for x in num]
-        den *= scale
-    num.append(c.numerator * (den // q))
-    return den
+def _exact(acc: int, d: int, k: int) -> int:
+    """Coefficient k of a quotient or a root, acc / d, which must be an integer."""
+    c, r = divmod(acc, d)
+    if r:
+        raise NotIntegralError(f"coefficient {k} is not an integer (remainder {r} mod {d})")
+    return c
 
 
 class Series(Value):
@@ -83,9 +66,8 @@ class Series(Value):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Fraction]):
-        # the kernels pass Fractions already, and Fraction(c) of one is slow
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+    def __init__(self, coeffs: Sequence[int]):
+        coeffs = tuple(map(index, coeffs))  # a non-integer, such as 0.5, raises TypeError
         if not coeffs:
             raise ValueError("series needs at least the constant term")
         object.__setattr__(self, "coeffs", coeffs)
@@ -94,7 +76,7 @@ class Series(Value):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond computed order {self.order}")
         return self.coeffs[n]
@@ -114,73 +96,47 @@ class Series(Value):
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
-        a, da = _over_lcm(self.coeffs[: n + 1])
-        b, db = _over_lcm(other.coeffs[: n + 1])
-        b.reverse()  # b[n - k:] runs b_k, b_(k-1), .., b_0, to pair with a_0, a_1, ..
-        d = da * db
-        return Series(
-            tuple(Fraction(sum(map(mul, a, b[n - k :])), d) for k in range(n + 1))
-        )
+        a = self.coeffs
+        b = other.coeffs[n::-1]  # b[n - k:] runs b_k, b_(k-1), .., b_0, to pair with a_0, a_1, ..
+        return Series(tuple(sum(map(mul, a, b[n - k :])) for k in range(n + 1)))
 
     def __truediv__(self, other: "Series") -> "Series":
-        if other.coeffs[0] == 0:
+        b = other.coeffs
+        if b[0] == 0:
             raise DivByNonUnitError("divisor has zero constant term")
         n = min(self.order, other.order)
-        a, da = _over_lcm(self.coeffs[: n + 1])
-        b, db = _over_lcm(other.coeffs[: n + 1])
-        # out_k = (a_k - sum_j b_j out_(k-j)) / b_0 over the divisor's nonzero b_j, with
-        # out_(k-j) = num[-j] / den; the zeros before out_0 stand for out_(k-j) at j > k
+        # out_k = (a_k - sum_j b_j out_(k-j)) / b_0 over the divisor's nonzero b_j, out_(k-j)
+        # at out[-j]; the zeros before out_0 stand for out_(k-j) at j > k
         js = [j for j in range(1, n + 1) if b[j]]
         back, bs = [-j for j in js], [b[j] for j in js]
-        num = [0] * n
-        den = 1
-        out = []
-        for k in range(n + 1):
-            acc = sum(map(mul, bs, map(num.__getitem__, back)))
-            c = Fraction(a[k] * db * den - da * acc, da * den * b[0])
-            den = _extend(num, den, c)
-            out.append(c)
-        return Series(tuple(out))
+        out = [0] * n
+        for k, a in enumerate(self.coeffs[: n + 1]):
+            out.append(_exact(a - sum(map(mul, bs, map(out.__getitem__, back))), b[0], k))
+        return Series(out[n:])
 
     def sqrt(self) -> "Series":
-        if self.coeffs[0] != 1:
+        a = self.coeffs
+        if a[0] != 1:
             raise SqrtBadConstantError("square root needs constant term 1")
-        a, da = _over_lcm(self.coeffs)
         # Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2, 4.7):
-        # out_k = sum_(0<j<=k) (3j - 2k) a_j out_(k-j) / 2k, num as in the quotient
+        # out_k = sum_(0<j<=k) (3j - 2k) a_j out_(k-j) / 2k, out as in the quotient
         js = [j for j in range(1, len(a)) if a[j]]
         back, aj, jaj = [-j for j in js], [a[j] for j in js], [j * a[j] for j in js]
-        num = [0] * self.order + [1]
-        den = 1
-        out = [_ONE]
+        out = [0] * self.order + [1]
         for k in range(1, self.order + 1):
-            g = list(map(num.__getitem__, back))
+            g = list(map(out.__getitem__, back))
             acc = 3 * sum(map(mul, jaj, g)) - 2 * k * sum(map(mul, aj, g))
-            c = Fraction(acc, 2 * k * da * den)
-            den = _extend(num, den, c)
-            out.append(c)
-        return Series(tuple(out))
+            out.append(_exact(acc, 2 * k, k))
+        return Series(out[self.order :])
 
     def shift_down(self, k: int) -> "Series":
         """Divide by z^k, requiring the low coefficients to vanish."""
-        if any(c != 0 for c in self.coeffs[:k]):
+        if any(self.coeffs[:k]):
             raise ValueError(f"series has valuation below {k}")
         return Series(self.coeffs[k:])
 
-    def scale(self, factor: Fraction | int) -> "Series":
-        f = Fraction(factor)
-        return Series(tuple(c * f for c in self.coeffs))
-
     def format_terms(self, start: int = 0) -> str:
-        lines = []
-        for n, c in enumerate(self.coeffs):
-            if n < start:
-                continue
-            if c.denominator == 1:
-                lines.append(f"{n}\t{c.numerator}")
-            else:
-                lines.append(f"{n}\t{c.numerator}/{c.denominator}")
-        return "\n".join(lines)
+        return "\n".join(f"{n}\t{c}" for n, c in enumerate(self.coeffs[start:], start))
 
 
 def _check_order(*orders: int) -> None:
@@ -189,16 +145,11 @@ def _check_order(*orders: int) -> None:
             raise ValueError(f"order {order} is negative")
 
 
-def polynomial(coeffs: Sequence[int | Fraction], order: int) -> Series:
+def polynomial(coeffs: Sequence[int], order: int) -> Series:
     _check_order(order)
-    out = [Fraction(0)] * (order + 1)
-    for i, c in enumerate(coeffs):
-        if i > order:
-            if c != 0:
-                raise ValueError("polynomial degree beyond requested order")
-            continue
-        out[i] = Fraction(c)
-    return Series(tuple(out))
+    if any(coeffs[order + 1 :]):
+        raise ValueError("polynomial degree beyond requested order")
+    return Series(tuple(coeffs[: order + 1]) + (0,) * (order + 1 - len(coeffs)))
 
 
 def closed_form(name: str, order: int) -> Series:
@@ -212,11 +163,11 @@ def closed_form(name: str, order: int) -> Series:
     if name in ("Ts", "T"):
         root = polynomial([1, -4], n).sqrt()
         if name == "Ts":
-            return (polynomial([1, -2], n) - root).shift_down(1).scale(Fraction(1, 2))
+            return (polynomial([1, -2], n) - root).shift_down(1) / polynomial([2], order)
         return ((polynomial([1, -4], n) - root) / polynomial([-2, 8], n)).truncate(order)
     root = polynomial([1, -2, -3], max(n, 2)).sqrt()  # the radicand needs order 2
     if name == "Qs":
-        return (polynomial([1, -1], n) - root).shift_down(1).scale(Fraction(1, 2))
+        return (polynomial([1, -1], n) - root).shift_down(1) / polynomial([2], order)
     return ((polynomial([1, -3], n) - root) / polynomial([-2, 6], n)).truncate(order)
 
 

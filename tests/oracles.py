@@ -213,17 +213,21 @@ def pattern_count(word: str, pattern: str) -> int:
 
 
 def from_ints(values) -> Series:
-    return Series(tuple(Fraction(v) for v in values))
+    return Series(tuple(values))
 
 
 # --- series arithmetic ------------------------------------------------------
 #
 # Series arithmetic as plain Fraction loops, one normalised Fraction
-# multiply-subtract per step.  They take and return coefficient tuples, so
-# they share no code with the integer kernels they check.
+# multiply-subtract per step.  They take int or Fraction coefficient
+# tuples and return Fractions, so they share no code with the integer
+# kernels they check, and a quotient or root that leaves the integers
+# shows as a Fraction.
+
+Coeffs = tuple[int | Fraction, ...]
 
 
-def reference_mul(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def reference_mul(xs: Coeffs, ys: Coeffs) -> tuple[Fraction, ...]:
     n = min(len(xs), len(ys)) - 1
     out = [Fraction(0)] * (n + 1)
     for i, a in enumerate(xs[: n + 1]):
@@ -236,23 +240,23 @@ def reference_mul(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> tuple[F
     return tuple(out)
 
 
-def reference_div(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def reference_div(xs: Coeffs, ys: Coeffs) -> tuple[Fraction, ...]:
     n = min(len(xs), len(ys)) - 1
-    inv0 = 1 / ys[0]
+    inv0 = 1 / Fraction(ys[0])
     out: list[Fraction] = []
     for k in range(n + 1):
-        acc = xs[k]
+        acc = Fraction(xs[k])
         for j in range(1, k + 1):
             acc -= ys[j] * out[k - j]
         out.append(acc * inv0)
     return tuple(out)
 
 
-def reference_sqrt(xs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def reference_sqrt(xs: Coeffs) -> tuple[Fraction, ...]:
     """Square root of a series with constant term 1."""
     out = [Fraction(1)]
     for k in range(1, len(xs)):
-        acc = xs[k]
+        acc = Fraction(xs[k])
         for j in range(1, k):
             acc -= out[j] * out[k - j]
         out.append(acc / 2)

@@ -7,7 +7,6 @@ and the detector-reported statistic relations.
 import time
 from collections import Counter
 from contextlib import contextmanager
-from fractions import Fraction
 from math import comb
 
 from heapdyck import bijections, cli, heaps, multisets, paths, series, verify
@@ -51,7 +50,7 @@ def budget(seconds):
 
 
 def coeffs(name, order):
-    return [int(c) for c in series.closed_form(name, order).coeffs]
+    return list(series.closed_form(name, order).coeffs)
 
 
 def test_criterion_1_table_reproduction():
@@ -176,8 +175,7 @@ def test_criterion_6_series_identities():
             one = series.polynomial([1], 30)
             ratio = t / (one + t)
             assert ratio.coeffs == ts.coeffs
-            assert all(c.denominator == 1 for c in t.coeffs)
-            assert isinstance(t.coeffs[1], Fraction)
+            assert all(type(c) is int for c in t.coeffs)
 
 
 def test_criterion_7_worked_examples():

@@ -104,10 +104,11 @@ def test_package_root_exports_only_the_error_base_and_version():
 
 def test_command_line_imports_without_dataclasses():
     """Result records are NamedTuples and slotted classes, so that a cold
-    `heapdyck` call does not load `dataclasses` and the `inspect` it pulls in."""
+    `heapdyck` call does not load `dataclasses` and the `inspect` it pulls in;
+    series hold ints, so it loads neither `fractions` nor the `decimal` behind it."""
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import heapdyck.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-c", probe, str(PACKAGE.parent)],

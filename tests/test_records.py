@@ -11,14 +11,10 @@ defines its own equality or hash; `Heap` keeps only its own repr, the
 heap's text form.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from heapdyck import bijections, heaps, multisets, paths, series, verify
 from heapdyck.value import Value
-
-F = Fraction
 
 
 def _values():
@@ -35,14 +31,14 @@ def _values():
             "PointAnimal(points=frozenset({(0, 0)}))",
         ),
         "Series": (
-            lambda: series.Series((1, F(1, 2))),
-            {"coeffs": (F(1), F(1, 2))},
-            "Series(coeffs=(Fraction(1, 1), Fraction(1, 2)))",
+            lambda: series.Series((1, -2)),
+            {"coeffs": (1, -2)},
+            "Series(coeffs=(1, -2))",
         ),
         "BivarTable": (
-            lambda: series.BivarTable(((F(1), F(0)), (F(2), F(3)))),
-            {"rows": ((F(1), F(0)), (F(2), F(3)))},
-            "BivarTable(rows=((Fraction(1, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(3, 1))))",
+            lambda: series.BivarTable(((1, 0), (2, 3))),
+            {"rows": ((1, 0), (2, 3))},
+            "BivarTable(rows=((1, 0), (2, 3)))",
         ),
         "Heap": (
             lambda: heaps.parse_heap("(0,0);(1,1)"),
@@ -141,17 +137,17 @@ def test_slotted_types_are_not_tuples(name):
 
 
 def test_slotted_types_differ_from_one_another():
-    table = series.BivarTable(((F(1),),))
+    table = series.BivarTable(((1,),))
     assert series.Series((1,)) != table and table != series.Series((1,))
     assert multisets.Multiset((1,), 1) != heaps.PointAnimal(frozenset({(0, 0)}))
 
 
 def test_series_operators_stay_series_operators():
     a = series.Series((1, 2, 3))
-    b = series.Series((F(1, 2), 0))
-    assert a + b == series.Series((F(3, 2), 2))
-    assert a - b == series.Series((F(1, 2), 2))
-    assert a * b == series.Series((F(1, 2), 1))
+    b = series.Series((3, 0))
+    assert a + b == series.Series((4, 2))
+    assert a - b == series.Series((-2, 2))
+    assert a * b == series.Series((3, 6))
     assert (a / a).coeffs == (1, 0, 0)
     assert a[2] == 3 and a.order == 2
     with pytest.raises(IndexError):
@@ -161,8 +157,8 @@ def test_series_operators_stay_series_operators():
 def test_slotted_constructors_keep_their_checks():
     with pytest.raises(ValueError):
         series.Series(())
-    assert series.Series((1, 2)).coeffs == (F(1), F(2))
-    assert all(type(c) is Fraction for c in series.Series((1, 2)).coeffs)
+    assert series.Series((1, 2)).coeffs == (1, 2)
+    assert all(type(c) is int for c in series.Series((1, 2)).coeffs)
     with pytest.raises(ValueError):
         heaps.PointAnimal(frozenset({(0, 0), (2, 0)}))
 

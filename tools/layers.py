@@ -30,14 +30,13 @@ import statistics
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from functools import partial
 from math import comb
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LISTING_SIZES = (9, 10)
 SERIES_ORDERS = (1000, 2000, 5000)
-MDIAG_ORDERS = (1000, 1500)  # trees that keep f's whole table take 0.5 GB at 1500
+MDIAG_ORDERS = (1000, 1500, 2000)  # one row of f at a time; its time sets series' Mdiag reach
 IDENTITY_ORDERS = (100, 300)
 TABLE_ORDERS = (150, 300)
 REPS = 3  # fresh processes per row and size
@@ -75,7 +74,7 @@ def _cli_enumerate(family: str, n: int) -> int:
     return lines if code == 0 else -1
 
 
-def _closed_form(name: str, order: int) -> Fraction:
+def _closed_form(name: str, order: int) -> int:
     from heapdyck import series
 
     return series.closed_form(name, order)[order]

@@ -16,6 +16,10 @@ caches nothing, its hash included.
 
 Directed animals are point sets on the quarter plane grown from the
 origin by steps (1,0), (0,1) and, on the triangular lattice, (1,1).
+Each step raises x + y, so by induction on x + y a set holding the
+origin is an animal exactly when every other point has a predecessor,
+a point one step back, in the set; that rule checks an animal in one
+pass over its points.
 Rotating an animal 45 degrees and letting each point fall as a dimer in
 column x - y turns animals into heaps; square-lattice animals give the
 heaps with no dimer directly on top of another.
@@ -231,23 +235,20 @@ def _steps(lattice: str) -> tuple[Point, ...]:
 
 
 def animal_validate(points: Iterable[Point], lattice: str = "triangular") -> bool:
-    """True when every point is reachable from the origin by lattice steps."""
+    """True when every point other than the origin has a predecessor in the set.
+
+    A predecessor is a point one lattice step back.  Each step raises
+    x + y, so by induction on x + y this is the same as every point being
+    reachable from the origin, and one pass over the points decides it.
+    """
     pts = set(points)
     if (0, 0) not in pts:
         raise MissingOriginError("animal must contain (0, 0)")
     if any(x < 0 or y < 0 for x, y in pts):
         raise ValueError("animal coordinates must be non-negative")
     moves = _steps(lattice)
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        x, y = frontier.pop()
-        for dx, dy in moves:
-            nxt = (x + dx, y + dy)
-            if nxt in pts and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == len(pts)
+    reached = {(x + dx, y + dy) for x, y in pts for dx, dy in moves}
+    return pts - reached == {(0, 0)}
 
 
 class PointAnimal(Value):
@@ -306,11 +307,9 @@ def animal_enumerate_bruteforce(
         raise ValueError("n must be positive")
     if n > BRUTE_FORCE_BOUND:
         raise TooLargeError(f"brute force capped at n = {BRUTE_FORCE_BOUND}")
-    if lattice not in LATTICES:
-        raise ValueError(f"unknown lattice {lattice!r}")
+    moves = _steps(lattice)
     cands = _candidates(n, lattice, subdiagonal)
     index = {p: i for i, p in enumerate(cands)}
-    moves = _steps(lattice)
     pred_mask = []
     for x, y in cands:
         mask = 0
@@ -339,7 +338,7 @@ def animal_enumerate_bruteforce(
 
 
 def _connected_animal(points: frozenset[Point]) -> PointAnimal:
-    """The animal of points the scan built connected, without a second search."""
+    """The animal of points the scan built connected, without checking it again."""
     animal = object.__new__(PointAnimal)
     object.__setattr__(animal, "points", points)
     return animal

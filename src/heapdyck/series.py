@@ -30,8 +30,8 @@ so does h's diagonal, which the identity checks read the same way.
 
 from __future__ import annotations
 
-from operator import index, mul
-from typing import Iterator, NamedTuple, Sequence
+from operator import add, index, mul, sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HeapdyckError
 from .value import Value
@@ -66,7 +66,7 @@ class Series(Value):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[int]):
+    def __init__(self, coeffs: Iterable[int]):
         coeffs = tuple(map(index, coeffs))  # a non-integer, such as 0.5, raises TypeError
         if not coeffs:
             raise ValueError("series needs at least the constant term")
@@ -87,12 +87,10 @@ class Series(Value):
         return Series(self.coeffs[: order + 1])
 
     def __add__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs[: n + 1])))
+        return Series(map(add, self.coeffs, other.coeffs))  # map stops at the lower order
 
     def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs[: n + 1])))
+        return Series(map(sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)

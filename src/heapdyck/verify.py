@@ -23,7 +23,7 @@ from functools import cache, partial
 from itertools import islice
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import bijections, counting, heaps, multisets, paths, series
 from .errors import HeapdyckError
@@ -232,7 +232,7 @@ def _suite_counts(max_n: int) -> list[CheckResult]:
     return rec.results(f"all sizes 1..{max_n}")
 
 
-def _first_difference(got: list[int], want: list[int]) -> int | None:
+def _first_difference(got: Sequence[int], want: Sequence[int]) -> int | None:
     """The smallest size n >= 1 at which two count lists differ, or None."""
     return next((n for n in range(1, len(want)) if got[n] != want[n]), None)
 
@@ -553,11 +553,6 @@ def _suite_symmetry(max_n: int) -> list[CheckResult]:
     return rec.results(f"all sizes 1..{max_n}")
 
 
-def _times(f: list[int], g: list[int]) -> list[int]:
-    """The product of two power series with no constant term, to the same order."""
-    return [0, *(sum(map(mul, f[1:n], g[n - 1 : 0 : -1])) for n in range(1, len(f)))]
-
-
 def _width_tier(rec: _Recorder) -> None:
     name = "left-width-counts-match-right-width-counts"
     left = {klass: counting.by_left_width(klass, WIDTH_ORDER) for klass in ("T", "Q")}
@@ -570,11 +565,11 @@ def _width_tier(rec: _Recorder) -> None:
 
     # lw is the number of crossings, and a word with c crossings is c + 1 nonempty Dyck runs
     name = "left-width-counts-match-crossing-counts"
-    runs = [0, *(_catalan(k) for k in range(1, WIDTH_ORDER + 1))]
+    runs = series.Series([0, *(_catalan(k) for k in range(1, WIDTH_ORDER + 1))])
     power, upto = runs, runs
     for a in range(WIDTH_ORDER):
-        n = _first_difference(left["T"][a], upto)
+        n = _first_difference(left["T"][a], upto.coeffs)
         rec.require(name, n is None, f"class T, n={n}, lw <= {a}")
-        power = _times(power, runs)
-        upto = [x + y for x, y in zip(upto, power)]
+        power = power * runs
+        upto = upto + power
     rec.note(name, f"#(lw <= a) in T against words by crossings, sizes 1..{WIDTH_ORDER}")

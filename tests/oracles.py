@@ -18,6 +18,7 @@ from heapdyck.heaps import (
     AnimalStats,
     Heap,
     HeapParseError,
+    MissingOriginError,
     NotAHeapError,
     Pair,
     PointAnimal,
@@ -281,6 +282,36 @@ def reference_divide_table(
                 acc -= c * rows[n - i][k - j]
             rows[n][k] = acc / d00
     return tuple(tuple(row) for row in rows)
+
+
+# --- animals ----------------------------------------------------------------
+
+_STEPS = {"square": ((1, 0), (0, 1)), "triangular": ((1, 0), (0, 1), (1, 1))}
+
+
+def reachable_animal(points, lattice: str) -> bool:
+    """True when every point is reachable from the origin by lattice steps.
+
+    A depth-first search from the origin, with a step table of its own, so
+    it leans neither on the library's predecessor rule nor on the brute
+    force's predecessor masks, which rest on the same lemma.
+    """
+    pts = set(points)
+    if (0, 0) not in pts:
+        raise MissingOriginError("animal must contain (0, 0)")
+    if any(x < 0 or y < 0 for x, y in pts):
+        raise ValueError("animal coordinates must be non-negative")
+    moves = _STEPS[lattice]
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for dx, dy in moves:
+            nxt = (x + dx, y + dy)
+            if nxt in pts and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == len(pts)
 
 
 # --- heap validation --------------------------------------------------------

@@ -24,6 +24,7 @@ from oracles import (
     crossing_heavy,
     drop,
     motzkin,
+    reachable_animal,
     reference_check_heap,
     reference_drop_columns,
     reference_parse_pairs,
@@ -270,6 +271,15 @@ class TestAnimals:
         assert heaps.animal_validate({(0, 0), (1, 1)}, "triangular")
         assert not heaps.animal_validate({(0, 0), (1, 1)}, "square")
 
+    @pytest.mark.parametrize("lattice", heaps.LATTICES)
+    def test_predecessor_rule_matches_reachability(self, lattice):
+        """Every subset of {0..3}^2 that holds the origin, against a search from it."""
+        grid = [(x, y) for x in range(4) for y in range(4)][1:]
+        for r in range(len(grid) + 1):
+            for rest in combinations(grid, r):
+                pts = {(0, 0), *rest}
+                assert heaps.animal_validate(pts, lattice) is reachable_animal(pts, lattice), pts
+
     def test_point_animal_checks_connectivity(self):
         with pytest.raises(ValueError):
             PointAnimal(frozenset({(0, 0), (2, 2)}))
@@ -319,11 +329,8 @@ class TestBruteForce:
         naive = set()
         for rest in combinations(cands[1:], n - 1):
             pts = {(0, 0), *rest}
-            try:
-                if heaps.animal_validate(pts, lattice):
-                    naive.add(frozenset(pts))
-            except ValueError:
-                continue
+            if reachable_animal(pts, lattice):
+                naive.add(frozenset(pts))
         got = {a.points for a in heaps.animal_enumerate_bruteforce(n, lattice)}
         assert got == naive
 
@@ -331,10 +338,10 @@ class TestBruteForce:
     @pytest.mark.parametrize("lattice", heaps.LATTICES)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_animal_is_connected_on_its_lattice(self, n, lattice, subdiagonal):
-        """The scan builds its animals without PointAnimal's search, so check them here."""
+        """The scan builds its animals without PointAnimal's check, so check them here."""
         for a in heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal):
             assert type(a) is PointAnimal and type(a.points) is frozenset
-            assert len(a) == n and heaps.animal_validate(a.points, lattice)
+            assert len(a) == n and reachable_animal(a.points, lattice)
             assert not subdiagonal or all(y <= x for x, y in a.points)
 
     def test_rejects_large_n(self):

@@ -70,6 +70,11 @@ class TestArithmetic:
         b = from_ints([0, 1, 1])
         assert (a + b).coeffs == (1, 3, 4)
         assert (a - b).coeffs == (1, 1, 2)
+        # a sum or difference carries the lower order of its operands, from either side
+        c = from_ints([5, 7])
+        assert (a + c).coeffs == (c + a).coeffs == (6, 9)
+        assert (a - c).coeffs == (-4, -5)
+        assert (c - a).coeffs == (4, 5)
 
     def test_mul_truncates_to_min_order(self):
         a = from_ints([1, 1])

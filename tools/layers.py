@@ -12,7 +12,7 @@ is wrong: a listing row's number of objects against `grammar_count(n,
 "T")`, which every listed family matches, or a CLI exit other than 0; a
 series row's last coefficient against its closed formula; a table row's
 entry (n, n) against the directed-animal sum; an identity row when any
-of its checks fails.
+of its checks fails; an animal row's number of points against n.
 
 The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
@@ -31,7 +31,7 @@ import subprocess
 import sys
 import time
 from functools import partial
-from math import comb
+from math import comb, isqrt
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LISTING_SIZES = (9, 10)
@@ -39,6 +39,7 @@ SERIES_ORDERS = (1000, 2000, 5000)
 MDIAG_ORDERS = (1000, 1500, 2000)  # one row of f at a time; its time sets series' Mdiag reach
 IDENTITY_ORDERS = (100, 300)
 TABLE_ORDERS = (150, 300)
+ANIMAL_SIZES = (5050, 20100)  # the triangles x + y < 100 and x + y < 200
 REPS = 3  # fresh processes per row and size
 
 
@@ -92,6 +93,13 @@ def _bivariate_diagonal(name: str, order: int) -> int:
     return series.bivariate(name, order, order).coefficient(order, order)
 
 
+def _triangle_animal(n: int) -> int:
+    from heapdyck.heaps import PointAnimal
+
+    m = isqrt(2 * n)  # n = m(m + 1)/2 points
+    return len(PointAnimal(frozenset((x, y) for x in range(m) for y in range(m - x))))
+
+
 def _t_heaps(n: int) -> int:
     from heapdyck import bijections
 
@@ -106,7 +114,8 @@ def _directed_animals(n: int) -> int:
 # row lists C(2n - 1, n) objects: the T heaps, the grand-Dyck words and the multisets
 # over {1..n}.  A series row gives its last coefficient: T_n = C(2n - 1, n), and Q_n and
 # Mdiag_n, the directed animals of size n (OEIS A005773).  A table row gives entry
-# (n, n) of its table to order n, which is Q_n for both f and h
+# (n, n) of its table to order n, which is Q_n for both f and h.  The animal row
+# checks a triangle of n points, x + y < m, through PointAnimal's validation
 ROWS = {
     "grammar_enumerate.T": (_grammar_enumerate, LISTING_SIZES, _t_heaps),
     "cli.enumerate.heap-T": (partial(_cli_enumerate, "heap-T"), LISTING_SIZES, _t_heaps),
@@ -118,6 +127,7 @@ ROWS = {
     "check_identities": (_check_identities, IDENTITY_ORDERS, lambda n: True),
     "bivariate.f": (partial(_bivariate_diagonal, "f"), TABLE_ORDERS, _directed_animals),
     "bivariate.h": (partial(_bivariate_diagonal, "h"), TABLE_ORDERS, _directed_animals),
+    "PointAnimal.triangle": (_triangle_animal, ANIMAL_SIZES, lambda n: n),
 }
 
 

@@ -14,45 +14,42 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 from . import bijections, counting, heaps, multisets, paths, render, series, verify
 from .errors import HeapdyckError
 
 _MS_FAMILIES = {f"multiset-{f}".replace("_", "-"): f for f in multisets.FAMILIES}
 _PATH_FAMILIES = {f.replace("_", "-"): f for f in paths.FAMILIES}
-_HEAP_FAMILIES = {f"heap-{klass}": klass for klass in counting.CLASSES}
+# family -> the kind it lists and the heap class its objects map onto (+ "s" if subdiagonal)
+_HEAP_FAMILIES = {
+    **{f"heap-{klass}": ("heap", klass) for klass in counting.CLASSES},
+    "animal-square": ("animal", "Q"),
+    "animal-triangular": ("animal", "T"),
+}
 # heap class -> the word family whose path_to_heap images it lists
 _HEAP_WORDS = {"Ts": "dyck", "T": "grand_dyck", "Q": "grand_dyck_star", "Qs": "dyck_star"}
-# animal family -> its lattice and the heap class its animals map onto (+ "s" if subdiagonal)
-_ANIMAL_FAMILIES = {"animal-square": ("square", "Q"), "animal-triangular": ("triangular", "T")}
-FAMILIES = (
-    *_MS_FAMILIES,
-    *_PATH_FAMILIES,
-    *_HEAP_FAMILIES,
-    *_ANIMAL_FAMILIES,
-)
-# kind -> (parse, to_text, stats record) for the objects read from --input
+FAMILIES = (*_MS_FAMILIES, *_PATH_FAMILIES, *_HEAP_FAMILIES)
+# how the command line reads, prints and measures a kind, and maps it through its word
+_Kind = namedtuple("_Kind", "parse text stats to_word from_word")
+# A path is its own word.  The bijections are looked up at the call, so
+# that a patched one is the one that runs.
 _KINDS = {
-    "multiset": (multisets.parse, multisets.to_text, multisets.stats),
-    "path": (paths.parse, str, paths.height_stats),
-    "heap": (heaps.parse_heap, heaps.to_text, heaps.heap_stats),
-    "animal": (
-        heaps.parse_points,
-        heaps.points_to_text,
-        lambda animal: heaps.heap_stats(heaps.animal_to_heap(animal)),
+    "multiset": _Kind(
+        multisets.parse, multisets.to_text, multisets.stats,
+        lambda m: bijections.multiset_to_path(m), lambda w: bijections.path_to_multiset(w),
     ),
-}
-# map goes through the word, and a path is its own word.  The bijections
-# are looked up at the call, so that a patched one is the one that runs.
-_TO_WORD = {
-    "multiset": lambda m: bijections.multiset_to_path(m),
-    "path": str,
-    "heap": lambda h: bijections.heap_to_path(h),
-}
-_FROM_WORD = {
-    "multiset": lambda w: bijections.path_to_multiset(w),
-    "path": str,
-    "heap": lambda w: bijections.path_to_heap(w),
+    "path": _Kind(paths.parse, str, paths.height_stats, str, str),
+    "heap": _Kind(
+        heaps.parse_heap, heaps.to_text, heaps.heap_stats,
+        lambda h: bijections.heap_to_path(h), lambda w: bijections.path_to_heap(w),
+    ),
+    "animal": _Kind(
+        heaps.parse_points, heaps.points_to_text,
+        lambda a: heaps.heap_stats(heaps.animal_to_heap(a)),
+        lambda a: bijections.heap_to_path(heaps.animal_to_heap(a)),
+        lambda w: heaps.heap_to_animal(bijections.path_to_heap(w)),
+    ),
 }
 
 
@@ -74,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("map", help="convert an object between representations")
-    p.add_argument("--from", dest="src", required=True, choices=tuple(_TO_WORD))
-    p.add_argument("--to", dest="dst", required=True, choices=tuple(_TO_WORD))
+    p.add_argument("--from", dest="src", required=True, choices=tuple(_KINDS))
+    p.add_argument("--to", dest="dst", required=True, choices=tuple(_KINDS))
     p.add_argument("--input", required=True)
 
     p = sub.add_parser("stats", help="statistics of one object")
@@ -114,7 +111,7 @@ def _camel(name: str) -> str:
 def _stats_payload(kind: str, obj) -> dict:
     """The kind's stats record, keyed by its camel-cased field names in field order."""
     payload = {}
-    for name, value in _KINDS[kind][2](obj)._asdict().items():
+    for name, value in _KINDS[kind].stats(obj)._asdict().items():
         if isinstance(value, dict):
             value = dict(sorted(value.items()))
         elif isinstance(value, tuple):
@@ -137,7 +134,7 @@ def _stats_lines(payload: dict) -> list[str]:
 def _do_enumerate(args) -> int:
     if args.k is not None and args.family not in _MS_FAMILIES:
         raise ValueError("--k applies to multiset families only")
-    if args.subdiagonal and args.family not in _ANIMAL_FAMILIES:
+    if args.subdiagonal and not args.family.startswith("animal-"):
         raise ValueError("--subdiagonal applies to animal families only")
     if args.family in _MS_FAMILIES:
         family = _MS_FAMILIES[args.family]
@@ -151,20 +148,14 @@ def _do_enumerate(args) -> int:
             print(paths.count_family(family, args.n))
             return 0
         items = paths.enumerate_family(family, args.n)
-    elif args.family in _HEAP_FAMILIES:
-        klass = _HEAP_FAMILIES[args.family]
+    else:
+        kind, klass = _HEAP_FAMILIES[args.family]
+        klass += "s" * args.subdiagonal
         if args.count_only:
             print(bijections.grammar_count(args.n, klass))
             return 0
         words = paths.enumerate_family(_HEAP_WORDS[klass], args.n)
-        items = map(heaps.to_text, map(_FROM_WORD["heap"], words))
-    else:
-        lattice, klass = _ANIMAL_FAMILIES[args.family]
-        if args.count_only:
-            print(bijections.grammar_count(args.n, klass + "s" * args.subdiagonal))
-            return 0
-        found = heaps.animal_enumerate_bruteforce(args.n, lattice, subdiagonal=args.subdiagonal)
-        items = sorted(heaps.points_to_text(a) for a in found)
+        items = map(_KINDS[kind].text, map(_KINDS[kind].from_word, words))
     for item in items:
         print(item)
     return 0
@@ -172,15 +163,15 @@ def _do_enumerate(args) -> int:
 
 def _do_map(args) -> int:
     src, dst = args.src, args.dst
-    obj = _KINDS[src][0](args.input)
+    obj = _KINDS[src].parse(args.input)
     if src != dst:
-        obj = _FROM_WORD[dst](_TO_WORD[src](obj))
-    print(_KINDS[dst][1](obj))
+        obj = _KINDS[dst].from_word(_KINDS[src].to_word(obj))
+    print(_KINDS[dst].text(obj))
     return 0
 
 
 def _do_stats(args) -> int:
-    payload = _stats_payload(args.kind, _KINDS[args.kind][0](args.input))
+    payload = _stats_payload(args.kind, _KINDS[args.kind].parse(args.input))
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -255,7 +246,7 @@ def _do_verify(args) -> int:
 
 
 def _do_render(args) -> int:
-    obj = _KINDS[args.kind][0](args.input)
+    obj = _KINDS[args.kind].parse(args.input)
     text = render.render(args.kind, obj, args.fmt)
     if args.output:
         try:

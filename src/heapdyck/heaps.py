@@ -22,7 +22,9 @@ a point one step back, in the set; that rule checks an animal in one
 pass over its points.
 Rotating an animal 45 degrees and letting each point fall as a dimer in
 column x - y turns animals into heaps; square-lattice animals give the
-heaps with no dimer directly on top of another.
+heaps with no dimer directly on top of another.  The inverse sets each
+dimer as low as its supports allow, the lowest embedding (Viennot, LNM
+1234, 1986; Betrema & Penaud, 1993).
 """
 
 from __future__ import annotations
@@ -275,6 +277,24 @@ def animal_to_heap(a: PointAnimal) -> Heap:
     """Drop one dimer per point, column x - y, in non-decreasing x + y order."""
     points = sorted(a.points, key=lambda p: (p[0] + p[1], p[0]))
     return Heap(drop_columns(x - y for x, y in points))
+
+
+def heap_to_animal(h: Heap) -> PointAnimal:
+    """The lowest embedding of h as an animal, the inverse of `animal_to_heap`.
+
+    Each dimer, in (level, column) order, takes the least diagonal sum
+    s = x + y that is at least |c| and lies above its column's top (by 2)
+    and its neighbours' tops (by 1), and becomes the point ((s + c)/2, (s - c)/2).
+    """
+    require_heap(h)
+    tops: dict[int, int] = {}  # column -> diagonal sum of its highest dimer so far
+    get = tops.get
+    points = []
+    for col, _ in h.dimers:
+        s = max(abs(col), get(col - 1, -2) + 1, get(col + 1, -2) + 1, get(col, -2) + 2)
+        tops[col] = s
+        points.append(((s + col) // 2, (s - col) // 2))
+    return PointAnimal(frozenset(points))
 
 
 def animal_reflect(a: PointAnimal) -> PointAnimal:

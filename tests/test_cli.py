@@ -137,35 +137,40 @@ class TestEnumerate:
 
     def test_heap_listing_holds_no_class_in_memory(self, monkeypatch):
         # the stream peaks at about 0.37 MiB (0.53 on a cold first call), the
-        # sorted grammar class at about 3.1 MiB
-        sink = _Lines()
-        monkeypatch.setattr(sys, "stdout", sink)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            code = cli.main(["enumerate", "--family", "heap-T", "--n", "8"])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert (code, sink.count) == (0, 6435)
-        assert peak <= 2**20
+        # sorted grammar class at about 3.1 MiB and the sorted brute-force
+        # animals at about 6.1 MiB
+        for family in ("heap-T", "animal-triangular"):
+            sink = _Lines()
+            monkeypatch.setattr(sys, "stdout", sink)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                code = cli.main(["enumerate", "--family", family, "--n", "8"])
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert (code, sink.count) == (0, 6435), family
+            assert peak <= 2**20, family
 
     def test_closed_stdout_exits_2_without_traceback(self):
         # the listing is far longer than a pipe's buffer, so it is still writing when
         # the reader goes; the exit flush is covered too, or the exit status would be 120
         src = Path(cli.__file__).parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
-        argv = ["enumerate", "--family", "grand-dyck", "--n", "10"]
-        with subprocess.Popen(
-            [sys.executable, "-m", "heapdyck.cli", *argv],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        ) as proc:
-            first = proc.stdout.readline()
-            proc.stdout.close()
-            _, err = proc.communicate(timeout=60)
-        assert first == "U" * 10 + "D" * 10 + "\n"
-        assert (proc.returncode, err) == (2, "")
+        word = "U" * 10 + "D" * 10
+        animal = heaps.points_to_text(heaps.heap_to_animal(bijections.path_to_heap(word)))
+        for family, line in (("grand-dyck", word), ("animal-triangular", animal)):
+            argv = ["enumerate", "--family", family, "--n", "10"]
+            with subprocess.Popen(
+                [sys.executable, "-m", "heapdyck.cli", *argv],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            ) as proc:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            assert first == line + "\n", family
+            assert (proc.returncode, err) == (2, ""), family
 
     @pytest.mark.parametrize("family", ["multiset-super", "multiset-super-star"])
     def test_superdiagonal_past_the_bound_lists_nothing_at_once(self, family):
@@ -277,9 +282,54 @@ class TestEnumerate:
             capsys, "enumerate", "--family", "animal-triangular", "--n", "300", "--count-only"
         )
         assert (code, out) == (0, f"{comb(599, 300)}\n")
-        code, _, err = run(capsys, "enumerate", "--family", "animal-triangular", "--n", "9")
-        assert code == 2
-        assert "capped" in err
+        # the listing streams its word family: past the brute force's n = 8, with no cap
+        code, out, err = run(capsys, "enumerate", "--family", "animal-triangular", "--n", "9")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 24310
+
+    @pytest.mark.parametrize(
+        "family, words, subdiagonal",
+        [
+            ("animal-triangular", "grand-dyck", False),
+            ("animal-triangular", "dyck", True),
+            ("animal-square", "grand-dyck-star", False),
+            ("animal-square", "dyck-star", True),
+        ],
+    )
+    def test_animal_listing_is_the_word_listing_mapped(self, capsys, family, words, subdiagonal):
+        # line i of the animal listing is `map --from path --to animal` of line i of the words
+        extra = ["--subdiagonal"] if subdiagonal else []
+        for n in range(1, 7):
+            _, listing, _ = run(capsys, "enumerate", "--family", words, "--n", str(n))
+            code, out, _ = run(capsys, "enumerate", "--family", family, "--n", str(n), *extra)
+            assert code == 0
+            mapped = []
+            for w in listing.splitlines():
+                mapped += run(capsys, "map", "--from", "path", "--to", "animal", "--input", w)[1:2]
+            assert out == "".join(mapped), n
+
+    @pytest.mark.parametrize("subdiagonal", [False, True], ids=["full", "subdiagonal"])
+    @pytest.mark.parametrize("lattice", heaps.LATTICES)
+    def test_animal_listing_is_the_brute_force_set(self, capsys, lattice, subdiagonal):
+        extra = ["--subdiagonal"] if subdiagonal else []
+        for n in range(1, 8):
+            argv = ["enumerate", "--family", f"animal-{lattice}", "--n", str(n), *extra]
+            code, out, _ = run(capsys, *argv)
+            lines = out.splitlines()
+            brute = heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal)
+            assert code == 0
+            assert len(lines) == len(set(lines)) == len(brute), n
+            assert set(lines) == {heaps.points_to_text(a) for a in brute}, n
+
+    def test_animal_listing_runs_no_brute_force(self, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the brute force listed the animals")
+
+        monkeypatch.setattr(heaps, "animal_enumerate_bruteforce", no_scan)
+        for family in ("animal-triangular", "animal-square"):
+            for extra in ([], ["--subdiagonal"]):
+                code, out, err = run(capsys, "enumerate", "--family", family, "--n", "6", *extra)
+                assert (code, err) == (0, "") and out, (family, extra)
 
     def test_k_rejected_outside_multisets(self, capsys):
         code, _, err = run(
@@ -302,6 +352,9 @@ class TestMap:
             "path": list(paths.enumerate_family("grand_dyck", 5)),
             "heap": sorted(
                 heaps.to_text(h) for h in bijections.grammar_enumerate(5, "T")
+            ),
+            "animal": sorted(
+                heaps.points_to_text(a) for a in heaps.animal_enumerate_bruteforce(5, "triangular")
             ),
         }
         for src, tokens in kinds.items():

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, strategies as st
 
-from heapdyck import bijections, counting, heaps, render
+from heapdyck import bijections, counting, heaps, multisets, render
 from heapdyck.heaps import (
     Heap,
     HeapParseError,
@@ -30,6 +30,7 @@ from oracles import (
     reference_parse_pairs,
     square_animals,
     superpose,
+    uniform_multiset,
 )
 
 STACK = ((0, 0), (0, 1))
@@ -96,10 +97,11 @@ class TestHeapValidation:
         [
             heaps.heap_stats,
             heaps.to_text,
+            heaps.heap_to_animal,
             partial(render.render, "heap"),
             partial(render.render, "heap", fmt="svg"),
         ],
-        ids=["heap_stats", "to_text", "render-ascii", "render-svg"],
+        ids=["heap_stats", "to_text", "heap_to_animal", "render-ascii", "render-svg"],
     )
     def test_heap_functions_reject_a_non_heap(self, call):
         # the error bijections raises, not an AttributeError on the text
@@ -353,6 +355,41 @@ class TestBruteForce:
             h = heaps.animal_to_heap(a)
             assert isinstance(h, Heap)
             assert len(h) == 5
+
+
+class TestHeapToAnimal:
+    """The lowest embedding inverts animal_to_heap, and animal_to_heap inverts it."""
+
+    def test_lowest_points(self):
+        # a dimer on top of another rises by 2 in x + y, one beside it by 1
+        assert heaps.heap_to_animal(heap_of(*STACK)).points == {(0, 0), (1, 1)}
+        pyramid = heap_of((0, 0), (-1, 1), (1, 1), (0, 2))
+        assert heaps.heap_to_animal(pyramid).points == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        # a dimer far from column 0 sits at x + y = |column|, on an axis
+        far = heap_of((0, 0), (1, 1), (2, 2), (3, 3))
+        assert heaps.heap_to_animal(far).points == {(0, 0), (1, 0), (2, 0), (3, 0)}
+
+    @pytest.mark.parametrize("subdiagonal", [False, True], ids=["full", "subdiagonal"])
+    @pytest.mark.parametrize("lattice", heaps.LATTICES)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_inverts_animal_to_heap(self, n, lattice, subdiagonal):
+        for a in heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal):
+            assert heaps.heap_to_animal(heaps.animal_to_heap(a)) == a, a
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_animal_to_heap_inverts_it(self, n):
+        for h in bijections.grammar_enumerate(n, "T"):
+            assert heaps.animal_to_heap(heaps.heap_to_animal(h)) == h, h
+
+    def test_round_trips_at_n_1000(self):
+        rng = random.Random(1000)
+        for _ in range(5):
+            m = multisets.validate(uniform_multiset(rng, 1000), 1000)
+            h = bijections.path_to_heap(bijections.multiset_to_path(m))
+            a = heaps.heap_to_animal(h)
+            assert len(a) == 1000
+            assert heaps.animal_to_heap(a) == h
+            assert heaps.heap_to_animal(heaps.animal_to_heap(a)) == a
 
 
 def _central(n):

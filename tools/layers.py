@@ -111,14 +111,18 @@ def _directed_animals(n: int) -> int:
 
 
 # row name -> (the call, its sizes, the result it must give at size n).  Each listing
-# row lists C(2n - 1, n) objects: the T heaps, the grand-Dyck words and the multisets
-# over {1..n}.  A series row gives its last coefficient: T_n = C(2n - 1, n), and Q_n and
-# Mdiag_n, the directed animals of size n (OEIS A005773).  A table row gives entry
-# (n, n) of its table to order n, which is Q_n for both f and h.  The animal row
-# checks a triangle of n points, x + y < m, through PointAnimal's validation
+# row lists C(2n - 1, n) objects: the T heaps, the triangular animals, the grand-Dyck
+# words and the multisets over {1..n}.  A series row gives its last coefficient:
+# T_n = C(2n - 1, n), and Q_n and Mdiag_n, the directed animals of size n (OEIS
+# A005773).  A table row gives entry (n, n) of its table to order n, which is Q_n for
+# both f and h.  The animal row checks a triangle of n points, x + y < m, through
+# PointAnimal's validation
 ROWS = {
     "grammar_enumerate.T": (_grammar_enumerate, LISTING_SIZES, _t_heaps),
     "cli.enumerate.heap-T": (partial(_cli_enumerate, "heap-T"), LISTING_SIZES, _t_heaps),
+    "cli.enumerate.animal-triangular": (
+        partial(_cli_enumerate, "animal-triangular"), LISTING_SIZES, _t_heaps
+    ),
     "cli.enumerate.grand-dyck": (partial(_cli_enumerate, "grand-dyck"), LISTING_SIZES, _t_heaps),
     "cli.enumerate.multiset-all": (partial(_cli_enumerate, "multiset-all"), LISTING_SIZES, _t_heaps),
     "closed_form.T": (partial(_closed_form, "T"), SERIES_ORDERS, lambda n: comb(2 * n - 1, n)),

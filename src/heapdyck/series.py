@@ -9,10 +9,14 @@ divide exactly raises NotIntegralError.  Square roots are taken only of
 series with constant term 1, and the closed forms below divide by their
 leading monomials through explicit valuation shifts.
 
-The product is quadratic; quotient and square root visit only their
-operand's nonzero terms, O(N t) products for t of them.  The table
-divisors have constant term 1, so a table is divided a row at a time,
-and its entries are ints too.
+The product is quadratic, O(N^2) products; quotient and square root
+visit only their operand's nonzero terms, O(N t) products for t of them.
+The table divisors have constant term 1, so a table is divided a row at
+a time, and its entries are ints too.  A row costs a few whole-row
+passes, not a loop per entry: one per cross-row term of the divisor, one
+prefix sum per factor 1 - u of its z^0 part, and a sequential pass only
+for what that part has beyond those factors, which is nothing for f and
+h.  An N x N table takes O(N^2) additions per divisor term.
 
 The four univariate closed forms count the heap classes by area:
 
@@ -25,11 +29,15 @@ The bivariate tables f (multisets without consecutive values, by size n
 and bound k) and h (multisets repeating every value below the bound) are
 expanded by bottom-up division with sparse polynomial denominators.
 Mdiag is the diagonal of f, read off its row stream; it equals Q, and
-so does h's diagonal, which the identity checks read the same way.
+so does h's diagonal, which the identity checks read the same way.  They
+also check a third route with no square root: Q is the one series with
+Y(0) = 0 and (1 - 3x)(1 + 2Y)^2 = 1 + x (Gouyou-Beauchamps and Viennot,
+1988), and both diagonals satisfy it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from operator import add, index, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -186,6 +194,10 @@ class BivarTable(Value):
         return len(self.rows[0]) - 1
 
     def coefficient(self, n: int, k: int) -> int:
+        """Entry (n, k); past the orders the row tuples raise IndexError, and so does this
+        check below 0, where they would wrap around to the last rows and columns."""
+        if n < 0 or k < 0:
+            raise IndexError(f"coefficient ({n}, {k}) has a negative index")
         return self.rows[n][k]
 
 
@@ -193,25 +205,49 @@ def _table_rows(
     numerator: Terms, denominator: Terms, z_order: int, u_order: int
 ) -> Iterator[list[int]]:
     """The int rows of numerator / denominator, one at a time; the denominator's constant
-    term is 1.  Only the rows the denominator reaches back to are kept."""
+    term is 1.  Only the rows the denominator reaches back to are kept.
+
+    Write the denominator as D0(u) + sum_(i>=1) z^i D_i(u) and the numerator's row n as
+    N_n(u).  Row n is then (N_n - sum_i D_i F_(n-i)) / D0, truncated at u^u_order.  Each
+    cross term c z^i u^j is one pass over the row, acc[j:] -= c F_(n-i).  D0 is split once
+    into (1 - u)^m R(u) with R(0) = 1: dividing by R runs over R's nonzero terms, and
+    dividing by 1 - u is a prefix sum.  For f and h, R = 1 and m is 2 and 1.
+    """
     d00 = denominator.get((0, 0), 0)
     if d00 != 1:
         raise DivByNonUnitError(f"bivariate divisor has constant term {d00}, not 1")
-    terms = [(i, j, c) for (i, j), c in denominator.items() if (i, j) != (0, 0)]
-    back = max((i for i, _, _ in terms), default=0)
+    d0 = [denominator.get((0, j), 0) for j in range(1 + max(j for i, j in denominator if i == 0))]
+    m = 0
+    while sum(d0) == 0:  # D0(1) = 0: 1 - u divides D0, and D0 / (1 - u) is its prefix sums
+        d0 = list(accumulate(d0))[:-1]
+        m += 1
+    r = [(j, c) for j, c in enumerate(d0) if j and c]
+    cross = [(i, j, c) for (i, j), c in denominator.items() if i and c]
+    back = max((i for i, _, _ in cross), default=0)
     rows: list[list[int] | None] = []
     for n in range(z_order + 1):
-        row: list[int] = []
-        for k in range(u_order + 1):
-            acc = numerator.get((n, k), 0)
-            for i, j, c in terms:
-                if i <= n and j <= k:
-                    acc -= c * (rows[n - i] if i else row)[k - j]
-            row.append(acc)
-        rows.append(row)
+        acc = [0] * (u_order + 1)
+        for (i, j), c in numerator.items():
+            if i == n and j <= u_order:
+                acc[j] = c
+        for i, j, c in cross:
+            if i <= n:
+                prev = rows[n - i]  # prev[k] meets acc[j + k]; map stops at acc's end
+                if c == 1:
+                    acc[j:] = map(sub, acc[j:], prev)
+                elif c == -1:
+                    acc[j:] = map(add, acc[j:], prev)
+                else:
+                    acc[j:] = map(sub, acc[j:], map(mul, repeat(c), prev))
+        if r:
+            for k in range(1, u_order + 1):
+                acc[k] -= sum(c * acc[k - j] for j, c in r if j <= k)
+        for _ in range(m):
+            acc = list(accumulate(acc))
+        rows.append(acc)
         if n >= back:
             rows[n - back] = None  # no later row reads it
-        yield row
+        yield acc
 
 
 def _divide_table(numerator: Terms, denominator: Terms, z_order: int, u_order: int) -> BivarTable:
@@ -286,6 +322,13 @@ def check_identities(order: int) -> list[IdentityCheck]:
         radicand = poly(coeffs)
         root = radicand.sqrt()
         record(f"sqrt{tuple(coeffs)} squares back", root * root, radicand)
-    record("diagonal(f) = Q", _diagonal("f", n), q)
-    record("diagonal(h) = Q", _diagonal("h", n), q)
+    diagonals = {name: _diagonal(name, n) for name in BIVARIATE_NAMES}
+    for name, y in diagonals.items():
+        record(f"diagonal({name}) = Q", y, q)
+    # a third route to Q, with no square root: the one series with Y(0) = 0 and
+    # (1 - 3x)(1 + 2Y)^2 = 1 + x.  1 - 3x is a unit, so compare (1 + 2Y)^2 with its quotient
+    radicand = poly([1, 1]) / poly([1, -3])
+    for name, y in diagonals.items():
+        root = one + y + y
+        record(f"diagonal({name}) satisfies (1-3x)(1+2Y)^2 = 1+x", root * root, radicand)
     return checks

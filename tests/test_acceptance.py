@@ -168,7 +168,7 @@ def test_criterion_6_series_identities():
     with criterion(6, "constructor equations and diagonals exact to order 30"):
         with budget(2):
             checks = series.check_identities(30)
-            assert len(checks) == 8
+            assert len(checks) == 10
             assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
             t = series.closed_form("T", 30)
             ts = series.closed_form("Ts", 30)

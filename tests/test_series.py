@@ -60,6 +60,24 @@ def sparse_table(max_power=3):
     return st.dictionaries(st.tuples(power, power), st.integers(-3, 3), max_size=6)
 
 
+def times_one_minus_u(coeffs, m):
+    for _ in range(m):
+        coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def factored_denominator(max_power=3):
+    """(1 - u)^m R(u) + cross-row terms, R(0) = 1: a z^0 part the kernel splits into m
+    prefix sums and a pass over R.  Its zero coefficients stay in the dict as zeros."""
+    power = st.integers(0, max_power)
+    r = st.lists(st.integers(-3, 3), max_size=max_power).map(lambda tail: [1] + tail)
+    cross = st.dictionaries(st.tuples(st.integers(1, max_power), power), st.integers(-3, 3))
+    return st.tuples(st.integers(0, 3), r, cross).map(
+        lambda mrc: {(0, j): c for j, c in enumerate(times_one_minus_u(mrc[1], mrc[0]))}
+        | mrc[2]
+    )
+
+
 def all_ints(coeffs):
     return all(type(c) is int for c in coeffs)
 
@@ -176,6 +194,39 @@ class TestKernelsMatchReference:
         got = series._divide_table(numerator, denominator, z_order, u_order).rows
         assert got == reference_divide_table(numerator, denominator, z_order, u_order)
         assert all(type(c) is int for row in got for c in row)
+
+    @given(sparse_table(), factored_denominator(), st.integers(0, 6), st.integers(0, 6))
+    def test_divide_table_by_one_minus_u_factors(self, numerator, denominator, z_order, u_order):
+        got = series._divide_table(numerator, denominator, z_order, u_order).rows
+        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
+        assert all(type(c) is int for row in got for c in row)
+
+    @pytest.mark.parametrize(
+        "denominator",
+        [
+            # explicit zeros, in the z^0 part and among the cross-row terms
+            {(0, 0): 1, (0, 1): 0, (0, 3): 0, (1, 0): 0, (1, 2): -1, (2, 5): 0},
+            # a z^0 part with no factor 1 - u, one with three, and one with a factor left over
+            {(0, 0): 1, (0, 1): 2, (0, 2): -1, (1, 1): 1},
+            {(0, 0): 1, (0, 1): -3, (0, 2): 3, (0, 3): -1, (1, 0): -1},
+            {(0, 0): 1, (0, 1): -1, (0, 2): 1, (0, 3): -1, (2, 1): 1},
+            # each cross-row coefficient branch: 1, -1 and the multiplied ones, at shifts 0..2
+            *({(0, 0): 1, (0, 1): -1, (1, j): c} for c in (1, -1, 2, -3) for j in (0, 1, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("z_order, u_order", [(0, 0), (0, 7), (7, 0), (7, 7)])
+    def test_divide_table_cases(self, denominator, z_order, u_order):
+        numerator = {(0, 0): 1, (1, 2): -2, (3, 1): 5}
+        got = series._divide_table(numerator, denominator, z_order, u_order).rows
+        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
+        assert all(type(c) is int for row in got for c in row)
+
+    @pytest.mark.parametrize("name", series.BIVARIATE_NAMES)
+    @pytest.mark.parametrize("z_order, u_order", [(0, 0), (0, 9), (9, 0)])
+    def test_bivariate_edge_orders(self, name, z_order, u_order):
+        numerator, denominator = series._TABLES[name]
+        got = series.bivariate(name, z_order, u_order).rows
+        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
 
     @pytest.mark.parametrize("name", series.BIVARIATE_NAMES)
     def test_bivariate_tables(self, name):
@@ -321,6 +372,14 @@ class TestBivariate:
         with pytest.raises(ValueError):
             series.bivariate("g", 3, 3)
 
+    @pytest.mark.parametrize("n, k", [(-1, 2), (2, -1), (-6, 0), (6, 2), (2, 5)])
+    def test_coefficient_beyond_the_orders(self, n, k):
+        # a negative index must not wrap around to the last rows or columns
+        table = series.bivariate("f", 5, 4)
+        with pytest.raises(IndexError):
+            table.coefficient(n, k)
+        assert table.coefficient(5, 4) == table.rows[5][4]
+
 
 class TestIdentities:
     def test_all_pass_to_order_30(self):
@@ -336,6 +395,22 @@ class TestIdentities:
         checks = series.check_identities(order)
         assert len(checks) == len(series.check_identities(2))
         assert all(c.ok for c in checks)
+
+    @pytest.mark.parametrize(
+        "name, term",
+        [(name, term) for name in series.BIVARIATE_NAMES for term in series._TABLES[name][1]
+         if term != (0, 0)],
+    )
+    def test_a_changed_denominator_term_fails_the_quadratic(self, monkeypatch, name, term):
+        # the third route checks the diagonal without Q's closed form or any square root
+        numerator, denominator = series._TABLES[name]
+        changed = {**denominator, term: denominator[term] + 1}
+        monkeypatch.setitem(series._TABLES, name, (numerator, changed))
+        failing = {c.name for c in series.check_identities(4) if not c.ok}
+        assert failing == {
+            f"diagonal({name}) = Q",
+            f"diagonal({name}) satisfies (1-3x)(1+2Y)^2 = 1+x",
+        }
 
     def test_diagonals_read_the_row_stream(self, monkeypatch):
         # no whole table is built: the diagonals come off _table_rows, a row at a time

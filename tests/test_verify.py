@@ -129,6 +129,8 @@ class TestReports:
                     "series-identity: sqrt(1, -2, -3) squares back",
                     "series-identity: diagonal(f) = Q",
                     "series-identity: diagonal(h) = Q",
+                    "series-identity: diagonal(f) satisfies (1-3x)(1+2Y)^2 = 1+x",
+                    "series-identity: diagonal(h) satisfies (1-3x)(1+2Y)^2 = 1+x",
                     "bound-1-column-counts-one-multiset",
                 ],
             ),

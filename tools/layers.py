@@ -36,7 +36,8 @@ from math import comb, isqrt
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LISTING_SIZES = (9, 10)
 SERIES_ORDERS = (1000, 2000, 5000)
-MDIAG_ORDERS = (1000, 1500, 2000)  # one row of f at a time; its time sets series' Mdiag reach
+# one row of f at a time; its time sets series' Mdiag reach
+MDIAG_ORDERS = (1000, 1500, 2000, 2500, 3000)
 IDENTITY_ORDERS = (100, 300)
 TABLE_ORDERS = (150, 300)
 ANIMAL_SIZES = (5050, 20100)  # the triangles x + y < 100 and x + y < 200

@@ -16,20 +16,24 @@ import os
 import sys
 from collections import namedtuple
 
-from . import bijections, counting, heaps, multisets, paths, render, series, verify
+from . import bijections, heaps, multisets, paths, render, series, verify
 from .errors import HeapdyckError
 
 _MS_FAMILIES = {f"multiset-{f}".replace("_", "-"): f for f in multisets.FAMILIES}
-_PATH_FAMILIES = {f.replace("_", "-"): f for f in paths.FAMILIES}
-# family -> the kind it lists and the heap class its objects map onto (+ "s" if subdiagonal)
-_HEAP_FAMILIES = {
-    **{f"heap-{klass}": ("heap", klass) for klass in counting.CLASSES},
-    "animal-square": ("animal", "Q"),
-    "animal-triangular": ("animal", "T"),
+# family -> the kind it lists, the word family whose images it lists, and the
+# heap class it counts as (None: it counts its words)
+_WORD_FAMILIES = {
+    **{f.replace("_", "-"): ("path", f, None) for f in paths.FAMILIES},
+    "heap-T": ("heap", "grand_dyck", "T"),
+    "heap-Ts": ("heap", "dyck", "Ts"),
+    "heap-Q": ("heap", "grand_dyck_star", "Q"),
+    "heap-Qs": ("heap", "dyck_star", "Qs"),
+    "animal-square": ("animal", "grand_dyck_star", "Q"),
+    "animal-square-subdiagonal": ("animal", "dyck_star", "Qs"),
+    "animal-triangular": ("animal", "grand_dyck", "T"),
+    "animal-triangular-subdiagonal": ("animal", "dyck", "Ts"),
 }
-# heap class -> the word family whose path_to_heap images it lists
-_HEAP_WORDS = {"Ts": "dyck", "T": "grand_dyck", "Q": "grand_dyck_star", "Qs": "dyck_star"}
-FAMILIES = (*_MS_FAMILIES, *_PATH_FAMILIES, *_HEAP_FAMILIES)
+FAMILIES = (*_MS_FAMILIES, *_WORD_FAMILIES)
 # how the command line reads, prints and measures a kind, and maps it through its word
 _Kind = namedtuple("_Kind", "parse text stats to_word from_word")
 # A path is its own word.  The bijections are looked up at the call, so
@@ -66,9 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--k", type=int, help="value bound, multiset families only")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument(
-        "--subdiagonal", action="store_true", help="animal families only"
-    )
 
     p = sub.add_parser("map", help="convert an object between representations")
     p.add_argument("--from", dest="src", required=True, choices=tuple(_KINDS))
@@ -134,28 +135,22 @@ def _stats_lines(payload: dict) -> list[str]:
 def _do_enumerate(args) -> int:
     if args.k is not None and args.family not in _MS_FAMILIES:
         raise ValueError("--k applies to multiset families only")
-    if args.subdiagonal and not args.family.startswith("animal-"):
-        raise ValueError("--subdiagonal applies to animal families only")
     if args.family in _MS_FAMILIES:
         family = _MS_FAMILIES[args.family]
         if args.count_only:
             print(multisets.count_family(family, args.n, args.k))
             return 0
         items = map(multisets.to_text, multisets.enumerate_family(family, args.n, args.k))
-    elif args.family in _PATH_FAMILIES:
-        family = _PATH_FAMILIES[args.family]
-        if args.count_only:
-            print(paths.count_family(family, args.n))
-            return 0
-        items = paths.enumerate_family(family, args.n)
     else:
-        kind, klass = _HEAP_FAMILIES[args.family]
-        klass += "s" * args.subdiagonal
+        kind, words, klass = _WORD_FAMILIES[args.family]
         if args.count_only:
-            print(bijections.grammar_count(args.n, klass))
+            if klass is None:
+                print(paths.count_family(words, args.n))
+            else:
+                print(bijections.grammar_count(args.n, klass))
             return 0
-        words = paths.enumerate_family(_HEAP_WORDS[klass], args.n)
-        items = map(_KINDS[kind].text, map(_KINDS[kind].from_word, words))
+        text, from_word = _KINDS[kind].text, _KINDS[kind].from_word
+        items = map(text, map(from_word, paths.enumerate_family(words, args.n)))
     for item in items:
         print(item)
     return 0

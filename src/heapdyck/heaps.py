@@ -56,6 +56,10 @@ class HeapParseError(HeapdyckError, ValueError):
     pass
 
 
+class NotAnAnimalError(HeapdyckError, ValueError):
+    pass
+
+
 Pair = tuple[int, int]  # a dimer, (column, level)
 
 _BY_LEVEL = itemgetter(1, 0)  # (level, column)
@@ -247,7 +251,7 @@ def animal_validate(points: Iterable[Point], lattice: str = "triangular") -> boo
     if (0, 0) not in pts:
         raise MissingOriginError("animal must contain (0, 0)")
     if any(x < 0 or y < 0 for x, y in pts):
-        raise ValueError("animal coordinates must be non-negative")
+        raise NotAnAnimalError("animal coordinates must be non-negative")
     moves = _steps(lattice)
     reached = {(x + dx, y + dy) for x, y in pts for dx, dy in moves}
     return pts - reached == {(0, 0)}
@@ -260,7 +264,7 @@ class PointAnimal(Value):
 
     def __init__(self, points: frozenset[Point]):
         if not animal_validate(points, "triangular"):
-            raise ValueError("points are not connected to the origin")
+            raise NotAnAnimalError("points are not connected to the origin")
         object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
@@ -370,8 +374,9 @@ def _connected_animal(points: frozenset[Point]) -> PointAnimal:
 _MARKS = str.maketrans("();", ",,,")
 
 
-def _parse_pairs(text: str, what: str) -> list[tuple[int, int]]:
-    """The pairs of a text "(a,b);(a,b);...", blanks allowed around marks and numbers.
+def _pairs(text: str) -> list[tuple[int, int]] | None:
+    """The pairs of a text "(a,b);(a,b);...", blanks allowed around marks and
+    numbers, or None when the text is not one.
 
     The text is cut at its marks all at once.  It is well formed when the
     fields, glued back with "(", ",", ")" and ";" in turn, give the text
@@ -389,22 +394,20 @@ def _parse_pairs(text: str, what: str) -> list[tuple[int, int]]:
             return list(zip(map(int, cols), map(int, levels)))
         except ValueError:
             pass
-    raise _bad_token(text, what)
+    return None
 
 
-def _bad_token(text: str, what: str) -> HeapParseError:
-    """The error naming the first token of a text that _parse_pairs rejects."""
-    for chunk in text.strip().split(";"):
-        chunk = chunk.strip()
-        try:
-            if chunk.startswith("(") and chunk.endswith(")"):
-                a, b = chunk[1:-1].split(",")
-                int(a), int(b)
-                continue
-        except ValueError:
-            pass
-        return HeapParseError(f"bad {what} token {chunk!r}")
-    raise AssertionError(f"no bad token in {text!r}")
+def _parse_pairs(text: str, what: str) -> list[tuple[int, int]]:
+    """The pairs of the text, or the HeapParseError naming its first bad token.
+
+    A text whose ";"-tokens are each one pair is well formed, its fields
+    being theirs in order, so a text `_pairs` rejects has a token it rejects.
+    """
+    pairs = _pairs(text)
+    if pairs is None:
+        bad = next(token for token in text.split(";") if _pairs(token) is None)
+        raise HeapParseError(f"bad {what} token {bad.strip()!r}")
+    return pairs
 
 
 def parse_heap(text: str) -> Heap:

@@ -365,6 +365,13 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 with rec.guard(name, at_animal, n, a):
                     diagonal_free = heaps.heap_stats(h).diag == 0
                     rec.require(name, diagonal_free == (h in square_heaps), at_animal, n, a)
+            # every square and subdiagonal animal is a triangular one
+            if n <= ANIMAL_ORACLE_CAP - 1:
+                name = "animal-round-trip"
+                for a, h in animal_heaps["triangular"].items():
+                    if not isinstance(h, HeapdyckError):
+                        with rec.guard(name, at_animal, n, a):
+                            rec.require(name, heaps.heap_to_animal(h) == a, at_animal, n, a)
         for (module, family), size in listed.items():
             counted = module.count_family(family, n)
             rec.require(
@@ -372,6 +379,8 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 size == counted,
                 f"n={n}, {module.__name__} {family}: {size} listed, {counted} counted",
             )
+    animal_n = min(max_n, ANIMAL_ORACLE_CAP - 1)
+    rec.note("animal-round-trip", f"every triangular animal, sizes 1..{animal_n}")
     return rec.results(f"all sizes 1..{max_n}")
 
 
@@ -434,7 +443,6 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
     for n in range(1, max_n + 1):
         for word in paths.enumerate_family("grand_dyck", n):
             where = f"n={n}, word {word}"
-            seq: list[int] = []  # the word's drop sequence, once it is read
             # a library error while computing the word's statistics fails the
             # first check that reads them, and skips the word's other checks
             with rec.guard(_WORD_RELATIONS[0][0], where):
@@ -448,18 +456,18 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
                 gap_offsets[off] = gap_offsets.get(off, 0) + 1
                 if ps.cross == 0:
                     dyck_offsets.add(off)
-            # seq holds the runs' columns in run order, each run's shift included
-            drops = iter(seq)
-            for start, below, u_heights in _run_u_heights(word):
-                cols = sorted(islice(drops, len(u_heights)))
-                diffs = {uh - c for uh, c in zip(sorted(u_heights), cols)}
-                rec.require(
-                    "u-heights-track-dimer-columns",
-                    len(diffs) == 1,
-                    f"{where}, run at {start}",
-                )
-                if len(diffs) == 1:
-                    (below_offsets if below else above_offsets).add(diffs.pop())
+                # seq holds the runs' columns in run order, each run's shift included
+                drops = iter(seq)
+                for start, below, u_heights in _run_u_heights(word):
+                    cols = sorted(islice(drops, len(u_heights)))
+                    diffs = {uh - c for uh, c in zip(sorted(u_heights), cols)}
+                    rec.require(
+                        "u-heights-track-dimer-columns",
+                        len(diffs) == 1,
+                        f"{where}, run at {start}",
+                    )
+                    if len(diffs) == 1:
+                        (below_offsets if below else above_offsets).add(diffs.pop())
     bounded = set(gap_offsets) <= {0, 1}
     rec.require(
         "gap-stays-within-one-of-height",

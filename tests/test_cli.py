@@ -260,8 +260,8 @@ class TestEnumerate:
 
     def test_animal_subdiagonal_count(self, capsys):
         code, out, _ = run(
-            capsys, "enumerate", "--family", "animal-triangular",
-            "--n", "4", "--subdiagonal", "--count-only",
+            capsys, "enumerate", "--family", "animal-triangular-subdiagonal",
+            "--n", "4", "--count-only",
         )
         assert code == 0
         assert out == "14\n"
@@ -269,9 +269,9 @@ class TestEnumerate:
     @pytest.mark.parametrize("subdiagonal", [False, True], ids=["full", "subdiagonal"])
     @pytest.mark.parametrize("family", ["animal-triangular", "animal-square"])
     def test_animal_count_only_matches_listing(self, capsys, family, subdiagonal):
-        extra = ["--subdiagonal"] if subdiagonal else []
+        family += "-subdiagonal" * subdiagonal
         for n in range(1, 8):
-            argv = ["enumerate", "--family", family, "--n", str(n), *extra]
+            argv = ["enumerate", "--family", family, "--n", str(n)]
             _, listing, _ = run(capsys, *argv)
             code, out, _ = run(capsys, *argv, "--count-only")
             assert code == 0
@@ -298,10 +298,10 @@ class TestEnumerate:
     )
     def test_animal_listing_is_the_word_listing_mapped(self, capsys, family, words, subdiagonal):
         # line i of the animal listing is `map --from path --to animal` of line i of the words
-        extra = ["--subdiagonal"] if subdiagonal else []
+        family += "-subdiagonal" * subdiagonal
         for n in range(1, 7):
             _, listing, _ = run(capsys, "enumerate", "--family", words, "--n", str(n))
-            code, out, _ = run(capsys, "enumerate", "--family", family, "--n", str(n), *extra)
+            code, out, _ = run(capsys, "enumerate", "--family", family, "--n", str(n))
             assert code == 0
             mapped = []
             for w in listing.splitlines():
@@ -311,9 +311,9 @@ class TestEnumerate:
     @pytest.mark.parametrize("subdiagonal", [False, True], ids=["full", "subdiagonal"])
     @pytest.mark.parametrize("lattice", heaps.LATTICES)
     def test_animal_listing_is_the_brute_force_set(self, capsys, lattice, subdiagonal):
-        extra = ["--subdiagonal"] if subdiagonal else []
+        family = f"animal-{lattice}" + "-subdiagonal" * subdiagonal
         for n in range(1, 8):
-            argv = ["enumerate", "--family", f"animal-{lattice}", "--n", str(n), *extra]
+            argv = ["enumerate", "--family", family, "--n", str(n)]
             code, out, _ = run(capsys, *argv)
             lines = out.splitlines()
             brute = heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal)
@@ -327,9 +327,16 @@ class TestEnumerate:
 
         monkeypatch.setattr(heaps, "animal_enumerate_bruteforce", no_scan)
         for family in ("animal-triangular", "animal-square"):
-            for extra in ([], ["--subdiagonal"]):
-                code, out, err = run(capsys, "enumerate", "--family", family, "--n", "6", *extra)
-                assert (code, err) == (0, "") and out, (family, extra)
+            for suffix in ("", "-subdiagonal"):
+                code, out, err = run(capsys, "enumerate", "--family", family + suffix, "--n", "6")
+                assert (code, err) == (0, "") and out, family + suffix
+
+    def test_subdiagonal_is_a_family_not_an_option(self, capsys):
+        argv = ["enumerate", "--family", "animal-square", "--n", "3", "--subdiagonal"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        code, out, _ = run(capsys, "enumerate", "--help")
+        assert code == 0 and "animal-square-subdiagonal" in out and "--subdiagonal" not in out
 
     def test_k_rejected_outside_multisets(self, capsys):
         code, _, err = run(

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from heapdyck import bijections, counting, heaps, multisets, render
+from heapdyck.errors import HeapdyckError
 from heapdyck.heaps import (
     Heap,
     HeapParseError,
     MissingOriginError,
     NotAHeapError,
+    NotAnAnimalError,
     PointAnimal,
     TooLargeError,
 )
@@ -285,6 +287,18 @@ class TestAnimals:
     def test_point_animal_checks_connectivity(self):
         with pytest.raises(ValueError):
             PointAnimal(frozenset({(0, 0), (2, 2)}))
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ({(0, 0), (2, 2)}, "points are not connected to the origin"),
+            ({(0, 0), (-1, 0)}, "animal coordinates must be non-negative"),
+        ],
+    )
+    def test_point_animal_refusal_is_a_library_error(self, points, message):
+        with pytest.raises(NotAnAnimalError, match=f"^{message}$") as info:
+            PointAnimal(frozenset(points))
+        assert isinstance(info.value, HeapdyckError) and isinstance(info.value, ValueError)
 
     def test_to_heap_single_point(self):
         a = PointAnimal(frozenset({(0, 0)}))

@@ -99,6 +99,7 @@ class TestReports:
                     "grammar-matches-brute-force-animals",
                     "grammar-matches-subdiagonal-animals",
                     "square-animals-are-diagonal-free-heaps",
+                    "animal-round-trip",
                     "listed-families-match-counts",
                 ],
             ),
@@ -242,6 +243,21 @@ class TestMutationSmoke:
             "square-animals-are-diagonal-free-heaps": "n=3, animal (0,0);(0,1);(1,1)"
         }
 
+    @pytest.mark.parametrize(
+        "old, new, detail",
+        [
+            # the right neighbour's top lowers the point instead of raising it
+            ("get(col + 1, -2) + 1", "get(col + 1, -2) - 1", "n=3, animal (0,0);(1,1);(1,2)"),
+            # a dimer on top of another in its column takes that one's diagonal sum
+            ("get(col, -2) + 2", "get(col, -2)", "n=2, animal (0,0);(1,1)"),
+        ],
+        ids=["right-neighbour", "same-column"],
+    )
+    def test_wrong_lowest_embedding_names_the_animal(self, monkeypatch, old, new, detail):
+        # a disconnected point set fails the round trip, not the whole suite
+        monkeypatch.setattr(heaps, "heap_to_animal", _mutated(heaps.heap_to_animal, old, new))
+        assert _failing("bijections") == {"animal-round-trip": detail}
+
     def test_missing_run_reversal_is_caught(self, monkeypatch):
         # below-axis runs read as they stand, like the above-axis ones: D steps
         # right to left at their signed heights.  Dyck words have no such run.
@@ -318,6 +334,19 @@ class TestMutationSmoke:
             "u-count-per-height-totals-semilength",
         }
         assert failing["u-count-per-height-totals-semilength"] == "n=2, word UDDU"
+
+    def test_word_whose_statistics_raise_fails_one_check(self, monkeypatch):
+        orig = bijections.path_to_multiset
+
+        def planted(word):
+            if word == "UUDD":
+                raise multisets.OutOfRangeError("planted")
+            return orig(word)
+
+        monkeypatch.setattr(bijections, "path_to_multiset", planted)
+        assert _failing("statistics", 3) == {
+            "area-equals-semilength-equals-length": "n=2, word UUDD: OutOfRangeError: planted"
+        }
 
     def test_shifted_gap_profile_is_caught(self, monkeypatch):
         orig = multisets.stats

@@ -1,5 +1,11 @@
 """Command-line surface.
 
+Each verb is one row of `_VERBS`: its help line, the function that adds
+its arguments and its handler.  A command builds only its own verb's
+parser.  Help, an unknown verb, an option before the verb and stray
+arguments go through the full parser, built from the same rows, so that
+usage lines, help and error messages are the full parser's.
+
 Exit codes: 0 on success, 1 when a verification check fails, 2 on
 usage or parse errors, on a size past its reach, on output that cannot
 be written (a file, or a stdout its reader closed), on running out of
@@ -61,49 +67,6 @@ class TableCheckError(HeapdyckError, RuntimeError):
     """A table1 entry disagrees with the star-multiset count."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="heapdyck")
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("enumerate", help="list every object of a family at size n")
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", type=int, help="value bound, multiset families only")
-    p.add_argument("--count-only", action="store_true")
-
-    p = sub.add_parser("map", help="convert an object between representations")
-    p.add_argument("--from", dest="src", required=True, choices=tuple(_KINDS))
-    p.add_argument("--to", dest="dst", required=True, choices=tuple(_KINDS))
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("stats", help="statistics of one object")
-    p.add_argument("--kind", required=True, choices=tuple(_KINDS))
-    p.add_argument("--input", required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("series", help="print coefficients of a named series")
-    p.add_argument("--name", required=True, choices=series.CLOSED_FORMS)
-    reach = ", ".join(f"{x} {_series_reach(x) or 'unlimited'}" for x in series.CLOSED_FORMS)
-    p.add_argument("--order", required=True, type=int, help=f"reach: {reach}")
-
-    p = sub.add_parser("table1", help="counts of star multisets by size and bound")
-    p.add_argument("--max-n", type=int, default=9)
-    p.add_argument("--max-k", type=int, default=6)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=(*verify.SUITES, "all"))
-    p.add_argument("--max-n", type=int)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("render", help="draw one object")
-    p.add_argument("--kind", required=True, choices=render.KINDS)
-    p.add_argument("--format", dest="fmt", choices=("ascii", "svg"), default="ascii")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", help="write to a file instead of stdout")
-
-    return top
-
-
 def _camel(name: str) -> str:
     head, *rest = name.split("_")
     return head + "".join(part.capitalize() for part in rest)
@@ -132,6 +95,13 @@ def _stats_lines(payload: dict) -> list[str]:
     return out
 
 
+def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--k", type=int, help="value bound, multiset families only")
+    p.add_argument("--count-only", action="store_true")
+
+
 def _do_enumerate(args) -> int:
     if args.k is not None and args.family not in _MS_FAMILIES:
         raise ValueError("--k applies to multiset families only")
@@ -156,6 +126,12 @@ def _do_enumerate(args) -> int:
     return 0
 
 
+def _map_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--from", dest="src", required=True, choices=tuple(_KINDS))
+    p.add_argument("--to", dest="dst", required=True, choices=tuple(_KINDS))
+    p.add_argument("--input", required=True)
+
+
 def _do_map(args) -> int:
     src, dst = args.src, args.dst
     obj = _KINDS[src].parse(args.input)
@@ -163,6 +139,12 @@ def _do_map(args) -> int:
         obj = _KINDS[dst].from_word(_KINDS[src].to_word(obj))
     print(_KINDS[dst].text(obj))
     return 0
+
+
+def _stats_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", required=True, choices=tuple(_KINDS))
+    p.add_argument("--input", required=True)
+    p.add_argument("--json", action="store_true")
 
 
 def _do_stats(args) -> int:
@@ -182,6 +164,12 @@ def _series_reach(name: str) -> int | None:
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     reach = int(digits / math.log10(4 if name in ("Ts", "T") else 3)) if digits else None
     return min(reach or 2500, 2500) if name == "Mdiag" else reach
+
+
+def _series_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--name", required=True, choices=series.CLOSED_FORMS)
+    reach = ", ".join(f"{x} {_series_reach(x) or 'unlimited'}" for x in series.CLOSED_FORMS)
+    p.add_argument("--order", required=True, type=int, help=f"reach: {reach}")
 
 
 def _do_series(args) -> int:
@@ -217,10 +205,21 @@ def table1_lines(max_n: int, max_k: int) -> list[str]:
     return lines
 
 
+def _table1_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=int, default=9)
+    p.add_argument("--max-k", type=int, default=6)
+
+
 def _do_table1(args) -> int:
     for line in table1_lines(args.max_n, args.max_k):
         print(line)
     return 0
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("suite", choices=(*verify.SUITES, "all"))
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--json", action="store_true")
 
 
 def _do_verify(args) -> int:
@@ -240,6 +239,13 @@ def _do_verify(args) -> int:
     return code
 
 
+def _render_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", required=True, choices=render.KINDS)
+    p.add_argument("--format", dest="fmt", choices=("ascii", "svg"), default="ascii")
+    p.add_argument("--input", required=True)
+    p.add_argument("--output", help="write to a file instead of stdout")
+
+
 def _do_render(args) -> int:
     obj = _KINDS[args.kind].parse(args.input)
     text = render.render(args.kind, obj, args.fmt)
@@ -255,25 +261,54 @@ def _do_render(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "enumerate": _do_enumerate,
-    "map": _do_map,
-    "stats": _do_stats,
-    "series": _do_series,
-    "table1": _do_table1,
-    "verify": _do_verify,
-    "render": _do_render,
+# verb -> its help line, the function that adds its arguments to a parser, and its handler
+_Verb = namedtuple("_Verb", "help add_arguments run")
+_VERBS = {
+    "enumerate": _Verb(
+        "list every object of a family at size n", _enumerate_arguments, _do_enumerate
+    ),
+    "map": _Verb("convert an object between representations", _map_arguments, _do_map),
+    "stats": _Verb("statistics of one object", _stats_arguments, _do_stats),
+    "series": _Verb("print coefficients of a named series", _series_arguments, _do_series),
+    "table1": _Verb(
+        "counts of star multisets by size and bound", _table1_arguments, _do_table1
+    ),
+    "verify": _Verb("run a verification suite", _verify_arguments, _do_verify),
+    "render": _Verb("draw one object", _render_arguments, _do_render),
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="heapdyck")
+    sub = top.add_subparsers(dest="verb", required=True)
+    for verb, (help_line, add_arguments, _) in _VERBS.items():
+        add_arguments(sub.add_parser(verb, help=help_line))
+    return top
+
+
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The verb and its arguments.  A command that starts with a verb is parsed by a
+    parser of that verb alone, the same as the full parser's subparser for it.
+    Anything else, and a command that leaves an argument over, goes through the full
+    parser, whose usage, help and errors are then the ones printed."""
+    if argv and argv[0] in _VERBS:
+        verb = argv[0]
+        parser = argparse.ArgumentParser(prog=f"heapdyck {verb}")
+        _VERBS[verb].add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return verb, args
+    args = _build_parser().parse_args(argv)
+    return args.verb, args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        verb, args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _DISPATCH[args.verb](args)
+        code = _VERBS[verb].run(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
     except (ValueError, HeapdyckError) as exc:

@@ -379,6 +379,14 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
                 size == counted,
                 f"n={n}, {module.__name__} {family}: {size} listed, {counted} counted",
             )
+    # the animal checks run against the brute force, to its cap
+    oracle_n = min(max_n, ANIMAL_ORACLE_CAP)
+    for name, animals in (
+        ("grammar-matches-brute-force-animals", "triangular and square animals"),
+        ("grammar-matches-subdiagonal-animals", "subdiagonal triangular and square animals"),
+        ("square-animals-are-diagonal-free-heaps", "every triangular animal"),
+    ):
+        rec.note(name, f"{animals}, sizes 1..{oracle_n}")
     animal_n = min(max_n, ANIMAL_ORACLE_CAP - 1)
     rec.note("animal-round-trip", f"every triangular animal, sizes 1..{animal_n}")
     return rec.results(f"all sizes 1..{max_n}")
@@ -557,6 +565,8 @@ def _suite_symmetry(max_n: int) -> list[CheckResult]:
                         sb.lw + 1 == sa.rw and sb.rw == sa.lw + 1 and sb.area == sa.area,
                         where,
                     )
+    animal_n = min(max_n, ANIMAL_ORACLE_CAP - 1)
+    rec.note("reflection-swaps-widths", f"every triangular animal, sizes 1..{animal_n}")
     _width_tier(rec)
     return rec.results(f"all sizes 1..{max_n}")
 

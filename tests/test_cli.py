@@ -679,3 +679,113 @@ class TestUsage:
         code = main(["map", "--from", "path", "--to", "heap", "--input", "UUDD"])
         assert type(code) is int and code == 0
         assert capsys.readouterr().out == "(0,0);(1,1)\n"
+
+
+def _through_full_parser(argv):
+    """The exit code of argv parsed by the full parser and then dispatched."""
+    try:
+        args = cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    return cli._VERBS[args.verb].run(args)
+
+
+# per verb: a well-formed command, the same with abbreviated options, a missing
+# required option and a bad choice.  table1 has neither a required option nor a
+# choice, and no unambiguous abbreviation: a missing and a bad int stand in, and its
+# abbreviation is ambiguous
+COMMANDS = {
+    "enumerate": (
+        ["enumerate", "--family", "dyck", "--n", "3"],
+        ["enumerate", "--fam", "dyck", "--n", "3"],
+        ["enumerate", "--n", "3"],
+        ["enumerate", "--family", "nope", "--n", "3"],
+    ),
+    "map": (
+        ["map", "--from", "path", "--to", "heap", "--input", "UUDDDUUD"],
+        ["map", "--fr", "path", "--to", "heap", "--in", "UUDDDUUD"],
+        ["map", "--from", "path", "--to", "heap"],
+        ["map", "--from", "x", "--to", "heap", "--input", "UD"],
+    ),
+    "stats": (
+        ["stats", "--kind", "path", "--json", "--input", "UUDD"],
+        ["stats", "--ki", "path", "--js", "--inp", "UUDD"],
+        ["stats", "--input", "UD"],
+        ["stats", "--kind", "x", "--input", "UD"],
+    ),
+    "series": (
+        ["series", "--name", "Q", "--order", "5"],
+        ["series", "--na", "Q", "--ord", "5"],
+        ["series", "--name", "Q"],
+        ["series", "--name", "x", "--order", "3"],
+    ),
+    "table1": (
+        ["table1", "--max-n", "3", "--max-k", "2"],
+        ["table1", "--max", "3"],
+        ["table1", "--max-n"],
+        ["table1", "--max-k", "x"],
+    ),
+    "verify": (
+        ["verify", "counts", "--max-n", "2"],
+        ["verify", "counts", "--max", "2"],
+        ["verify"],
+        ["verify", "nope"],
+    ),
+    "render": (
+        ["render", "--kind", "path", "--input", "UUDD"],
+        ["render", "--ki", "path", "--in", "UUDD"],
+        ["render", "--kind", "path"],
+        ["render", "--kind", "path", "--format", "png", "--input", "UD"],
+    ),
+}
+
+
+def _parity_cases():
+    yield "no-arguments", []
+    yield "short-help", ["-h"]
+    yield "long-help", ["--help"]
+    yield "unknown-verb", ["frobnicate", "--n", "3"]
+    yield "option-before-verb", ["-h", "map"]
+    for verb, (argv, abbreviated, missing, bad_choice) in COMMANDS.items():
+        yield f"{verb}-help", [verb, "--help"]
+        yield f"{verb}-missing", missing
+        yield f"{verb}-bad-choice", bad_choice
+        yield f"{verb}-abbreviated", abbreviated
+        yield f"{verb}-equals", [verb, *_joined(argv[1:])]
+        yield f"{verb}-stray-positional", [*argv, "stray"]
+        yield f"{verb}-stray-option", [*argv, "--bogus"]
+
+
+def _joined(args):
+    """args with each option and its value written as --opt=value."""
+    out = []
+    for a in args:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and not a.startswith("-"):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
+PARITY = list(_parity_cases())
+
+
+class TestParsing:
+    """A command that starts with a verb builds only that verb's parser; everything
+    else goes through the full parser.  Both must give the same bytes and code."""
+
+    @pytest.mark.parametrize("argv", [argv for _, argv in PARITY], ids=[name for name, _ in PARITY])
+    def test_same_as_the_full_parser(self, capsys, argv):
+        got = run(capsys, *argv)
+        code = _through_full_parser(argv)
+        assert got == (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("verb", COMMANDS)
+    def test_well_formed_command_builds_only_its_verb(self, capsys, monkeypatch, verb):
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        code, out, err = run(capsys, *COMMANDS[verb][0])
+        assert (code, err) == (0, "")
+        assert out

@@ -151,6 +151,27 @@ class TestReports:
         """Each suite reports every check it has, once, in a fixed order."""
         assert [c.name for c in verify.run_suite(suite, 2).checks] == names
 
+    @pytest.mark.parametrize("max_n,oracle_n,round_trip_n", [(None, 7, 6), (3, 3, 3)])
+    def test_animal_checks_report_their_own_sizes(self, max_n, oracle_n, round_trip_n):
+        """The animal checks run to the brute force's cap, not to the suite's bound."""
+        bijection_details = {c.name: c.detail for c in verify.run_suite("bijections", max_n).checks}
+        symmetry_details = {c.name: c.detail for c in verify.run_suite("symmetry", max_n).checks}
+        assert bijection_details["grammar-matches-brute-force-animals"] == (
+            f"triangular and square animals, sizes 1..{oracle_n}"
+        )
+        assert bijection_details["grammar-matches-subdiagonal-animals"] == (
+            f"subdiagonal triangular and square animals, sizes 1..{oracle_n}"
+        )
+        assert bijection_details["square-animals-are-diagonal-free-heaps"] == (
+            f"every triangular animal, sizes 1..{oracle_n}"
+        )
+        assert bijection_details["animal-round-trip"] == (
+            f"every triangular animal, sizes 1..{round_trip_n}"
+        )
+        assert symmetry_details["reflection-swaps-widths"] == (
+            f"every triangular animal, sizes 1..{round_trip_n}"
+        )
+
     def test_statistics_reports_detected_relations(self):
         report = verify.run_suite("statistics", 4)
         details = {c.name: c.detail for c in report.checks}

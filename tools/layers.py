@@ -3,16 +3,18 @@
     python3 tools/layers.py --label change
     python3 tools/layers.py --label parent --src ../parent/src
 
-Each row is one library call at each of its sizes.  A run imports
-heapdyck from --src, makes the call once, and records the call's CPU time
-and the process's max RSS, which includes the interpreter and its
-imports.  Every row runs REPS times per size, in a new process each time;
-a metric is the median over the runs.  A run fails when the call's result
-is wrong: a listing row's number of objects against `grammar_count(n,
-"T")`, which every listed family matches, or a CLI exit other than 0; a
-series row's last coefficient against its closed formula; a table row's
-entry (n, n) against the directed-animal sum; an identity row when any
-of its checks fails; an animal row's number of points against n.
+Each row is one library call at each of its sizes, or n calls of one
+command line.  A run imports heapdyck from --src, makes the call once,
+and records the call's CPU time and the process's max RSS, which
+includes the interpreter and its imports.  Every row runs REPS times
+per size, in a new process each time; a metric is the median over the
+runs.  A run fails when the call's result is wrong: a listing row's
+number of objects against `grammar_count(n, "T")`, which every listed
+family matches, or a CLI exit other than 0; the command-line row's
+number of calls that print their heap against n; a series row's last
+coefficient against its closed formula; a table row's entry (n, n)
+against the directed-animal sum; an identity row when any of its checks
+fails; an animal row's number of points against n.
 
 The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
@@ -23,6 +25,7 @@ it are for people.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import resource
@@ -41,6 +44,9 @@ MDIAG_ORDERS = (1000, 1500, 2000, 2500, 3000)
 IDENTITY_ORDERS = (100, 300)
 TABLE_ORDERS = (150, 300)
 ANIMAL_SIZES = (5050, 20100)  # the triangles x + y < 100 and x + y < 200
+MAP_CALLS = (1000,)  # in-process command lines per run
+MAP_ARGV = ["map", "--from", "path", "--to", "heap", "--input", "UUDDDUUD"]
+MAP_HEAP = "(0,0);(-1,1);(1,1);(-2,2)\n"  # what MAP_ARGV prints
 REPS = 3  # fresh processes per row and size
 
 
@@ -74,6 +80,21 @@ def _cli_enumerate(family: str, n: int) -> int:
     finally:
         sys.stdout = sink
     return lines if code == 0 else -1
+
+
+def _cli_map(calls: int) -> int:
+    """The number of calls of MAP_ARGV that exit 0 and print MAP_HEAP."""
+    from heapdyck import cli
+
+    right = 0
+    sink = sys.stdout
+    try:
+        for _ in range(calls):
+            sys.stdout = io.StringIO()
+            right += cli.main(MAP_ARGV) == 0 and sys.stdout.getvalue() == MAP_HEAP
+    finally:
+        sys.stdout = sink
+    return right
 
 
 def _closed_form(name: str, order: int) -> int:
@@ -117,7 +138,8 @@ def _directed_animals(n: int) -> int:
 # T_n = C(2n - 1, n), and Q_n and Mdiag_n, the directed animals of size n (OEIS
 # A005773).  A table row gives entry (n, n) of its table to order n, which is Q_n for
 # both f and h.  The animal row checks a triangle of n points, x + y < m, through
-# PointAnimal's validation
+# PointAnimal's validation.  The command-line row makes n calls of one `map`, each
+# parsed afresh, and counts the ones that print the right heap
 ROWS = {
     "grammar_enumerate.T": (_grammar_enumerate, LISTING_SIZES, _t_heaps),
     "cli.enumerate.heap-T": (partial(_cli_enumerate, "heap-T"), LISTING_SIZES, _t_heaps),
@@ -126,6 +148,7 @@ ROWS = {
     ),
     "cli.enumerate.grand-dyck": (partial(_cli_enumerate, "grand-dyck"), LISTING_SIZES, _t_heaps),
     "cli.enumerate.multiset-all": (partial(_cli_enumerate, "multiset-all"), LISTING_SIZES, _t_heaps),
+    "cli.main.map": (_cli_map, MAP_CALLS, lambda n: n),
     "closed_form.T": (partial(_closed_form, "T"), SERIES_ORDERS, lambda n: comb(2 * n - 1, n)),
     "closed_form.Q": (partial(_closed_form, "Q"), SERIES_ORDERS, _directed_animals),
     "closed_form.Mdiag": (partial(_closed_form, "Mdiag"), MDIAG_ORDERS, _directed_animals),

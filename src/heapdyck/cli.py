@@ -160,10 +160,11 @@ def _do_stats(args) -> int:
 def _series_reach(name: str) -> int | None:
     """The largest order `series` prints: Ts_n, T_n < 4^n and Qs_n, Q_n < 3^n print within
     the int-to-str digit limit (0 or none: no reach), and Mdiag's table rows, computed one
-    at a time in about 20 MB, take about 6-7 s at order 2500: their time sets that reach."""
+    at a time in about 22 MB, three whole-row passes and two prefix sums each, take about
+    4-5 s at order 3000: their time sets that reach."""
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     reach = int(digits / math.log10(4 if name in ("Ts", "T") else 3)) if digits else None
-    return min(reach or 2500, 2500) if name == "Mdiag" else reach
+    return min(reach or 3000, 3000) if name == "Mdiag" else reach
 
 
 def _series_arguments(p: argparse.ArgumentParser) -> None:

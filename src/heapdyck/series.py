@@ -12,11 +12,15 @@ leading monomials through explicit valuation shifts.
 The product is quadratic, O(N^2) products; quotient and square root
 visit only their operand's nonzero terms, O(N t) products for t of them.
 The table divisors have constant term 1, so a table is divided a row at
-a time, and its entries are ints too.  A row costs a few whole-row
-passes, not a loop per entry: one per cross-row term of the divisor, one
-prefix sum per factor 1 - u of its z^0 part, and a sequential pass only
-for what that part has beyond those factors, which is nothing for f and
-h.  An N x N table takes O(N^2) additions per divisor term.
+a time, and its entries are ints too.  At setup the divisor's z^0 part
+is split into its factors 1 - u and the rest, and each cross row is
+divided by the factors 1 - u it shares with that part.  A row then costs
+a few whole-row passes, not a loop per entry: one per term of those
+quotients, one prefix sum per factor 1 - u of the z^0 part, and a
+sequential pass only for what that part has beyond those factors, which
+is nothing for f and h.  A row of f costs three passes and two prefix
+sums, one of h two passes and one prefix sum; an N x N table takes
+O(N^2) additions per pass.
 
 The four univariate closed forms count the heap classes by area:
 
@@ -201,6 +205,15 @@ class BivarTable(Value):
         return self.rows[n][k]
 
 
+def _one_minus_u_factors(p: list[int], most: int) -> tuple[int, list[int]]:
+    """(k, p / (1 - u)^k) for the most factors 1 - u, at most `most`, that divide p != 0."""
+    k = 0
+    while k < most and sum(p) == 0:  # p(1) = 0: 1 - u divides p; p / (1 - u) is its prefix sums
+        p = list(accumulate(p))[:-1]
+        k += 1
+    return k, p
+
+
 def _table_rows(
     numerator: Terms, denominator: Terms, z_order: int, u_order: int
 ) -> Iterator[list[int]]:
@@ -208,42 +221,56 @@ def _table_rows(
     term is 1.  Only the rows the denominator reaches back to are kept.
 
     Write the denominator as D0(u) + sum_(i>=1) z^i D_i(u) and the numerator's row n as
-    N_n(u).  Row n is then (N_n - sum_i D_i F_(n-i)) / D0, truncated at u^u_order.  Each
-    cross term c z^i u^j is one pass over the row, acc[j:] -= c F_(n-i).  D0 is split once
-    into (1 - u)^m R(u) with R(0) = 1: dividing by R runs over R's nonzero terms, and
-    dividing by 1 - u is a prefix sum.  For f and h, R = 1 and m is 2 and 1.
+    N_n(u).  Row n is then (N_n - sum_i D_i F_(n-i)) / D0, truncated at u^u_order.  At
+    setup D0 is split into (1 - u)^m R(u) with R(0) = 1, and each cross row D_i into
+    (1 - u)^k_i Q_i(u), k_i <= m, so that row n is
+
+        (sum_e S_e / (1 - u)^e) / R,   S_e = [e = m] N_n - sum_(m - k_i = e) Q_i F_(n-i).
+
+    A row is one Horner pass from e = m down to 0: each term c z^i u^j of group e is one
+    pass over the row, acc[j:] -= c F_(n-i), and each step down is a prefix sum, which
+    divides by 1 - u.  Dividing by R runs over R's nonzero terms.  For f, R = 1, m = 2 and
+    Q_1 = -(1 - u + u^2) in group 1; for h, R = 1, m = 1, Q_1 = -1 in group 0 and Q_2 = -u
+    in group 1.
     """
     d00 = denominator.get((0, 0), 0)
     if d00 != 1:
         raise DivByNonUnitError(f"bivariate divisor has constant term {d00}, not 1")
-    d0 = [denominator.get((0, j), 0) for j in range(1 + max(j for i, j in denominator if i == 0))]
-    m = 0
-    while sum(d0) == 0:  # D0(1) = 0: 1 - u divides D0, and D0 / (1 - u) is its prefix sums
-        d0 = list(accumulate(d0))[:-1]
-        m += 1
+
+    def coefficients(i: int) -> list[int]:  # D_i's, from u^0 to its last term
+        last = max(j for h, j in denominator if h == i)
+        return [denominator.get((i, j), 0) for j in range(last + 1)]
+
+    d0 = coefficients(0)
+    m, d0 = _one_minus_u_factors(d0, len(d0))
     r = [(j, c) for j, c in enumerate(d0) if j and c]
-    cross = [(i, j, c) for (i, j), c in denominator.items() if i and c]
-    back = max((i for i, _, _ in cross), default=0)
+    cross = {i for (i, _), c in denominator.items() if i and c}
+    back = max(cross, default=0)
+    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(m + 1)]  # group e: (i, j, c)
+    for i in cross:
+        k, q = _one_minus_u_factors(coefficients(i), m)
+        groups[m - k] += [(i, j, c) for j, c in enumerate(q) if c]
     rows: list[list[int] | None] = []
     for n in range(z_order + 1):
         acc = [0] * (u_order + 1)
         for (i, j), c in numerator.items():
             if i == n and j <= u_order:
                 acc[j] = c
-        for i, j, c in cross:
-            if i <= n:
-                prev = rows[n - i]  # prev[k] meets acc[j + k]; map stops at acc's end
-                if c == 1:
-                    acc[j:] = map(sub, acc[j:], prev)
-                elif c == -1:
-                    acc[j:] = map(add, acc[j:], prev)
-                else:
-                    acc[j:] = map(sub, acc[j:], map(mul, repeat(c), prev))
+        for e in range(m, -1, -1):
+            for i, j, c in groups[e]:
+                if i <= n:
+                    prev = rows[n - i]  # prev[k] meets acc[j + k]; map stops at acc's end
+                    if c == 1:
+                        acc[j:] = map(sub, acc[j:], prev)
+                    elif c == -1:
+                        acc[j:] = map(add, acc[j:], prev)
+                    else:
+                        acc[j:] = map(sub, acc[j:], map(mul, repeat(c), prev))
+            if e:
+                acc = list(accumulate(acc))
         if r:
             for k in range(1, u_order + 1):
                 acc[k] -= sum(c * acc[k - j] for j, c in r if j <= k)
-        for _ in range(m):
-            acc = list(accumulate(acc))
         rows.append(acc)
         if n >= back:
             rows[n - back] = None  # no later row reads it

@@ -642,9 +642,9 @@ class TestReach:
 
     def test_mdiag_past_its_table_reach(self, capsys, monkeypatch):
         monkeypatch.setattr(series, "closed_form", lambda *args: pytest.fail("closed_form called"))
-        assert "Mdiag 2500" in run(capsys, "series", "--help")[1]
-        code, out, err = run(capsys, "series", "--name", "Mdiag", "--order", "2501")
-        assert (code, out, err) == (2, "", "error: --order 2501 is beyond the reach of Mdiag (2500)\n")
+        assert "Mdiag 3000" in run(capsys, "series", "--help")[1]
+        code, out, err = run(capsys, "series", "--name", "Mdiag", "--order", "3001")
+        assert (code, out, err) == (2, "", "error: --order 3001 is beyond the reach of Mdiag (3000)\n")
 
     @pytest.mark.parametrize("family", ["dyck", "heap-T", "multiset-star"])
     def test_out_of_memory_is_an_error_line_with_exit_2(self, family):

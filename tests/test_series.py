@@ -67,15 +67,22 @@ def times_one_minus_u(coeffs, m):
 
 
 def factored_denominator(max_power=3):
-    """(1 - u)^m R(u) + cross-row terms, R(0) = 1: a z^0 part the kernel splits into m
-    prefix sums and a pass over R.  Its zero coefficients stay in the dict as zeros."""
-    power = st.integers(0, max_power)
+    """(1 - u)^m R(u) + sum_i z^i (1 - u)^k_i P_i(u), R(0) = 1, k_i in 0..m + 1: a z^0
+    part the kernel splits into m prefix sums and a pass over R, and cross rows that share
+    none, some, all or more than all of its m factors.  Zero coefficients stay in the dict
+    as zeros."""
     r = st.lists(st.integers(-3, 3), max_size=max_power).map(lambda tail: [1] + tail)
-    cross = st.dictionaries(st.tuples(st.integers(1, max_power), power), st.integers(-3, 3))
-    return st.tuples(st.integers(0, 3), r, cross).map(
-        lambda mrc: {(0, j): c for j, c in enumerate(times_one_minus_u(mrc[1], mrc[0]))}
-        | mrc[2]
-    )
+    p = st.lists(st.integers(-3, 3), min_size=1, max_size=max_power)
+
+    def build(m):
+        rows = st.dictionaries(st.integers(1, max_power), st.tuples(st.integers(0, m + 1), p))
+        return st.tuples(r, rows).map(
+            lambda rr: {(0, j): c for j, c in enumerate(times_one_minus_u(rr[0], m))}
+            | {(i, j): c for i, (k, pi) in rr[1].items()
+               for j, c in enumerate(times_one_minus_u(pi, k))}
+        )
+
+    return st.integers(0, 3).flatmap(build)
 
 
 def all_ints(coeffs):
@@ -212,6 +219,14 @@ class TestKernelsMatchReference:
             {(0, 0): 1, (0, 1): -1, (0, 2): 1, (0, 3): -1, (2, 1): 1},
             # each cross-row coefficient branch: 1, -1 and the multiplied ones, at shifts 0..2
             *({(0, 0): 1, (0, 1): -1, (1, j): c} for c in (1, -1, 2, -3) for j in (0, 1, 2)),
+            # f's shape: D0 = (1 - u)^2 and D1 = -(1 - u)(1 - u + u^2) share one factor
+            {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): -1, (1, 1): 2, (1, 2): -2, (1, 3): 1},
+            # D1 = (1 - u)^2 has more factors than D0 = 1 - u: only one cancels
+            {(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): -2, (1, 2): 1},
+            # h's D1 = -(1 - u), a multiple of D0 = 1 - u, beside D2 = -u, which shares none
+            {(0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1, (2, 1): -1},
+            # a cross row of zeros, farthest back: it is no term and reaches back to no row
+            {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 1): 3, (1, 2): -3, (4, 0): 0, (4, 2): 0},
         ],
     )
     @pytest.mark.parametrize("z_order, u_order", [(0, 0), (0, 7), (7, 0), (7, 7)])
@@ -228,11 +243,16 @@ class TestKernelsMatchReference:
         got = series.bivariate(name, z_order, u_order).rows
         assert got == reference_divide_table(numerator, denominator, z_order, u_order)
 
-    @pytest.mark.parametrize("name", series.BIVARIATE_NAMES)
-    def test_bivariate_tables(self, name):
+    @pytest.mark.parametrize(
+        "name, z_order, u_order",
+        [pytest.param(name, 40, 30, id=name) for name in series.BIVARIATE_NAMES]
+        # the series workload's size
+        + [pytest.param(name, 150, 150, id=f"{name}-150") for name in series.BIVARIATE_NAMES],
+    )
+    def test_bivariate_tables(self, name, z_order, u_order):
         numerator, denominator = series._TABLES[name]
-        got = series.bivariate(name, 40, 30).rows
-        assert got == reference_divide_table(numerator, denominator, 40, 30)
+        got = series.bivariate(name, z_order, u_order).rows
+        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
         assert all(type(c) is int for row in got for c in row)
 
     @pytest.mark.parametrize("d00", [0, 2, -1])

@@ -20,6 +20,16 @@ The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
 attempted, failed and metrics of {value, unit}.  The lines printed before
 it are for people.
+
+    python3 tools/layers.py --label pair --parent ../parent/src
+
+With --parent, each row and size runs from --src (the change) and from
+the parent's tree in alternation, REPS times each, and the side that runs
+first alternates from one pair to the next, so that both sides meet the
+same drift of a shared machine.  Besides the change's metrics, the result
+then holds the parent's, named parent.<row>.n<N>.*, and per row and size
+the median change/parent CPU ratio over the pairs, <row>.n<N>.cpu_ratio,
+with its quartiles.
 """
 
 from __future__ import annotations
@@ -172,28 +182,43 @@ def child(row: str, n: int, src: str) -> None:
     print(json.dumps({"cpu_s": cpu_s, "max_rss_mb": max_rss_mb, "ok": got == expected(n)}))
 
 
-def run(src: str) -> dict:
+def _one_run(row: str, n: int, src: str) -> dict:
+    done = subprocess.run(
+        [sys.executable, "-I", os.path.abspath(__file__), "--child", row, str(n), "--src", src],
+        capture_output=True, text=True, timeout=600,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"{row} at n = {n} did not run from {src}:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def run(src: str, parent: str | None = None) -> dict:
+    """Every row and size, REPS times from src and, when given, from parent in pairs."""
+    sides = {"": src} if parent is None else {"": src, "parent.": parent}
     attempted = failed = 0
     metrics = {}
     for row, (_, sizes, _) in ROWS.items():
         for n in sizes:
-            runs = []
-            for _ in range(REPS):
-                done = subprocess.run(
-                    [sys.executable, "-I", os.path.abspath(__file__),
-                     "--child", row, str(n), "--src", src],
-                    capture_output=True, text=True, timeout=600,
-                )
-                attempted += 1
-                if done.returncode != 0:
-                    raise SystemExit(f"{row} at n = {n} did not run:\n{done.stderr}")
-                runs.append(json.loads(done.stdout.splitlines()[-1]))
-                failed += not runs[-1]["ok"]
-            cpu_s = statistics.median(r["cpu_s"] for r in runs)
-            rss = statistics.median(r["max_rss_mb"] for r in runs)
-            print(f"{row} n={n}: cpu {cpu_s:.3f} s, max rss {rss:.1f} MB (median of {REPS})")
-            metrics[f"{row}.n{n}.cpu_s"] = {"value": cpu_s, "unit": "s"}
-            metrics[f"{row}.n{n}.max_rss_mb"] = {"value": rss, "unit": "MB"}
+            runs = {side: [] for side in sides}
+            for rep in range(REPS):
+                for side in list(sides)[:: -1 if rep % 2 else 1]:  # who goes first alternates
+                    runs[side].append(_one_run(row, n, sides[side]))
+                    attempted += 1
+                    failed += not runs[side][-1]["ok"]
+            for side, got in runs.items():
+                cpu_s = statistics.median(r["cpu_s"] for r in got)
+                rss = statistics.median(r["max_rss_mb"] for r in got)
+                print(f"{side}{row} n={n}: cpu {cpu_s:.3f} s, max rss {rss:.1f} MB"
+                      f" (median of {REPS})")
+                metrics[f"{side}{row}.n{n}.cpu_s"] = {"value": cpu_s, "unit": "s"}
+                metrics[f"{side}{row}.n{n}.max_rss_mb"] = {"value": rss, "unit": "MB"}
+            if parent is not None:
+                ratios = [c["cpu_s"] / p["cpu_s"] for c, p in zip(runs[""], runs["parent."])]
+                q1, mid, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+                print(f"{row} n={n}: change/parent cpu {mid:.3f} [{q1:.3f}, {q3:.3f}]")
+                metrics[f"{row}.n{n}.cpu_ratio"] = {
+                    "value": mid, "unit": "ratio", "quartiles": [q1, q3]
+                }
     return {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}
 
 
@@ -202,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", help="names the output file BENCH_layers-<label>.json")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="the source tree to import heapdyck from")
+    parser.add_argument("--parent", help="a second source tree, run in pairs with --src")
     parser.add_argument("--child", nargs=2, metavar=("ROW", "N"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -209,7 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if not args.label:
         parser.error("--label is required")
-    result = run(os.path.abspath(args.src))
+    parent = os.path.abspath(args.parent) if args.parent else None
+    result = run(os.path.abspath(args.src), parent)
     with open(os.path.join(ROOT, f"BENCH_layers-{args.label}.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(result) + "\n")
     print(json.dumps(result))

@@ -16,10 +16,17 @@ peels the heap bottom-up; at each step exactly one of the dimers free to
 leave can continue a drop sequence of that shape, so the peel recovers
 the columns and with them the word.
 
-The constructor grammar lists heaps as drop sequences too: each case
-joins its parts' sequences, and `heaps.drop_columns` drops the result.
+The constructor grammar is read as trees: a node is dropped, then its b
+part one column to the right, then its c part in the same column (cases
+ii-iv), and a T or Q heap is a forest whose tree j stands at column -j
+(case v).  That is `_sequence`'s column rule read node by node.
+`grammar_enumerate` lists the trees in one depth-first walk that keeps
+the column tops in a list, drops each node's dimer as it reaches it and
+restores the one top it changed on the way back, so a dimer shared by a
+common prefix is dropped once for all the heaps below it; the walk holds
+O(n) state besides the heaps it returns, and its recursion is n deep.
 A heap is the same whatever linear extension of it is dropped, so
-`factorize` cuts its word's drop sequence by that same case table.
+`factorize` cuts its word's drop sequence by `_sequence`'s case table.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import NamedTuple
 
 from . import counting, heaps, multisets, paths
 from .errors import HeapdyckError
-from .heaps import Heap
+from .heaps import Heap, Pair
 
 
 class NotStartingUError(HeapdyckError, ValueError):
@@ -242,33 +249,62 @@ def _close_run(words: list[str], run: list[str], y: int) -> None:
 # --- grammar enumeration ------------------------------------------------
 
 
-def _sequences(klass: str, n: int) -> list[tuple[int, ...]]:
-    """The drop sequences of the size-n heaps of a class, one per build, in grammar order.
+# child column offsets of each node pattern, b (one column right) before c
+# (straight above); a square-lattice node has no c without b
+_TRIANGULAR = ((), (1,), (0,), (1, 0))
+_SQUARE = ((), (1,), (1, 0))
+_PATTERNS = {"Ts": _TRIANGULAR, "T": _TRIANGULAR, "Qs": _SQUARE, "Q": _SQUARE}
 
-    Built bottom-up within the call, row by row as `counting` adds the
-    cases up: a strict row is case i, then ii and iii for each b, then iv
-    by a; a full row (T or Q) is the strict row, then v by a.
+
+def _grammar_heaps(klass: str, n: int) -> list[Heap]:
+    """The size-n heaps of a class, one per constructor tree (or forest, for T and Q).
+
+    One depth-first walk visits the trees in preorder, each node dropped
+    as the walk reaches it and lifted on the way back, so a prefix shared
+    by many heaps is dropped once.  A pattern is kept only while every
+    open slot can still get a node; T and Q start tree j at column -j
+    once the slots run out.
     """
-    with_iii = klass.startswith("T")
-    strict: list[list[tuple[int, ...]]] = [[]]
-    for m in range(1, n + 1):
-        row = [_sequence("i")] if m == 1 else []
-        for b in strict[m - 1]:
-            row.append(_sequence("ii", b))
-            if with_iii:
-                row.append(_sequence("iii", b))
-        for a in range(1, m - 1):
-            row += [_sequence("iv", b, c) for b in strict[a] for c in strict[m - 1 - a]]
-        strict.append(row)
-    if klass.endswith("s"):
-        return strict[n]
-    full: list[list[tuple[int, ...]]] = [[]]
-    for m in range(1, n + 1):
-        row = strict[m][:]
-        for a in range(1, m):
-            row += [_sequence("v", b, c) for b in strict[a] for c in full[m - a]]
-        full.append(row)
-    return full[n]
+    patterns = _PATTERNS[klass]
+    forest = not klass.endswith("s")
+    # equal dimers of different heaps share one tuple: a class has few distinct dimers
+    # (81 among the 218 790 of the T heaps at n = 9), so a heap keeps little but its pointers
+    share = {}.setdefault
+    tops = [-1] * (2 * n + 1)  # column + n -> level of its highest dimer
+    pending: list[int] = []  # the columns of the subtrees still to visit, next last
+    dimers: list[Pair] = []
+    out: list[Heap] = []
+
+    def grow(col: int, left: int, trees: int) -> None:
+        """Drop a node at col, then each pattern's subtrees; left counts this node too."""
+        i = col + n
+        below = tops[i]
+        level = max(tops[i - 1], below, tops[i + 1]) + 1
+        tops[i] = level
+        dimer = (col, level)
+        dimers.append(share(dimer, dimer))
+        left -= 1
+        if not left:
+            out.append(Heap(dimers))
+        else:
+            open_slots = len(pending)
+            for pattern in patterns:
+                slots = open_slots + len(pattern)
+                if slots > left:
+                    break
+                if slots:
+                    pending.extend([col + d for d in reversed(pattern)])
+                    nxt = pending.pop()
+                    grow(nxt, left, trees)
+                    pending.append(nxt)
+                    del pending[open_slots:]
+                elif forest:
+                    grow(-trees, left, trees + 1)
+        dimers.pop()
+        tops[i] = below
+
+    grow(0, n, 1)
+    return out
 
 
 def grammar_enumerate(n: int, klass: str) -> frozenset[Heap]:
@@ -281,13 +317,9 @@ def grammar_enumerate(n: int, klass: str) -> frozenset[Heap]:
         raise ValueError(f"unknown class {klass!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    seqs = _sequences(klass, n)
-    # equal dimers of different heaps share one tuple: a class has few distinct dimers
-    # (81 among the 218 790 of the T heaps at n = 9), so a heap keeps little but its pointers
-    share = {}.setdefault
-    # a heap built twice below size n is built twice at n too (case ii or v on the ground)
-    out = frozenset(Heap(map(share, d, d)) for d in map(heaps.drop_columns, seqs))
-    if len(out) != len(seqs):
+    built = _grammar_heaps(klass, n)
+    out = frozenset(built)
+    if len(out) != len(built):
         raise GrammarDuplicateError(f"constructor overlap while building {klass} at size {n}")
     return out
 

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -370,22 +371,30 @@ class TestGrammar:
 
     @pytest.mark.parametrize("klass", counting.CLASSES)
     def test_heaps_match_encoded_reference(self, klass):
-        bijections.clear_caches()
+        # the walk's order is its own, but each heap must come out exactly once
         memo = {}
         for n in range(1, 9):
-            built = [Heap(heaps.drop_columns(seq)) for seq in bijections._sequences(klass, n)]
-            assert built == [decoded(blob) for blob in encoded_grammar(klass, n, memo)], n
+            want = Counter(decoded(blob) for blob in encoded_grammar(klass, n, memo))
+            assert Counter(bijections._grammar_heaps(klass, n)) == want, n
 
     def test_duplicate_build_raises(self, monkeypatch):
-        sequence = bijections._sequence
-
-        def overlapping(case, *parts):
-            # case iii builds what case ii builds from the same part
-            return sequence("ii" if case == "iii" else case, *parts)
-
-        monkeypatch.setattr(bijections, "_sequence", overlapping)
+        # a node's c part dropped one column right, where its b part goes
+        monkeypatch.setitem(bijections._PATTERNS, "Ts", ((), (1,), (1,), (1, 0)))
         with pytest.raises(GrammarDuplicateError):
             bijections.grammar_enumerate(2, "Ts")
+
+    def test_walk_peak_memory_stays_per_heap(self):
+        # about 256 bytes per heap at the peak: the heaps, the list of them and the
+        # frozenset; the stored drop-sequence rows of every size, which the walk
+        # replaced, peaked at about 374
+        gc.collect()
+        tracemalloc.start()
+        try:
+            built = bijections.grammar_enumerate(8, "T")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(built) <= 300
 
     def test_grammar_keeps_no_module_state(self):
         bijections.clear_caches()  # so that no earlier test has filled what this call would fill

@@ -56,7 +56,7 @@ def test_grammar_count_reaches_hundreds(monkeypatch):
     def no_listing(klass, n):
         raise AssertionError("grammar_count listed the heaps it counts")
 
-    monkeypatch.setattr(bijections, "_sequences", no_listing)  # counted without building a heap
+    monkeypatch.setattr(bijections, "_grammar_heaps", no_listing)  # counted without building a heap
     start = time.perf_counter()
     got = bijections.grammar_count(300, "T")
     assert time.perf_counter() - start < 1.0

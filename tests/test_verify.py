@@ -314,14 +314,23 @@ class TestMutationSmoke:
         }
 
     def test_one_sided_gravity_fails_symmetry_checks(self, monkeypatch):
-        # the grammar and the animal map both drop by heaps.drop_columns
+        # the animal map drops by heaps.drop_columns; the grammar keeps column tops of its
+        # own, so its widths stay right and only the animals' reflection fails
         def lopsided(tops, column):
             return max(tops.get(column, -1), tops.get(column + 1, -1)) + 1
 
         _drop_with(monkeypatch, lopsided)
-        failing = _failing("symmetry")
-        assert failing.keys() == {"left-plus-one-matches-right-width", "reflection-swaps-widths"}
-        assert failing["left-plus-one-matches-right-width"].startswith("class T, n=2: ")
+        assert _failing("symmetry").keys() == {"reflection-swaps-widths"}
+
+    def test_square_grammar_with_a_bare_c_part_is_caught(self, monkeypatch):
+        # a Qs node may take a part straight above it alone, as a Ts node does
+        want = bijections.grammar_enumerate(2, "Qs")
+        monkeypatch.setitem(bijections._PATTERNS, "Qs", bijections._TRIANGULAR)
+        assert bijections.grammar_enumerate(2, "Qs") != want
+        assert _failing("bijections") == {
+            "dud-free-dyck-image-is-grammar-Qs": "n=2",
+            "grammar-matches-subdiagonal-animals": "square subdiagonal, n=2",
+        }
 
     def test_inflated_height_is_caught(self, monkeypatch):
         orig = paths.height_stats

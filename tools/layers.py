@@ -10,11 +10,13 @@ includes the interpreter and its imports.  Every row runs REPS times
 per size, in a new process each time; a metric is the median over the
 runs.  A run fails when the call's result is wrong: a listing row's
 number of objects against `grammar_count(n, "T")`, which every listed
-family matches, or a CLI exit other than 0; the command-line row's
-number of calls that print their heap against n; a series row's last
-coefficient against its closed formula; a table row's entry (n, n)
-against the directed-animal sum; an identity row when any of its checks
-fails; an animal row's number of points against n.
+family but Q's matches, or against `grammar_count(n, "Q")`, or a CLI
+exit other than 0; the command-line row's number of calls that print
+their heap against n; a series row's last coefficient against its
+closed formula; a table row's entry (n, n) against the directed-animal
+sum; an identity row when any of its checks fails; an animal row's
+number of points against n; a verify row when any check fails or its
+default cap is not n.
 
 The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
@@ -74,10 +76,18 @@ class _Lines:
         pass
 
 
-def _grammar_enumerate(n: int) -> int:
+def _grammar_enumerate(klass: str, n: int) -> int:
     from heapdyck import bijections
 
-    return len(bijections.grammar_enumerate(n, "T"))
+    return len(bijections.grammar_enumerate(n, klass))
+
+
+def _verify(suite: str, n: int) -> int:
+    """The suite's bound at its default cap if every check passes, else -1."""
+    from heapdyck import verify
+
+    report = verify.run_suite(suite)
+    return report.max_n if report.ok else -1
 
 
 def _cli_enumerate(family: str, n: int) -> int:
@@ -132,10 +142,13 @@ def _triangle_animal(n: int) -> int:
     return len(PointAnimal(frozenset((x, y) for x in range(m) for y in range(m - x))))
 
 
-def _t_heaps(n: int) -> int:
+def _heaps(klass: str, n: int) -> int:
     from heapdyck import bijections
 
-    return bijections.grammar_count(n, "T")
+    return bijections.grammar_count(n, klass)
+
+
+_t_heaps = partial(_heaps, "T")
 
 
 def _directed_animals(n: int) -> int:
@@ -143,15 +156,20 @@ def _directed_animals(n: int) -> int:
 
 
 # row name -> (the call, its sizes, the result it must give at size n).  Each listing
-# row lists C(2n - 1, n) objects: the T heaps, the triangular animals, the grand-Dyck
-# words and the multisets over {1..n}.  A series row gives its last coefficient:
+# row but grammar_enumerate.Q lists C(2n - 1, n) objects: the T heaps, the triangular
+# animals, the grand-Dyck words and the multisets over {1..n}; the Q row lists the Q
+# heaps.  A verify row runs one suite at its default cap, which must be n (8 and 7 in
+# verify.SUITE_CAPS), and gives n when every check passes.  A series row gives its last coefficient:
 # T_n = C(2n - 1, n), and Q_n and Mdiag_n, the directed animals of size n (OEIS
 # A005773).  A table row gives entry (n, n) of its table to order n, which is Q_n for
 # both f and h.  The animal row checks a triangle of n points, x + y < m, through
 # PointAnimal's validation.  The command-line row makes n calls of one `map`, each
 # parsed afresh, and counts the ones that print the right heap
 ROWS = {
-    "grammar_enumerate.T": (_grammar_enumerate, LISTING_SIZES, _t_heaps),
+    "grammar_enumerate.T": (partial(_grammar_enumerate, "T"), LISTING_SIZES, _t_heaps),
+    "grammar_enumerate.Q": (partial(_grammar_enumerate, "Q"), LISTING_SIZES, partial(_heaps, "Q")),
+    "verify.bijections": (partial(_verify, "bijections"), (8,), lambda n: n),
+    "verify.symmetry": (partial(_verify, "symmetry"), (7,), lambda n: n),
     "cli.enumerate.heap-T": (partial(_cli_enumerate, "heap-T"), LISTING_SIZES, _t_heaps),
     "cli.enumerate.animal-triangular": (
         partial(_cli_enumerate, "animal-triangular"), LISTING_SIZES, _t_heaps

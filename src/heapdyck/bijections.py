@@ -16,17 +16,16 @@ peels the heap bottom-up; at each step exactly one of the dimers free to
 leave can continue a drop sequence of that shape, so the peel recovers
 the columns and with them the word.
 
-The constructor grammar is read as trees: a node is dropped, then its b
-part one column to the right, then its c part in the same column (cases
-ii-iv), and a T or Q heap is a forest whose tree j stands at column -j
-(case v).  That is `_sequence`'s column rule read node by node.
-`grammar_enumerate` lists the trees in one depth-first walk that keeps
-the column tops in a list, drops each node's dimer as it reaches it and
-restores the one top it changed on the way back, so a dimer shared by a
-common prefix is dropped once for all the heaps below it; the walk holds
-O(n) state besides the heaps it returns, and its recursion is n deep.
-A heap is the same whatever linear extension of it is dropped, so
-`factorize` cuts its word's drop sequence by `_sequence`'s case table.
+The constructor grammar is `counting.CASES`, read as trees: a node,
+then its parts at their column offsets (cases i-iv), and for T and Q a
+forest whose next tree stands one column left (case v).
+`grammar_enumerate` lists the trees in one depth-first walk that drops
+each node's dimer onto a list of column tops as it reaches it and
+restores that top on the way back, so a dimer shared by a common prefix
+is dropped once for all the heaps below it; the walk holds O(n) state
+besides the heaps it returns.  A heap is the same whatever linear
+extension of it is dropped, so `compose` drops its parts' columns at the
+case's offsets, and `factorize` cuts its word's drop sequence back up.
 """
 
 from __future__ import annotations
@@ -131,54 +130,43 @@ def path_to_heap(word: str) -> Heap:
 def factorize(h: Heap) -> Factorization:
     """The constructor case of h and its parts, cut from the drop sequence of its word.
 
-    The cuts follow `_sequence`.  The first negative column starts case v's
-    part c - 1, and the base b before it has no negative column.  With none,
-    the sequence is 0, then b + 1 (all positive) up to the next 0, then c;
-    which of b and c are empty names case i, ii, iii or iv.
+    The first negative column starts case v's second part, and the base
+    before it has none.  With none, the sequence is the node's 0, then its
+    first part (all positive) up to the next 0, then its second.  Every
+    drop sequence starts at 0, so the pieces' first columns are their
+    parts' offsets, which name the case in `counting.CASES`.
     """
     seq = drop_sequence(heap_to_path(h))
     cut = next((i for i, x in enumerate(seq) if x < 0), None)
     if cut is not None:
-        case, seqs = "v", (seq[:cut], [x + 1 for x in seq[cut:]])
+        pieces = (seq[:cut], seq[cut:])
     else:
         cut = next((i for i, x in enumerate(seq) if i and not x), len(seq))
-        b, c = [x - 1 for x in seq[1:cut]], seq[cut:]
-        case, seqs = ("i", "iii", "ii", "iv")[2 * bool(b) + bool(c)], tuple(filter(None, (b, c)))
-    parts = tuple(Heap(heaps.drop_columns(s)) for s in seqs)
+        pieces = tuple(filter(None, (seq[1:cut], seq[cut:])))
+    offsets = tuple(piece[0] for piece in pieces)
+    case = next((c for c, drops in counting.CASES.items() if drops == offsets), None)
+    if case is None:
+        raise FactorizationFailedError(f"no constructor case drops parts at {offsets} in {h}")
+    parts = tuple(Heap(heaps.drop_columns([x - piece[0] for x in piece])) for piece in pieces)
     if compose(case, parts) != h:
         raise FactorizationFailedError(f"case {case} split of {h} does not recompose")
     return Factorization(case, parts)
 
 
-_ARITY = {"i": 0, "ii": 1, "iii": 1, "iv": 2, "v": 2}  # parts per constructor case
-
-
-def _sequence(case: str, b: tuple[int, ...] = (), c: tuple[int, ...] = ()) -> tuple[int, ...]:
-    """The drop sequence of a constructor case, given its parts' drop sequences.
-
-    Case i is the ground column 0 alone, ii adds b one column to the right,
-    iii b straight above, iv b as in ii and then c straight above, and v is
-    b followed by c one column to the left.
-    """
-    if case == "v":
-        return (*b, *[x - 1 for x in c])
-    if case in ("ii", "iv"):
-        return (0, *[x + 1 for x in b], *c)
-    return (0, *b, *c)
-
-
 def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
     """Rebuild a heap from a factorization; inverse of factorize.
 
-    Each part enters the case's drop sequence as its canonical columns, which rebuild it.
+    A node case drops the ground column 0 first; then each part's canonical
+    columns, which rebuild it, drop shifted by its offset in `counting.CASES`.
     """
-    if case not in _ARITY:
+    offsets = counting.CASES.get(case)
+    if offsets is None:
         raise ValueError(f"unknown case {case!r}")
-    if len(parts) != _ARITY[case]:
-        raise FactorizationFailedError(f"case {case} takes {_ARITY[case]} parts, got {len(parts)}")
+    if len(parts) != len(offsets):
+        raise FactorizationFailedError(f"case {case} takes {len(offsets)} parts, got {len(parts)}")
     for p in parts:
         heaps.require_heap(p)
-    seq = _sequence(case, *(tuple(col for col, _ in p.dimers) for p in parts))
+    seq = [0] * (case != "v") + [col + d for p, d in zip(parts, offsets) for col, _ in p.dimers]
     return Heap(heaps.drop_columns(seq))
 
 
@@ -249,24 +237,18 @@ def _close_run(words: list[str], run: list[str], y: int) -> None:
 # --- grammar enumeration ------------------------------------------------
 
 
-# child column offsets of each node pattern, b (one column right) before c
-# (straight above); a square-lattice node has no c without b
-_TRIANGULAR = ((), (1,), (0,), (1, 0))
-_SQUARE = ((), (1,), (1, 0))
-_PATTERNS = {"Ts": _TRIANGULAR, "T": _TRIANGULAR, "Qs": _SQUARE, "Q": _SQUARE}
-
-
 def _grammar_heaps(klass: str, n: int) -> list[Heap]:
     """The size-n heaps of a class, one per constructor tree (or forest, for T and Q).
 
     One depth-first walk visits the trees in preorder, each node dropped
     as the walk reaches it and lifted on the way back, so a prefix shared
     by many heaps is dropped once.  A pattern is kept only while every
-    open slot can still get a node; T and Q start tree j at column -j
-    once the slots run out.
+    open slot can still get a node, which needs the node cases in ascending
+    arity; T and Q start their next tree by case v once the slots run out.
     """
-    patterns = _PATTERNS[klass]
+    patterns = [counting.CASES[case] for case in counting.NODE_CASES[klass[0]]]
     forest = not klass.endswith("s")
+    step = counting.CASES["v"][1]  # the next tree's root column, from the last one's
     # equal dimers of different heaps share one tuple: a class has few distinct dimers
     # (81 among the 218 790 of the T heaps at n = 9), so a heap keeps little but its pointers
     share = {}.setdefault
@@ -275,7 +257,7 @@ def _grammar_heaps(klass: str, n: int) -> list[Heap]:
     dimers: list[Pair] = []
     out: list[Heap] = []
 
-    def grow(col: int, left: int, trees: int) -> None:
+    def grow(col: int, left: int, root: int) -> None:
         """Drop a node at col, then each pattern's subtrees; left counts this node too."""
         i = col + n
         below = tops[i]
@@ -295,15 +277,15 @@ def _grammar_heaps(klass: str, n: int) -> list[Heap]:
                 if slots:
                     pending.extend([col + d for d in reversed(pattern)])
                     nxt = pending.pop()
-                    grow(nxt, left, trees)
+                    grow(nxt, left, root)
                     pending.append(nxt)
                     del pending[open_slots:]
                 elif forest:
-                    grow(-trees, left, trees + 1)
+                    grow(root + step, left, root + step)
         dimers.pop()
         tops[i] = below
 
-    grow(0, n, 1)
+    grow(0, n, 0)
     return out
 
 

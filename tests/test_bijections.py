@@ -289,6 +289,14 @@ class TestFactorize:
                 assert sum(map(len, f.parts)) == (len(g) if f.case == "v" else len(g) - 1)
                 assert (f.case == "v") == (g.min_column() < 0)
 
+    def test_compose_and_factorize_read_the_case_table_at_the_call(self, monkeypatch):
+        # cases ii and iii trade offsets: the part straight above is now case ii's
+        monkeypatch.setitem(counting.CASES, "ii", (0,))
+        monkeypatch.setitem(counting.CASES, "iii", (1,))
+        h = heap_of((0, 0), (0, 1))
+        assert bijections.compose("ii", (heap_of((0, 0)),)) == h
+        assert bijections.factorize(h) == ("ii", (heap_of((0, 0)),))
+
     def test_compose_rejects_unknown_case(self):
         with pytest.raises(ValueError):
             bijections.compose("vi", ())
@@ -378,8 +386,8 @@ class TestGrammar:
             assert Counter(bijections._grammar_heaps(klass, n)) == want, n
 
     def test_duplicate_build_raises(self, monkeypatch):
-        # a node's c part dropped one column right, where its b part goes
-        monkeypatch.setitem(bijections._PATTERNS, "Ts", ((), (1,), (1,), (1, 0)))
+        # case iii's part dropped one column right, where case ii's goes
+        monkeypatch.setitem(counting.CASES, "iii", (1,))
         with pytest.raises(GrammarDuplicateError):
             bijections.grammar_enumerate(2, "Ts")
 

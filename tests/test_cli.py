@@ -646,6 +646,44 @@ class TestReach:
         code, out, err = run(capsys, "series", "--name", "Mdiag", "--order", "3001")
         assert (code, out, err) == (2, "", "error: --order 3001 is beyond the reach of Mdiag (3000)\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-n", str(cli.TABLE1_REACH + 1)],
+            ["--max-k", str(cli.TABLE1_REACH + 1)],
+            ["--max-n", str(10**12), "--max-k", "3"],
+        ],
+    )
+    def test_table1_past_its_reach_exits_2_at_once(self, argv):
+        src = Path(cli.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "heapdyck.cli", "table1", *argv], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - start < 1
+        flag, bound = argv[:2]
+        err = f"error: {flag} {bound} is beyond the reach of table1 ({cli.TABLE1_REACH})\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
+
+    def test_table1_checks_its_reach_before_any_work(self, capsys, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(series, "bivariate", started)
+        reach = cli.TABLE1_REACH
+        help_text = run(capsys, "table1", "--help")[1]
+        assert help_text.count(f"reach: {reach}") == 2
+        code, out, err = run(capsys, "table1", "--max-n", "2", "--max-k", str(reach + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-k {reach + 1} is beyond the reach of table1 ({reach})\n"
+        with pytest.raises(Started):  # at the reach itself, the table is computed
+            cli.table1_lines(reach, reach)
+
     @pytest.mark.parametrize("family", ["dyck", "heap-T", "multiset-star"])
     def test_out_of_memory_is_an_error_line_with_exit_2(self, family):
         # the child's address space is capped, so the count cannot take the machine's memory

@@ -52,6 +52,15 @@ def test_totals_follow_p_recurrences():
         assert (n + 2) * qs[n + 1] == (2 * n + 1) * qs[n] + 3 * (n - 1) * qs[n - 1], n
 
 
+def test_node_cases_are_listed_in_ascending_arity():
+    # the listing walk stops at the first node case with more parts than dimers left
+    for lattice, cases in counting.NODE_CASES.items():
+        arities = [len(counting.CASES[case]) for case in cases]
+        assert arities == sorted(arities), lattice
+    assert "v" not in counting.NODE_CASES["T"]
+    assert set(counting.NODE_CASES["Q"]) == set(counting.NODE_CASES["T"]) - {"iii"}
+
+
 def test_grammar_count_reaches_hundreds(monkeypatch):
     def no_listing(klass, n):
         raise AssertionError("grammar_count listed the heaps it counts")

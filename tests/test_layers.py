@@ -1,6 +1,8 @@
 """tools/layers.py's pairing of parent and change runs, with the child processes faked."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,31 @@ def test_a_wrong_result_on_either_tree_is_a_failure(calls, monkeypatch):
     monkeypatch.setattr(layers, "_one_run", one_run)
     result = layers.run("change", "parent")
     assert (result["correct"], result["attempted"], result["failed"]) == (False, 12, 6)
+
+
+@pytest.mark.parametrize("short_s, repeated", [(0.1, True), (0.0, False)])
+def test_a_short_call_is_repeated_and_timed_per_call(monkeypatch, capsys, short_s, repeated):
+    made = []
+
+    def call(n):
+        made.append(n)
+        return n
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the child puts --src in front
+    monkeypatch.setattr(layers, "ROWS", {"row": (call, (5,), lambda n: n)})
+    monkeypatch.setattr(layers, "SHORT_S", short_s)
+    monkeypatch.setattr(layers, "REPEAT_S", 0.01)
+    layers.child("row", 5, str(_PATH.parent.parent / "src"))
+    got = json.loads(capsys.readouterr().out)
+    assert got["ok"] and got["calls"] == len(made) - repeated
+    assert (got["calls"] > 1) == repeated
+    assert got["cpu_s"] < 0.01
+
+
+def test_a_wrong_repeat_fails_the_run(monkeypatch, capsys):
+    answers = iter([5, 5, 6])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(layers, "ROWS", {"row": (lambda n: next(answers, 5), (5,), lambda n: n)})
+    monkeypatch.setattr(layers, "REPEAT_S", 0.01)
+    layers.child("row", 5, str(_PATH.parent.parent / "src"))
+    assert not json.loads(capsys.readouterr().out)["ok"]

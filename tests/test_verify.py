@@ -323,13 +323,21 @@ class TestMutationSmoke:
         assert _failing("symmetry").keys() == {"reflection-swaps-widths"}
 
     def test_square_grammar_with_a_bare_c_part_is_caught(self, monkeypatch):
-        # a Qs node may take a part straight above it alone, as a Ts node does
+        # a square node may take a part straight above it alone, as a triangular node
+        # does; the word images and the brute-force animals never read the case table,
+        # nor do the series and the binomial formulas that the counts are checked against
         want = bijections.grammar_enumerate(2, "Qs")
-        monkeypatch.setitem(bijections._PATTERNS, "Qs", bijections._TRIANGULAR)
+        monkeypatch.setitem(counting.NODE_CASES, "Q", counting.NODE_CASES["T"])
         assert bijections.grammar_enumerate(2, "Qs") != want
         assert _failing("bijections") == {
+            "dud-free-image-is-grammar-Q": "n=2",
             "dud-free-dyck-image-is-grammar-Qs": "n=2",
+            "grammar-matches-brute-force-animals": "square, n=2",
             "grammar-matches-subdiagonal-animals": "square subdiagonal, n=2",
+        }
+        assert _failing("counts") == {
+            "grammar-counts-match-series": "class Q, n=2",
+            "grammar-counts-match-binomial-formulas": "class Qs, n=2",
         }
 
     def test_inflated_height_is_caught(self, monkeypatch):
@@ -404,12 +412,7 @@ class TestMutationSmoke:
         assert failing["u-heights-track-dimer-columns"] == "n=3, word UDDUUD, run at 2"
 
     def test_count_recurrence_without_case_iii_is_caught(self, monkeypatch):
-        orig = counting._strict_row
-
-        def no_case_iii(n, with_iii, narrower=None):
-            return orig(n, False, narrower)
-
-        monkeypatch.setattr(counting, "_strict_row", no_case_iii)
+        monkeypatch.setitem(counting.NODE_CASES, "T", ("i", "ii", "iv"))
         report = verify.run_suite("counts", 4)
         failing = {c.name for c in report.checks if not c.ok}
         assert failing == {"grammar-counts-match-series", "grammar-counts-match-binomial-formulas"}

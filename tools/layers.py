@@ -6,17 +6,23 @@
 Each row is one library call at each of its sizes, or n calls of one
 command line.  A run imports heapdyck from --src, makes the call once,
 and records the call's CPU time and the process's max RSS, which
-includes the interpreter and its imports.  Every row runs REPS times
-per size, in a new process each time; a metric is the median over the
-runs.  A run fails when the call's result is wrong: a listing row's
-number of objects against `grammar_count(n, "T")`, which every listed
-family but Q's matches, or against `grammar_count(n, "Q")`, or a CLI
-exit other than 0; the command-line row's number of calls that print
-their heap against n; a series row's last coefficient against its
-closed formula; a table row's entry (n, n) against the directed-animal
-sum; an identity row when any of its checks fails; an animal row's
-number of points against n; a verify row when any check fails or its
-default cap is not n.
+includes the interpreter and its imports.  A call that takes less than
+SHORT_S is made again in the same process until the repeats add up to
+REPEAT_S, and the run records their CPU time per call instead, so that
+the cold call's first touch of its memory does not swamp its work.
+Every row runs REPS times per size, in a new process each time; a
+metric is the median over the runs.  A run fails when the call's result
+is wrong: a listing row's number of objects against
+`grammar_count(n, "T")`, which every listed family but Q's matches, or
+against `grammar_count(n, "Q")`, or a CLI exit other than 0; the
+command-line row's number of calls that print their heap against n; a
+series row's last coefficient against its closed formula; a table row's
+entry (n, n) against the directed-animal sum; a counting row's last
+total against C(2n - 1, n) or the directed-animal sum; a width row's
+entry [n][n], which counts every T heap, against C(2n - 1, n); an
+identity row when any of its checks fails; an animal row's number of
+points against n; a verify row when any check fails or its default cap
+is not n.
 
 The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
@@ -59,7 +65,11 @@ ANIMAL_SIZES = (5050, 20100)  # the triangles x + y < 100 and x + y < 200
 MAP_CALLS = (1000,)  # in-process command lines per run
 MAP_ARGV = ["map", "--from", "path", "--to", "heap", "--input", "UUDDDUUD"]
 MAP_HEAP = "(0,0);(-1,1);(1,1);(-2,2)\n"  # what MAP_ARGV prints
+WIDTH_SIZES = (60, 200)
+COUNT_SIZES = (300, 1000)
 REPS = 3  # fresh processes per row and size
+SHORT_S = 0.1  # a call under this much CPU time is repeated within its run
+REPEAT_S = 0.5  # for at least this much CPU time in all
 
 
 class _Lines:
@@ -151,6 +161,18 @@ def _heaps(klass: str, n: int) -> int:
 _t_heaps = partial(_heaps, "T")
 
 
+def _totals(klass: str, n: int) -> int:
+    from heapdyck import counting
+
+    return counting.totals(klass, n)[n]
+
+
+def _widths(table: str, n: int) -> int:
+    from heapdyck import counting
+
+    return getattr(counting, table)("T", n)[n][n]
+
+
 def _directed_animals(n: int) -> int:
     return sum(comb(n - 1, k) * comb(k, k // 2) for k in range(n))
 
@@ -164,7 +186,9 @@ def _directed_animals(n: int) -> int:
 # A005773).  A table row gives entry (n, n) of its table to order n, which is Q_n for
 # both f and h.  The animal row checks a triangle of n points, x + y < m, through
 # PointAnimal's validation.  The command-line row makes n calls of one `map`, each
-# parsed afresh, and counts the ones that print the right heap
+# parsed afresh, and counts the ones that print the right heap.  A counting row gives
+# the recurrences' total of T or Q at n, and a width row entry [n][n] of T's table by
+# rw or lw, which counts every T heap of size n
 ROWS = {
     "grammar_enumerate.T": (partial(_grammar_enumerate, "T"), LISTING_SIZES, _t_heaps),
     "grammar_enumerate.Q": (partial(_grammar_enumerate, "Q"), LISTING_SIZES, partial(_heaps, "Q")),
@@ -184,20 +208,36 @@ ROWS = {
     "bivariate.f": (partial(_bivariate_diagonal, "f"), TABLE_ORDERS, _directed_animals),
     "bivariate.h": (partial(_bivariate_diagonal, "h"), TABLE_ORDERS, _directed_animals),
     "PointAnimal.triangle": (_triangle_animal, ANIMAL_SIZES, lambda n: n),
+    "counting.totals.T": (partial(_totals, "T"), COUNT_SIZES, lambda n: comb(2 * n - 1, n)),
+    "counting.totals.Q": (partial(_totals, "Q"), COUNT_SIZES, _directed_animals),
+    "counting.by_right_width.T": (
+        partial(_widths, "by_right_width"), WIDTH_SIZES, lambda n: comb(2 * n - 1, n)
+    ),
+    "counting.by_left_width.T": (
+        partial(_widths, "by_left_width"), WIDTH_SIZES, lambda n: comb(2 * n - 1, n)
+    ),
 }
 
 
 def child(row: str, n: int, src: str) -> None:
-    """One run in this process: the call, then its CPU time, max RSS and whether it was right."""
+    """One run in this process: the call, then its CPU time per call, max RSS, whether it
+    was right and the number of calls timed (1, or the repeats of a short call)."""
     sys.path.insert(0, src)
     import heapdyck.cli  # noqa: F401  (imports are not part of the call's time)
 
     call, _, expected = ROWS[row]
+    want = expected(n)  # out of the timed region: some cost more than the call
     start = time.process_time()
-    got = call(n)
-    cpu_s = time.process_time() - start
+    ok = call(n) == want
+    cpu_s, calls = time.process_time() - start, 1
+    if cpu_s < SHORT_S:
+        start, calls = time.process_time(), 0
+        while not calls or time.process_time() - start < REPEAT_S:
+            ok &= call(n) == want
+            calls += 1
+        cpu_s = (time.process_time() - start) / calls
     max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"cpu_s": cpu_s, "max_rss_mb": max_rss_mb, "ok": got == expected(n)}))
+    print(json.dumps({"cpu_s": cpu_s, "max_rss_mb": max_rss_mb, "ok": ok, "calls": calls}))
 
 
 def _one_run(row: str, n: int, src: str) -> dict:
@@ -226,7 +266,7 @@ def run(src: str, parent: str | None = None) -> dict:
             for side, got in runs.items():
                 cpu_s = statistics.median(r["cpu_s"] for r in got)
                 rss = statistics.median(r["max_rss_mb"] for r in got)
-                print(f"{side}{row} n={n}: cpu {cpu_s:.3f} s, max rss {rss:.1f} MB"
+                print(f"{side}{row} n={n}: cpu {cpu_s:.4f} s per call, max rss {rss:.1f} MB"
                       f" (median of {REPS})")
                 metrics[f"{side}{row}.n{n}.cpu_s"] = {"value": cpu_s, "unit": "s"}
                 metrics[f"{side}{row}.n{n}.max_rss_mb"] = {"value": rss, "unit": "MB"}

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from typing import Iterator
 
 from . import bijections, heaps, multisets, paths, render, series, verify
 from .errors import HeapdyckError
@@ -63,10 +64,6 @@ _KINDS = {
 }
 
 
-class TableCheckError(HeapdyckError, RuntimeError):
-    """A table1 entry disagrees with the star-multiset count."""
-
-
 def _camel(name: str) -> str:
     head, *rest = name.split("_")
     return head + "".join(part.capitalize() for part in rest)
@@ -99,12 +96,43 @@ def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--k", type=int, help="value bound, multiset families only")
-    p.add_argument("--count-only", action="store_true")
+    limit = _digit_reach(10)
+    reach = (
+        f"--n {_digit_reach(4)} for dyck, grand-dyck and their heaps and animals, "
+        f"{_digit_reach(3)} for the other word, heap and animal families; multisets "
+        f"while C(n + k - 1, n) has at most {limit} digits" if limit else "unlimited"
+    )
+    p.add_argument("--count-only", action="store_true", help=f"print the count; reach: {reach}")
+
+
+def _check_count_reach(family: str, n: int, k: int | None) -> None:
+    """Refuse a count that may not print, before any work.  The words of dyck and
+    grand-dyck, and the heaps and animals counted as them, number less than 4^n, those
+    of the pattern-avoiding word families less than 3^n, and the multisets of n values
+    from 1..k at most C(n + k - 1, n), whose digits lgamma estimates."""
+    limit = _digit_reach(10)
+    if not limit:
+        return
+    if family in _MS_FAMILIES:
+        k = n if k is None else k
+        if n >= 1 and k >= 1:
+            log10 = (math.lgamma(n + k) - math.lgamma(n + 1) - math.lgamma(k)) / math.log(10)
+            if log10 >= limit:
+                raise ValueError(
+                    f"--n {n} is beyond the count reach of {family} at k = {k}: "
+                    f"C(n + k - 1, n) has {int(log10) + 1} digits, past the limit of {limit}"
+                )
+        return
+    reach = _digit_reach(4 if _WORD_FAMILIES[family][1] in ("dyck", "grand_dyck") else 3)
+    if n > reach:
+        raise ValueError(f"--n {n} is beyond the count reach of {family} ({reach})")
 
 
 def _do_enumerate(args) -> int:
     if args.k is not None and args.family not in _MS_FAMILIES:
         raise ValueError("--k applies to multiset families only")
+    if args.count_only:
+        _check_count_reach(args.family, args.n, args.k)
     if args.family in _MS_FAMILIES:
         family = _MS_FAMILIES[args.family]
         if args.count_only:
@@ -157,13 +185,19 @@ def _do_stats(args) -> int:
     return 0
 
 
+def _digit_reach(base: int) -> int | None:
+    """The largest n at which every int below base^n prints within the int-to-str digit
+    limit: the limit itself for base 10.  None when this interpreter has no limit."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return int(digits / math.log10(base)) if digits else None
+
+
 def _series_reach(name: str) -> int | None:
     """The largest order `series` prints: Ts_n, T_n < 4^n and Qs_n, Q_n < 3^n print within
-    the int-to-str digit limit (0 or none: no reach), and Mdiag's table rows, computed one
-    at a time in about 22 MB, three whole-row passes and two prefix sums each, take about
-    4-5 s at order 3000: their time sets that reach."""
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    reach = int(digits / math.log10(4 if name in ("Ts", "T") else 3)) if digits else None
+    their digit reach, and Mdiag's table rows, computed one at a time in about 22 MB, three
+    whole-row passes and two prefix sums each, take about 4-5 s at order 3000: their time
+    sets that reach."""
+    reach = _digit_reach(4 if name in ("Ts", "T") else 3)
     return min(reach or 3000, 3000) if name == "Mdiag" else reach
 
 
@@ -183,33 +217,22 @@ def _do_series(args) -> int:
     return 0
 
 
-TABLE1_REACH = 1600  # of --max-n and --max-k: 1600 x 1600 took 8.4 s CPU, 1.3 GB (2 cores)
+TABLE1_REACH = 1600  # of --max-n and --max-k: 1600 x 1600 took 8.4 s CPU, 0.48 GB (2 cores)
 
 
-def table1_lines(max_n: int, max_k: int) -> list[str]:
+def table1_lines(max_n: int, max_k: int) -> Iterator[str]:
     """Rows k = 1..max_k of star-multiset counts, columns n = 1..max_n.
 
-    Entries are the ints of the bivariate table f, cross-checked against
-    the transfer count of star multisets at n, k <= 9.
+    The bounds are checked and the bivariate table f is expanded at the call;
+    line k is made from column k of the table's rows when it is read.
     """
     if max_n < 1 or max_k < 1:
         raise ValueError("table bounds must be at least 1")
     for flag, bound in (("--max-n", max_n), ("--max-k", max_k)):
         if bound > TABLE1_REACH:
             raise ValueError(f"{flag} {bound} is beyond the reach of table1 ({TABLE1_REACH})")
-    table = series.bivariate("f", max_n, max_k)
-    lines = []
-    for k in range(1, max_k + 1):
-        row = []
-        for n in range(1, max_n + 1):
-            value = table.coefficient(n, k)
-            if n <= 9 and k <= 9 and multisets.count_family("star", n, k) != value:
-                raise TableCheckError(
-                    f"table entry n={n}, k={k} disagrees with the star-multiset count"
-                )
-            row.append(str(value))
-        lines.append(" ".join(row))
-    return lines
+    rows = series.bivariate("f", max_n, max_k).rows[1:]
+    return (" ".join(str(row[k]) for row in rows) for k in range(1, max_k + 1))
 
 
 def _table1_arguments(p: argparse.ArgumentParser) -> None:
@@ -318,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         code = _VERBS[verb].run(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
-    except (ValueError, HeapdyckError) as exc:
+    except (ValueError, OverflowError, HeapdyckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -519,14 +519,18 @@ def _suite_series(max_n: int) -> list[CheckResult]:
         name = f"series-identity: {check.name}"
         rec.note(name, check.detail)
         rec.require(name, check.ok, "coefficients differ, %s", check.detail)
-    table = series.bivariate("f", max_n, 3)
-    row1 = f"f(n, 1) = 1 for n <= {max_n}"
-    rec.require(
-        "bound-1-column-counts-one-multiset",
-        all(table.coefficient(n, 1) == 1 for n in range(1, max_n + 1)),
-        row1,
-    )
-    return rec.results(row1)
+    sizes = range(1, max_n + 1)
+    for name, family, check in (
+        ("f", "star", "table-f-counts-star-multisets"),
+        ("h", "no_single_except_k", "table-h-counts-no-single-multisets"),
+    ):
+        table = series.bivariate(name, max_n, max_n)
+        got = ((n, k, table.coefficient(n, k), multisets.count_family(family, n, k))
+               for n in sizes for k in sizes)
+        wrong = next(((n, k, t, c) for n, k, t, c in got if t != c), None)
+        rec.note(check, f"{name}(n, k) against the {family} transfer count, n, k <= {max_n}")
+        rec.require(check, wrong is None, "n=%s, k=%s: table %s, count %s", *(wrong or ()))
+    return rec.results(f"n, k <= {max_n}")
 
 
 # --- symmetry -----------------------------------------------------------

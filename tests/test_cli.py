@@ -600,25 +600,72 @@ class TestLibraryErrors:
         assert len(mapped) == 2
 
     def test_non_integer_table_entry(self, capsys, monkeypatch):
+        # table1 prints what f holds; verify series checks f against the transfer count
         orig = series.bivariate
 
-        def with_half_entry(*args):
-            table = orig(*args)
+        def with_half_entry(name, *args):
+            table = orig(name, *args)
+            if name != "f":
+                return table
             rows = [list(row) for row in table.rows]
             rows[2][1] = Fraction(1, 2)
             return series.BivarTable(tuple(map(tuple, rows)))
 
         monkeypatch.setattr(series, "bivariate", with_half_entry)
-        code, out, err = run(capsys, "table1", "--max-n", "3", "--max-k", "2")
-        assert (code, out, err) == (
-            2, "", "error: table entry n=2, k=1 disagrees with the star-multiset count\n"
+        code, out, err = run(capsys, "verify", "series", "--max-n", "3", "--json")
+        (report,) = json.loads(out)["reports"]
+        failing = {c["name"]: c["detail"] for c in report["checks"] if not c["ok"]}
+        assert (code, err) == (1, "")
+        assert failing == {"table-f-counts-star-multisets": "n=2, k=1: table 1/2, count 1"}
+
+
+def _star(n, k):
+    """n-multisets of 1..k with no two consecutive values: d distinct values, no two
+    adjacent, in C(k - d + 1, d) ways, and their multiplicities a composition of n."""
+    return sum(comb(n - 1, d - 1) * comb(k - d + 1, d) for d in range(1, (k + 1) // 2 + 1))
+
+
+class TestTable1:
+    def test_reading_every_line_peaks_at_the_table(self):
+        # the lines are made one at a time from the table's rows; a list of every line
+        # peaked at 1.75 times the table's own peak
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            series.bivariate("f", 200, 200)
+            table_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            lines = sum(1 for _ in cli.table1_lines(200, 200))
+            lines_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert lines == 200
+        assert lines_peak <= 1.1 * table_peak
+
+    def test_prints_without_the_transfer_count(self, capsys, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("table1 counted multisets")
+
+        monkeypatch.setattr(multisets, "count_family", no_count)
+        code, out, err = run(capsys, "table1")
+        want = "".join(
+            " ".join(str(_star(n, k)) for n in range(1, 10)) + "\n" for k in range(1, 7)
         )
+        assert (code, out, err) == (0, want, "")
 
 
 class TestReach:
     """A size past its command's reach is an error line and exit 2, before any work."""
 
     DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # word families whose counts, and their heaps' and animals', are below 4^n; the
+    # other word, heap and animal families count below 3^n
+    BASE_4 = (
+        "dyck", "grand-dyck", "heap-T", "heap-Ts", "animal-triangular",
+        "animal-triangular-subdiagonal",
+    )
 
     @pytest.mark.skipif(not DIGITS, reason="this interpreter prints ints of any length")
     @pytest.mark.parametrize(
@@ -684,15 +731,67 @@ class TestReach:
         with pytest.raises(Started):  # at the reach itself, the table is computed
             cli.table1_lines(reach, reach)
 
-    @pytest.mark.parametrize("family", ["dyck", "heap-T", "multiset-star"])
-    def test_out_of_memory_is_an_error_line_with_exit_2(self, family):
-        # the child's address space is capped, so the count cannot take the machine's memory
+    @pytest.mark.skipif(not DIGITS, reason="this interpreter prints ints of any length")
+    @pytest.mark.parametrize("family", cli.FAMILIES)
+    def test_count_past_its_digit_reach_exits_2_at_once(self, family):
+        if family.startswith("multiset-"):
+            # C(2n - 1, n) multisets of n values from 1..n, below 4^n
+            reach = int(self.DIGITS / math.log10(4))
+            while comb(2 * reach + 1, reach + 1) < 10**self.DIGITS:
+                reach += 1
+        else:
+            reach = int(self.DIGITS / math.log10(4 if family in self.BASE_4 else 3))
+        cli._check_count_reach(family, reach, None)  # at the reach, the count runs
+        src = Path(cli.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = ["enumerate", "--family", family, "--n", str(reach + 1), "--count-only"]
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "heapdyck.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - start < 1
+        assert (done.returncode, done.stdout) == (2, "")
+        err = f"error: --n {reach + 1} is beyond the count reach of {family}"
+        assert done.stderr.startswith(err) and done.stderr.count("\n") == 1
+        if not family.startswith("multiset-"):
+            assert done.stderr == f"{err} ({reach})\n"
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["list", "count"])
+    def test_a_size_past_a_float_is_an_error_line(self, capsys, count_only):
+        argv = ["enumerate", "--family", "multiset-star", "--n", str(10**400), *count_only]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_without_a_digit_limit_counts_have_no_reach(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        for family in cli.FAMILIES:
+            cli._check_count_reach(family, 10**12, None)
+        assert "reach: unlimited" in " ".join(run(capsys, "enumerate", "--help")[1].split())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the first object listed: a word of 2 * 10^12 steps, or 10^12 values
+            *(
+                pytest.param(["enumerate", "--family", family, "--n", str(10**12)], id=family)
+                for family in ("dyck", "heap-T", "multiset-star")
+            ),
+            # the staircase word of one value bounded by 10^12
+            pytest.param(
+                ["map", "--from", "multiset", "--to", "path", "--input", f"1|k={10**12}"],
+                id="map-multiset",
+            ),
+        ],
+    )
+    def test_out_of_memory_is_an_error_line_with_exit_2(self, argv):
+        # the child's address space is capped, so the call cannot take the machine's memory
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
 
         src = Path(cli.__file__).parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
-        argv = ["enumerate", "--family", family, "--n", str(10**12), "--count-only"]
         done = subprocess.run(
             [sys.executable, "-m", "heapdyck.cli", *argv], env=env, capture_output=True,
             text=True, timeout=60, preexec_fn=cap_memory,

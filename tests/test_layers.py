@@ -92,3 +92,14 @@ def test_a_wrong_repeat_fails_the_run(monkeypatch, capsys):
     monkeypatch.setattr(layers, "REPEAT_S", 0.01)
     layers.child("row", 5, str(_PATH.parent.parent / "src"))
     assert not json.loads(capsys.readouterr().out)["ok"]
+
+
+def test_table1_row_checks_its_last_entry_by_the_closed_star_sum():
+    from heapdyck import series
+
+    table = series.bivariate("f", 60, 60)
+    for n in range(1, 61):
+        for k in range(1, 61):
+            assert layers._star(n, k) == table.coefficient(n, k), (n, k)
+    call, _, expected = layers.ROWS["cli.table1"]
+    assert call(9) == expected(9) == (9, table.coefficient(9, 9))

@@ -132,7 +132,8 @@ class TestReports:
                     "series-identity: diagonal(h) = Q",
                     "series-identity: diagonal(f) satisfies (1-3x)(1+2Y)^2 = 1+x",
                     "series-identity: diagonal(h) satisfies (1-3x)(1+2Y)^2 = 1+x",
-                    "bound-1-column-counts-one-multiset",
+                    "table-f-counts-star-multisets",
+                    "table-h-counts-no-single-multisets",
                 ],
             ),
             (
@@ -458,6 +459,27 @@ class TestMutationSmoke:
             "series-identity: Q = Qs(1+Q)",
             "series-identity: diagonal(f) = Q",
             "series-identity: diagonal(h) = Q",
+        }
+
+    def test_table_h_with_a_wrong_denominator_term_is_caught(self, monkeypatch):
+        from heapdyck import series
+
+        numerator, denominator = series._TABLES["h"]
+        # the term -z^2 u raised by 1
+        monkeypatch.setitem(series._TABLES, "h", (numerator, {**denominator, (2, 1): 0}))
+        failing = _failing("series")
+        assert failing["table-h-counts-no-single-multisets"] == "n=2, k=2: table 1, count 2"
+        assert "table-f-counts-star-multisets" not in failing
+
+    def test_star_count_that_counts_every_multiset_is_caught(self, monkeypatch):
+        orig = multisets.count_family
+
+        def counts_all(family, n, k=None):
+            return orig("all" if family == "star" else family, n, k)
+
+        monkeypatch.setattr(multisets, "count_family", counts_all)
+        assert _failing("series") == {
+            "table-f-counts-star-multisets": "n=2, k=2: table 2, count 3"
         }
 
 

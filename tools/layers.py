@@ -15,7 +15,9 @@ metric is the median over the runs.  A run fails when the call's result
 is wrong: a listing row's number of objects against
 `grammar_count(n, "T")`, which every listed family but Q's matches, or
 against `grammar_count(n, "Q")`, or a CLI exit other than 0; the
-command-line row's number of calls that print their heap against n; a
+command-line row's number of calls that print their heap against n; the
+table1 row's number of lines against n and its last entry against the
+closed sum over the number of distinct values; a
 series row's last coefficient against its closed formula; a table row's
 entry (n, n) against the directed-animal sum; a counting row's last
 total against C(2n - 1, n) or the directed-animal sum; a width row's
@@ -65,6 +67,7 @@ ANIMAL_SIZES = (5050, 20100)  # the triangles x + y < 100 and x + y < 200
 MAP_CALLS = (1000,)  # in-process command lines per run
 MAP_ARGV = ["map", "--from", "path", "--to", "heap", "--input", "UUDDDUUD"]
 MAP_HEAP = "(0,0);(-1,1);(1,1);(-2,2)\n"  # what MAP_ARGV prints
+TABLE1_SIZES = (1000, 1600)  # 1600 is cli.TABLE1_REACH
 WIDTH_SIZES = (60, 200)
 COUNT_SIZES = (300, 1000)
 REPS = 3  # fresh processes per row and size
@@ -73,13 +76,17 @@ REPEAT_S = 0.5  # for at least this much CPU time in all
 
 
 class _Lines:
-    """A stdout that counts the lines written to it and keeps none of them."""
+    """A stdout that counts the lines written to it and keeps only the last text written
+    before a newline."""
 
     def __init__(self) -> None:
         self.count = 0
+        self.last = ""
 
     def write(self, text: str) -> int:
         self.count += text.count("\n")
+        if text != "\n":
+            self.last = text
         return len(text)
 
     def flush(self) -> None:
@@ -110,6 +117,19 @@ def _cli_enumerate(family: str, n: int) -> int:
     finally:
         sys.stdout = sink
     return lines if code == 0 else -1
+
+
+def _cli_table1(n: int) -> tuple[int, int] | int:
+    """The number of lines `table1` prints at n x n, and its last entry; -1 if it fails."""
+    from heapdyck import cli
+
+    sink, sys.stdout = sys.stdout, _Lines()
+    try:
+        code = cli.main(["table1", "--max-n", str(n), "--max-k", str(n)])
+        lines, last = sys.stdout.count, sys.stdout.last
+    finally:
+        sys.stdout = sink
+    return (lines, int(last.rpartition(" ")[2])) if code == 0 else -1
 
 
 def _cli_map(calls: int) -> int:
@@ -177,6 +197,12 @@ def _directed_animals(n: int) -> int:
     return sum(comb(n - 1, k) * comb(k, k // 2) for k in range(n))
 
 
+def _star(n: int, k: int) -> int:
+    """n-multisets of 1..k with no two consecutive values: d distinct values, no two
+    adjacent, and their multiplicities a composition of n."""
+    return sum(comb(n - 1, d - 1) * comb(k - d + 1, d) for d in range(1, (k + 1) // 2 + 1))
+
+
 # row name -> (the call, its sizes, the result it must give at size n).  Each listing
 # row but grammar_enumerate.Q lists C(2n - 1, n) objects: the T heaps, the triangular
 # animals, the grand-Dyck words and the multisets over {1..n}; the Q row lists the Q
@@ -186,7 +212,9 @@ def _directed_animals(n: int) -> int:
 # A005773).  A table row gives entry (n, n) of its table to order n, which is Q_n for
 # both f and h.  The animal row checks a triangle of n points, x + y < m, through
 # PointAnimal's validation.  The command-line row makes n calls of one `map`, each
-# parsed afresh, and counts the ones that print the right heap.  A counting row gives
+# parsed afresh, and counts the ones that print the right heap; the table1 row prints
+# the n x n table and gives its number of lines and its last entry, the star multisets
+# of n values from 1..n.  A counting row gives
 # the recurrences' total of T or Q at n, and a width row entry [n][n] of T's table by
 # rw or lw, which counts every T heap of size n
 ROWS = {
@@ -201,6 +229,7 @@ ROWS = {
     "cli.enumerate.grand-dyck": (partial(_cli_enumerate, "grand-dyck"), LISTING_SIZES, _t_heaps),
     "cli.enumerate.multiset-all": (partial(_cli_enumerate, "multiset-all"), LISTING_SIZES, _t_heaps),
     "cli.main.map": (_cli_map, MAP_CALLS, lambda n: n),
+    "cli.table1": (_cli_table1, TABLE1_SIZES, lambda n: (n, _star(n, n))),
     "closed_form.T": (partial(_closed_form, "T"), SERIES_ORDERS, lambda n: comb(2 * n - 1, n)),
     "closed_form.Q": (partial(_closed_form, "Q"), SERIES_ORDERS, _directed_animals),
     "closed_form.Mdiag": (partial(_closed_form, "Mdiag"), MDIAG_ORDERS, _directed_animals),

@@ -121,7 +121,7 @@ def drop_sequence(word: str) -> list[int]:
 
 def path_to_heap(word: str) -> Heap:
     """Drop the word's drop sequence under gravity."""
-    return Heap(heaps.drop_columns(drop_sequence(word)))
+    return heaps.fallen(heaps.drop_columns(drop_sequence(word)))
 
 
 # --- constructors and their inversion ----------------------------------
@@ -147,7 +147,9 @@ def factorize(h: Heap) -> Factorization:
     case = next((c for c, drops in counting.CASES.items() if drops == offsets), None)
     if case is None:
         raise FactorizationFailedError(f"no constructor case drops parts at {offsets} in {h}")
-    parts = tuple(Heap(heaps.drop_columns([x - piece[0] for x in piece])) for piece in pieces)
+    parts = tuple(
+        heaps.fallen(heaps.drop_columns([x - piece[0] for x in piece])) for piece in pieces
+    )
     if compose(case, parts) != h:
         raise FactorizationFailedError(f"case {case} split of {h} does not recompose")
     return Factorization(case, parts)
@@ -167,7 +169,7 @@ def compose(case: str, parts: tuple[Heap, ...]) -> Heap:
     for p in parts:
         heaps.require_heap(p)
     seq = [0] * (case != "v") + [col + d for p, d in zip(parts, offsets) for col, _ in p.dimers]
-    return Heap(heaps.drop_columns(seq))
+    return heaps.fallen(heaps.drop_columns(seq))
 
 
 # --- heap -> word ------------------------------------------------------
@@ -267,7 +269,7 @@ def _grammar_heaps(klass: str, n: int) -> list[Heap]:
         dimers.append(share(dimer, dimer))
         left -= 1
         if not left:
-            out.append(Heap(dimers))
+            out.append(heaps.fallen(dimers))
         else:
             open_slots = len(pending)
             for pattern in patterns:

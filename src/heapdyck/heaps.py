@@ -4,6 +4,11 @@ A dimer occupies the two cells (column, column+1) of one level.  A heap
 is a finite set of dimers where every dimer above level 0 rests on some
 dimer one or more levels below within one column of it, no two dimers of
 a level overlap, and exactly one dimer sits at level 0, in column 0.
+`Heap` checks all of that in one sweep, for dimers from anywhere.  A
+heap built by letting dimers fall, as the word map, the grammar and the
+animal map build theirs, is made by `fallen`, which checks the ground
+alone: a fallen dimer always rests on a support and never overlaps one
+(Viennot, LNM 1234, 1986).
 
 A dimer is a plain ``(column, level)`` tuple of two ints, not a
 NamedTuple.  The garbage collector stops tracking a tuple of ints at its
@@ -126,6 +131,10 @@ def _check_heap(dimers: tuple[Pair, ...]) -> str | None:
 class Heap(Value):
     """Immutable validated heap of dimers, kept sorted by (level, column).
 
+    `Heap(dimers)` accepts any iterable of pairs and checks them all:
+    their types, then `_check_heap`'s sweep.  Heaps of dropped dimers come
+    from `fallen` instead, which checks only their ground.
+
     `dimers` is a tuple of plain ``(column, level)`` int pairs: exact
     tuples, which the garbage collector untracks, not a NamedTuple, which
     it would walk at every collection for as long as the heap lives.  Pairs
@@ -199,6 +208,27 @@ def drop_columns(columns: Iterable[int]) -> list[Pair]:
     return list(zip(cols, levels))
 
 
+def fallen(dimers: Iterable[Pair]) -> Heap:
+    """The heap of dimers that fell under gravity, checked at the ground only.
+
+    The dimers are exact int pairs that `drop_columns`, or a walk keeping
+    column tops the same way, dropped.  Each landed one level above the
+    tops of its column and both neighbours, so it rests on a dimer one
+    level below and no dimer of its level lies within one column of it:
+    only the ground can be wrong.  In (level, column) order, the ground
+    holds the one dimer (0, 0) exactly when the first dimer is (0, 0) and
+    the second, if any, lies above level 0.
+    """
+    canon = tuple(sorted(dimers, key=_BY_LEVEL))
+    if not canon:
+        raise NotAHeapError("empty heap")
+    if canon[0] != (0, 0) or len(canon) > 1 and not canon[1][1]:
+        raise NotAHeapError("need exactly one level-0 dimer, in column 0")
+    heap = object.__new__(Heap)
+    object.__setattr__(heap, "dimers", canon)
+    return heap
+
+
 def require_heap(h: object) -> None:
     """Raise the NotAHeapError that names h's type unless h is a Heap."""
     if not isinstance(h, Heap):
@@ -246,10 +276,14 @@ def animal_validate(points: Iterable[Point], lattice: str = "triangular") -> boo
     A predecessor is a point one lattice step back.  Each step raises
     x + y, so by induction on x + y this is the same as every point being
     reachable from the origin, and one pass over the points decides it.
+    Coordinates must be exact ints: a float or a bool equals an int and
+    hashes as one, so the set alone would not refuse it.
     """
     pts = set(points)
     if (0, 0) not in pts:
         raise MissingOriginError("animal must contain (0, 0)")
+    if not _INT.issuperset(map(type, chain.from_iterable(pts))):
+        raise NotAnAnimalError("animal coordinates must be integers")
     if any(x < 0 or y < 0 for x, y in pts):
         raise NotAnAnimalError("animal coordinates must be non-negative")
     moves = _steps(lattice)
@@ -280,7 +314,7 @@ class PointAnimal(Value):
 def animal_to_heap(a: PointAnimal) -> Heap:
     """Drop one dimer per point, column x - y, in non-decreasing x + y order."""
     points = sorted(a.points, key=lambda p: (p[0] + p[1], p[0]))
-    return Heap(drop_columns(x - y for x, y in points))
+    return fallen(drop_columns(x - y for x, y in points))
 
 
 def heap_to_animal(h: Heap) -> PointAnimal:

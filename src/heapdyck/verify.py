@@ -457,7 +457,7 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
                 ms = multisets.stats(bijections.path_to_multiset(word))
                 ps = paths.height_stats(word)
                 seq = bijections.drop_sequence(word)
-                hs = heaps.heap_stats(heaps.Heap(heaps.drop_columns(seq)))
+                hs = heaps.heap_stats(heaps.fallen(heaps.drop_columns(seq)))
                 for name, holds in _WORD_RELATIONS:
                     rec.require(name, holds(hs, ps, ms), where)
                 off = ps.height_max - ms.gap

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, strategies as st
 
-from heapdyck import bijections, counting, heaps, multisets, render
+from heapdyck import bijections, counting, heaps, multisets, paths, render
 from heapdyck.errors import HeapdyckError
 from heapdyck.heaps import (
     Heap,
@@ -180,12 +180,20 @@ class TestSweepMatchesReference:
 
     @pytest.mark.parametrize("klass", counting.CLASSES)
     def test_grammar_heaps_and_their_one_dimer_removals(self, klass):
-        for n in range(1, 8):
+        for n in range(1, 9):
             for h in bijections.grammar_enumerate(n, klass):
                 assert reference_check_heap(h.dimers) is None
                 for i in range(n):
                     rest = h.dimers[:i] + h.dimers[i + 1 :]
                     assert _verdict(rest) == reference_check_heap(rest), rest
+
+
+def _anchored(steps):
+    """Column 0, then per (k, step) an earlier column, chosen by k, moved by step: a heap."""
+    columns = [0]
+    for k, step in steps:
+        columns.append(columns[k % len(columns)] + step)
+    return columns
 
 
 class TestDrop:
@@ -216,10 +224,7 @@ class TestDrop:
         # no base, or a heap dropped from column 0 with each later column next
         # to an earlier one, as its canonical columns; then columns anywhere,
         # with repeats and gaps
-        base_columns = [0]
-        for k, step in anchors:
-            base_columns.append(base_columns[k % len(base_columns)] + step)
-        base = Heap(reference_drop_columns(base_columns)).dimers if grounded else ()
+        base = Heap(reference_drop_columns(_anchored(anchors))).dimers if grounded else ()
         sequence = [col for col, _ in base] + columns
         got = heaps.drop_columns(iter(sequence))
         assert got == reference_drop_columns(sequence)
@@ -232,6 +237,48 @@ class TestDrop:
         merged = superpose(base, part, -1)
         expect = drop(drop(heap_of(*base), -1), -1)
         assert Heap(merged) == expect
+
+
+def _outcome(build, columns):
+    """The heap build makes of the columns dropped, or the message of its NotAHeapError."""
+    try:
+        return build(heaps.drop_columns(columns))
+    except NotAHeapError as exc:
+        return str(exc)
+
+
+# column lists from anywhere, empty, off column 0 or with a second dimer on the
+# ground; and the column lists of heaps
+_ANY_COLUMNS = st.lists(st.integers(-8, 8), max_size=24)
+_HEAP_COLUMNS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(-1, 1)), max_size=24
+).map(_anchored)
+
+
+class TestFallen:
+    """`fallen` checks the ground alone and agrees with Heap's full check on dropped dimers."""
+
+    @given(st.one_of(_ANY_COLUMNS, _HEAP_COLUMNS))
+    @example([])
+    @example([1, 0])
+    @example([0, 2])
+    @example([0, -1, 1, -3])
+    def test_agrees_with_the_full_check(self, columns):
+        got, want = _outcome(heaps.fallen, columns), _outcome(Heap, columns)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert type(got) is Heap and got == want and got.dimers == want.dimers
+
+    def test_mapped_composed_and_factored_heaps_pass_the_full_check(self):
+        for n in range(1, 9):
+            for word in paths.enumerate_family("grand_dyck", n):
+                h = bijections.path_to_heap(word)
+                case, parts = bijections.factorize(h)
+                composed = bijections.compose(case, parts)
+                animal = heaps.animal_to_heap(heaps.heap_to_animal(h))
+                for built in (h, composed, *parts, animal):
+                    assert heaps._check_heap(built.dimers) is None, (word, built)
 
 
 class TestStats:
@@ -293,6 +340,11 @@ class TestAnimals:
         [
             ({(0, 0), (2, 2)}, "points are not connected to the origin"),
             ({(0, 0), (-1, 0)}, "animal coordinates must be non-negative"),
+            ({(0, 0), (1.0, 0)}, "animal coordinates must be integers"),
+            ({(0, 0), (0, 1), (1, 1.5)}, "animal coordinates must be integers"),
+            ({(0, 0), (True, 0)}, "animal coordinates must be integers"),
+            ({(0.0, 0)}, "animal coordinates must be integers"),
+            ({(0, 0), (-1.0, 0)}, "animal coordinates must be integers"),
         ],
     )
     def test_point_animal_refusal_is_a_library_error(self, points, message):

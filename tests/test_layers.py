@@ -103,3 +103,13 @@ def test_table1_row_checks_its_last_entry_by_the_closed_star_sum():
             assert layers._star(n, k) == table.coefficient(n, k), (n, k)
     call, _, expected = layers.ROWS["cli.table1"]
     assert call(9) == expected(9) == (9, table.coefficient(9, 9))
+
+
+def test_word_row_maps_a_grand_dyck_word_and_checks_it_by_the_inverse():
+    from heapdyck import paths
+
+    word = layers._word(50)
+    paths.check_grand_dyck(word)
+    assert len(word) == 100
+    call, _, expected = layers.ROWS["bijections.path_to_heap"]
+    assert call(50) == expected(50) is not None

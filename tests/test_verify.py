@@ -303,7 +303,10 @@ class TestMutationSmoke:
             return best + 1
 
         _drop_with(monkeypatch, lopsided)
+        # a fallen heap is checked at its ground only, so an animal whose lopsided heap
+        # overlaps but is grounded goes on to fail its round trip
         assert _failing("bijections").keys() == {
+            "animal-round-trip",
             "run-heap-round-trip",
             "run-heap-image-is-grammar-T",
             "dyck-image-is-grammar-Ts",
@@ -313,6 +316,19 @@ class TestMutationSmoke:
             "grammar-matches-subdiagonal-animals",
             "square-animals-are-diagonal-free-heaps",
         }
+
+    def test_fallen_without_its_ground_check_takes_a_bad_ground(self):
+        # gravity leaves only the ground to check; without that check, dimers dropped
+        # off column 0 or beside the first dimer make a heap Heap refuses
+        groundless = _mutated(
+            heaps.fallen, "canon[0] != (0, 0) or len(canon) > 1 and not canon[1][1]", "False"
+        )
+        for columns in ([1], [1, 0], [0, 2]):
+            dimers = heaps.drop_columns(columns)
+            assert isinstance(groundless(dimers), heaps.Heap)
+            for build in (heaps.fallen, heaps.Heap):
+                with pytest.raises(heaps.NotAHeapError, match="^need exactly one level-0"):
+                    build(dimers)
 
     def test_one_sided_gravity_fails_symmetry_checks(self, monkeypatch):
         # the animal map drops by heaps.drop_columns; the grammar keeps column tops of its

@@ -12,8 +12,9 @@ REPEAT_S, and the run records their CPU time per call instead, so that
 the cold call's first touch of its memory does not swamp its work.
 Every row runs REPS times per size, in a new process each time; a
 metric is the median over the runs.  A run fails when the call's result
-is wrong: a listing row's number of objects against
-`grammar_count(n, "T")`, which every listed family but Q's matches, or
+is wrong: the word -> heap row's heap against the heap that
+`heap_to_path` maps back to its word; a listing row's number of objects
+against `grammar_count(n, "T")`, which every listed family but Q's matches, or
 against `grammar_count(n, "Q")`, or a CLI exit other than 0; the
 command-line row's number of calls that print their heap against n; the
 table1 row's number of lines against n and its last entry against the
@@ -48,16 +49,19 @@ import argparse
 import io
 import json
 import os
+import random
 import resource
 import statistics
 import subprocess
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from math import comb, isqrt
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LISTING_SIZES = (9, 10)
+WORD_SIZES = (2000, 10_000)  # semilengths of the word -> heap row's word
+WORD_SEED = 11
 SERIES_ORDERS = (1000, 2000, 5000)
 # one row of f at a time; its time sets series' Mdiag reach
 MDIAG_ORDERS = (1000, 1500, 2000, 2500, 3000)
@@ -91,6 +95,28 @@ class _Lines:
 
     def flush(self) -> None:
         pass
+
+
+@cache
+def _word(n: int) -> str:
+    """A grand-Dyck word of semilength n: U, then n - 1 U and n D steps in a seeded shuffle."""
+    steps = ["U"] * (n - 1) + ["D"] * n
+    random.Random(WORD_SEED).shuffle(steps)
+    return "U" + "".join(steps)
+
+
+def _path_to_heap(n: int):
+    from heapdyck import bijections
+
+    return bijections.path_to_heap(_word(n))
+
+
+def _inverted_heap(n: int):
+    """The heap of _word(n) when `heap_to_path` maps it back to the word, else None."""
+    from heapdyck import bijections
+
+    h = _path_to_heap(n)
+    return h if bijections.heap_to_path(h) == _word(n) else None
 
 
 def _grammar_enumerate(klass: str, n: int) -> int:
@@ -203,7 +229,9 @@ def _star(n: int, k: int) -> int:
     return sum(comb(n - 1, d - 1) * comb(k - d + 1, d) for d in range(1, (k + 1) // 2 + 1))
 
 
-# row name -> (the call, its sizes, the result it must give at size n).  Each listing
+# row name -> (the call, its sizes, the result it must give at size n).  The word -> heap
+# row maps one seeded grand-Dyck word of semilength n, and its heap must be the one that
+# heap_to_path maps back to the word.  Each listing
 # row but grammar_enumerate.Q lists C(2n - 1, n) objects: the T heaps, the triangular
 # animals, the grand-Dyck words and the multisets over {1..n}; the Q row lists the Q
 # heaps.  A verify row runs one suite at its default cap, which must be n (8 and 7 in
@@ -218,6 +246,7 @@ def _star(n: int, k: int) -> int:
 # the recurrences' total of T or Q at n, and a width row entry [n][n] of T's table by
 # rw or lw, which counts every T heap of size n
 ROWS = {
+    "bijections.path_to_heap": (_path_to_heap, WORD_SIZES, _inverted_heap),
     "grammar_enumerate.T": (partial(_grammar_enumerate, "T"), LISTING_SIZES, _t_heaps),
     "grammar_enumerate.Q": (partial(_grammar_enumerate, "Q"), LISTING_SIZES, partial(_heaps, "Q")),
     "verify.bijections": (partial(_verify, "bijections"), (8,), lambda n: n),

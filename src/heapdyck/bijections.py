@@ -288,6 +288,7 @@ def _grammar_heaps(klass: str, n: int) -> list[Heap]:
         tops[i] = below
 
     grow(0, n, 0)
+    del grow  # it reaches itself through its closure, a cycle that would keep out alive
     return out
 
 

@@ -94,22 +94,23 @@ def _stats_lines(payload: dict) -> list[str]:
 
 def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", type=int, help="value bound, multiset families only")
     limit = _digit_reach(10)
     reach = (
-        f"--n {_digit_reach(4)} for dyck, grand-dyck and their heaps and animals, "
+        f"{_digit_reach(4)} for dyck, grand-dyck and their heaps and animals, "
         f"{_digit_reach(3)} for the other word, heap and animal families; multisets "
         f"while C(n + k - 1, n) has at most {limit} digits" if limit else "unlimited"
     )
-    p.add_argument("--count-only", action="store_true", help=f"print the count; reach: {reach}")
+    p.add_argument("--n", required=True, type=int, help=f"size, listed or counted; reach: {reach}")
+    p.add_argument("--k", type=int, help="value bound, multiset families only")
+    p.add_argument("--count-only", action="store_true", help="print the count")
 
 
 def _check_count_reach(family: str, n: int, k: int | None) -> None:
-    """Refuse a count that may not print, before any work.  The words of dyck and
-    grand-dyck, and the heaps and animals counted as them, number less than 4^n, those
-    of the pattern-avoiding word families less than 3^n, and the multisets of n values
-    from 1..k at most C(n + k - 1, n), whose digits lgamma estimates."""
+    """Refuse a count that may not print, and a listing of as many objects, which
+    would not end, before any work.  The words of dyck and grand-dyck, and the heaps
+    and animals counted as them, number less than 4^n, those of the pattern-avoiding
+    word families less than 3^n, and the multisets of n values from 1..k at most
+    C(n + k - 1, n), whose digits lgamma estimates."""
     limit = _digit_reach(10)
     if not limit:
         return
@@ -131,8 +132,7 @@ def _check_count_reach(family: str, n: int, k: int | None) -> None:
 def _do_enumerate(args) -> int:
     if args.k is not None and args.family not in _MS_FAMILIES:
         raise ValueError("--k applies to multiset families only")
-    if args.count_only:
-        _check_count_reach(args.family, args.n, args.k)
+    _check_count_reach(args.family, args.n, args.k)
     if args.family in _MS_FAMILIES:
         family = _MS_FAMILIES[args.family]
         if args.count_only:

@@ -6,9 +6,12 @@ counts suite lists nothing, and compares transfer counts, formulas,
 series and recurrences up to that bound.  In the walking suites, a
 library error raised on one object, or while the grammar builds a class,
 fails the checks being computed, with the object or class named, and the
-walk carries on.  The statistics suite does not assume the two empirical
-index relations it watches; it detects the constants from the data,
-fails if they drift anywhere in range, and reports what it found.
+walk carries on.  The bijections suite runs one size at a time, and a
+size in phases (the staircase maps, the word -> heap map, the animals),
+each of which frees what it lists before the next phase or size runs.
+The statistics suite does not assume the two empirical index relations
+it watches; it detects the constants from the data, fails if they drift
+anywhere in range, and reports what it found.
 
 The counts and symmetry suites also have a counting tier, which compares
 the constructor recurrences of `counting` with independent formulas at
@@ -78,19 +81,14 @@ class _Recorder:
     """Collects at most one failure per check, keeping the first detail."""
 
     def __init__(self) -> None:
-        self.order: list[str] = []
+        self.order: dict[str, None] = {}  # the check names, in the order first seen
         self.failures: dict[str, str] = {}
         self.notes: dict[str, str] = {}
-
-    def declare(self, *names: str) -> None:
-        for name in names:
-            if name not in self.order:
-                self.order.append(name)
 
     def require(self, name: str, ok: bool, detail: str, *args: object) -> None:
         """Fail check name unless ok; given args, the detail is detail % args,
         formatted only when it is recorded."""
-        self.declare(name)
+        self.order.setdefault(name)
         if not ok and name not in self.failures:
             self.failures[name] = detail % args if args else detail
 
@@ -122,7 +120,7 @@ class _Recorder:
         return _found(self.images(name, fn, objects, where))
 
     def note(self, name: str, detail: str) -> None:
-        self.declare(name)
+        self.order.setdefault(name)
         self.notes[name] = detail
 
     def results(self, default_detail: str) -> list[CheckResult]:
@@ -262,123 +260,11 @@ def _count_tier(rec: _Recorder, motzkin: list[int]) -> None:
 
 
 def _suite_bijections(max_n: int) -> list[CheckResult]:
+    """Size by size, and within a size phase by phase, so that what a phase lists is
+    freed before the next phase or size runs: the peak is one phase of the largest size."""
     rec = _Recorder()
     for n in range(1, max_n + 1):
-        # walked in listing order, so that a failure names the same word under any hash seed
-        words = list(paths.enumerate_family("grand_dyck", n))
-        unique = set(words)
-        every = list(multisets.enumerate_family("all", n))
-        # the distinct members of each family listed below, by module and family
-        listed = {(paths, "grand_dyck"): len(unique), (multisets, "all"): len(set(every))}
-        images = {}
-        at_multiset = "n=%d, multiset %s"
-        for m in every:
-            with rec.guard("staircase-round-trip", at_multiset, n, m):
-                w = bijections.multiset_to_path(m)
-                images[w] = m
-                rec.require(
-                    "staircase-round-trip", bijections.path_to_multiset(w) == m, at_multiset, n, m
-                )
-        rec.require(
-            "staircase-is-bijective",
-            images.keys() == unique,
-            f"n={n}: image size {len(images)}, target {len(unique)}",
-        )
-        targets = {}  # each target family's words, in listing order
-        for family, target in (
-            ("super", "dyck"),
-            ("star", "grand_dyck_star"),
-            ("no_single_except_k", "grand_dyck_udu_free"),
-            ("super_star", "dyck_star"),
-        ):
-            name = f"staircase-{family.replace('_', '-')}-image"
-            members = rec.images(
-                name,
-                bijections.multiset_to_path,
-                multisets.enumerate_family(family, n),
-                f"n={n}, multiset",
-            )
-            got = _found(members)
-            targets[target] = list(paths.enumerate_family(target, n))
-            want = set(targets[target])
-            rec.require(name, got == want, f"n={n}: {len(got)} words vs {len(want)}")
-            listed[multisets, family] = len(members)
-            listed[paths, target] = len(want)
-        # built on first use, so that a library error fails only the checks against its class
-        grammar = cache(partial(bijections.grammar_enumerate, n))
-        # word -> its heap, or the library error path_to_heap raised
-        word_heaps = rec.images(
-            "run-heap-round-trip", bijections.path_to_heap, words, f"n={n}, word"
-        )
-        for w, h in word_heaps.items():
-            if not isinstance(h, HeapdyckError):
-                where = f"n={n}, word {w}"
-                with rec.guard("run-heap-round-trip", where):
-                    rec.require("run-heap-round-trip", bijections.heap_to_path(h) == w, where)
-        heaps_seen = _found(word_heaps)
-        name, where = "run-heap-image-is-grammar-T", f"n={n}: {len(heaps_seen)} heaps"
-        with rec.guard(name, where):
-            rec.require(name, len(heaps_seen) == len(unique) and heaps_seen == grammar("T"), where)
-        for family, name, klass in (
-            ("dyck", "dyck-image-is-grammar-Ts", "Ts"),
-            ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
-            ("dyck_star", "dud-free-dyck-image-is-grammar-Qs", "Qs"),
-        ):
-            image = rec.image(
-                name, partial(_mapped_heap, word_heaps), targets[family], f"n={n}, word"
-            )
-            with rec.guard(name, f"n={n}"):
-                rec.require(name, image == grammar(klass), f"n={n}")
-        if n <= ANIMAL_ORACLE_CAP:
-            animal_heaps = {}
-            for lattice, klass in (("triangular", "T"), ("square", "Q")):
-                name, where = "grammar-matches-brute-force-animals", f"{lattice}, n={n}"
-                animal_heaps[lattice] = rec.images(
-                    name,
-                    heaps.animal_to_heap,
-                    heaps.animal_enumerate_bruteforce(n, lattice),
-                    f"{where}, animal",
-                )
-                with rec.guard(name, where):
-                    rec.require(name, _found(animal_heaps[lattice]) == grammar(klass), where)
-            for lattice, klass in (("triangular", "Ts"), ("square", "Qs")):
-                name, where = "grammar-matches-subdiagonal-animals", f"{lattice} subdiagonal, n={n}"
-                brute = rec.image(
-                    name,
-                    heaps.animal_to_heap,
-                    heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal=True),
-                    f"{where}, animal",
-                )
-                with rec.guard(name, where):
-                    rec.require(name, brute == grammar(klass), where)
-            # the images above, not a second enumeration; an animal the map failed on fails here too
-            name = "square-animals-are-diagonal-free-heaps"
-            for a, h in animal_heaps["square"].items():
-                if isinstance(h, HeapdyckError):
-                    rec.fail(name, f"square, n={n}, animal {a}", h)
-            square_heaps = _found(animal_heaps["square"])
-            at_animal = "n=%d, animal %s"
-            for a, h in animal_heaps["triangular"].items():
-                if isinstance(h, HeapdyckError):
-                    rec.fail(name, at_animal % (n, a), h)
-                    continue
-                with rec.guard(name, at_animal, n, a):
-                    diagonal_free = heaps.heap_stats(h).diag == 0
-                    rec.require(name, diagonal_free == (h in square_heaps), at_animal, n, a)
-            # every square and subdiagonal animal is a triangular one
-            if n <= ANIMAL_ORACLE_CAP - 1:
-                name = "animal-round-trip"
-                for a, h in animal_heaps["triangular"].items():
-                    if not isinstance(h, HeapdyckError):
-                        with rec.guard(name, at_animal, n, a):
-                            rec.require(name, heaps.heap_to_animal(h) == a, at_animal, n, a)
-        for (module, family), size in listed.items():
-            counted = module.count_family(family, n)
-            rec.require(
-                "listed-families-match-counts",
-                size == counted,
-                f"n={n}, {module.__name__} {family}: {size} listed, {counted} counted",
-            )
+        _bijections_at(rec, n)
     # the animal checks run against the brute force, to its cap
     oracle_n = min(max_n, ANIMAL_ORACLE_CAP)
     for name, animals in (
@@ -390,6 +276,146 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
     animal_n = min(max_n, ANIMAL_ORACLE_CAP - 1)
     rec.note("animal-round-trip", f"every triangular animal, sizes 1..{animal_n}")
     return rec.results(f"all sizes 1..{max_n}")
+
+
+def _bijections_at(rec: _Recorder, n: int) -> None:
+    """The checks at size n, phase by phase, then each listed family against its count."""
+    listed, targets = _staircase_phase(rec, n)
+    # built on first use, so that a library error fails only the checks against its class
+    grammar = cache(partial(bijections.grammar_enumerate, n))
+    _word_heap_phase(rec, n, targets, grammar)
+    del targets  # the animal phase maps no word
+    if n <= ANIMAL_ORACLE_CAP:
+        _animal_phase(rec, n, grammar)
+    for (module, family), size in listed.items():
+        counted = module.count_family(family, n)
+        rec.require(
+            "listed-families-match-counts",
+            size == counted,
+            f"n={n}, {module.__name__} {family}: {size} listed, {counted} counted",
+        )
+
+
+def _staircase_phase(rec: _Recorder, n: int) -> tuple[dict, dict[str, list[str]]]:
+    """The multiset <-> word round trips and the four subfamily images at size n.
+
+    Returns the number of distinct members listed per (module, family), and the
+    grand-Dyck words and each target family's words, in listing order, so that a
+    failure names the same word under any hash seed."""
+    words = list(paths.enumerate_family("grand_dyck", n))
+    targets = {"grand_dyck": words}
+    unique = set(words)
+    every = list(multisets.enumerate_family("all", n))
+    listed = {(paths, "grand_dyck"): len(unique), (multisets, "all"): len(set(every))}
+    images = {}
+    at_multiset = "n=%d, multiset %s"
+    for m in every:
+        with rec.guard("staircase-round-trip", at_multiset, n, m):
+            w = bijections.multiset_to_path(m)
+            images[w] = m
+            rec.require(
+                "staircase-round-trip", bijections.path_to_multiset(w) == m, at_multiset, n, m
+            )
+    rec.require(
+        "staircase-is-bijective",
+        images.keys() == unique,
+        f"n={n}: image size {len(images)}, target {len(unique)}",
+    )
+    for family, target in (
+        ("super", "dyck"),
+        ("star", "grand_dyck_star"),
+        ("no_single_except_k", "grand_dyck_udu_free"),
+        ("super_star", "dyck_star"),
+    ):
+        name = f"staircase-{family.replace('_', '-')}-image"
+        members = rec.images(
+            name,
+            bijections.multiset_to_path,
+            multisets.enumerate_family(family, n),
+            f"n={n}, multiset",
+        )
+        got = _found(members)
+        targets[target] = list(paths.enumerate_family(target, n))
+        want = set(targets[target])
+        rec.require(name, got == want, f"n={n}: {len(got)} words vs {len(want)}")
+        listed[multisets, family] = len(members)
+        listed[paths, target] = len(want)
+    return listed, targets
+
+
+def _word_heap_phase(
+    rec: _Recorder, n: int, targets: dict[str, list[str]], grammar: Callable[[str], frozenset]
+) -> None:
+    """The run-heap round trips at size n, and the images of the grand-Dyck words and
+    of three target families against the grammar's T, Ts, Q and Qs."""
+    # word -> its heap, or the library error path_to_heap raised; one key per distinct word
+    word_heaps = rec.images(
+        "run-heap-round-trip", bijections.path_to_heap, targets["grand_dyck"], f"n={n}, word"
+    )
+    at_word = "n=%d, word %s"
+    for w, h in word_heaps.items():
+        if not isinstance(h, HeapdyckError):
+            with rec.guard("run-heap-round-trip", at_word, n, w):
+                rec.require("run-heap-round-trip", bijections.heap_to_path(h) == w, at_word, n, w)
+    heaps_seen = _found(word_heaps)
+    name, where = "run-heap-image-is-grammar-T", f"n={n}: {len(heaps_seen)} heaps"
+    with rec.guard(name, where):
+        rec.require(name, len(heaps_seen) == len(word_heaps) and heaps_seen == grammar("T"), where)
+    for family, name, klass in (
+        ("dyck", "dyck-image-is-grammar-Ts", "Ts"),
+        ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
+        ("dyck_star", "dud-free-dyck-image-is-grammar-Qs", "Qs"),
+    ):
+        image = rec.image(name, partial(_mapped_heap, word_heaps), targets[family], f"n={n}, word")
+        with rec.guard(name, f"n={n}"):
+            rec.require(name, image == grammar(klass), f"n={n}")
+
+
+def _animal_phase(rec: _Recorder, n: int, grammar: Callable[[str], frozenset]) -> None:
+    """The brute-force and subdiagonal animals at size n against the grammar, the square
+    ones as the diagonal-free triangular ones, and, below the cap, the animal round trip."""
+    animal_heaps = {}
+    for lattice, klass in (("triangular", "T"), ("square", "Q")):
+        name, where = "grammar-matches-brute-force-animals", f"{lattice}, n={n}"
+        animal_heaps[lattice] = rec.images(
+            name,
+            heaps.animal_to_heap,
+            heaps.animal_enumerate_bruteforce(n, lattice),
+            f"{where}, animal",
+        )
+        with rec.guard(name, where):
+            rec.require(name, _found(animal_heaps[lattice]) == grammar(klass), where)
+    for lattice, klass in (("triangular", "Ts"), ("square", "Qs")):
+        name, where = "grammar-matches-subdiagonal-animals", f"{lattice} subdiagonal, n={n}"
+        brute = rec.image(
+            name,
+            heaps.animal_to_heap,
+            heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal=True),
+            f"{where}, animal",
+        )
+        with rec.guard(name, where):
+            rec.require(name, brute == grammar(klass), where)
+    # the images above, not a second enumeration; an animal the map failed on fails here too
+    name = "square-animals-are-diagonal-free-heaps"
+    for a, h in animal_heaps["square"].items():
+        if isinstance(h, HeapdyckError):
+            rec.fail(name, f"square, n={n}, animal {a}", h)
+    square_heaps = _found(animal_heaps["square"])
+    at_animal = "n=%d, animal %s"
+    for a, h in animal_heaps["triangular"].items():
+        if isinstance(h, HeapdyckError):
+            rec.fail(name, at_animal % (n, a), h)
+            continue
+        with rec.guard(name, at_animal, n, a):
+            diagonal_free = heaps.heap_stats(h).diag == 0
+            rec.require(name, diagonal_free == (h in square_heaps), at_animal, n, a)
+    # every square and subdiagonal animal is a triangular one
+    if n <= ANIMAL_ORACLE_CAP - 1:
+        name = "animal-round-trip"
+        for a, h in animal_heaps["triangular"].items():
+            if not isinstance(h, HeapdyckError):
+                with rec.guard(name, at_animal, n, a):
+                    rec.require(name, heaps.heap_to_animal(h) == a, at_animal, n, a)
 
 
 def _mapped_heap(word_heaps: dict, word: str) -> heaps.Heap:
@@ -448,18 +474,19 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
     dyck_offsets: set[int] = set()
     above_offsets: set[int] = set()
     below_offsets: set[int] = set()
+    at_word = "n=%d, word %s"
+    at_run = at_word + ", run at %d"
     for n in range(1, max_n + 1):
         for word in paths.enumerate_family("grand_dyck", n):
-            where = f"n={n}, word {word}"
             # a library error while computing the word's statistics fails the
             # first check that reads them, and skips the word's other checks
-            with rec.guard(_WORD_RELATIONS[0][0], where):
+            try:
                 ms = multisets.stats(bijections.path_to_multiset(word))
                 ps = paths.height_stats(word)
                 seq = bijections.drop_sequence(word)
                 hs = heaps.heap_stats(heaps.fallen(heaps.drop_columns(seq)))
                 for name, holds in _WORD_RELATIONS:
-                    rec.require(name, holds(hs, ps, ms), where)
+                    rec.require(name, holds(hs, ps, ms), at_word, n, word)
                 off = ps.height_max - ms.gap
                 gap_offsets[off] = gap_offsets.get(off, 0) + 1
                 if ps.cross == 0:
@@ -470,12 +497,12 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
                     cols = sorted(islice(drops, len(u_heights)))
                     diffs = {uh - c for uh, c in zip(sorted(u_heights), cols)}
                     rec.require(
-                        "u-heights-track-dimer-columns",
-                        len(diffs) == 1,
-                        f"{where}, run at {start}",
+                        "u-heights-track-dimer-columns", len(diffs) == 1, at_run, n, word, start
                     )
                     if len(diffs) == 1:
                         (below_offsets if below else above_offsets).add(diffs.pop())
+            except HeapdyckError as exc:
+                rec.fail(_WORD_RELATIONS[0][0], at_word % (n, word), exc)
     bounded = set(gap_offsets) <= {0, 1}
     rec.require(
         "gap-stays-within-one-of-height",

@@ -667,6 +667,15 @@ class TestReach:
         "animal-triangular-subdiagonal",
     )
 
+    @staticmethod
+    def cli_process(argv, **kwargs):
+        """The command line argv, run in a child interpreter on this source tree."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+        return subprocess.run(
+            [sys.executable, "-m", "heapdyck.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=60, **kwargs,
+        )
+
     @pytest.mark.skipif(not DIGITS, reason="this interpreter prints ints of any length")
     @pytest.mark.parametrize(
         "name, base, last", [("T", 4, lambda n: comb(2 * n - 1, n)), ("Q", 3, directed_animals)]
@@ -702,13 +711,8 @@ class TestReach:
         ],
     )
     def test_table1_past_its_reach_exits_2_at_once(self, argv):
-        src = Path(cli.__file__).parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
         start = time.monotonic()
-        done = subprocess.run(
-            [sys.executable, "-m", "heapdyck.cli", "table1", *argv], env=env,
-            capture_output=True, text=True, timeout=60,
-        )
+        done = self.cli_process(["table1", *argv])
         assert time.monotonic() - start < 1
         flag, bound = argv[:2]
         err = f"error: {flag} {bound} is beyond the reach of table1 ({cli.TABLE1_REACH})\n"
@@ -742,13 +746,9 @@ class TestReach:
         else:
             reach = int(self.DIGITS / math.log10(4 if family in self.BASE_4 else 3))
         cli._check_count_reach(family, reach, None)  # at the reach, the count runs
-        src = Path(cli.__file__).parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        argv = ["enumerate", "--family", family, "--n", str(reach + 1), "--count-only"]
         start = time.monotonic()
-        done = subprocess.run(
-            [sys.executable, "-m", "heapdyck.cli", *argv], env=env,
-            capture_output=True, text=True, timeout=60,
+        done = self.cli_process(
+            ["enumerate", "--family", family, "--n", str(reach + 1), "--count-only"]
         )
         assert time.monotonic() - start < 1
         assert (done.returncode, done.stdout) == (2, "")
@@ -756,6 +756,17 @@ class TestReach:
         assert done.stderr.startswith(err) and done.stderr.count("\n") == 1
         if not family.startswith("multiset-"):
             assert done.stderr == f"{err} ({reach})\n"
+
+    @pytest.mark.skipif(not DIGITS, reason="this interpreter prints ints of any length")
+    @pytest.mark.parametrize("family", [f for f in cli.FAMILIES if not f.startswith("multiset-")])
+    def test_listing_past_its_digit_reach_exits_2_at_once(self, family):
+        # more objects than a count may print, with no bound on the first word's length
+        reach = int(self.DIGITS / math.log10(4 if family in self.BASE_4 else 3))
+        start = time.monotonic()
+        done = self.cli_process(["enumerate", "--family", family, "--n", str(reach + 1)])
+        assert time.monotonic() - start < 1
+        err = f"error: --n {reach + 1} is beyond the count reach of {family} ({reach})\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
 
     @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["list", "count"])
     def test_a_size_past_a_float_is_an_error_line(self, capsys, count_only):
@@ -773,10 +784,10 @@ class TestReach:
     @pytest.mark.parametrize(
         "argv",
         [
-            # the first object listed: a word of 2 * 10^12 steps, or 10^12 values
-            *(
-                pytest.param(["enumerate", "--family", family, "--n", str(10**12)], id=family)
-                for family in ("dyck", "heap-T", "multiset-star")
+            # the one multiset of 10^12 values from {1}, within the count reach: its count is 1
+            pytest.param(
+                ["enumerate", "--family", "multiset-all", "--n", str(10**12), "--k", "1"],
+                id="multiset-all-k1",
             ),
             # the staircase word of one value bounded by 10^12
             pytest.param(
@@ -790,12 +801,7 @@ class TestReach:
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
 
-        src = Path(cli.__file__).parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-m", "heapdyck.cli", *argv], env=env, capture_output=True,
-            text=True, timeout=60, preexec_fn=cap_memory,
-        )
+        done = self.cli_process(argv, preexec_fn=cap_memory)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -83,6 +84,24 @@ def test_a_short_call_is_repeated_and_timed_per_call(monkeypatch, capsys, short_
     assert got["ok"] and got["calls"] == len(made) - repeated
     assert (got["calls"] > 1) == repeated
     assert got["cpu_s"] < 0.01
+
+
+@pytest.mark.parametrize("short_s", [0.1, 0.0], ids=["repeated", "once"])
+def test_a_run_reports_its_first_calls_max_rss(monkeypatch, capsys, short_s):
+    made = []
+
+    def getrusage(who):
+        return SimpleNamespace(ru_maxrss=1024 * len(made))
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(layers.resource, "getrusage", getrusage)  # 1 MB more per call made
+    monkeypatch.setattr(layers, "ROWS", {"row": (made.append, (5,), lambda n: None)})
+    monkeypatch.setattr(layers, "SHORT_S", short_s)
+    monkeypatch.setattr(layers, "REPEAT_S", 0.01)
+    layers.child("row", 5, str(_PATH.parent.parent / "src"))
+    got = json.loads(capsys.readouterr().out)
+    assert (got["calls"] > 1) == (short_s > 0)
+    assert got["max_rss_mb"] == 1.0
 
 
 def test_a_wrong_repeat_fails_the_run(monkeypatch, capsys):

@@ -5,11 +5,12 @@
 
 Each row is one library call at each of its sizes, or n calls of one
 command line.  A run imports heapdyck from --src, makes the call once,
-and records the call's CPU time and the process's max RSS, which
-includes the interpreter and its imports.  A call that takes less than
-SHORT_S is made again in the same process until the repeats add up to
-REPEAT_S, and the run records their CPU time per call instead, so that
-the cold call's first touch of its memory does not swamp its work.
+and records the call's CPU time and the process's max RSS after it,
+which includes the interpreter and its imports.  A call that takes less
+than SHORT_S is made again in the same process until the repeats add up
+to REPEAT_S, and the run records their CPU time per call instead, so
+that the cold call's first touch of its memory does not swamp its work;
+the max RSS stays the first call's.
 Every row runs REPS times per size, in a new process each time; a
 metric is the median over the runs.  A run fails when the call's result
 is wrong: the word -> heap row's heap against the heap that
@@ -278,8 +279,9 @@ ROWS = {
 
 
 def child(row: str, n: int, src: str) -> None:
-    """One run in this process: the call, then its CPU time per call, max RSS, whether it
-    was right and the number of calls timed (1, or the repeats of a short call)."""
+    """One run in this process: the call, then its CPU time per call, the max RSS after the
+    first call, whether it was right and the number of calls timed (1, or the repeats of a
+    short call)."""
     sys.path.insert(0, src)
     import heapdyck.cli  # noqa: F401  (imports are not part of the call's time)
 
@@ -288,13 +290,14 @@ def child(row: str, n: int, src: str) -> None:
     start = time.process_time()
     ok = call(n) == want
     cpu_s, calls = time.process_time() - start, 1
+    # before any repeat: each one can raise the peak, and a faster call fits more of them
+    max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if cpu_s < SHORT_S:
         start, calls = time.process_time(), 0
         while not calls or time.process_time() - start < REPEAT_S:
             ok &= call(n) == want
             calls += 1
         cpu_s = (time.process_time() - start) / calls
-    max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"cpu_s": cpu_s, "max_rss_mb": max_rss_mb, "ok": ok, "calls": calls}))
 
 

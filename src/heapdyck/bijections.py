@@ -26,6 +26,13 @@ is dropped once for all the heaps below it; the walk holds O(n) state
 besides the heaps it returns.  A heap is the same whatever linear
 extension of it is dropped, so `compose` drops its parts' columns at the
 case's offsets, and `factorize` cuts its word's drop sequence back up.
+
+The maps check their input and trust what they build from it.
+`path_to_multiset` wraps the values it reads off a checked word without
+`multisets.validate`, and the heaps that `path_to_heap`, `compose`,
+`factorize` and the grammar drop get `heaps.fallen`'s ground check alone.
+The tests, and CI past their sizes, hold each one to the validating
+constructor.
 """
 
 from __future__ import annotations
@@ -70,7 +77,12 @@ def multiset_to_path(m: multisets.Multiset) -> str:
 
 
 def path_to_multiset(word: str) -> multisets.Multiset:
-    """Each D records how many U steps precede it; the U total is the bound."""
+    """Each D records how many U steps precede it; the U total is the bound.
+
+    The word is checked, not the multiset: in a word of U and D steps that
+    starts with U, the U counts before its D steps never fall and lie in
+    1..ups, so the values are a multiset by construction.
+    """
     if not word.startswith("U"):
         raise NotStartingUError(f"word must start with U: {word!r}")
     paths.check_steps(word)
@@ -81,7 +93,9 @@ def path_to_multiset(word: str) -> multisets.Multiset:
             ups += 1
         else:
             values.append(ups)
-    return multisets.validate(values, ups)
+    if not values:
+        raise multisets.EmptyMultisetError("multiset needs at least one value")
+    return multisets.Multiset(tuple(values), ups)
 
 
 # --- word -> heap ------------------------------------------------------

@@ -30,6 +30,14 @@ column x - y turns animals into heaps; square-lattice animals give the
 heaps with no dimer directly on top of another.  The inverse sets each
 dimer as low as its supports allow, the lowest embedding (Viennot, LNM
 1234, 1986; Betrema & Penaud, 1993).
+
+`PointAnimal(points)` and `parse_points` check every point set from
+outside by that rule.  An animal the library builds connected is made by
+`_connected_animal` and not checked again: the brute-force scan keeps
+only supported points, a heap's lowest embedding is an animal, and
+swapping x and y maps the triangular steps onto themselves.  The tests,
+and CI past their sizes, hold `heap_to_animal` and `animal_reflect` to
+`PointAnimal`'s check, as they hold `fallen` to `Heap`'s.
 """
 
 from __future__ import annotations
@@ -311,6 +319,17 @@ class PointAnimal(Value):
         return points_to_text(self)
 
 
+def _connected_animal(points: frozenset[Point]) -> PointAnimal:
+    """The animal of points built connected to the origin, without checking them again.
+
+    For the maps whose construction makes an animal: the brute-force
+    scan, the lowest embedding of a heap and the reflection of an animal.
+    """
+    animal = object.__new__(PointAnimal)
+    object.__setattr__(animal, "points", points)
+    return animal
+
+
 def animal_to_heap(a: PointAnimal) -> Heap:
     """Drop one dimer per point, column x - y, in non-decreasing x + y order."""
     points = sorted(a.points, key=lambda p: (p[0] + p[1], p[0]))
@@ -323,6 +342,8 @@ def heap_to_animal(h: Heap) -> PointAnimal:
     Each dimer, in (level, column) order, takes the least diagonal sum
     s = x + y that is at least |c| and lies above its column's top (by 2)
     and its neighbours' tops (by 1), and becomes the point ((s + c)/2, (s - c)/2).
+    The embedding of a heap is a directed animal (Viennot, LNM 1234, 1986;
+    Betrema & Penaud, 1993), so its points are not checked again.
     """
     require_heap(h)
     tops: dict[int, int] = {}  # column -> diagonal sum of its highest dimer so far
@@ -332,11 +353,15 @@ def heap_to_animal(h: Heap) -> PointAnimal:
         s = max(abs(col), get(col - 1, -2) + 1, get(col + 1, -2) + 1, get(col, -2) + 2)
         tops[col] = s
         points.append(((s + col) // 2, (s - col) // 2))
-    return PointAnimal(frozenset(points))
+    return _connected_animal(frozenset(points))
 
 
 def animal_reflect(a: PointAnimal) -> PointAnimal:
-    return PointAnimal(frozenset((y, x) for x, y in a.points))
+    """The animal with x and y swapped; the swap maps the triangular steps onto
+    themselves, so the points are not checked again."""
+    if not isinstance(a, PointAnimal):
+        raise NotAnAnimalError(f"expected a PointAnimal, got {type(a).__name__}")
+    return _connected_animal(frozenset((y, x) for x, y in a.points))
 
 
 def _candidates(n: int, lattice: str, subdiagonal: bool) -> list[Point]:
@@ -393,13 +418,6 @@ def animal_enumerate_bruteforce(
 
     extend(1, 1)
     return frozenset(map(_connected_animal, found))
-
-
-def _connected_animal(points: frozenset[Point]) -> PointAnimal:
-    """The animal of points the scan built connected, without checking it again."""
-    animal = object.__new__(PointAnimal)
-    object.__setattr__(animal, "points", points)
-    return animal
 
 
 # --- text formats ------------------------------------------------------

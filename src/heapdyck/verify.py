@@ -21,12 +21,11 @@ the fixed orders COUNT_ORDER and WIDTH_ORDER, whatever the size bound.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from functools import cache, partial
 from itertools import islice
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import bijections, counting, heaps, multisets, paths, series
 from .errors import HeapdyckError
@@ -92,14 +91,15 @@ class _Recorder:
         if not ok and name not in self.failures:
             self.failures[name] = detail % args if args else detail
 
-    @contextmanager
-    def guard(self, name: str, where: str, *args: object) -> Iterator[None]:
-        """Record a library error raised inside as a failure of check name at
-        where, or at where % args, formatted only then."""
-        try:
-            yield
-        except HeapdyckError as exc:
-            self.fail(name, where % args if args else where, exc)
+    def guard(self, name: str, where: str, *args: object) -> _Guard:
+        """A context that records a library error raised inside as a failure of
+        check name at where, or at where % args, formatted only then, and
+        suppresses it; any other exception goes on to `_wrap`.
+
+        The walking suites enter one per object, so they pass the object in
+        args, not formatted into where: a check that passes shows nothing.
+        """
+        return _Guard(self, name, where, args)
 
     def fail(self, name: str, where: str, exc: HeapdyckError) -> None:
         self.require(name, False, f"{where}: {type(exc).__name__}: {exc}")
@@ -131,6 +131,29 @@ class _Recorder:
             else:
                 out.append(CheckResult(name, True, self.notes.get(name, default_detail)))
         return out
+
+
+class _Guard:
+    """`_Recorder.guard`'s context: a plain object, not a generator, since the
+    walking suites enter one per object."""
+
+    __slots__ = ("rec", "name", "where", "args")
+
+    def __init__(self, rec: _Recorder, name: str, where: str, args: tuple) -> None:
+        self.rec = rec
+        self.name = name
+        self.where = where
+        self.args = args
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind: type | None, exc: BaseException | None, tb: object) -> bool:
+        if not isinstance(exc, HeapdyckError):
+            return False
+        where = self.where % self.args if self.args else self.where
+        self.rec.fail(self.name, where, exc)
+        return True
 
 
 def _found(images: dict) -> set:
@@ -586,15 +609,15 @@ def _suite_symmetry(max_n: int) -> list[CheckResult]:
             )
         if n <= ANIMAL_ORACLE_CAP - 1:
             name = "reflection-swaps-widths"
+            at_animal = "n=%d, animal %s"
             for a in heaps.animal_enumerate_bruteforce(n, "triangular"):
-                where = f"n={n}, animal {a}"
-                with rec.guard(name, where):
+                with rec.guard(name, at_animal, n, a):
                     sa = heaps.heap_stats(heaps.animal_to_heap(a))
                     sb = heaps.heap_stats(heaps.animal_to_heap(heaps.animal_reflect(a)))
                     rec.require(
                         name,
                         sb.lw + 1 == sa.rw and sb.rw == sa.lw + 1 and sb.area == sa.area,
-                        where,
+                        at_animal, n, a,
                     )
     animal_n = min(max_n, ANIMAL_ORACLE_CAP - 1)
     rec.note("reflection-swaps-widths", f"every triangular animal, sizes 1..{animal_n}")

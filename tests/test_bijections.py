@@ -91,6 +91,35 @@ class TestStaircase:
     def test_round_trip(self, m):
         assert bijections.path_to_multiset(bijections.multiset_to_path(m)) == m
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_validating_constructor_on_grand_dyck_words(self, n):
+        """path_to_multiset builds its multisets without multisets.validate, so check them here."""
+        for word in paths.enumerate_family("grand_dyck", n):
+            _assert_validated(word)
+
+    def test_matches_the_validating_constructor_on_random_words(self):
+        rng = random.Random(41)
+        for length in [*range(2, 40), *(rng.randint(40, 600) for _ in range(200)), 600]:
+            word = "U" + "".join(rng.choice("UD") for _ in range(length - 1))
+            if "D" in word:
+                _assert_validated(word)
+
+    @pytest.mark.parametrize("word", ["U", "UUU", "U" * 600])
+    def test_a_word_with_no_d_is_an_empty_multiset(self, word):
+        with pytest.raises(multisets.EmptyMultisetError, match="^multiset needs at least one value$"):
+            bijections.path_to_multiset(word)
+
+
+def _assert_validated(word):
+    """path_to_multiset(word) is, field for field, what multisets.validate makes of the
+    U counts before each D, bounded by all the U steps."""
+    values = [word.count("U", 0, i) for i, step in enumerate(word) if step == "D"]
+    want = multisets.validate(values, word.count("U"))
+    got = bijections.path_to_multiset(word)
+    assert type(got) is multisets.Multiset and type(got.values) is tuple, word
+    assert (got.values, got.bound) == (want.values, want.bound), word
+    assert got == want, word
+
 
 class TestRunDecomposition:
     def test_example_components(self):

@@ -3,6 +3,7 @@ import random
 import re
 from functools import partial
 from itertools import combinations, combinations_with_replacement
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -370,6 +371,29 @@ class TestAnimals:
         for a in heaps.animal_enumerate_bruteforce(4, "triangular"):
             assert heaps.animal_reflect(heaps.animal_reflect(a)) == a
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_reflection_passes_the_animal_check(self, n):
+        """animal_reflect builds its animals without PointAnimal's check, so check them here."""
+        for a in heaps.animal_enumerate_bruteforce(n, "triangular"):
+            b = heaps.animal_reflect(a)
+            assert type(b) is PointAnimal and type(b.points) is frozenset, a
+            assert PointAnimal(b.points) == b, a
+
+    @pytest.mark.parametrize(
+        "arg",
+        [
+            frozenset({(0, 0), (1, 0)}),
+            "(0,0);(1,0)",
+            None,
+            Heap(STACK),
+            SimpleNamespace(points=frozenset({(0, 0), (1, 0)})),
+        ],
+        ids=["frozenset", "text", "none", "heap", "has-points"],
+    )
+    def test_reflect_refuses_what_is_not_an_animal(self, arg):
+        with pytest.raises(NotAnAnimalError, match="^expected a PointAnimal, got "):
+            heaps.animal_reflect(arg)
+
 
 class TestBruteForce:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -446,6 +470,14 @@ class TestHeapToAnimal:
     def test_animal_to_heap_inverts_it(self, n):
         for h in bijections.grammar_enumerate(n, "T"):
             assert heaps.animal_to_heap(heaps.heap_to_animal(h)) == h, h
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_embedding_passes_the_animal_check(self, n):
+        """heap_to_animal builds its animals without PointAnimal's check, so check them here."""
+        for h in bijections.grammar_enumerate(n, "T"):
+            a = heaps.heap_to_animal(h)
+            assert type(a) is PointAnimal and type(a.points) is frozenset, h
+            assert PointAnimal(a.points) == a, h
 
     def test_round_trips_at_n_1000(self):
         rng = random.Random(1000)

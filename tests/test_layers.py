@@ -132,3 +132,40 @@ def test_word_row_maps_a_grand_dyck_word_and_checks_it_by_the_inverse():
     assert len(word) == 100
     call, _, expected = layers.ROWS["bijections.path_to_heap"]
     assert call(50) == expected(50) is not None
+
+
+def test_a_listed_class_is_checked_by_its_length_after_the_timer(monkeypatch, capsys):
+    clock = [0.0]
+
+    class Costly:
+        def __del__(self):
+            clock[0] += 100.0  # freeing the class is costly
+
+    def call(n):
+        clock[0] += 1.0
+        return frozenset(Costly() for _ in range(n))
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(layers.time, "process_time", lambda: clock[0])
+    monkeypatch.setattr(layers, "ROWS", {"row": (call, (5,), lambda n: n)})
+    layers.child("row", 5, str(_PATH.parent.parent / "src"))
+    got = json.loads(capsys.readouterr().out)
+    assert got["ok"] and got["calls"] == 1
+    assert got["cpu_s"] == 1.0
+    assert clock[0] == 501.0  # the class was freed, after the timer
+
+
+@pytest.mark.parametrize("klass", ["T", "Q"])
+def test_grammar_rows_give_the_class_and_check_its_length(klass):
+    call, _, expected = layers.ROWS[f"grammar_enumerate.{klass}"]
+    got = call(4)
+    assert isinstance(got, frozenset)
+    assert layers._result(got) == len(got) == expected(4)
+
+
+def test_each_verify_row_runs_its_suite_at_the_default_cap():
+    from heapdyck import verify
+
+    rows = {name: sizes for name, (_, sizes, _) in layers.ROWS.items() if name.startswith("verify.")}
+    assert rows == {f"verify.{suite}": (cap,) for suite, cap in verify.SUITE_CAPS.items()
+                    if suite != "series"}

@@ -206,6 +206,65 @@ class TestReports:
         assert "+ 1 above" in details["u-height-column-offsets-are-constant"]
 
 
+class TestGuard:
+    """`_Recorder.guard`, which the walking suites enter once per object."""
+
+    def test_records_a_library_error_at_its_place_and_suppresses_it(self):
+        rec = verify._Recorder()
+        with rec.guard("check", "n=%d, word %s", 2, "UDDU"):
+            raise heaps.NotAHeapError("empty heap")
+        with rec.guard("check", "n=%d, word %s", 3, "UUDD"):  # a check fails once
+            raise heaps.NotAHeapError("empty heap")
+        with rec.guard("other", "class T, 100%"):  # no args: the place as it stands
+            raise multisets.EmptyMultisetError("multiset needs at least one value")
+        assert rec.results("fine") == [
+            verify.CheckResult("check", False, "n=2, word UDDU: NotAHeapError: empty heap"),
+            verify.CheckResult(
+                "other", False, "class T, 100%: EmptyMultisetError: multiset needs at least one value"
+            ),
+        ]
+
+    def test_any_other_exception_reaches_the_suite_wrapper(self, monkeypatch):
+        def broken(h):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(heaps, "heap_stats", broken)  # called under the symmetry guards
+        assert verify.run_suite("symmetry", 2).checks == [
+            verify.CheckResult("suite-execution", False, "KeyError: 'boom'")
+        ]
+
+    def test_formats_its_place_only_on_failure(self):
+        shown = []
+
+        class Shown:
+            def __str__(self):
+                shown.append(self)
+                return "obj"
+
+        rec = verify._Recorder()
+        with rec.guard("clean", "at %s", Shown()):  # records nothing, shows nothing
+            pass
+        assert shown == []
+        with rec.guard("check", "at %s", Shown()):
+            raise heaps.NotAHeapError("empty heap")
+        assert len(shown) == 1
+        assert rec.results("fine") == [
+            verify.CheckResult("check", False, "at obj: NotAHeapError: empty heap")
+        ]
+
+    def test_symmetry_shows_no_animal_when_every_check_passes(self, monkeypatch):
+        shown = []
+        to_text = heaps.points_to_text
+
+        def counted(a):
+            shown.append(a)
+            return to_text(a)
+
+        monkeypatch.setattr(heaps, "points_to_text", counted)
+        assert verify.run_suite("symmetry").ok
+        assert shown == []
+
+
 def _failing(suite, max_n=4):
     """The detail of each check that fails, by name; a crash of the whole suite may not be one."""
     report = verify.run_suite(suite, max_n)

@@ -6,7 +6,9 @@
 Each row is one library call at each of its sizes, or n calls of one
 command line.  A run imports heapdyck from --src, makes the call once,
 and records the call's CPU time and the process's max RSS after it,
-which includes the interpreter and its imports.  A call that takes less
+which includes the interpreter and its imports.  The call's result is
+checked, and freed, after its timer stops, so that freeing a listed
+class of heaps is not part of the call's time.  A call that takes less
 than SHORT_S is made again in the same process until the repeats add up
 to REPEAT_S, and the run records their CPU time per call instead, so
 that the cold call's first touch of its memory does not swamp its work;
@@ -120,10 +122,11 @@ def _inverted_heap(n: int):
     return h if bijections.heap_to_path(h) == _word(n) else None
 
 
-def _grammar_enumerate(klass: str, n: int) -> int:
+def _grammar_enumerate(klass: str, n: int) -> frozenset:
+    """The class itself, so that freeing it falls after the timer; `child` checks its length."""
     from heapdyck import bijections
 
-    return len(bijections.grammar_enumerate(n, klass))
+    return bijections.grammar_enumerate(n, klass)
 
 
 def _verify(suite: str, n: int) -> int:
@@ -235,8 +238,9 @@ def _star(n: int, k: int) -> int:
 # heap_to_path maps back to the word.  Each listing
 # row but grammar_enumerate.Q lists C(2n - 1, n) objects: the T heaps, the triangular
 # animals, the grand-Dyck words and the multisets over {1..n}; the Q row lists the Q
-# heaps.  A verify row runs one suite at its default cap, which must be n (8 and 7 in
-# verify.SUITE_CAPS), and gives n when every check passes.  A series row gives its last coefficient:
+# heaps, which a run frees only after its timer stops.  A verify row runs one suite at
+# its default cap, which must be n (10, 8, 8 and 7 in verify.SUITE_CAPS), and gives n
+# when every check passes.  A series row gives its last coefficient:
 # T_n = C(2n - 1, n), and Q_n and Mdiag_n, the directed animals of size n (OEIS
 # A005773).  A table row gives entry (n, n) of its table to order n, which is Q_n for
 # both f and h.  The animal row checks a triangle of n points, x + y < m, through
@@ -250,7 +254,9 @@ ROWS = {
     "bijections.path_to_heap": (_path_to_heap, WORD_SIZES, _inverted_heap),
     "grammar_enumerate.T": (partial(_grammar_enumerate, "T"), LISTING_SIZES, _t_heaps),
     "grammar_enumerate.Q": (partial(_grammar_enumerate, "Q"), LISTING_SIZES, partial(_heaps, "Q")),
+    "verify.counts": (partial(_verify, "counts"), (10,), lambda n: n),
     "verify.bijections": (partial(_verify, "bijections"), (8,), lambda n: n),
+    "verify.statistics": (partial(_verify, "statistics"), (8,), lambda n: n),
     "verify.symmetry": (partial(_verify, "symmetry"), (7,), lambda n: n),
     "cli.enumerate.heap-T": (partial(_cli_enumerate, "heap-T"), LISTING_SIZES, _t_heaps),
     "cli.enumerate.animal-triangular": (
@@ -287,18 +293,33 @@ def child(row: str, n: int, src: str) -> None:
 
     call, _, expected = ROWS[row]
     want = expected(n)  # out of the timed region: some cost more than the call
-    start = time.process_time()
-    ok = call(n) == want
-    cpu_s, calls = time.process_time() - start, 1
+
+    def timed() -> tuple[float, bool]:
+        """One call's CPU time and whether it was right; the result is checked, and
+        freed, after the timer stops."""
+        start = time.process_time()
+        got = call(n)
+        cpu_s = time.process_time() - start
+        return cpu_s, _result(got) == want
+
+    cpu_s, ok = timed()
+    calls = 1
     # before any repeat: each one can raise the peak, and a faster call fits more of them
     max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if cpu_s < SHORT_S:
-        start, calls = time.process_time(), 0
+        start, spent, calls = time.process_time(), 0.0, 0
         while not calls or time.process_time() - start < REPEAT_S:
-            ok &= call(n) == want
+            repeat_s, right = timed()
+            spent += repeat_s
+            ok &= right
             calls += 1
-        cpu_s = (time.process_time() - start) / calls
+        cpu_s = spent / calls
     print(json.dumps({"cpu_s": cpu_s, "max_rss_mb": max_rss_mb, "ok": ok, "calls": calls}))
+
+
+def _result(got: object) -> object:
+    """What a call's result is checked by: a listed class by its length, else itself."""
+    return len(got) if isinstance(got, frozenset) else got
 
 
 def _one_run(row: str, n: int, src: str) -> dict:

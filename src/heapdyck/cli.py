@@ -271,7 +271,7 @@ def _do_verify(args) -> int:
 
 def _render_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=render.KINDS)
-    p.add_argument("--format", dest="fmt", choices=("ascii", "svg"), default="ascii")
+    p.add_argument("--format", dest="fmt", choices=render.FORMATS, default="ascii")
     p.add_argument("--input", required=True)
     p.add_argument("--output", help="write to a file instead of stdout")
 

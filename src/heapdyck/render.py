@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from . import bijections, heaps, multisets, paths
 
-KINDS = ("multiset", "path", "heap", "animal")
-
 CELL = 20
 PAD = 10
 
@@ -178,25 +176,21 @@ def multiset_svg(m: multisets.Multiset) -> str:
     return "\n".join(out)
 
 
-_ASCII = {
-    "multiset": multiset_ascii,
-    "path": path_ascii,
-    "heap": heap_ascii,
-    "animal": animal_ascii,
+FORMATS = ("ascii", "svg")
+# kind -> its drawing in each of the FORMATS
+_DRAW = {
+    "multiset": (multiset_ascii, multiset_svg),
+    "path": (path_ascii, path_svg),
+    "heap": (heap_ascii, heap_svg),
+    "animal": (animal_ascii, animal_svg),
 }
-_SVG = {
-    "multiset": multiset_svg,
-    "path": path_svg,
-    "heap": heap_svg,
-    "animal": animal_svg,
-}
+KINDS = tuple(_DRAW)
 
 
 def render(kind: str, obj, fmt: str = "ascii") -> str:
+    # tuple membership, so that an unhashable kind or format is unknown, not a TypeError
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if fmt == "ascii":
-        return _ASCII[kind](obj)
-    if fmt == "svg":
-        return _SVG[kind](obj)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _DRAW[kind][FORMATS.index(fmt)](obj)

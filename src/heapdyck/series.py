@@ -189,14 +189,6 @@ class BivarTable(Value):
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def z_order(self) -> int:
-        return len(self.rows) - 1
-
-    @property
-    def u_order(self) -> int:
-        return len(self.rows[0]) - 1
-
     def coefficient(self, n: int, k: int) -> int:
         """Entry (n, k); past the orders the row tuples raise IndexError, and so does this
         check below 0, where they would wrap around to the last rows and columns."""

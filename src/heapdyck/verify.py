@@ -1,17 +1,23 @@
 """Verification suites behind the command line `verify` verb.
 
-Each suite records one result per named check.  The bijections,
-statistics and symmetry suites walk every object up to a size bound; the
-counts suite lists nothing, and compares transfer counts, formulas,
-series and recurrences up to that bound.  In the walking suites, a
-library error raised on one object, or while the grammar builds a class,
-fails the checks being computed, with the object or class named, and the
-walk carries on.  The bijections suite runs one size at a time, and a
-size in phases (the staircase maps, the word -> heap map, the animals),
-each of which frees what it lists before the next phase or size runs.
-The statistics suite does not assume the two empirical index relations
-it watches; it detects the constants from the data, fails if they drift
-anywhere in range, and reports what it found.
+Each suite is one row of `_SUITES`, at the end of this module: its cap,
+also its default bound, a function that records one result per named
+check on a `_Recorder`, and the detail of a passing check that noted
+nothing.  `run_suite` checks the bound, makes the recorder, runs the
+suite, turns any exception that escapes it into the single
+`suite-execution` failure and builds the report.
+
+The bijections, statistics and symmetry suites walk every object up to a
+size bound; the counts suite lists nothing, and compares transfer
+counts, formulas, series and recurrences up to that bound.  In the
+walking suites, a library error raised on one object, or while the
+grammar builds a class, fails the checks being computed, with the object
+or class named, and the walk carries on.  The bijections suite runs one
+size at a time, and a size in phases (the staircase maps, the word ->
+heap map, the animals), each of which frees what it lists before the
+next phase or size runs.  The statistics suite does not assume the two
+empirical index relations it watches; it detects the constants from the
+data, fails if they drift anywhere in range, and reports what it found.
 
 The counts and symmetry suites also have a counting tier, which compares
 the constructor recurrences of `counting` with independent formulas at
@@ -30,14 +36,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import bijections, counting, heaps, multisets, paths, series
 from .errors import HeapdyckError
 
-SUITES = ("counts", "bijections", "statistics", "series", "symmetry")
-SUITE_CAPS = {
-    "counts": 10,
-    "bijections": 8,
-    "statistics": 8,
-    "series": 30,
-    "symmetry": 7,
-}
 ANIMAL_ORACLE_CAP = 7
 COUNT_ORDER = 300  # sizes of the counts suite's recurrence totals
 WIDTH_ORDER = 60  # sizes of the symmetry suite's width tables
@@ -94,7 +92,7 @@ class _Recorder:
     def guard(self, name: str, where: str, *args: object) -> _Guard:
         """A context that records a library error raised inside as a failure of
         check name at where, or at where % args, formatted only then, and
-        suppresses it; any other exception goes on to `_wrap`.
+        suppresses it; any other exception goes on to `run_suite`.
 
         The walking suites enter one per object, so they pass the object in
         args, not formatted into where: a check that passes shows nothing.
@@ -114,10 +112,6 @@ class _Recorder:
                 out[x] = exc
                 self.fail(name, f"{where} {x}", exc)
         return out
-
-    def image(self, name: str, fn: Callable, objects: Iterable, where: str) -> set:
-        """The set of fn(x) over the objects; a library error on an x fails check name."""
-        return _found(self.images(name, fn, objects, where))
 
     def note(self, name: str, detail: str) -> None:
         self.order.setdefault(name)
@@ -174,46 +168,10 @@ def _motzkin_row(n: int) -> list[int]:
     return row
 
 
-def _wrap(fn: Callable[[int], list[CheckResult]], max_n: int) -> list[CheckResult]:
-    try:
-        return fn(max_n)
-    except Exception as exc:  # surface bugs as failures, not crashes
-        return [CheckResult("suite-execution", False, f"{type(exc).__name__}: {exc}")]
-
-
-def run_suite(suite: str, max_n: int | None = None) -> VerifyReport:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
-    cap = SUITE_CAPS[suite]
-    bound = cap if max_n is None else max_n
-    if not 1 <= bound <= cap:
-        raise ValueError(f"suite {suite} accepts bounds 1..{cap}, got {bound}")
-    fn = {
-        "counts": _suite_counts,
-        "bijections": _suite_bijections,
-        "statistics": _suite_statistics,
-        "series": _suite_series,
-        "symmetry": _suite_symmetry,
-    }[suite]
-    return VerifyReport(suite, bound, _wrap(fn, bound))
-
-
-def run_all(max_n: int | None = None) -> list[VerifyReport]:
-    """Every suite, each at max_n clamped down to its own cap, or at its cap.
-
-    A max_n below 1 is not clamped, so the first suite rejects it.
-    """
-    return [
-        run_suite(name, None if max_n is None else min(max_n, SUITE_CAPS[name]))
-        for name in SUITES
-    ]
-
-
 # --- counts -------------------------------------------------------------
 
 
-def _suite_counts(max_n: int) -> list[CheckResult]:
-    rec = _Recorder()
+def _suite_counts(rec: _Recorder, max_n: int) -> None:
     q = series.closed_form("Q", max_n)
     ts = series.closed_form("Ts", max_n)
     t = series.closed_form("T", max_n)
@@ -250,7 +208,6 @@ def _suite_counts(max_n: int) -> list[CheckResult]:
                 f"class {klass}, n={n}",
             )
     _count_tier(rec, motzkin)
-    return rec.results(f"all sizes 1..{max_n}")
 
 
 def _first_difference(got: Sequence[int], want: Sequence[int]) -> int | None:
@@ -282,10 +239,9 @@ def _count_tier(rec: _Recorder, motzkin: list[int]) -> None:
 # --- bijections ---------------------------------------------------------
 
 
-def _suite_bijections(max_n: int) -> list[CheckResult]:
+def _suite_bijections(rec: _Recorder, max_n: int) -> None:
     """Size by size, and within a size phase by phase, so that what a phase lists is
     freed before the next phase or size runs: the peak is one phase of the largest size."""
-    rec = _Recorder()
     for n in range(1, max_n + 1):
         _bijections_at(rec, n)
     # the animal checks run against the brute force, to its cap
@@ -298,7 +254,6 @@ def _suite_bijections(max_n: int) -> list[CheckResult]:
         rec.note(name, f"{animals}, sizes 1..{oracle_n}")
     animal_n = min(max_n, ANIMAL_ORACLE_CAP - 1)
     rec.note("animal-round-trip", f"every triangular animal, sizes 1..{animal_n}")
-    return rec.results(f"all sizes 1..{max_n}")
 
 
 def _bijections_at(rec: _Recorder, n: int) -> None:
@@ -389,9 +344,9 @@ def _word_heap_phase(
         ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
         ("dyck_star", "dud-free-dyck-image-is-grammar-Qs", "Qs"),
     ):
-        image = rec.image(name, partial(_mapped_heap, word_heaps), targets[family], f"n={n}, word")
+        images = rec.images(name, partial(_mapped_heap, word_heaps), targets[family], f"n={n}, word")
         with rec.guard(name, f"n={n}"):
-            rec.require(name, image == grammar(klass), f"n={n}")
+            rec.require(name, _found(images) == grammar(klass), f"n={n}")
 
 
 def _animal_phase(rec: _Recorder, n: int, grammar: Callable[[str], frozenset]) -> None:
@@ -410,14 +365,14 @@ def _animal_phase(rec: _Recorder, n: int, grammar: Callable[[str], frozenset]) -
             rec.require(name, _found(animal_heaps[lattice]) == grammar(klass), where)
     for lattice, klass in (("triangular", "Ts"), ("square", "Qs")):
         name, where = "grammar-matches-subdiagonal-animals", f"{lattice} subdiagonal, n={n}"
-        brute = rec.image(
+        brute = rec.images(
             name,
             heaps.animal_to_heap,
             heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal=True),
             f"{where}, animal",
         )
         with rec.guard(name, where):
-            rec.require(name, brute == grammar(klass), where)
+            rec.require(name, _found(brute) == grammar(klass), where)
     # the images above, not a second enumeration; an animal the map failed on fails here too
     name = "square-animals-are-diagonal-free-heaps"
     for a, h in animal_heaps["square"].items():
@@ -491,8 +446,7 @@ _WORD_RELATIONS = (
 )
 
 
-def _suite_statistics(max_n: int) -> list[CheckResult]:
-    rec = _Recorder()
+def _suite_statistics(rec: _Recorder, max_n: int) -> None:
     gap_offsets: dict[int, int] = {}
     dyck_offsets: set[int] = set()
     above_offsets: set[int] = set()
@@ -557,14 +511,12 @@ def _suite_statistics(max_n: int) -> list[CheckResult]:
             f"per run, sorted U heights = sorted dimer columns + {ua} above "
             f"the axis and + {ub} below, stable for n <= {max_n}",
         )
-    return rec.results(f"all grand-Dyck words, sizes 1..{max_n}")
 
 
 # --- series -------------------------------------------------------------
 
 
-def _suite_series(max_n: int) -> list[CheckResult]:
-    rec = _Recorder()
+def _suite_series(rec: _Recorder, max_n: int) -> None:
     for check in series.check_identities(max_n):
         name = f"series-identity: {check.name}"
         rec.note(name, check.detail)
@@ -580,14 +532,12 @@ def _suite_series(max_n: int) -> list[CheckResult]:
         wrong = next(((n, k, t, c) for n, k, t, c in got if t != c), None)
         rec.note(check, f"{name}(n, k) against the {family} transfer count, n, k <= {max_n}")
         rec.require(check, wrong is None, "n=%s, k=%s: table %s, count %s", *(wrong or ()))
-    return rec.results(f"n, k <= {max_n}")
 
 
 # --- symmetry -----------------------------------------------------------
 
 
-def _suite_symmetry(max_n: int) -> list[CheckResult]:
-    rec = _Recorder()
+def _suite_symmetry(rec: _Recorder, max_n: int) -> None:
     for n in range(1, max_n + 1):
         for klass in ("T", "Q"):
             name, where = "left-plus-one-matches-right-width", f"class {klass}, n={n}"
@@ -622,7 +572,6 @@ def _suite_symmetry(max_n: int) -> list[CheckResult]:
     animal_n = min(max_n, ANIMAL_ORACLE_CAP - 1)
     rec.note("reflection-swaps-widths", f"every triangular animal, sizes 1..{animal_n}")
     _width_tier(rec)
-    return rec.results(f"all sizes 1..{max_n}")
 
 
 def _width_tier(rec: _Recorder) -> None:
@@ -645,3 +594,50 @@ def _width_tier(rec: _Recorder) -> None:
         power = power * runs
         upto = upto + power
     rec.note(name, f"#(lw <= a) in T against words by crossings, sizes 1..{WIDTH_ORDER}")
+
+
+# --- the runner ---------------------------------------------------------
+
+
+class _Suite(NamedTuple):
+    cap: int  # the largest size bound, and the default
+    run: Callable[[_Recorder, int], None]
+    passing: str  # the detail of a passing check that noted nothing; {} is the bound
+
+
+_SUITES = {
+    "counts": _Suite(10, _suite_counts, "all sizes 1..{}"),
+    "bijections": _Suite(8, _suite_bijections, "all sizes 1..{}"),
+    "statistics": _Suite(8, _suite_statistics, "all grand-Dyck words, sizes 1..{}"),
+    "series": _Suite(30, _suite_series, "n, k <= {}"),
+    "symmetry": _Suite(7, _suite_symmetry, "all sizes 1..{}"),
+}
+SUITES = tuple(_SUITES)
+SUITE_CAPS = {name: suite.cap for name, suite in _SUITES.items()}
+
+
+def run_suite(suite: str, max_n: int | None = None) -> VerifyReport:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    cap, run, passing = _SUITES[suite]
+    bound = cap if max_n is None else max_n
+    if not 1 <= bound <= cap:
+        raise ValueError(f"suite {suite} accepts bounds 1..{cap}, got {bound}")
+    rec = _Recorder()
+    try:
+        run(rec, bound)
+        checks = rec.results(passing.format(bound))
+    except Exception as exc:  # surface bugs as failures, not crashes
+        checks = [CheckResult("suite-execution", False, f"{type(exc).__name__}: {exc}")]
+    return VerifyReport(suite, bound, checks)
+
+
+def run_all(max_n: int | None = None) -> list[VerifyReport]:
+    """Every suite, each at max_n clamped down to its own cap, or at its cap.
+
+    A max_n below 1 is not clamped, so the first suite rejects it.
+    """
+    return [
+        run_suite(name, None if max_n is None else min(max_n, SUITE_CAPS[name]))
+        for name in SUITES
+    ]

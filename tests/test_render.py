@@ -116,6 +116,16 @@ class TestDispatch:
         with pytest.raises(ValueError):
             render.render("path", "UD", fmt="png")
 
+    @pytest.mark.parametrize(
+        "kind, fmt, message",
+        [(["path"], "ascii", "unknown kind ['path']"), ("path", ["svg"], "unknown format ['svg']")],
+        ids=["kind", "format"],
+    )
+    def test_an_unhashable_kind_or_format_is_unknown(self, kind, fmt, message):
+        with pytest.raises(ValueError) as caught:
+            render.render(kind, "UD", fmt)
+        assert str(caught.value) == message
+
 
 def _same_word_pictures(word):
     assert render.path_ascii(word) == reference_path_ascii(word), word

@@ -22,6 +22,8 @@ from heapdyck import bijections, cli, counting, heaps, multisets, paths, verify
 
 import oracles
 
+_PINNED_REPORTS = Path(__file__).with_name("verify_reports.json")
+
 
 class TestReports:
     @pytest.mark.parametrize("suite", verify.SUITES)
@@ -56,6 +58,13 @@ class TestReports:
         payload = json.loads(capsys.readouterr().out)
         assert [r["maxN"] for r in payload["reports"]] == [r.max_n for r in reports]
         assert [r.max_n for r in reports] == [9, 8, 8, 9, 7]
+
+    @pytest.mark.parametrize("max_n", [None, 3])
+    def test_reports_match_the_pinned_ones(self, max_n):
+        """verify_reports.json holds every report of run_all, by max_n; a change that
+        alters a report on purpose writes the file again."""
+        pinned = json.loads(_PINNED_REPORTS.read_text())[json.dumps(max_n)]
+        assert [r.to_payload() for r in verify.run_all(max_n)] == pinned
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

@@ -4,15 +4,12 @@
     python3 tools/layers.py --label parent --src ../parent/src
 
 Each row is one library call at each of its sizes, or n calls of one
-command line.  A run imports heapdyck from --src, makes the call once,
-and records the call's CPU time and the process's max RSS after it,
-which includes the interpreter and its imports.  The call's result is
-checked, and freed, after its timer stops, so that freeing a listed
-class of heaps is not part of the call's time.  A call that takes less
-than SHORT_S is made again in the same process until the repeats add up
-to REPEAT_S, and the run records their CPU time per call instead, so
-that the cold call's first touch of its memory does not swamp its work;
-the max RSS stays the first call's.
+command line.  A run imports heapdyck from --src and times every call by
+one rule: it makes the call, at least once, until the calls' CPU times
+add up to REPEAT_S, and records their mean, and the process's max RSS
+after the first call, which includes the interpreter and its imports.
+A call's result is checked, and freed, after its timer stops, so that
+freeing a listed class of heaps is not part of the call's time.
 Every row runs REPS times per size, in a new process each time; a
 metric is the median over the runs.  A run fails when the call's result
 is wrong: the word -> heap row's heap against the heap that
@@ -78,8 +75,7 @@ TABLE1_SIZES = (1000, 1600)  # 1600 is cli.TABLE1_REACH
 WIDTH_SIZES = (60, 200)
 COUNT_SIZES = (300, 1000)
 REPS = 3  # fresh processes per row and size
-SHORT_S = 0.1  # a call under this much CPU time is repeated within its run
-REPEAT_S = 0.5  # for at least this much CPU time in all
+REPEAT_S = 0.5  # a run makes its call until the calls add up to this much CPU time
 
 
 class _Lines:
@@ -285,9 +281,8 @@ ROWS = {
 
 
 def child(row: str, n: int, src: str) -> None:
-    """One run in this process: the call, then its CPU time per call, the max RSS after the
-    first call, whether it was right and the number of calls timed (1, or the repeats of a
-    short call)."""
+    """One run in this process: the calls, then their mean CPU time, the max RSS after the
+    first call, whether every call was right and the number of calls."""
     sys.path.insert(0, src)
     import heapdyck.cli  # noqa: F401  (imports are not part of the call's time)
 
@@ -302,19 +297,16 @@ def child(row: str, n: int, src: str) -> None:
         cpu_s = time.process_time() - start
         return cpu_s, _result(got) == want
 
-    cpu_s, ok = timed()
+    spent, ok = timed()
     calls = 1
     # before any repeat: each one can raise the peak, and a faster call fits more of them
     max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    if cpu_s < SHORT_S:
-        start, spent, calls = time.process_time(), 0.0, 0
-        while not calls or time.process_time() - start < REPEAT_S:
-            repeat_s, right = timed()
-            spent += repeat_s
-            ok &= right
-            calls += 1
-        cpu_s = spent / calls
-    print(json.dumps({"cpu_s": cpu_s, "max_rss_mb": max_rss_mb, "ok": ok, "calls": calls}))
+    while spent < REPEAT_S:
+        cpu_s, right = timed()
+        spent += cpu_s
+        ok &= right
+        calls += 1
+    print(json.dumps({"cpu_s": spent / calls, "max_rss_mb": max_rss_mb, "ok": ok, "calls": calls}))
 
 
 def _result(got: object) -> object:

@@ -593,6 +593,88 @@ class TestMutationSmoke:
         }
 
 
+def _raise_at(monkeypatch, module, name, hit):
+    """module.name replaced by one that raises a library error on the arguments hit
+    accepts, and on those alone, as a map that is a function of its input would."""
+    orig = getattr(module, name)
+
+    def planted(*args):
+        if hit(*args):
+            raise heaps.NotAHeapError("planted")
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, planted)
+
+
+class TestOneMapRaises:
+    """`verify bijections` when one map raises on one object: every check that maps
+    that object fails, naming it, and every other check passes."""
+
+    def test_staircase_map_of_a_superdiagonal_multiset(self, monkeypatch):
+        _raise_at(monkeypatch, bijections, "multiset_to_path", lambda m: str(m) == "1,2")
+        at = "n=2, multiset 1,2: NotAHeapError: planted"
+        assert _failing("bijections") == {
+            "staircase-round-trip": at,
+            "staircase-is-bijective": "n=2: image size 2, target 3",
+            "staircase-super-image": at,
+        }
+
+    def test_heap_of_a_dud_free_dyck_word(self, monkeypatch):
+        # the word is in the grand-Dyck, Dyck, DUD-free and DUD-free Dyck families
+        _raise_at(monkeypatch, bijections, "path_to_heap", lambda w: w == "UUDD")
+        at = "n=2, word UUDD: NotAHeapError: planted"
+        assert _failing("bijections") == {
+            "run-heap-round-trip": at,
+            "run-heap-image-is-grammar-T": "n=2: 2 heaps",
+            "dyck-image-is-grammar-Ts": at,
+            "dud-free-image-is-grammar-Q": at,
+            "dud-free-dyck-image-is-grammar-Qs": at,
+        }
+
+    def test_word_of_a_heap(self, monkeypatch):
+        hit = "(0,0);(1,1);(0,2)"
+        _raise_at(monkeypatch, bijections, "heap_to_path", lambda h: heaps.to_text(h) == hit)
+        assert _failing("bijections") == {
+            "run-heap-round-trip": "n=3, word UDUUDD: NotAHeapError: planted"
+        }
+
+    def test_heap_of_a_triangular_animal(self, monkeypatch):
+        # a subdiagonal animal with a diagonal step, so no square one
+        _raise_at(
+            monkeypatch, heaps, "animal_to_heap", lambda a: heaps.points_to_text(a) == "(0,0);(1,1)"
+        )
+        at = "n=2, animal (0,0);(1,1): NotAHeapError: planted"
+        assert _failing("bijections") == {
+            "grammar-matches-brute-force-animals": "triangular, " + at,
+            "grammar-matches-subdiagonal-animals": "triangular subdiagonal, " + at,
+            "square-animals-are-diagonal-free-heaps": at,
+        }
+
+    def test_heap_of_a_square_animal(self, monkeypatch):
+        # a square animal is a triangular one too; the square listing is read first
+        _raise_at(
+            monkeypatch, heaps, "animal_to_heap", lambda a: heaps.points_to_text(a) == "(0,0);(0,1)"
+        )
+        at = "n=2, animal (0,0);(0,1): NotAHeapError: planted"
+        assert _failing("bijections") == {
+            "grammar-matches-brute-force-animals": "triangular, " + at,
+            "square-animals-are-diagonal-free-heaps": "square, " + at,
+        }
+
+    def test_animal_of_a_heap(self, monkeypatch):
+        _raise_at(monkeypatch, heaps, "heap_to_animal", lambda h: heaps.to_text(h) == "(0,0);(1,1)")
+        assert _failing("bijections") == {
+            "animal-round-trip": "n=2, animal (0,0);(1,0): NotAHeapError: planted"
+        }
+
+    def test_grammar_class_at_one_size(self, monkeypatch):
+        _raise_at(monkeypatch, bijections, "grammar_enumerate", lambda n, k: (n, k) == (3, "Q"))
+        assert _failing("bijections") == {
+            "dud-free-image-is-grammar-Q": "n=3: NotAHeapError: planted",
+            "grammar-matches-brute-force-animals": "square, n=3: NotAHeapError: planted",
+        }
+
+
 class TestRunUHeights:
     """The statistics suite's one-scan runs against the multi-pass references."""
 

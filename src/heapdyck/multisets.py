@@ -186,6 +186,8 @@ def count_family(family: str, n: int, k: int | None = None) -> int:
     running sum serves every climb, so the count takes O(nk) steps.
     """
     bound, gap, single_climbs, superdiagonal = _rule(family, n, k)
+    if not bound or superdiagonal and n > bound:
+        return 0  # no value to place, or position n would need one above k
     once = [0, *[1] * bound]  # index v: prefixes ending at value v once
     more = [0] * (bound + 1)  # index v: prefixes ending at value v twice or more
     for i in range(2, n + 1):

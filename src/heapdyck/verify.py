@@ -12,10 +12,12 @@ size bound; the counts suite lists nothing, and compares transfer
 counts, formulas, series and recurrences up to that bound.  In the
 walking suites, a library error raised on one object, or while the
 grammar builds a class, fails the checks being computed, with the object
-or class named, and the walk carries on.  The bijections suite runs one
-size at a time, and a size in phases (the staircase maps, the word ->
-heap map, the animals), each of which frees what it lists before the
-next phase or size runs.  The statistics suite does not assume the two
+or class named, where it is raised, and the walk carries on: a map of
+objects to images holds only the images found, and a later check that
+needs a failed object maps it again.  The bijections suite runs one size
+at a time, and a size in phases (the staircase maps, the word -> heap
+map, the animals), each of which frees what it lists before the next
+phase or size runs.  The statistics suite does not assume the two
 empirical index relations it watches; it detects the constants from the
 data, fails if they drift anywhere in range, and reports what it found.
 
@@ -103,13 +105,14 @@ class _Recorder:
         self.require(name, False, f"{where}: {type(exc).__name__}: {exc}")
 
     def images(self, name: str, fn: Callable, objects: Iterable, where: str) -> dict:
-        """fn(x) for each of the objects, or the library error it raised, which fails check name."""
+        """fn(x) for each of the objects that fn maps; a library error fn raises on x
+        fails check name at where x, and leaves x out.  A try, not a guard per object,
+        since the walking suites map tens of thousands of objects here."""
         out = {}
         for x in objects:
             try:
                 out[x] = fn(x)
             except HeapdyckError as exc:
-                out[x] = exc
                 self.fail(name, f"{where} {x}", exc)
         return out
 
@@ -148,11 +151,6 @@ class _Guard:
         where = self.where % self.args if self.args else self.where
         self.rec.fail(self.name, where, exc)
         return True
-
-
-def _found(images: dict) -> set:
-    """The images that are not library errors."""
-    return {y for y in images.values() if not isinstance(y, HeapdyckError)}
 
 
 def _catalan(n: int) -> int:
@@ -278,13 +276,12 @@ def _staircase_phase(rec: _Recorder, n: int) -> tuple[dict, dict[str, list[str]]
     """The multiset <-> word round trips and the four subfamily images at size n.
 
     Returns the number of distinct members listed per (module, family), and the
-    grand-Dyck words and each target family's words, in listing order, so that a
-    failure names the same word under any hash seed."""
-    words = list(paths.enumerate_family("grand_dyck", n))
-    targets = {"grand_dyck": words}
-    unique = set(words)
+    distinct grand-Dyck words and each target family's words, in listing order, so
+    that a failure names the same word under any hash seed."""
+    words = dict.fromkeys(paths.enumerate_family("grand_dyck", n))
+    targets = {"grand_dyck": list(words)}
     every = list(multisets.enumerate_family("all", n))
-    listed = {(paths, "grand_dyck"): len(unique), (multisets, "all"): len(set(every))}
+    listed = {(paths, "grand_dyck"): len(words), (multisets, "all"): len(set(every))}
     images = {}
     at_multiset = "n=%d, multiset %s"
     for m in every:
@@ -296,8 +293,8 @@ def _staircase_phase(rec: _Recorder, n: int) -> tuple[dict, dict[str, list[str]]
             )
     rec.require(
         "staircase-is-bijective",
-        images.keys() == unique,
-        f"n={n}: image size {len(images)}, target {len(unique)}",
+        images.keys() == words.keys(),
+        f"n={n}: image size {len(images)}, target {len(words)}",
     )
     for family, target in (
         ("super", "dyck"),
@@ -306,13 +303,9 @@ def _staircase_phase(rec: _Recorder, n: int) -> tuple[dict, dict[str, list[str]]
         ("super_star", "dyck_star"),
     ):
         name = f"staircase-{family.replace('_', '-')}-image"
-        members = rec.images(
-            name,
-            bijections.multiset_to_path,
-            multisets.enumerate_family(family, n),
-            f"n={n}, multiset",
-        )
-        got = _found(members)
+        members = dict.fromkeys(multisets.enumerate_family(family, n))
+        found = rec.images(name, bijections.multiset_to_path, members, f"n={n}, multiset")
+        got = set(found.values())
         targets[target] = list(paths.enumerate_family(target, n))
         want = set(targets[target])
         rec.require(name, got == want, f"n={n}: {len(got)} words vs {len(want)}")
@@ -326,83 +319,66 @@ def _word_heap_phase(
 ) -> None:
     """The run-heap round trips at size n, and the images of the grand-Dyck words and
     of three target families against the grammar's T, Ts, Q and Qs."""
-    # word -> its heap, or the library error path_to_heap raised; one key per distinct word
-    word_heaps = rec.images(
-        "run-heap-round-trip", bijections.path_to_heap, targets["grand_dyck"], f"n={n}, word"
-    )
+    words = targets["grand_dyck"]
+    word_heaps = rec.images("run-heap-round-trip", bijections.path_to_heap, words, f"n={n}, word")
     at_word = "n=%d, word %s"
     for w, h in word_heaps.items():
-        if not isinstance(h, HeapdyckError):
-            with rec.guard("run-heap-round-trip", at_word, n, w):
-                rec.require("run-heap-round-trip", bijections.heap_to_path(h) == w, at_word, n, w)
-    heaps_seen = _found(word_heaps)
+        with rec.guard("run-heap-round-trip", at_word, n, w):
+            rec.require("run-heap-round-trip", bijections.heap_to_path(h) == w, at_word, n, w)
+    heaps_seen = set(word_heaps.values())
     name, where = "run-heap-image-is-grammar-T", f"n={n}: {len(heaps_seen)} heaps"
     with rec.guard(name, where):
-        rec.require(name, len(heaps_seen) == len(word_heaps) and heaps_seen == grammar("T"), where)
+        rec.require(name, len(heaps_seen) == len(words) and heaps_seen == grammar("T"), where)
     for family, name, klass in (
         ("dyck", "dyck-image-is-grammar-Ts", "Ts"),
         ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
         ("dyck_star", "dud-free-dyck-image-is-grammar-Qs", "Qs"),
     ):
-        images = rec.images(name, partial(_mapped_heap, word_heaps), targets[family], f"n={n}, word")
+        # a word path_to_heap failed on is mapped again, to fail this check too
+        images = rec.images(
+            name,
+            lambda w: word_heaps[w] if w in word_heaps else bijections.path_to_heap(w),
+            targets[family],
+            f"n={n}, word",
+        )
         with rec.guard(name, f"n={n}"):
-            rec.require(name, _found(images) == grammar(klass), f"n={n}")
+            rec.require(name, set(images.values()) == grammar(klass), f"n={n}")
 
 
 def _animal_phase(rec: _Recorder, n: int, grammar: Callable[[str], frozenset]) -> None:
     """The brute-force and subdiagonal animals at size n against the grammar, the square
     ones as the diagonal-free triangular ones, and, below the cap, the animal round trip."""
-    animal_heaps = {}
-    for lattice, klass in (("triangular", "T"), ("square", "Q")):
-        name, where = "grammar-matches-brute-force-animals", f"{lattice}, n={n}"
-        animal_heaps[lattice] = rec.images(
-            name,
-            heaps.animal_to_heap,
-            heaps.animal_enumerate_bruteforce(n, lattice),
-            f"{where}, animal",
-        )
+    animals, animal_heaps = {}, {}  # by class: the brute force's animals, and their heaps
+    for name, lattice, subdiagonal, klass in (
+        ("grammar-matches-brute-force-animals", "triangular", False, "T"),
+        ("grammar-matches-brute-force-animals", "square", False, "Q"),
+        ("grammar-matches-subdiagonal-animals", "triangular", True, "Ts"),
+        ("grammar-matches-subdiagonal-animals", "square", True, "Qs"),
+    ):
+        where = f"{lattice}{' subdiagonal' if subdiagonal else ''}, n={n}"
+        animals[klass] = heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal)
+        images = rec.images(name, heaps.animal_to_heap, animals[klass], f"{where}, animal")
         with rec.guard(name, where):
-            rec.require(name, _found(animal_heaps[lattice]) == grammar(klass), where)
-    for lattice, klass in (("triangular", "Ts"), ("square", "Qs")):
-        name, where = "grammar-matches-subdiagonal-animals", f"{lattice} subdiagonal, n={n}"
-        brute = rec.images(
-            name,
-            heaps.animal_to_heap,
-            heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal=True),
-            f"{where}, animal",
-        )
-        with rec.guard(name, where):
-            rec.require(name, _found(brute) == grammar(klass), where)
-    # the images above, not a second enumeration; an animal the map failed on fails here too
+            rec.require(name, set(images.values()) == grammar(klass), where)
+        animal_heaps[klass] = images
+    # the images above, not a second enumeration; a failed animal is mapped again here
     name = "square-animals-are-diagonal-free-heaps"
-    for a, h in animal_heaps["square"].items():
-        if isinstance(h, HeapdyckError):
-            rec.fail(name, f"square, n={n}, animal {a}", h)
-    square_heaps = _found(animal_heaps["square"])
+    square, triangular = animal_heaps["Q"], animal_heaps["T"]
+    failed = [a for a in animals["Q"] if a not in square]
+    rec.images(name, heaps.animal_to_heap, failed, f"square, n={n}, animal")
+    square_heaps = set(square.values())
     at_animal = "n=%d, animal %s"
-    for a, h in animal_heaps["triangular"].items():
-        if isinstance(h, HeapdyckError):
-            rec.fail(name, at_animal % (n, a), h)
-            continue
+    for a in animals["T"]:
         with rec.guard(name, at_animal, n, a):
+            h = triangular[a] if a in triangular else heaps.animal_to_heap(a)
             diagonal_free = heaps.heap_stats(h).diag == 0
             rec.require(name, diagonal_free == (h in square_heaps), at_animal, n, a)
     # every square and subdiagonal animal is a triangular one
     if n <= ANIMAL_ORACLE_CAP - 1:
         name = "animal-round-trip"
-        for a, h in animal_heaps["triangular"].items():
-            if not isinstance(h, HeapdyckError):
-                with rec.guard(name, at_animal, n, a):
-                    rec.require(name, heaps.heap_to_animal(h) == a, at_animal, n, a)
-
-
-def _mapped_heap(word_heaps: dict, word: str) -> heaps.Heap:
-    """The word's heap from a word -> heap map, raising the error stored for it;
-    a word the map lacks is mapped afresh."""
-    h = word_heaps[word] if word in word_heaps else bijections.path_to_heap(word)
-    if isinstance(h, HeapdyckError):
-        raise h
-    return h
+        for a, h in triangular.items():
+            with rec.guard(name, at_animal, n, a):
+                rec.require(name, heaps.heap_to_animal(h) == a, at_animal, n, a)
 
 
 # --- statistics ---------------------------------------------------------
@@ -457,7 +433,7 @@ def _suite_statistics(rec: _Recorder, max_n: int) -> None:
         for word in paths.enumerate_family("grand_dyck", n):
             # a library error while computing the word's statistics fails the
             # first check that reads them, and skips the word's other checks
-            try:
+            with rec.guard(_WORD_RELATIONS[0][0], at_word, n, word):
                 ms = multisets.stats(bijections.path_to_multiset(word))
                 ps = paths.height_stats(word)
                 seq = bijections.drop_sequence(word)
@@ -478,8 +454,6 @@ def _suite_statistics(rec: _Recorder, max_n: int) -> None:
                     )
                     if len(diffs) == 1:
                         (below_offsets if below else above_offsets).add(diffs.pop())
-            except HeapdyckError as exc:
-                rec.fail(_WORD_RELATIONS[0][0], at_word % (n, word), exc)
     bounded = set(gap_offsets) <= {0, 1}
     rec.require(
         "gap-stays-within-one-of-height",

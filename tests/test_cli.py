@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -15,8 +18,9 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heapdyck import bijections, cli, heaps, multisets, paths, series
+from heapdyck import bijections, cli, heaps, multisets, paths, series, verify
 
 from oracles import directed_animals, uniform_multiset
 
@@ -184,6 +188,22 @@ class TestEnumerate:
             env=env, capture_output=True, text=True, timeout=10,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+    @pytest.mark.parametrize(
+        "family, n, k",
+        [("multiset-all", 10**12, 0), ("multiset-super", 10**11, 3)],
+        ids=["no-values", "superdiagonal-past-the-bound"],
+    )
+    def test_empty_multiset_count_is_0_at_once(self, family, n, k):
+        # as the listing is empty at once; a count that walks every position times out
+        src = Path(multisets.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = ["enumerate", "--family", family, "--n", str(n), "--k", str(k), "--count-only"]
+        done = subprocess.run(
+            [sys.executable, "-m", "heapdyck.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
     @pytest.mark.parametrize("family", ["heap-T", "heap-Ts", "heap-Q", "heap-Qs"])
     def test_heap_count_only_matches_listing(self, capsys, family):
@@ -932,3 +952,71 @@ class TestParsing:
         code, out, err = run(capsys, *COMMANDS[verb][0])
         assert (code, err) == (0, "")
         assert out
+
+
+_MALFORMED = ("", "x", "-1", "0", "1.5")
+
+
+def _one_past_reach(verb, dest, chosen):
+    """One past the reach of the verb's size argument dest, given the choices drawn
+    for the verb, or None where no draw may go past it."""
+    family, name, suite = chosen.get("family"), chosen.get("name"), chosen.get("suite")
+    if verb == "enumerate" and dest == "n" and family in cli._WORD_FAMILIES:
+        # not a multiset family: with --k above 1, an --n in the thousands lists
+        # billions of lines, and no limit refuses that yet
+        reach = cli._digit_reach(4 if family in TestReach.BASE_4 else 3)
+    elif verb == "series" and name in series.CLOSED_FORMS:
+        reach = cli._series_reach(name)
+    elif verb == "table1":
+        reach = cli.TABLE1_REACH
+    elif verb == "verify" and suite in verify.SUITE_CAPS:
+        reach = verify.SUITE_CAPS[suite]
+    else:
+        reach = None
+    return None if reach is None else reach + 1
+
+
+@st.composite
+def _commands(draw):
+    """A verb of cli._VERBS and, in any order, its required arguments and some of its
+    options, each with a choice, a malformed value, a size up to 6 (3 for verify) or a
+    size one past its reach."""
+    verb = draw(st.sampled_from(tuple(cli._VERBS)))
+    parser = argparse.ArgumentParser()
+    cli._VERBS[verb].add_arguments(parser)
+    actions = [a for a in parser._actions if a.dest not in ("help", "output")]
+    chosen = {
+        a.dest: draw(st.sampled_from((*a.choices, *_MALFORMED))) for a in actions if a.choices
+    }
+    sizes = [str(n) for n in range(1, 4 if verb == "verify" else 7)]
+    pairs = []
+    for a in actions:
+        # verify runs at its suite's cap when --max-n is missing
+        if not (a.required or verb == "verify" and a.dest == "max_n" or draw(st.booleans())):
+            continue
+        if a.nargs == 0:
+            value = []
+        elif a.dest in chosen:
+            value = [chosen[a.dest]]
+        else:
+            values = [*sizes, *_MALFORMED]
+            past = _one_past_reach(verb, a.dest, chosen)
+            if past:
+                values.append(str(past))
+            value = [draw(st.sampled_from(values))]
+        pairs.append([*a.option_strings[:1], *value])
+    return [verb, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+
+
+class TestDrawnCommands:
+    """Any command drawn from a verb's own arguments ends in exit 0, 1 or 2, with no
+    traceback."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_commands())
+    def test_any_command_exits_0_1_or_2_without_a_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv

@@ -143,6 +143,9 @@ def _depth_first(
     """
     if superdiagonal and n > k:
         return  # position n would need a value above k
+    if k == 1:
+        yield (1,) * n  # the only candidate, in every family
+        return
     values: list[int] = []
     stack = [iter(range(1, k + 1))]
     while stack:
@@ -188,6 +191,8 @@ def count_family(family: str, n: int, k: int | None = None) -> int:
     bound, gap, single_climbs, superdiagonal = _rule(family, n, k)
     if not bound or superdiagonal and n > bound:
         return 0  # no value to place, or position n would need one above k
+    if bound == 1:
+        return 1  # 1, ..., 1, in every family
     once = [0, *[1] * bound]  # index v: prefixes ending at value v once
     more = [0] * (bound + 1)  # index v: prefixes ending at value v twice or more
     for i in range(2, n + 1):

@@ -12,14 +12,16 @@ size bound; the counts suite lists nothing, and compares transfer
 counts, formulas, series and recurrences up to that bound.  In the
 walking suites, a library error raised on one object, or while the
 grammar builds a class, fails the checks being computed, with the object
-or class named, where it is raised, and the walk carries on: a map of
-objects to images holds only the images found, and a later check that
-needs a failed object maps it again.  The bijections suite runs one size
-at a time, and a size in phases (the staircase maps, the word -> heap
-map, the animals), each of which frees what it lists before the next
-phase or size runs.  The statistics suite does not assume the two
-empirical index relations it watches; it detects the constants from the
-data, fails if they drift anywhere in range, and reports what it found.
+or class named, where it is raised, and the walk carries on: one try per
+object, in `_Recorder.images` or `_Recorder.holds`.  A map of objects to
+images holds only the images found; a later check reads it, and maps
+again only an object that failed, so each multiset and word is mapped
+once per size.  The bijections suite runs one size at a time, and a size
+in phases (the staircase maps, the word -> heap map, the animals), each
+of which frees what it lists before the next phase or size runs.  The
+statistics suite does not assume the two empirical index relations it
+watches; it detects the constants from the data, fails if they drift
+anywhere in range, and reports what it found.
 
 The counts and symmetry suites also have a counting tier, which compares
 the constructor recurrences of `counting` with independent formulas at
@@ -91,23 +93,12 @@ class _Recorder:
         if not ok and name not in self.failures:
             self.failures[name] = detail % args if args else detail
 
-    def guard(self, name: str, where: str, *args: object) -> _Guard:
-        """A context that records a library error raised inside as a failure of
-        check name at where, or at where % args, formatted only then, and
-        suppresses it; any other exception goes on to `run_suite`.
-
-        The walking suites enter one per object, so they pass the object in
-        args, not formatted into where: a check that passes shows nothing.
-        """
-        return _Guard(self, name, where, args)
-
     def fail(self, name: str, where: str, exc: HeapdyckError) -> None:
         self.require(name, False, f"{where}: {type(exc).__name__}: {exc}")
 
     def images(self, name: str, fn: Callable, objects: Iterable, where: str) -> dict:
         """fn(x) for each of the objects that fn maps; a library error fn raises on x
-        fails check name at where x, and leaves x out.  A try, not a guard per object,
-        since the walking suites map tens of thousands of objects here."""
+        fails check name at where x, and leaves x out."""
         out = {}
         for x in objects:
             try:
@@ -115,6 +106,15 @@ class _Recorder:
             except HeapdyckError as exc:
                 self.fail(name, f"{where} {x}", exc)
         return out
+
+    def holds(self, name: str, pred: Callable, objects: Iterable, where: str) -> None:
+        """Require pred(x) of each of the objects, in order; a False, or a library error
+        pred raises on x, fails check name at where x, formatted only then."""
+        for x in objects:
+            try:
+                self.require(name, pred(x), "%s %s", where, x)
+            except HeapdyckError as exc:
+                self.fail(name, f"{where} {x}", exc)
 
     def note(self, name: str, detail: str) -> None:
         self.order.setdefault(name)
@@ -128,29 +128,6 @@ class _Recorder:
             else:
                 out.append(CheckResult(name, True, self.notes.get(name, default_detail)))
         return out
-
-
-class _Guard:
-    """`_Recorder.guard`'s context: a plain object, not a generator, since the
-    walking suites enter one per object."""
-
-    __slots__ = ("rec", "name", "where", "args")
-
-    def __init__(self, rec: _Recorder, name: str, where: str, args: tuple) -> None:
-        self.rec = rec
-        self.name = name
-        self.where = where
-        self.args = args
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, kind: type | None, exc: BaseException | None, tb: object) -> bool:
-        if not isinstance(exc, HeapdyckError):
-            return False
-        where = self.where % self.args if self.args else self.where
-        self.rec.fail(self.name, where, exc)
-        return True
 
 
 def _catalan(n: int) -> int:
@@ -282,19 +259,18 @@ def _staircase_phase(rec: _Recorder, n: int) -> tuple[dict, dict[str, list[str]]
     targets = {"grand_dyck": list(words)}
     every = list(multisets.enumerate_family("all", n))
     listed = {(paths, "grand_dyck"): len(words), (multisets, "all"): len(set(every))}
-    images = {}
-    at_multiset = "n=%d, multiset %s"
-    for m in every:
-        with rec.guard("staircase-round-trip", at_multiset, n, m):
-            w = bijections.multiset_to_path(m)
-            images[w] = m
-            rec.require(
-                "staircase-round-trip", bijections.path_to_multiset(w) == m, at_multiset, n, m
-            )
+    word_of = {}  # each multiset's word, mapped once for every check below
+
+    def round_trip(m: multisets.Multiset) -> bool:
+        w = word_of[m] = bijections.multiset_to_path(m)
+        return bijections.path_to_multiset(w) == m
+
+    rec.holds("staircase-round-trip", round_trip, every, f"n={n}, multiset")
+    image = set(word_of.values())
     rec.require(
         "staircase-is-bijective",
-        images.keys() == words.keys(),
-        f"n={n}: image size {len(images)}, target {len(words)}",
+        image == words.keys(),
+        f"n={n}: image size {len(image)}, target {len(words)}",
     )
     for family, target in (
         ("super", "dyck"),
@@ -304,7 +280,13 @@ def _staircase_phase(rec: _Recorder, n: int) -> tuple[dict, dict[str, list[str]]
     ):
         name = f"staircase-{family.replace('_', '-')}-image"
         members = dict.fromkeys(multisets.enumerate_family(family, n))
-        found = rec.images(name, bijections.multiset_to_path, members, f"n={n}, multiset")
+        # a multiset multiset_to_path failed on is mapped again, to fail this check too
+        found = rec.images(
+            name,
+            lambda m: word_of[m] if m in word_of else bijections.multiset_to_path(m),
+            members,
+            f"n={n}, multiset",
+        )
         got = set(found.values())
         targets[target] = list(paths.enumerate_family(target, n))
         want = set(targets[target])
@@ -321,14 +303,18 @@ def _word_heap_phase(
     of three target families against the grammar's T, Ts, Q and Qs."""
     words = targets["grand_dyck"]
     word_heaps = rec.images("run-heap-round-trip", bijections.path_to_heap, words, f"n={n}, word")
-    at_word = "n=%d, word %s"
-    for w, h in word_heaps.items():
-        with rec.guard("run-heap-round-trip", at_word, n, w):
-            rec.require("run-heap-round-trip", bijections.heap_to_path(h) == w, at_word, n, w)
+    rec.holds(
+        "run-heap-round-trip",
+        lambda w: bijections.heap_to_path(word_heaps[w]) == w,
+        word_heaps,
+        f"n={n}, word",
+    )
     heaps_seen = set(word_heaps.values())
     name, where = "run-heap-image-is-grammar-T", f"n={n}: {len(heaps_seen)} heaps"
-    with rec.guard(name, where):
+    try:
         rec.require(name, len(heaps_seen) == len(words) and heaps_seen == grammar("T"), where)
+    except HeapdyckError as exc:
+        rec.fail(name, where, exc)
     for family, name, klass in (
         ("dyck", "dyck-image-is-grammar-Ts", "Ts"),
         ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
@@ -341,8 +327,10 @@ def _word_heap_phase(
             targets[family],
             f"n={n}, word",
         )
-        with rec.guard(name, f"n={n}"):
+        try:
             rec.require(name, set(images.values()) == grammar(klass), f"n={n}")
+        except HeapdyckError as exc:
+            rec.fail(name, f"n={n}", exc)
 
 
 def _animal_phase(rec: _Recorder, n: int, grammar: Callable[[str], frozenset]) -> None:
@@ -358,8 +346,10 @@ def _animal_phase(rec: _Recorder, n: int, grammar: Callable[[str], frozenset]) -
         where = f"{lattice}{' subdiagonal' if subdiagonal else ''}, n={n}"
         animals[klass] = heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal)
         images = rec.images(name, heaps.animal_to_heap, animals[klass], f"{where}, animal")
-        with rec.guard(name, where):
+        try:
             rec.require(name, set(images.values()) == grammar(klass), where)
+        except HeapdyckError as exc:
+            rec.fail(name, where, exc)
         animal_heaps[klass] = images
     # the images above, not a second enumeration; a failed animal is mapped again here
     name = "square-animals-are-diagonal-free-heaps"
@@ -367,18 +357,20 @@ def _animal_phase(rec: _Recorder, n: int, grammar: Callable[[str], frozenset]) -
     failed = [a for a in animals["Q"] if a not in square]
     rec.images(name, heaps.animal_to_heap, failed, f"square, n={n}, animal")
     square_heaps = set(square.values())
-    at_animal = "n=%d, animal %s"
-    for a in animals["T"]:
-        with rec.guard(name, at_animal, n, a):
-            h = triangular[a] if a in triangular else heaps.animal_to_heap(a)
-            diagonal_free = heaps.heap_stats(h).diag == 0
-            rec.require(name, diagonal_free == (h in square_heaps), at_animal, n, a)
+
+    def diagonal_free_iff_square(a: heaps.PointAnimal) -> bool:
+        h = triangular[a] if a in triangular else heaps.animal_to_heap(a)
+        return (heaps.heap_stats(h).diag == 0) == (h in square_heaps)
+
+    rec.holds(name, diagonal_free_iff_square, animals["T"], f"n={n}, animal")
     # every square and subdiagonal animal is a triangular one
     if n <= ANIMAL_ORACLE_CAP - 1:
-        name = "animal-round-trip"
-        for a, h in triangular.items():
-            with rec.guard(name, at_animal, n, a):
-                rec.require(name, heaps.heap_to_animal(h) == a, at_animal, n, a)
+        rec.holds(
+            "animal-round-trip",
+            lambda a: heaps.heap_to_animal(triangular[a]) == a,
+            triangular,
+            f"n={n}, animal",
+        )
 
 
 # --- statistics ---------------------------------------------------------
@@ -433,7 +425,7 @@ def _suite_statistics(rec: _Recorder, max_n: int) -> None:
         for word in paths.enumerate_family("grand_dyck", n):
             # a library error while computing the word's statistics fails the
             # first check that reads them, and skips the word's other checks
-            with rec.guard(_WORD_RELATIONS[0][0], at_word, n, word):
+            try:
                 ms = multisets.stats(bijections.path_to_multiset(word))
                 ps = paths.height_stats(word)
                 seq = bijections.drop_sequence(word)
@@ -454,6 +446,8 @@ def _suite_statistics(rec: _Recorder, max_n: int) -> None:
                     )
                     if len(diffs) == 1:
                         (below_offsets if below else above_offsets).add(diffs.pop())
+            except HeapdyckError as exc:
+                rec.fail(_WORD_RELATIONS[0][0], at_word % (n, word), exc)
     bounded = set(gap_offsets) <= {0, 1}
     rec.require(
         "gap-stays-within-one-of-height",
@@ -515,37 +509,35 @@ def _suite_symmetry(rec: _Recorder, max_n: int) -> None:
     for n in range(1, max_n + 1):
         for klass in ("T", "Q"):
             name, where = "left-plus-one-matches-right-width", f"class {klass}, n={n}"
-            with rec.guard(name, where):
+            try:
                 stats = [heaps.heap_stats(h) for h in bijections.grammar_enumerate(n, klass)]
-                rec.require(
-                    name,
-                    Counter(s.lw + 1 for s in stats) == Counter(s.rw for s in stats),
-                    where,
-                )
+                ok = Counter(s.lw + 1 for s in stats) == Counter(s.rw for s in stats)
+                rec.require(name, ok, where)
+            except HeapdyckError as exc:
+                rec.fail(name, where, exc)
         for family in ("grand_dyck", "grand_dyck_star"):
-            stats = [
-                paths.height_stats(w) for w in paths.enumerate_family(family, n)
-            ]
+            stats = [paths.height_stats(w) for w in paths.enumerate_family(family, n)]
             rec.require(
                 "crossings-plus-one-matches-height",
                 Counter(s.cross + 1 for s in stats) == Counter(s.height_max for s in stats),
                 f"family {family}, n={n}",
             )
         if n <= ANIMAL_ORACLE_CAP - 1:
-            name = "reflection-swaps-widths"
-            at_animal = "n=%d, animal %s"
-            for a in heaps.animal_enumerate_bruteforce(n, "triangular"):
-                with rec.guard(name, at_animal, n, a):
-                    sa = heaps.heap_stats(heaps.animal_to_heap(a))
-                    sb = heaps.heap_stats(heaps.animal_to_heap(heaps.animal_reflect(a)))
-                    rec.require(
-                        name,
-                        sb.lw + 1 == sa.rw and sb.rw == sa.lw + 1 and sb.area == sa.area,
-                        at_animal, n, a,
-                    )
+            rec.holds(
+                "reflection-swaps-widths",
+                _reflection_swaps_widths,
+                heaps.animal_enumerate_bruteforce(n, "triangular"),
+                f"n={n}, animal",
+            )
     animal_n = min(max_n, ANIMAL_ORACLE_CAP - 1)
     rec.note("reflection-swaps-widths", f"every triangular animal, sizes 1..{animal_n}")
     _width_tier(rec)
+
+
+def _reflection_swaps_widths(a: heaps.PointAnimal) -> bool:
+    sa = heaps.heap_stats(heaps.animal_to_heap(a))
+    sb = heaps.heap_stats(heaps.animal_to_heap(heaps.animal_reflect(a)))
+    return sb.lw + 1 == sa.rw and sb.rw == sa.lw + 1 and sb.area == sa.area
 
 
 def _width_tier(rec: _Recorder) -> None:

@@ -189,13 +189,10 @@ class TestEnumerate:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
-    @pytest.mark.parametrize(
-        "family, n, k",
-        [("multiset-all", 10**12, 0), ("multiset-super", 10**11, 3)],
-        ids=["no-values", "superdiagonal-past-the-bound"],
-    )
-    def test_empty_multiset_count_is_0_at_once(self, family, n, k):
-        # as the listing is empty at once; a count that walks every position times out
+    @staticmethod
+    def count_only(family, n, k):
+        """`enumerate --count-only` in a subprocess, so that a count that walks every
+        position times out here rather than hanging the suite."""
         src = Path(multisets.__file__).parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
         argv = ["enumerate", "--family", family, "--n", str(n), "--k", str(k), "--count-only"]
@@ -203,7 +200,23 @@ class TestEnumerate:
             [sys.executable, "-m", "heapdyck.cli", *argv],
             env=env, capture_output=True, text=True, timeout=10,
         )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+        return done.returncode, done.stdout, done.stderr
+
+    @pytest.mark.parametrize(
+        "family, n, k",
+        [("multiset-all", 10**12, 0), ("multiset-super", 10**11, 3)],
+        ids=["no-values", "superdiagonal-past-the-bound"],
+    )
+    def test_empty_multiset_count_is_0_at_once(self, family, n, k):
+        # as the listing is empty at once
+        assert self.count_only(family, n, k) == (0, "0\n", "")
+
+    @pytest.mark.parametrize(
+        "family", ["multiset-all", "multiset-star", "multiset-no-single-except-k"]
+    )
+    def test_one_value_multiset_count_is_1_at_once(self, family):
+        # 1, ..., 1 is the only candidate
+        assert self.count_only(family, 10**12, 1) == (0, "1\n", "")
 
     @pytest.mark.parametrize("family", ["heap-T", "heap-Ts", "heap-Q", "heap-Qs"])
     def test_heap_count_only_matches_listing(self, capsys, family):

@@ -165,5 +165,4 @@ def test_each_verify_row_runs_its_suite_at_the_default_cap():
     from heapdyck import verify
 
     rows = {name: sizes for name, (_, sizes, _) in layers.ROWS.items() if name.startswith("verify.")}
-    assert rows == {f"verify.{suite}": (cap,) for suite, cap in verify.SUITE_CAPS.items()
-                    if suite != "series"}
+    assert rows == {f"verify.{suite}": (cap,) for suite, cap in verify.SUITE_CAPS.items()}

@@ -208,6 +208,19 @@ class TestReports:
         peak = traced_peak(lambda: verify.run_suite("bijections"))
         assert peak < 1.7 * traced_peak(largest_phase)
 
+    def test_bijections_suite_maps_each_multiset_once_per_size(self, monkeypatch):
+        calls = []
+        to_path = bijections.multiset_to_path
+
+        def counted(m):
+            calls.append(m)
+            return to_path(m)
+
+        monkeypatch.setattr(bijections, "multiset_to_path", counted)
+        assert verify.run_suite("bijections", 4).ok
+        # every multiset over 1..n at n = 1..4, the subfamilies reading the round trip's words
+        assert len(calls) == len(set(calls)) == 1 + 3 + 10 + 35
+
     def test_statistics_reports_detected_relations(self):
         report = verify.run_suite("statistics", 4)
         details = {c.name: c.detail for c in report.checks}
@@ -216,28 +229,35 @@ class TestReports:
 
 
 class TestGuard:
-    """`_Recorder.guard`, which the walking suites enter once per object."""
+    """How a walk guards against a library error: `_Recorder.holds`, one try per object."""
 
     def test_records_a_library_error_at_its_place_and_suppresses_it(self):
+        seen = []
+
+        def pred(w):
+            seen.append(w)
+            if w.startswith("UD"):
+                raise heaps.NotAHeapError("empty heap")
+            return w != "DUUD"
+
         rec = verify._Recorder()
-        with rec.guard("check", "n=%d, word %s", 2, "UDDU"):
-            raise heaps.NotAHeapError("empty heap")
-        with rec.guard("check", "n=%d, word %s", 3, "UUDD"):  # a check fails once
-            raise heaps.NotAHeapError("empty heap")
-        with rec.guard("other", "class T, 100%"):  # no args: the place as it stands
-            raise multisets.EmptyMultisetError("multiset needs at least one value")
+        rec.holds("check", pred, ["UUDD", "UDDU", "UDUD", "DUUD"], "n=2, word")  # fails once
+        rec.holds("false", pred, ["DUUD", "UDDU"], "n=2, word")  # a False first, an error next
+        rec.holds("clean", pred, ["UUDD"], "n=2, word")
+        assert seen == ["UUDD", "UDDU", "UDUD", "DUUD", "DUUD", "UDDU", "UUDD"]
         assert rec.results("fine") == [
             verify.CheckResult("check", False, "n=2, word UDDU: NotAHeapError: empty heap"),
-            verify.CheckResult(
-                "other", False, "class T, 100%: EmptyMultisetError: multiset needs at least one value"
-            ),
+            verify.CheckResult("false", False, "n=2, word DUUD"),
+            verify.CheckResult("clean", True, "fine"),
         ]
 
     def test_any_other_exception_reaches_the_suite_wrapper(self, monkeypatch):
         def broken(h):
             raise KeyError("boom")
 
-        monkeypatch.setattr(heaps, "heap_stats", broken)  # called under the symmetry guards
+        with pytest.raises(KeyError):
+            verify._Recorder().holds("check", broken, ["UD"], "n=1, word")
+        monkeypatch.setattr(heaps, "heap_stats", broken)  # called inside the symmetry tries
         assert verify.run_suite("symmetry", 2).checks == [
             verify.CheckResult("suite-execution", False, "KeyError: 'boom'")
         ]
@@ -250,15 +270,19 @@ class TestGuard:
                 shown.append(self)
                 return "obj"
 
-        rec = verify._Recorder()
-        with rec.guard("clean", "at %s", Shown()):  # records nothing, shows nothing
-            pass
-        assert shown == []
-        with rec.guard("check", "at %s", Shown()):
+        def broken(x):
             raise heaps.NotAHeapError("empty heap")
-        assert len(shown) == 1
+
+        rec = verify._Recorder()
+        rec.holds("clean", lambda x: True, [Shown(), Shown()], "at")  # records and shows nothing
+        assert shown == []
+        rec.holds("check", broken, [Shown()], "at")
+        rec.holds("false", lambda x: False, [Shown()], "at")
+        assert len(shown) == 2
         assert rec.results("fine") == [
-            verify.CheckResult("check", False, "at obj: NotAHeapError: empty heap")
+            verify.CheckResult("clean", True, "fine"),
+            verify.CheckResult("check", False, "at obj: NotAHeapError: empty heap"),
+            verify.CheckResult("false", False, "at obj"),
         ]
 
     def test_symmetry_shows_no_animal_when_every_check_passes(self, monkeypatch):

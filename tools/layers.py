@@ -235,7 +235,7 @@ def _star(n: int, k: int) -> int:
 # row but grammar_enumerate.Q lists C(2n - 1, n) objects: the T heaps, the triangular
 # animals, the grand-Dyck words and the multisets over {1..n}; the Q row lists the Q
 # heaps, which a run frees only after its timer stops.  A verify row runs one suite at
-# its default cap, which must be n (10, 8, 8 and 7 in verify.SUITE_CAPS), and gives n
+# its default cap, which must be n (10, 8, 8, 30 and 7 in verify.SUITE_CAPS), and gives n
 # when every check passes.  A series row gives its last coefficient:
 # T_n = C(2n - 1, n), and Q_n and Mdiag_n, the directed animals of size n (OEIS
 # A005773).  A table row gives entry (n, n) of its table to order n, which is Q_n for
@@ -253,6 +253,7 @@ ROWS = {
     "verify.counts": (partial(_verify, "counts"), (10,), lambda n: n),
     "verify.bijections": (partial(_verify, "bijections"), (8,), lambda n: n),
     "verify.statistics": (partial(_verify, "statistics"), (8,), lambda n: n),
+    "verify.series": (partial(_verify, "series"), (30,), lambda n: n),
     "verify.symmetry": (partial(_verify, "symmetry"), (7,), lambda n: n),
     "cli.enumerate.heap-T": (partial(_cli_enumerate, "heap-T"), LISTING_SIZES, _t_heaps),
     "cli.enumerate.animal-triangular": (

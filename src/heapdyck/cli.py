@@ -194,8 +194,8 @@ def _digit_reach(base: int) -> int | None:
 
 def _series_reach(name: str) -> int | None:
     """The largest order `series` prints: Ts_n, T_n < 4^n and Qs_n, Q_n < 3^n print within
-    their digit reach, and Mdiag's table rows, computed one at a time in about 22 MB, three
-    whole-row passes and two prefix sums each, take about 4-5 s at order 3000: their time
+    their digit reach, and Mdiag's table rows, computed one at a time in about 22 MB, two
+    whole-row passes and one prefix sum each, take about 3.5-5 s at order 3000: their time
     sets that reach."""
     reach = _digit_reach(4 if name in ("Ts", "T") else 3)
     return min(reach or 3000, 3000) if name == "Mdiag" else reach
@@ -217,7 +217,7 @@ def _do_series(args) -> int:
     return 0
 
 
-TABLE1_REACH = 1600  # of --max-n and --max-k: 1600 x 1600 took 8.4 s CPU, 0.48 GB (2 cores)
+TABLE1_REACH = 1600  # of --max-n and --max-k: 1600 x 1600 took 7.4 s CPU, 0.47 GB (2 cores)
 
 
 def table1_lines(max_n: int, max_k: int) -> Iterator[str]:

@@ -9,18 +9,20 @@ divide exactly raises NotIntegralError.  Square roots are taken only of
 series with constant term 1, and the closed forms below divide by their
 leading monomials through explicit valuation shifts.
 
-The product is quadratic, O(N^2) products; quotient and square root
-visit only their operand's nonzero terms, O(N t) products for t of them.
+The product is quadratic, O(N^2) products, and a square x * x of one
+object takes half of them; quotient and square root visit only their
+operand's nonzero terms, O(N t) products for t of them.
 The table divisors have constant term 1, so a table is divided a row at
 a time, and its entries are ints too.  At setup the divisor's z^0 part
 is split into its factors 1 - u and the rest, and each cross row is
-divided by the factors 1 - u it shares with that part.  A row then costs
-a few whole-row passes, not a loop per entry: one per term of those
-quotients, one prefix sum per factor 1 - u of the z^0 part, and a
-sequential pass only for what that part has beyond those factors, which
-is nothing for f and h.  A row of f costs three passes and two prefix
-sums, one of h two passes and one prefix sum; an N x N table takes
-O(N^2) additions per pass.
+divided by the factors 1 - u it shares with that part; a quotient left
+with fewer than all of them lowers by one more, q = (1 - u) p + q(1),
+when that leaves fewer terms.  A row then costs a few whole-row passes,
+not a loop per entry: one per term of those quotients, one prefix sum
+per factor 1 - u of the z^0 part, skipped while the row is all zeros,
+and a sequential pass only for what that part has beyond those factors,
+which is nothing for f and h.  A row of f or of h costs two passes and
+one prefix sum; an N x N table takes O(N^2) additions per pass.
 
 The four univariate closed forms count the heap classes by area:
 
@@ -51,6 +53,7 @@ from .value import Value
 CLOSED_FORMS = ("Ts", "T", "Qs", "Q", "Mdiag")
 
 Terms = dict[tuple[int, int], int]  # a bivariate polynomial, {(z, u) power: coefficient}
+Group = list[tuple[int, int, int]]  # a Horner group of _table_rows: terms c z^i u^j as (i, j, c)
 
 
 class DivByNonUnitError(HeapdyckError, ZeroDivisionError):
@@ -108,7 +111,13 @@ class Series(Value):
         n = min(self.order, other.order)
         a = self.coeffs
         b = other.coeffs[n::-1]  # b[n - k:] runs b_k, b_(k-1), .., b_0, to pair with a_0, a_1, ..
-        return Series(tuple(sum(map(mul, a, b[n - k :])) for k in range(n + 1)))
+        if other is not self:
+            return Series(tuple(sum(map(mul, a, b[n - k :])) for k in range(n + 1)))
+        # a square: each pair i < k - i once, doubled, then a_(k/2)^2 when k is even
+        out = [2 * sum(map(mul, a, b[n - k : n - k + (k + 1) // 2])) for k in range(n + 1)]
+        for k in range(0, n + 1, 2):
+            out[k] += a[k // 2] * a[k // 2]
+        return Series(out)
 
     def __truediv__(self, other: "Series") -> "Series":
         b = other.coeffs
@@ -206,24 +215,16 @@ def _one_minus_u_factors(p: list[int], most: int) -> tuple[int, list[int]]:
     return k, p
 
 
-def _table_rows(
-    numerator: Terms, denominator: Terms, z_order: int, u_order: int
-) -> Iterator[list[int]]:
-    """The int rows of numerator / denominator, one at a time; the denominator's constant
-    term is 1.  Only the rows the denominator reaches back to are kept.
+def _horner_groups(denominator: Terms) -> tuple[list[tuple[int, int]], list[Group]]:
+    """Setup of `_table_rows`: R's terms (j, c) past u^0, and groups 0..m.
 
-    Write the denominator as D0(u) + sum_(i>=1) z^i D_i(u) and the numerator's row n as
-    N_n(u).  Row n is then (N_n - sum_i D_i F_(n-i)) / D0, truncated at u^u_order.  At
-    setup D0 is split into (1 - u)^m R(u) with R(0) = 1, and each cross row D_i into
-    (1 - u)^k_i Q_i(u), k_i <= m, so that row n is
-
-        (sum_e S_e / (1 - u)^e) / R,   S_e = [e = m] N_n - sum_(m - k_i = e) Q_i F_(n-i).
-
-    A row is one Horner pass from e = m down to 0: each term c z^i u^j of group e is one
-    pass over the row, acc[j:] -= c F_(n-i), and each step down is a prefix sum, which
-    divides by 1 - u.  Dividing by R runs over R's nonzero terms.  For f, R = 1, m = 2 and
-    Q_1 = -(1 - u + u^2) in group 1; for h, R = 1, m = 1, Q_1 = -1 in group 0 and Q_2 = -u
-    in group 1.
+    D0 is split into (1 - u)^m R(u) with R(0) = 1, and each cross row D_i into
+    (1 - u)^k_i Q_i(u), k_i <= m; Q_i's terms join group m - k_i.  When k_i < m, so that
+    Q_i(1) != 0, Q_i = (1 - u) P_i + Q_i(1) lowers by one factor: the term Q_i(1) stays in
+    group m - k_i and P_i's terms join the group below, if that makes fewer terms.  For
+    f, R = 1, m = 2 and Q_1 = -(1 - u + u^2) = (1 - u) u - 1: -1 in group 1 and u in
+    group 0.  For h, R = 1, m = 1, Q_1 = -1 in group 0 and Q_2 = -u in group 1, which
+    would lower to two terms, -1 and 1.
     """
     d00 = denominator.get((0, 0), 0)
     if d00 != 1:
@@ -236,18 +237,53 @@ def _table_rows(
     d0 = coefficients(0)
     m, d0 = _one_minus_u_factors(d0, len(d0))
     r = [(j, c) for j, c in enumerate(d0) if j and c]
-    cross = {i for (i, _), c in denominator.items() if i and c}
-    back = max(cross, default=0)
-    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(m + 1)]  # group e: (i, j, c)
-    for i in cross:
+    groups: list[Group] = [[] for _ in range(m + 1)]
+    for i in sorted({i for (i, _), c in denominator.items() if i and c}):
         k, q = _one_minus_u_factors(coefficients(i), m)
-        groups[m - k] += [(i, j, c) for j, c in enumerate(q) if c]
+        e = m - k
+        terms = [(i, j, c) for j, c in enumerate(q) if c]
+        if e:
+            q1 = sum(q)
+            _, p = _one_minus_u_factors([q[0] - q1, *q[1:]], 1)
+            lowered = [(i, j, c) for j, c in enumerate(p) if c]
+            if 1 + len(lowered) < len(terms):
+                groups[e - 1] += lowered
+                terms = [(i, 0, q1)]
+        groups[e] += terms
+    return r, groups
+
+
+def _table_rows(
+    numerator: Terms, denominator: Terms, z_order: int, u_order: int
+) -> Iterator[list[int]]:
+    """The int rows of numerator / denominator, one at a time; the denominator's constant
+    term is 1.  Only the rows the denominator reaches back to are kept.
+
+    Write the denominator as D0(u) + sum_(i>=1) z^i D_i(u) and the numerator's row n as
+    N_n(u).  Row n is then (N_n - sum_i D_i F_(n-i)) / D0, truncated at u^u_order.  With
+    D0 = (1 - u)^m R(u) and the cross terms c z^i u^j in groups e = 0..m, as
+    `_horner_groups` sets them up, row n is
+
+        (sum_e S_e / (1 - u)^e) / R,   S_e = [e = m] N_n - sum_(group e) c u^j F_(n-i).
+
+    A row is one Horner pass from e = m down to 0: each term c z^i u^j of group e is one
+    pass over the row, acc[j:] -= c F_(n-i), and each step down is a prefix sum, which
+    divides by 1 - u and is skipped while the row is still all zeros.  Dividing by R runs
+    over R's nonzero terms.  A row of f past the numerator's is then
+    F_n = prefix(F_(n-1)) - u F_(n-1): two passes and one prefix sum.  A row of h is
+    prefix(u F_(n-2)) + F_(n-1), also two passes and one prefix sum.
+    """
+    r, groups = _horner_groups(denominator)
+    m = len(groups) - 1
+    back = max((i for (i, _), c in denominator.items() if c), default=0)
     rows: list[list[int] | None] = []
     for n in range(z_order + 1):
         acc = [0] * (u_order + 1)
+        zero = True  # acc is still all zeros, and a prefix sum leaves it so
         for (i, j), c in numerator.items():
             if i == n and j <= u_order:
                 acc[j] = c
+                zero = False
         for e in range(m, -1, -1):
             for i, j, c in groups[e]:
                 if i <= n:
@@ -258,7 +294,8 @@ def _table_rows(
                         acc[j:] = map(add, acc[j:], prev)
                     else:
                         acc[j:] = map(sub, acc[j:], map(mul, repeat(c), prev))
-            if e:
+                    zero = False
+            if e and not zero:
                 acc = list(accumulate(acc))
         if r:
             for k in range(1, u_order + 1):
@@ -319,7 +356,6 @@ def check_identities(order: int) -> list[IdentityCheck]:
     def poly(coeffs: list[int]) -> Series:
         return polynomial(coeffs, max(n, len(coeffs) - 1)).truncate(n)
 
-    z = poly([0, 1])
     one = poly([1])
     ts = closed_form("Ts", n)
     t = closed_form("T", n)
@@ -333,8 +369,13 @@ def check_identities(order: int) -> list[IdentityCheck]:
             IdentityCheck(name, same, f"orders 0..{min(lhs.order, rhs.order)} compared")
         )
 
-    record("Ts = z(1+Ts)^2", ts, z * (one + ts) * (one + ts))
-    record("Qs = z(1+Qs+Qs^2)", qs, z * (one + qs + qs * qs))
+    def times_z(x: Series) -> Series:  # z x to order n, a shift rather than a product
+        return Series((0, *x.coeffs[:n]))
+
+    # each square below is one object times itself, which the product squares in half the work
+    one_ts = one + ts
+    record("Ts = z(1+Ts)^2", ts, times_z(one_ts * one_ts))
+    record("Qs = z(1+Qs+Qs^2)", qs, times_z(one + qs + qs * qs))
     record("T = Ts(1+T)", t, ts * (one + t))
     record("Q = Qs(1+Q)", q, qs * (one + q))
     for coeffs in ([1, -4], [1, -2, -3]):

@@ -135,12 +135,12 @@ def _catalan(n: int) -> int:
 
 
 def _motzkin_row(n: int) -> list[int]:
-    """Motzkin numbers M_0..M_n."""
-    row = [1]
-    for _ in range(n):
-        nxt = row[-1] + sum(row[i] * row[-2 - i] for i in range(len(row) - 1))
-        row.append(nxt)
-    return row
+    """Motzkin numbers M_0..M_n, by their P-recurrence (m + 2) M_m = (2m + 1) M_(m-1) +
+    3(m - 1) M_(m-2), whose division is exact: a route apart from the Qs convolution."""
+    row = [1, 1]
+    for m in range(2, n + 1):
+        row.append(((2 * m + 1) * row[-1] + 3 * (m - 1) * row[-2]) // (m + 2))
+    return row[: n + 1]
 
 
 # --- counts -------------------------------------------------------------

@@ -3,9 +3,13 @@
 The word <-> heap references share only `compose` and the gravity of
 `heaps.drop_columns` with the library code they check.  The grammar
 reference, `encoded_grammar`, builds heaps as byte strings with a gravity
-of its own, so it shares nothing with `drop_columns`.
+of its own, so it shares nothing with `drop_columns`.  `mutated` is the
+mutation tests' tool: a library function compiled again with one piece
+of its source replaced.
 """
 
+import inspect
+import textwrap
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +29,15 @@ from heapdyck.heaps import (
     drop_columns,
 )
 from heapdyck.series import Series
+
+
+def mutated(fn, old, new):
+    """fn compiled again in its module with one piece of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{old!r} is not a unique piece of {fn.__name__}"
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
 
 
 def catalan(n: int) -> int:

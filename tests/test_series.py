@@ -23,6 +23,7 @@ from oracles import (
     from_ints,
     listed_count,
     motzkin,
+    mutated,
     reference_div,
     reference_divide_table,
     reference_mul,
@@ -83,6 +84,24 @@ def factored_denominator(max_power=3):
         )
 
     return st.integers(0, 3).flatmap(build)
+
+
+# denominator -> the Horner groups 0..m of its cross terms, (i, j, c) for c z^i u^j, each
+# one pass over a row.  A cross row (1 - u)^k Q with k < m lowers by one more factor,
+# Q = (1 - u) P + Q(1), only when Q(1) and P's terms are fewer passes than Q's terms
+HORNER_GROUPS = {
+    # f: -(1 - u)(1 - u + u^2) over (1 - u)^2, -(1 - u + u^2) = (1 - u) u - 1
+    "f": (series._TABLES["f"][1], [[(1, 1, 1)], [(1, 0, -1)], []]),
+    # h: -(1 - u) over 1 - u is -1; -u stays, for it would lower to -1 and 1
+    "h": (series._TABLES["h"][1], [[(1, 0, -1)], [(2, 1, -1)]]),
+    # (1 - u)(1 - u + u^2) over (1 - u)^2: 1 - u + u^2 = (1 - u)(-u) + 1
+    "f-like": (
+        {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): 1, (1, 1): -2, (1, 2): 2, (1, 3): -1},
+        [[(1, 1, -1)], [(1, 0, 1)], []],
+    ),
+    # -u over 1 - u, alone
+    "h-like": ({(0, 0): 1, (0, 1): -1, (2, 1): -1}, [[], [(2, 1, -1)]]),
+}
 
 
 def all_ints(coeffs):
@@ -168,6 +187,16 @@ class TestKernelsMatchReference:
         assert got == reference_mul(a.coeffs, b.coeffs)
         assert all_ints(got)
 
+    @given(any_series())
+    @example(from_ints([-3]))
+    @example(from_ints([2, -5]))
+    @example(from_ints([1, 4, -7]))
+    def test_square_of_one_object(self, a):
+        # a * a of one object takes the square's path, each pair of terms once
+        got = (a * a).coeffs
+        assert got == reference_mul(a.coeffs, a.coeffs)
+        assert all_ints(got)
+
     @given(any_series(), any_series(), st.sampled_from([1, -1]))
     def test_div(self, a, b, b0):
         b = with_constant(b, b0)
@@ -235,6 +264,27 @@ class TestKernelsMatchReference:
         got = series._divide_table(numerator, denominator, z_order, u_order).rows
         assert got == reference_divide_table(numerator, denominator, z_order, u_order)
         assert all(type(c) is int for row in got for c in row)
+
+    @pytest.mark.parametrize("denominator, groups", HORNER_GROUPS.values(), ids=HORNER_GROUPS)
+    @pytest.mark.parametrize("z_order, u_order", [(0, 0), (1, 5), (7, 7)])
+    def test_cross_row_lowers_only_to_fewer_passes(self, denominator, groups, z_order, u_order):
+        assert series._horner_groups(denominator) == ([], groups)
+        numerator = {(0, 0): 1, (1, 2): -2, (3, 1): 5}
+        got = series._divide_table(numerator, denominator, z_order, u_order).rows
+        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
+
+    def test_lowering_with_q1_of_the_wrong_sign_fails(self, monkeypatch):
+        wrong = mutated(series._horner_groups, "[(i, 0, q1)]", "[(i, 0, -q1)]")
+        monkeypatch.setattr(series, "_horner_groups", wrong)
+        numerator = {(0, 0): 1, (1, 2): -2, (3, 1): 5}
+        for name in ("f-like", "f"):
+            denominator = HORNER_GROUPS[name][0]
+            got = series._divide_table(numerator, denominator, 7, 7).rows
+            assert got != reference_divide_table(numerator, denominator, 7, 7)
+        # a cross row that does not lower is untouched
+        denominator = HORNER_GROUPS["h-like"][0]
+        got = series._divide_table(numerator, denominator, 7, 7).rows
+        assert got == reference_divide_table(numerator, denominator, 7, 7)
 
     @pytest.mark.parametrize("name", series.BIVARIATE_NAMES)
     @pytest.mark.parametrize("z_order, u_order", [(0, 0), (0, 9), (9, 0)])

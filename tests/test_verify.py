@@ -7,7 +7,6 @@ is cached between calls, so a mutation takes effect at once.
 """
 
 import gc
-import inspect
 import json
 import os
 import subprocess
@@ -221,6 +220,11 @@ class TestReports:
         # every multiset over 1..n at n = 1..4, the subfamilies reading the round trip's words
         assert len(calls) == len(set(calls)) == 1 + 3 + 10 + 35
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 60])
+    def test_motzkin_row_by_its_p_recurrence_matches_the_convolution(self, n):
+        # the counts suite's Qs formula; the library's Qs recurrence is the convolution
+        assert verify._motzkin_row(n) == [oracles.motzkin(m) for m in range(n + 1)]
+
     def test_statistics_reports_detected_relations(self):
         report = verify.run_suite("statistics", 4)
         details = {c.name: c.detail for c in report.checks}
@@ -306,15 +310,6 @@ def _failing(suite, max_n=4):
     return failing
 
 
-def _mutated(fn, old, new):
-    """fn compiled again in its module with one piece of its source replaced."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1, f"{old!r} is not a unique piece of {fn.__name__}"
-    namespace = dict(vars(inspect.getmodule(fn)))
-    exec(source.replace(old, new), namespace)
-    return namespace[fn.__name__]
-
-
 def _drop_with(monkeypatch, drop_level):
     """heaps.drop_columns replaced by the per-dimer reference loop, landing by drop_level."""
     monkeypatch.setattr(oracles, "_drop_level", drop_level)
@@ -395,13 +390,14 @@ class TestMutationSmoke:
     )
     def test_wrong_lowest_embedding_names_the_animal(self, monkeypatch, old, new, detail):
         # a disconnected point set fails the round trip, not the whole suite
-        monkeypatch.setattr(heaps, "heap_to_animal", _mutated(heaps.heap_to_animal, old, new))
+        wrong = oracles.mutated(heaps.heap_to_animal, old, new)
+        monkeypatch.setattr(heaps, "heap_to_animal", wrong)
         assert _failing("bijections") == {"animal-round-trip": detail}
 
     def test_missing_run_reversal_is_caught(self, monkeypatch):
         # below-axis runs read as they stand, like the above-axis ones: D steps
         # right to left at their signed heights.  Dyck words have no such run.
-        unreversed = _mutated(bijections.drop_sequence, "if y >= 0:", "if True:")
+        unreversed = oracles.mutated(bijections.drop_sequence, "if y >= 0:", "if True:")
         monkeypatch.setattr(bijections, "drop_sequence", unreversed)
         failing = _failing("bijections")
         assert failing.keys() == {
@@ -438,7 +434,7 @@ class TestMutationSmoke:
     def test_fallen_without_its_ground_check_takes_a_bad_ground(self):
         # gravity leaves only the ground to check; without that check, dimers dropped
         # off column 0 or beside the first dimer make a heap Heap refuses
-        groundless = _mutated(
+        groundless = oracles.mutated(
             heaps.fallen, "canon[0] != (0, 0) or len(canon) > 1 and not canon[1][1]", "False"
         )
         for columns in ([1], [1, 0], [0, 2]):
@@ -536,7 +532,7 @@ class TestMutationSmoke:
     def test_dropped_crossing_is_caught(self, monkeypatch):
         # a crossing back up from below the axis still lowers the heights,
         # but starts no run, so that run's U steps join the run before
-        merged = _mutated(
+        merged = oracles.mutated(
             verify._run_u_heights,
             'runs.append((x, step == "D", []))',
             'if step == "D": runs.append((x, True, []))',
@@ -555,7 +551,7 @@ class TestMutationSmoke:
     def test_word_count_without_pattern_is_caught(self, monkeypatch):
         # DUD-free words counted as all words, and UDU-free ones too, so the
         # two pattern-avoiding word counts still agree with each other
-        unfiltered = _mutated(paths.count_family, "tail + step != pattern", "True")
+        unfiltered = oracles.mutated(paths.count_family, "tail + step != pattern", "True")
         monkeypatch.setattr(paths, "count_family", unfiltered)
         failing = _failing("counts")
         assert failing.keys() == {
@@ -568,7 +564,7 @@ class TestMutationSmoke:
 
     def test_multiset_count_without_repeat_flag_is_caught(self, monkeypatch):
         # no_single_except_k lets a value below the bound climb before it repeats
-        flagless = _mutated(
+        flagless = oracles.mutated(
             multisets.count_family, "(once[v] if single_climbs else 0)", "once[v]"
         )
         monkeypatch.setattr(multisets, "count_family", flagless)

@@ -417,6 +417,7 @@ def animal_enumerate_bruteforce(
                 chosen.pop()
 
     extend(1, 1)
+    del extend  # it reaches itself through its closure, a cycle that would keep found alive
     return frozenset(map(_connected_animal, found))
 
 

@@ -21,8 +21,11 @@ when that leaves fewer terms.  A row then costs a few whole-row passes,
 not a loop per entry: one per term of those quotients, one prefix sum
 per factor 1 - u of the z^0 part, skipped while the row is all zeros,
 and a sequential pass only for what that part has beyond those factors,
-which is nothing for f and h.  A row of f or of h costs two passes and
-one prefix sum; an N x N table takes O(N^2) additions per pass.
+which is nothing for f and h.  The first term to meet a row that is
+still all zeros writes into it rather than adding, and a term with
+coefficient -1 writes a plain copy.  A row of f or of h costs one copy,
+one pass and one prefix sum; an N x N table takes O(N^2) additions per
+pass.
 
 The four univariate closed forms count the heap classes by area:
 
@@ -44,7 +47,7 @@ Y(0) = 0 and (1 - 3x)(1 + 2Y)^2 = 1 + x (Gouyou-Beauchamps and Viennot,
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from operator import add, index, mul, sub
+from operator import add, index, mul, neg, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HeapdyckError
@@ -171,6 +174,28 @@ def polynomial(coeffs: Sequence[int], order: int) -> Series:
     return Series(tuple(coeffs[: order + 1]) + (0,) * (order + 1 - len(coeffs)))
 
 
+# the radicand of each closed form below, whose root it takes to one past its own order
+_RADICANDS = {"Ts": (1, -4), "T": (1, -4), "Qs": (1, -2, -3), "Q": (1, -2, -3)}
+
+
+def _root(radicand: tuple[int, ...], order: int) -> Series:
+    """sqrt(radicand) to order + 1, as the closed forms of that order take it, and to at
+    least the radicand's degree, below which `polynomial` cannot hold it."""
+    return polynomial(radicand, max(order + 1, len(radicand) - 1)).sqrt()
+
+
+def _from_root(name: str, order: int, root: Series) -> Series:
+    """The square-root closed form `name` to the given order, from `_root` of its radicand."""
+    n = order + 1
+    if name == "Ts":
+        return (polynomial([1, -2], n) - root).shift_down(1) / polynomial([2], order)
+    if name == "T":
+        return ((polynomial([1, -4], n) - root) / polynomial([-2, 8], n)).truncate(order)
+    if name == "Qs":
+        return (polynomial([1, -1], n) - root).shift_down(1) / polynomial([2], order)
+    return ((polynomial([1, -3], n) - root) / polynomial([-2, 6], n)).truncate(order)
+
+
 def closed_form(name: str, order: int) -> Series:
     """One of the five named area series, computed to the given order."""
     if name not in CLOSED_FORMS:
@@ -178,16 +203,7 @@ def closed_form(name: str, order: int) -> Series:
     _check_order(order)
     if name == "Mdiag":
         return _diagonal("f", order)
-    n = order + 1
-    if name in ("Ts", "T"):
-        root = polynomial([1, -4], n).sqrt()
-        if name == "Ts":
-            return (polynomial([1, -2], n) - root).shift_down(1) / polynomial([2], order)
-        return ((polynomial([1, -4], n) - root) / polynomial([-2, 8], n)).truncate(order)
-    root = polynomial([1, -2, -3], max(n, 2)).sqrt()  # the radicand needs order 2
-    if name == "Qs":
-        return (polynomial([1, -1], n) - root).shift_down(1) / polynomial([2], order)
-    return ((polynomial([1, -3], n) - root) / polynomial([-2, 6], n)).truncate(order)
+    return _from_root(name, order, _root(_RADICANDS[name], order))
 
 
 class BivarTable(Value):
@@ -268,10 +284,12 @@ def _table_rows(
 
     A row is one Horner pass from e = m down to 0: each term c z^i u^j of group e is one
     pass over the row, acc[j:] -= c F_(n-i), and each step down is a prefix sum, which
-    divides by 1 - u and is skipped while the row is still all zeros.  Dividing by R runs
-    over R's nonzero terms.  A row of f past the numerator's is then
-    F_n = prefix(F_(n-1)) - u F_(n-1): two passes and one prefix sum.  A row of h is
-    prefix(u F_(n-2)) + F_(n-1), also two passes and one prefix sum.
+    divides by 1 - u and is skipped while the row is still all zeros.  The first term to
+    meet an all-zero row writes acc[j:] = -c F_(n-i), cut to the row, instead: a slice
+    copy for c = -1, a negated pass for c = 1 and a scaled one otherwise.  Dividing by R
+    runs over R's nonzero terms.  A row of f past the numerator's is then
+    F_n = prefix(F_(n-1)) - u F_(n-1): one copy, one pass and one prefix sum.  A row of h
+    is prefix(u F_(n-2)) + F_(n-1), also one copy, one pass and one prefix sum.
     """
     r, groups = _horner_groups(denominator)
     m = len(groups) - 1
@@ -288,7 +306,15 @@ def _table_rows(
             for i, j, c in groups[e]:
                 if i <= n:
                     prev = rows[n - i]  # prev[k] meets acc[j + k]; map stops at acc's end
-                    if c == 1:
+                    if zero:  # acc[j:] holds zeros: write -c F_(n-i) there, cut to the row
+                        prev = prev[: max(len(acc) - j, 0)]
+                        if c == -1:
+                            acc[j:] = prev
+                        elif c == 1:
+                            acc[j:] = map(neg, prev)
+                        else:
+                            acc[j:] = map(mul, repeat(-c), prev)
+                    elif c == 1:
                         acc[j:] = map(sub, acc[j:], prev)
                     elif c == -1:
                         acc[j:] = map(add, acc[j:], prev)
@@ -353,14 +379,13 @@ def check_identities(order: int) -> list[IdentityCheck]:
     _check_order(order)
     n = order
 
-    def poly(coeffs: list[int]) -> Series:
+    def poly(coeffs: Sequence[int]) -> Series:
         return polynomial(coeffs, max(n, len(coeffs) - 1)).truncate(n)
 
     one = poly([1])
-    ts = closed_form("Ts", n)
-    t = closed_form("T", n)
-    qs = closed_form("Qs", n)
-    q = closed_form("Q", n)
+    # each root once: the closed forms are built from it, and it squares back to its radicand
+    roots = {radicand: _root(radicand, n) for radicand in ((1, -4), (1, -2, -3))}
+    ts, t, qs, q = (_from_root(name, n, roots[radicand]) for name, radicand in _RADICANDS.items())
     checks = []
 
     def record(name: str, lhs: Series, rhs: Series) -> None:
@@ -378,10 +403,9 @@ def check_identities(order: int) -> list[IdentityCheck]:
     record("Qs = z(1+Qs+Qs^2)", qs, times_z(one + qs + qs * qs))
     record("T = Ts(1+T)", t, ts * (one + t))
     record("Q = Qs(1+Q)", q, qs * (one + q))
-    for coeffs in ([1, -4], [1, -2, -3]):
-        radicand = poly(coeffs)
-        root = radicand.sqrt()
-        record(f"sqrt{tuple(coeffs)} squares back", root * root, radicand)
+    for radicand, root in roots.items():
+        root = root.truncate(n)
+        record(f"sqrt{radicand} squares back", root * root, poly(radicand))
     diagonals = {name: _diagonal(name, n) for name in BIVARIATE_NAMES}
     for name, y in diagonals.items():
         record(f"diagonal({name}) = Q", y, q)

@@ -486,6 +486,18 @@ class TestGrammar:
             gc.enable()
         assert after == before
 
+    def test_the_animal_brute_force_leaves_no_cycle(self):
+        # its scan's closure reaches itself; while that cycle stood, it kept the candidates
+        # and the found subsets alive after the call until the collector ran
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(heaps.animal_enumerate_bruteforce(5, "triangular")) == 126
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
+
     def test_encoded_reference_raises_on_a_duplicate_build(self):
         (ground,) = encoded_grammar("Ts", 1)
         with pytest.raises(GrammarDuplicateError):

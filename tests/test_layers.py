@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -166,3 +167,49 @@ def test_each_verify_row_runs_its_suite_at_the_default_cap():
 
     rows = {name: sizes for name, (_, sizes, _) in layers.ROWS.items() if name.startswith("verify.")}
     assert rows == {f"verify.{suite}": (cap,) for suite, cap in verify.SUITE_CAPS.items()}
+
+
+def test_a_run_of_one_row_once_reads_that_rows_metrics_and_records_its_argv(tmp_path):
+    # a copy of the tool writes its output beside its own tools/ directory, here tmp_path
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "layers.py").write_text(_PATH.read_text())
+    argv = ["--rows", "verify.counts", "--reps", "1", "--label", "one",
+            "--src", str(_PATH.parent.parent / "src")]
+    done = subprocess.run([sys.executable, str(tmp_path / "tools" / "layers.py"), *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "BENCH_layers-one.json").read_text())
+    assert result == json.loads(done.stdout.splitlines()[-1])
+    assert (result["correct"], result["attempted"], result["failed"]) == (True, 1, 0)
+    assert set(result["metrics"]) == {"verify.counts.n10.cpu_s", "verify.counts.n10.max_rss_mb"}
+    assert result["argv"] == argv
+
+
+def test_rows_runs_the_rows_its_patterns_match_in_their_usual_order(monkeypatch, tmp_path):
+    made = []
+
+    def run(src, parent, rows, reps):
+        made.append((rows, reps))
+        return {"correct": True}
+
+    monkeypatch.setattr(layers, "ROWS", {name: (None, (5,), None) for name in ("a.x", "b", "a.y")})
+    monkeypatch.setattr(layers, "run", run)
+    monkeypatch.setattr(layers, "ROOT", str(tmp_path))
+    assert layers.main(["--label", "x", "--rows", "b", "--rows", "a.*", "--reps", "4"]) == 0
+    assert made == [(["a.x", "b", "a.y"], 4)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rows", "bivariate.*", "--rows", "no.such.row"],
+        ["--reps", "0"],
+        ["--reps", "1", "--parent", "."],
+    ],
+    ids=["unknown-pattern", "no-reps", "one-pair"],
+)
+def test_a_bad_option_exits_2_before_any_run(monkeypatch, argv):
+    monkeypatch.setattr(layers, "run", lambda *args: pytest.fail("a run was made"))
+    with pytest.raises(SystemExit) as exit_:
+        layers.main(["--label", "x", *argv])
+    assert exit_.value.code == 2

@@ -305,6 +305,17 @@ class TestKernelsMatchReference:
         assert got == reference_divide_table(numerator, denominator, z_order, u_order)
         assert all(type(c) is int for row in got for c in row)
 
+    @pytest.mark.parametrize("c", [1, -1, 2, -3])
+    @pytest.mark.parametrize("j", range(6))
+    def test_a_zero_row_takes_its_first_term_cut_to_the_row(self, c, j):
+        # rows 1.. start all zeros, so the term c z u^j writes -c F_(n-1) from u^j on.  From
+        # j = 3 on that is at or past the row's end, and at j = 4 and 5 a cut at the negative
+        # len(acc) - j alone would still leave terms to write there
+        numerator, denominator = {(0, 0): 1}, {(0, 0): 1, (0, 1): -1, (1, j): c}
+        got = series._divide_table(numerator, denominator, 5, 2).rows
+        assert got == reference_divide_table(numerator, denominator, 5, 2)
+        assert {len(row) for row in got} == {3}
+
     @pytest.mark.parametrize("d00", [0, 2, -1])
     def test_divide_table_requires_constant_one(self, d00):
         with pytest.raises(DivByNonUnitError):
@@ -451,6 +462,21 @@ class TestBivariate:
         assert table.coefficient(5, 4) == table.rows[5][4]
 
 
+# check_identities' checks, in order
+IDENTITY_NAMES = (
+    "Ts = z(1+Ts)^2",
+    "Qs = z(1+Qs+Qs^2)",
+    "T = Ts(1+T)",
+    "Q = Qs(1+Q)",
+    "sqrt(1, -4) squares back",
+    "sqrt(1, -2, -3) squares back",
+    "diagonal(f) = Q",
+    "diagonal(h) = Q",
+    "diagonal(f) satisfies (1-3x)(1+2Y)^2 = 1+x",
+    "diagonal(h) satisfies (1-3x)(1+2Y)^2 = 1+x",
+)
+
+
 class TestIdentities:
     def test_all_pass_to_order_30(self):
         checks = series.check_identities(30)
@@ -481,6 +507,43 @@ class TestIdentities:
             f"diagonal({name}) = Q",
             f"diagonal({name}) satisfies (1-3x)(1+2Y)^2 = 1+x",
         }
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_names_and_details_at_low_orders(self, order):
+        assert series.check_identities(order) == [
+            (name, True, f"orders 0..{order} compared") for name in IDENTITY_NAMES
+        ]
+
+    @pytest.mark.parametrize(
+        "k, failing",
+        [
+            # within the order: every check that takes a root, the squares back among them
+            (3, {
+                "Ts = z(1+Ts)^2", "Qs = z(1+Qs+Qs^2)", "T = Ts(1+T)", "Q = Qs(1+Q)",
+                "sqrt(1, -4) squares back", "sqrt(1, -2, -3) squares back",
+                "diagonal(f) = Q", "diagonal(h) = Q",
+            }),
+            # one past it, which only Ts and Qs read, through their shift down
+            (9, {"Ts = z(1+Ts)^2", "Qs = z(1+Qs+Qs^2)", "T = Ts(1+T)", "Q = Qs(1+Q)"}),
+        ],
+    )
+    def test_a_root_off_at_one_coefficient_fails_the_checks_that_read_it(
+        self, monkeypatch, k, failing
+    ):
+        # off by two, not one: an odd error leaves the closed forms' halving inexact, and
+        # check_identities raises NotIntegralError before it records any check
+        sqrt = Series.sqrt
+
+        def off(self):
+            coeffs = list(sqrt(self).coeffs)
+            if len(coeffs) > k:
+                coeffs[k] += 2
+            return Series(coeffs)
+
+        monkeypatch.setattr(Series, "sqrt", off)
+        checks = series.check_identities(8)
+        assert [c.name for c in checks] == list(IDENTITY_NAMES)
+        assert {c.name for c in checks if not c.ok} == failing
 
     def test_diagonals_read_the_row_stream(self, monkeypatch):
         # no whole table is built: the diagonals come off _table_rows, a row at a time

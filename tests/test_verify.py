@@ -578,13 +578,13 @@ class TestMutationSmoke:
     def test_wrong_series_sign_is_caught(self, monkeypatch):
         from heapdyck import series
 
-        orig = series.closed_form
+        orig = series._from_root  # what closed_form and check_identities build Q with
 
-        def negated(name, order):
-            s = orig(name, order)
+        def negated(name, order, root):
+            s = orig(name, order, root)
             return series.Series(-c for c in s.coeffs) if name == "Q" else s
 
-        monkeypatch.setattr(series, "closed_form", negated)
+        monkeypatch.setattr(series, "_from_root", negated)
         assert _failing("series", 10).keys() == {
             "series-identity: Q = Qs(1+Q)",
             "series-identity: diagonal(f) = Q",

@@ -2,6 +2,7 @@
 
     python3 tools/layers.py --label change
     python3 tools/layers.py --label parent --src ../parent/src
+    python3 tools/layers.py --label mdiag --rows 'closed_form.*' --reps 10
 
 Each row is one library call at each of its sizes, or n calls of one
 command line.  A run imports heapdyck from --src and times every call by
@@ -10,8 +11,11 @@ add up to REPEAT_S, and records their mean, and the process's max RSS
 after the first call, which includes the interpreter and its imports.
 A call's result is checked, and freed, after its timer stops, so that
 freeing a listed class of heaps is not part of the call's time.
-Every row runs REPS times per size, in a new process each time; a
-metric is the median over the runs.  A run fails when the call's result
+Every row runs --reps times per size (REPS unless given), in a new
+process each time; a metric is the median over the runs.  --rows, which
+may be given more than once, runs only the rows whose names match one of
+its shell-style patterns, in their usual order; a pattern that matches no
+row is an error.  A run fails when the call's result
 is wrong: the word -> heap row's heap against the heap that
 `heap_to_path` maps back to its word; a listing row's number of objects
 against `grammar_count(n, "T")`, which every listed family but Q's matches, or
@@ -29,15 +33,17 @@ is not n.
 
 The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
-attempted, failed and metrics of {value, unit}.  The lines printed before
-it are for people.
+attempted, failed and metrics of {value, unit}, and argv, the arguments
+the tool was run with.  The lines printed before it are for people.  The
+tool exits 1 when a run's result is wrong.
 
     python3 tools/layers.py --label pair --parent ../parent/src
 
 With --parent, each row and size runs from --src (the change) and from
-the parent's tree in alternation, REPS times each, and the side that runs
+the parent's tree in alternation, --reps times each, and the side that runs
 first alternates from one pair to the next, so that both sides meet the
-same drift of a shared machine.  Besides the change's metrics, the result
+same drift of a shared machine.  A ratio's quartiles need two pairs, so
+--parent takes --reps 2 or more.  Besides the change's metrics, the result
 then holds the parent's, named parent.<row>.n<N>.*, and per row and size
 the median change/parent CPU ratio over the pairs, <row>.n<N>.cpu_ratio,
 with its quartiles.
@@ -46,6 +52,7 @@ with its quartiles.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import io
 import json
 import os
@@ -325,15 +332,18 @@ def _one_run(row: str, n: int, src: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def run(src: str, parent: str | None = None) -> dict:
-    """Every row and size, REPS times from src and, when given, from parent in pairs."""
+def run(src: str, parent: str | None = None, rows: list[str] | None = None,
+        reps: int | None = None) -> dict:
+    """The rows named (all of ROWS by default) at each size, reps times (REPS by default)
+    from src and, when given, from parent in pairs."""
+    reps = REPS if reps is None else reps
     sides = {"": src} if parent is None else {"": src, "parent.": parent}
     attempted = failed = 0
     metrics = {}
-    for row, (_, sizes, _) in ROWS.items():
-        for n in sizes:
+    for row in ROWS if rows is None else rows:
+        for n in ROWS[row][1]:
             runs = {side: [] for side in sides}
-            for rep in range(REPS):
+            for rep in range(reps):
                 for side in list(sides)[:: -1 if rep % 2 else 1]:  # who goes first alternates
                     runs[side].append(_one_run(row, n, sides[side]))
                     attempted += 1
@@ -342,7 +352,7 @@ def run(src: str, parent: str | None = None) -> dict:
                 cpu_s = statistics.median(r["cpu_s"] for r in got)
                 rss = statistics.median(r["max_rss_mb"] for r in got)
                 print(f"{side}{row} n={n}: cpu {cpu_s:.4f} s per call, max rss {rss:.1f} MB"
-                      f" (median of {REPS})")
+                      f" (median of {reps})")
                 metrics[f"{side}{row}.n{n}.cpu_s"] = {"value": cpu_s, "unit": "s"}
                 metrics[f"{side}{row}.n{n}.max_rss_mb"] = {"value": rss, "unit": "MB"}
             if parent is not None:
@@ -361,15 +371,30 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="the source tree to import heapdyck from")
     parser.add_argument("--parent", help="a second source tree, run in pairs with --src")
+    parser.add_argument("--rows", action="append", metavar="PATTERN",
+                        help="run only the rows that match this shell-style pattern; repeatable")
+    parser.add_argument("--reps", type=int, default=REPS,
+                        help=f"fresh processes per row and size (default {REPS})")
     parser.add_argument("--child", nargs=2, metavar=("ROW", "N"), help=argparse.SUPPRESS)
+    if argv is None:
+        argv = sys.argv[1:]
     args = parser.parse_args(argv)
     if args.child:
         child(args.child[0], int(args.child[1]), args.src)
         return 0
     if not args.label:
         parser.error("--label is required")
+    least = 2 if args.parent else 1  # a ratio's quartiles need two pairs
+    if args.reps < least:
+        parser.error(f"--reps must be at least {least}" + " with --parent" * bool(args.parent))
+    patterns = args.rows or ["*"]
+    for pattern in patterns:
+        if not fnmatch.filter(ROWS, pattern):
+            parser.error(f"--rows {pattern!r} matches no row")
+    rows = [row for row in ROWS if any(fnmatch.fnmatch(row, p) for p in patterns)]
     parent = os.path.abspath(args.parent) if args.parent else None
-    result = run(os.path.abspath(args.src), parent)
+    result = run(os.path.abspath(args.src), parent, rows, args.reps)
+    result["argv"] = argv
     with open(os.path.join(ROOT, f"BENCH_layers-{args.label}.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(result) + "\n")
     print(json.dumps(result))

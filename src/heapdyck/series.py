@@ -21,11 +21,10 @@ when that leaves fewer terms.  A row then costs a few whole-row passes,
 not a loop per entry: one per term of those quotients, one prefix sum
 per factor 1 - u of the z^0 part, skipped while the row is all zeros,
 and a sequential pass only for what that part has beyond those factors,
-which is nothing for f and h.  The first term to meet a row that is
-still all zeros writes into it rather than adding, and a term with
-coefficient -1 writes a plain copy.  A row of f or of h costs one copy,
-one pass and one prefix sum; an N x N table takes O(N^2) additions per
-pass.
+which is nothing for f and h.  A term with coefficient -1 that meets a
+row still all zeros writes a plain copy into it rather than adding.  A
+row of f or of h costs one copy, one pass and one prefix sum; an N x N
+table takes O(N^2) additions per pass.
 
 The four univariate closed forms count the heap classes by area:
 
@@ -47,7 +46,7 @@ Y(0) = 0 and (1 - 3x)(1 + 2Y)^2 = 1 + x (Gouyou-Beauchamps and Viennot,
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from operator import add, index, mul, neg, sub
+from operator import add, index, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HeapdyckError
@@ -284,12 +283,11 @@ def _table_rows(
 
     A row is one Horner pass from e = m down to 0: each term c z^i u^j of group e is one
     pass over the row, acc[j:] -= c F_(n-i), and each step down is a prefix sum, which
-    divides by 1 - u and is skipped while the row is still all zeros.  The first term to
-    meet an all-zero row writes acc[j:] = -c F_(n-i), cut to the row, instead: a slice
-    copy for c = -1, a negated pass for c = 1 and a scaled one otherwise.  Dividing by R
-    runs over R's nonzero terms.  A row of f past the numerator's is then
-    F_n = prefix(F_(n-1)) - u F_(n-1): one copy, one pass and one prefix sum.  A row of h
-    is prefix(u F_(n-2)) + F_(n-1), also one copy, one pass and one prefix sum.
+    divides by 1 - u and is skipped while the row is still all zeros.  A term with c = -1
+    that meets an all-zero row writes acc[j:] = F_(n-i), cut to the row, instead: a slice
+    copy.  Dividing by R runs over R's nonzero terms.  A row of f past the numerator's
+    is then F_n = prefix(F_(n-1)) - u F_(n-1): one copy, one pass and one prefix sum.  A
+    row of h is prefix(u F_(n-2)) + F_(n-1), also one copy, one pass and one prefix sum.
     """
     r, groups = _horner_groups(denominator)
     m = len(groups) - 1
@@ -306,14 +304,8 @@ def _table_rows(
             for i, j, c in groups[e]:
                 if i <= n:
                     prev = rows[n - i]  # prev[k] meets acc[j + k]; map stops at acc's end
-                    if zero:  # acc[j:] holds zeros: write -c F_(n-i) there, cut to the row
-                        prev = prev[: max(len(acc) - j, 0)]
-                        if c == -1:
-                            acc[j:] = prev
-                        elif c == 1:
-                            acc[j:] = map(neg, prev)
-                        else:
-                            acc[j:] = map(mul, repeat(-c), prev)
+                    if zero and c == -1:  # acc[j:] holds zeros: copy F_(n-i) there, cut to the row
+                        acc[j:] = prev[: max(len(acc) - j, 0)]
                     elif c == 1:
                         acc[j:] = map(sub, acc[j:], prev)
                     elif c == -1:
@@ -384,7 +376,7 @@ def check_identities(order: int) -> list[IdentityCheck]:
 
     one = poly([1])
     # each root once: the closed forms are built from it, and it squares back to its radicand
-    roots = {radicand: _root(radicand, n) for radicand in ((1, -4), (1, -2, -3))}
+    roots = {r: _root(r, n) for r in dict.fromkeys(_RADICANDS.values())}
     ts, t, qs, q = (_from_root(name, n, roots[radicand]) for name, radicand in _RADICANDS.items())
     checks = []
 

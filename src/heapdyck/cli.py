@@ -194,9 +194,9 @@ def _digit_reach(base: int) -> int | None:
 
 def _series_reach(name: str) -> int | None:
     """The largest order `series` prints: Ts_n, T_n < 4^n and Qs_n, Q_n < 3^n print within
-    their digit reach, and Mdiag's table rows, computed one at a time in about 22 MB, one
-    copy, one whole-row pass and one prefix sum each, take about 2.5-3 s at order 3000:
-    their time sets that reach."""
+    their digit reach, and Mdiag's table rows, computed one at a time in about 20 MB, one
+    prefix sum and one whole-row pass each, take about 2 s at order 3000: their time sets
+    that reach."""
     reach = _digit_reach(4 if name in ("Ts", "T") else 3)
     return min(reach or 3000, 3000) if name == "Mdiag" else reach
 

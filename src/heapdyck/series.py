@@ -12,19 +12,6 @@ leading monomials through explicit valuation shifts.
 The product is quadratic, O(N^2) products, and a square x * x of one
 object takes half of them; quotient and square root visit only their
 operand's nonzero terms, O(N t) products for t of them.
-The table divisors have constant term 1, so a table is divided a row at
-a time, and its entries are ints too.  At setup the divisor's z^0 part
-is split into its factors 1 - u and the rest, and each cross row is
-divided by the factors 1 - u it shares with that part; a quotient left
-with fewer than all of them lowers by one more, q = (1 - u) p + q(1),
-when that leaves fewer terms.  A row then costs a few whole-row passes,
-not a loop per entry: one per term of those quotients, one prefix sum
-per factor 1 - u of the z^0 part, skipped while the row is all zeros,
-and a sequential pass only for what that part has beyond those factors,
-which is nothing for f and h.  A term with coefficient -1 that meets a
-row still all zeros writes a plain copy into it rather than adding.  A
-row of f or of h costs one copy, one pass and one prefix sum; an N x N
-table takes O(N^2) additions per pass.
 
 The four univariate closed forms count the heap classes by area:
 
@@ -35,7 +22,22 @@ The four univariate closed forms count the heap classes by area:
 
 The bivariate tables f (multisets without consecutive values, by size n
 and bound k) and h (multisets repeating every value below the bound) are
-expanded by bottom-up division with sparse polynomial denominators.
+rational functions, written once in _TABLES.  With the denominator
+D0(u) + sum_(i>=1) z^i D_i(u) and the numerator's row n N_n(u), row n of
+a table is read off D0 F_n = N_n - sum_i D_i F_(n-i), where a prefix sum
+divides by 1 - u:
+
+    f: D0 = (1 - u)^2, D1 = -(1 - u)(1 - u + u^2); F_0 = 0,
+       F_1 = u/(1 - u)^2 = (0, 1, 2, ..), then F_n = prefix(F_(n-1)) - u F_(n-1)
+    h: D0 = 1 - u, D1 = -(1 - u), D2 = -u; H_0 = u/(1 - u) = (0, 1, 1, ..),
+       then H_n = H_(n-1) + prefix(u H_(n-2)), with H_(-1) = 0
+
+Each row is one prefix sum and one pass over the row before, so an N x N
+table takes O(N^2) additions, and the rows come one at a time, keeping
+at most two.  cross_check multiplies a table back by its denominator, a
+sparse product that shares nothing with these recurrences, and finds
+where it differs from the numerator.
+
 Mdiag is the diagonal of f, read off its row stream; it equals Q, and
 so does h's diagonal, which the identity checks read the same way.  They
 also check a third route with no square root: Q is the one series with
@@ -45,7 +47,7 @@ Y(0) = 0 and (1 - 3x)(1 + 2Y)^2 = 1 + x (Gouyou-Beauchamps and Viennot,
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, index, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -53,10 +55,6 @@ from .errors import HeapdyckError
 from .value import Value
 
 CLOSED_FORMS = ("Ts", "T", "Qs", "Q", "Mdiag")
-
-Terms = dict[tuple[int, int], int]  # a bivariate polynomial, {(z, u) power: coefficient}
-Group = list[tuple[int, int, int]]  # a Horner group of _table_rows: terms c z^i u^j as (i, j, c)
-
 
 class DivByNonUnitError(HeapdyckError, ZeroDivisionError):
     pass
@@ -221,115 +219,7 @@ class BivarTable(Value):
         return self.rows[n][k]
 
 
-def _one_minus_u_factors(p: list[int], most: int) -> tuple[int, list[int]]:
-    """(k, p / (1 - u)^k) for the most factors 1 - u, at most `most`, that divide p != 0."""
-    k = 0
-    while k < most and sum(p) == 0:  # p(1) = 0: 1 - u divides p; p / (1 - u) is its prefix sums
-        p = list(accumulate(p))[:-1]
-        k += 1
-    return k, p
-
-
-def _horner_groups(denominator: Terms) -> tuple[list[tuple[int, int]], list[Group]]:
-    """Setup of `_table_rows`: R's terms (j, c) past u^0, and groups 0..m.
-
-    D0 is split into (1 - u)^m R(u) with R(0) = 1, and each cross row D_i into
-    (1 - u)^k_i Q_i(u), k_i <= m; Q_i's terms join group m - k_i.  When k_i < m, so that
-    Q_i(1) != 0, Q_i = (1 - u) P_i + Q_i(1) lowers by one factor: the term Q_i(1) stays in
-    group m - k_i and P_i's terms join the group below, if that makes fewer terms.  For
-    f, R = 1, m = 2 and Q_1 = -(1 - u + u^2) = (1 - u) u - 1: -1 in group 1 and u in
-    group 0.  For h, R = 1, m = 1, Q_1 = -1 in group 0 and Q_2 = -u in group 1, which
-    would lower to two terms, -1 and 1.
-    """
-    d00 = denominator.get((0, 0), 0)
-    if d00 != 1:
-        raise DivByNonUnitError(f"bivariate divisor has constant term {d00}, not 1")
-
-    def coefficients(i: int) -> list[int]:  # D_i's, from u^0 to its last term
-        last = max(j for h, j in denominator if h == i)
-        return [denominator.get((i, j), 0) for j in range(last + 1)]
-
-    d0 = coefficients(0)
-    m, d0 = _one_minus_u_factors(d0, len(d0))
-    r = [(j, c) for j, c in enumerate(d0) if j and c]
-    groups: list[Group] = [[] for _ in range(m + 1)]
-    for i in sorted({i for (i, _), c in denominator.items() if i and c}):
-        k, q = _one_minus_u_factors(coefficients(i), m)
-        e = m - k
-        terms = [(i, j, c) for j, c in enumerate(q) if c]
-        if e:
-            q1 = sum(q)
-            _, p = _one_minus_u_factors([q[0] - q1, *q[1:]], 1)
-            lowered = [(i, j, c) for j, c in enumerate(p) if c]
-            if 1 + len(lowered) < len(terms):
-                groups[e - 1] += lowered
-                terms = [(i, 0, q1)]
-        groups[e] += terms
-    return r, groups
-
-
-def _table_rows(
-    numerator: Terms, denominator: Terms, z_order: int, u_order: int
-) -> Iterator[list[int]]:
-    """The int rows of numerator / denominator, one at a time; the denominator's constant
-    term is 1.  Only the rows the denominator reaches back to are kept.
-
-    Write the denominator as D0(u) + sum_(i>=1) z^i D_i(u) and the numerator's row n as
-    N_n(u).  Row n is then (N_n - sum_i D_i F_(n-i)) / D0, truncated at u^u_order.  With
-    D0 = (1 - u)^m R(u) and the cross terms c z^i u^j in groups e = 0..m, as
-    `_horner_groups` sets them up, row n is
-
-        (sum_e S_e / (1 - u)^e) / R,   S_e = [e = m] N_n - sum_(group e) c u^j F_(n-i).
-
-    A row is one Horner pass from e = m down to 0: each term c z^i u^j of group e is one
-    pass over the row, acc[j:] -= c F_(n-i), and each step down is a prefix sum, which
-    divides by 1 - u and is skipped while the row is still all zeros.  A term with c = -1
-    that meets an all-zero row writes acc[j:] = F_(n-i), cut to the row, instead: a slice
-    copy.  Dividing by R runs over R's nonzero terms.  A row of f past the numerator's
-    is then F_n = prefix(F_(n-1)) - u F_(n-1): one copy, one pass and one prefix sum.  A
-    row of h is prefix(u F_(n-2)) + F_(n-1), also one copy, one pass and one prefix sum.
-    """
-    r, groups = _horner_groups(denominator)
-    m = len(groups) - 1
-    back = max((i for (i, _), c in denominator.items() if c), default=0)
-    rows: list[list[int] | None] = []
-    for n in range(z_order + 1):
-        acc = [0] * (u_order + 1)
-        zero = True  # acc is still all zeros, and a prefix sum leaves it so
-        for (i, j), c in numerator.items():
-            if i == n and j <= u_order:
-                acc[j] = c
-                zero = False
-        for e in range(m, -1, -1):
-            for i, j, c in groups[e]:
-                if i <= n:
-                    prev = rows[n - i]  # prev[k] meets acc[j + k]; map stops at acc's end
-                    if zero and c == -1:  # acc[j:] holds zeros: copy F_(n-i) there, cut to the row
-                        acc[j:] = prev[: max(len(acc) - j, 0)]
-                    elif c == 1:
-                        acc[j:] = map(sub, acc[j:], prev)
-                    elif c == -1:
-                        acc[j:] = map(add, acc[j:], prev)
-                    else:
-                        acc[j:] = map(sub, acc[j:], map(mul, repeat(c), prev))
-                    zero = False
-            if e and not zero:
-                acc = list(accumulate(acc))
-        if r:
-            for k in range(1, u_order + 1):
-                acc[k] -= sum(c * acc[k - j] for j, c in r if j <= k)
-        rows.append(acc)
-        if n >= back:
-            rows[n - back] = None  # no later row reads it
-        yield acc
-
-
-def _divide_table(numerator: Terms, denominator: Terms, z_order: int, u_order: int) -> BivarTable:
-    """Table of numerator / denominator, its int rows kept as they come."""
-    return BivarTable(tuple(map(tuple, _table_rows(numerator, denominator, z_order, u_order))))
-
-
-# name -> (numerator, denominator) of the rational function, as Terms
+# name -> (numerator, denominator) of the rational function, each {(z, u) power: coefficient}
 _TABLES = {
     # u z / ((1 - u)(1 - u - z + u z - u^2 z))
     "f": (
@@ -342,22 +232,62 @@ _TABLES = {
         {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1, (2, 1): -1},
     ),
 }
+
+
+def _rows_f(u_order: int) -> Iterator[list[int]]:
+    """The rows of f to u^u_order, without end: F_0 = 0, F_1 = (0, 1, 2, ..) and then
+    F_n = prefix(F_(n-1)) - u F_(n-1), as the module docstring derives them."""
+    yield [0] * (u_order + 1)
+    row = list(range(u_order + 1))
+    while True:
+        yield row
+        row = list(map(sub, accumulate(row), chain((0,), row)))
+
+
+def _rows_h(u_order: int) -> Iterator[list[int]]:
+    """The rows of h to u^u_order, without end: H_0 = (0, 1, 1, ..) and then
+    H_n = H_(n-1) + prefix(u H_(n-2)), with H_(-1) = 0."""
+    before, row = [0] * (u_order + 1), [0] + [1] * u_order
+    while True:
+        yield row
+        # prefix(u H_(n-2)): the sums of H_(n-2) cut to the row, from a first term 0
+        before, row = row, list(map(add, row, accumulate(before[:-1], initial=0)))
+
+
+_ROWS = {"f": _rows_f, "h": _rows_h}  # a row is made only when the next one is asked for
 BIVARIATE_NAMES = tuple(_TABLES)
 
 
 def _diagonal(name: str, order: int) -> Series:
     """Entry n of row n of the named table, read off its rows one at a time."""
-    rows = _table_rows(*_TABLES[name], order, order)
-    return Series(tuple(row[n] for n, row in enumerate(rows)))
+    return Series(tuple(row[n] for n, row in enumerate(islice(_ROWS[name](order), order + 1))))
 
 
 def bivariate(name: str, z_order: int, u_order: int) -> BivarTable:
     """Expand one of the rational multiset counters, named in BIVARIATE_NAMES, as a table."""
     _check_order(z_order, u_order)
-    if name not in _TABLES:
+    if name not in _ROWS:
         raise ValueError(f"unknown bivariate {name!r}")
+    return BivarTable(tuple(map(tuple, islice(_ROWS[name](u_order), z_order + 1))))
+
+
+def cross_check(name: str, table: BivarTable) -> tuple[int, int, int, int] | None:
+    """The first entry (n, k, product, numerator), row by row, at which the table times the
+    denominator of the named rational function differs from its numerator, or None.  Row n
+    of the product is sum c u^j T_(n-i) over the denominator's terms c z^i u^j, cut to the
+    table's u order."""
     numerator, denominator = _TABLES[name]
-    return _divide_table(numerator, denominator, z_order, u_order)
+    rows = table.rows
+    for n, row in enumerate(rows):
+        product = [0] * len(row)
+        for (i, j), c in denominator.items():
+            if i <= n:
+                product[j:] = map(add, product[j:], map(mul, repeat(c), rows[n - i]))
+        for k, p in enumerate(product):
+            want = numerator.get((n, k), 0)
+            if p != want:
+                return n, k, p, want
+    return None
 
 
 class IdentityCheck(NamedTuple):

@@ -633,7 +633,8 @@ class TestLibraryErrors:
         assert len(mapped) == 2
 
     def test_non_integer_table_entry(self, capsys, monkeypatch):
-        # table1 prints what f holds; verify series checks f against the transfer count
+        # table1 prints what f holds; verify series checks f against the transfer count and
+        # multiplies it back by its denominator
         orig = series.bivariate
 
         def with_half_entry(name, *args):
@@ -649,7 +650,10 @@ class TestLibraryErrors:
         (report,) = json.loads(out)["reports"]
         failing = {c["name"]: c["detail"] for c in report["checks"] if not c["ok"]}
         assert (code, err) == (1, "")
-        assert failing == {"table-f-counts-star-multisets": "n=2, k=1: table 1/2, count 1"}
+        assert failing == {
+            "table-f-counts-star-multisets": "n=2, k=1: table 1/2, count 1",
+            "table-f-matches-its-rational-function": "n=2, k=1: product -1/2, numerator 0",
+        }
 
 
 def _star(n, k):

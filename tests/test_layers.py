@@ -183,6 +183,35 @@ def test_a_run_of_one_row_once_reads_that_rows_metrics_and_records_its_argv(tmp_
     assert (result["correct"], result["attempted"], result["failed"]) == (True, 1, 0)
     assert set(result["metrics"]) == {"verify.counts.n10.cpu_s", "verify.counts.n10.max_rss_mb"}
     assert result["argv"] == argv
+    assert result["src_digest"] == layers.src_digest(argv[-1])
+    assert "parent.src_digest" not in result
+
+
+def test_with_parent_the_output_records_both_trees_digests(monkeypatch, tmp_path):
+    trees = {}
+    for name, text in (("change", "x = 1\n"), ("parent", "x = 2\n")):
+        (tmp_path / name / "pkg").mkdir(parents=True)
+        (tmp_path / name / "pkg" / "a.py").write_text(text)
+        trees[name] = str(tmp_path / name)
+    monkeypatch.setattr(layers, "run", lambda *args: {"correct": True})
+    monkeypatch.setattr(layers, "ROOT", str(tmp_path))
+    argv = ["--label", "x", "--src", trees["change"], "--parent", trees["parent"], "--reps", "2"]
+    assert layers.main(argv) == 0
+    result = json.loads((tmp_path / "BENCH_layers-x.json").read_text())
+    assert result["src_digest"] == layers.src_digest(trees["change"])
+    assert result["parent.src_digest"] == layers.src_digest(trees["parent"])
+    assert result["src_digest"] != result["parent.src_digest"]
+
+
+def test_the_digest_reads_every_py_file_by_path_and_nothing_else(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
+    first = layers.src_digest(str(tmp_path))
+    assert len(first) == 64 and int(first, 16) >= 0
+    (tmp_path / "pkg" / "notes.txt").write_text("not source")
+    assert layers.src_digest(str(tmp_path)) == first
+    (tmp_path / "pkg" / "a.py").rename(tmp_path / "pkg" / "b.py")
+    assert layers.src_digest(str(tmp_path)) != first
 
 
 def test_rows_runs_the_rows_its_patterns_match_in_their_usual_order(monkeypatch, tmp_path):

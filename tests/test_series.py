@@ -23,7 +23,6 @@ from oracles import (
     from_ints,
     listed_count,
     motzkin,
-    mutated,
     reference_div,
     reference_divide_table,
     reference_mul,
@@ -53,55 +52,6 @@ def sparse_series(max_terms=6):
 
 def with_constant(s, c):
     return Series((c,) + s.coeffs[1:])
-
-
-def sparse_table(max_power=3):
-    """{(i, j): c} with small integer coefficients, as the table kernel takes."""
-    power = st.integers(0, max_power)
-    return st.dictionaries(st.tuples(power, power), st.integers(-3, 3), max_size=6)
-
-
-def times_one_minus_u(coeffs, m):
-    for _ in range(m):
-        coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
-
-
-def factored_denominator(max_power=3):
-    """(1 - u)^m R(u) + sum_i z^i (1 - u)^k_i P_i(u), R(0) = 1, k_i in 0..m + 1: a z^0
-    part the kernel splits into m prefix sums and a pass over R, and cross rows that share
-    none, some, all or more than all of its m factors.  Zero coefficients stay in the dict
-    as zeros."""
-    r = st.lists(st.integers(-3, 3), max_size=max_power).map(lambda tail: [1] + tail)
-    p = st.lists(st.integers(-3, 3), min_size=1, max_size=max_power)
-
-    def build(m):
-        rows = st.dictionaries(st.integers(1, max_power), st.tuples(st.integers(0, m + 1), p))
-        return st.tuples(r, rows).map(
-            lambda rr: {(0, j): c for j, c in enumerate(times_one_minus_u(rr[0], m))}
-            | {(i, j): c for i, (k, pi) in rr[1].items()
-               for j, c in enumerate(times_one_minus_u(pi, k))}
-        )
-
-    return st.integers(0, 3).flatmap(build)
-
-
-# denominator -> the Horner groups 0..m of its cross terms, (i, j, c) for c z^i u^j, each
-# one pass over a row.  A cross row (1 - u)^k Q with k < m lowers by one more factor,
-# Q = (1 - u) P + Q(1), only when Q(1) and P's terms are fewer passes than Q's terms
-HORNER_GROUPS = {
-    # f: -(1 - u)(1 - u + u^2) over (1 - u)^2, -(1 - u + u^2) = (1 - u) u - 1
-    "f": (series._TABLES["f"][1], [[(1, 1, 1)], [(1, 0, -1)], []]),
-    # h: -(1 - u) over 1 - u is -1; -u stays, for it would lower to -1 and 1
-    "h": (series._TABLES["h"][1], [[(1, 0, -1)], [(2, 1, -1)]]),
-    # (1 - u)(1 - u + u^2) over (1 - u)^2: 1 - u + u^2 = (1 - u)(-u) + 1
-    "f-like": (
-        {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): 1, (1, 1): -2, (1, 2): 2, (1, 3): -1},
-        [[(1, 1, -1)], [(1, 0, 1)], []],
-    ),
-    # -u over 1 - u, alone
-    "h-like": ({(0, 0): 1, (0, 1): -1, (2, 1): -1}, [[], [(2, 1, -1)]]),
-}
 
 
 def all_ints(coeffs):
@@ -224,68 +174,6 @@ class TestKernelsMatchReference:
             with pytest.raises(NotIntegralError):
                 s.sqrt()
 
-    @given(sparse_table(), sparse_table(), st.integers(0, 6), st.integers(0, 6))
-    def test_divide_table(self, numerator, denominator, z_order, u_order):
-        denominator[0, 0] = 1
-        got = series._divide_table(numerator, denominator, z_order, u_order).rows
-        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
-        assert all(type(c) is int for row in got for c in row)
-
-    @given(sparse_table(), factored_denominator(), st.integers(0, 6), st.integers(0, 6))
-    def test_divide_table_by_one_minus_u_factors(self, numerator, denominator, z_order, u_order):
-        got = series._divide_table(numerator, denominator, z_order, u_order).rows
-        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
-        assert all(type(c) is int for row in got for c in row)
-
-    @pytest.mark.parametrize(
-        "denominator",
-        [
-            # explicit zeros, in the z^0 part and among the cross-row terms
-            {(0, 0): 1, (0, 1): 0, (0, 3): 0, (1, 0): 0, (1, 2): -1, (2, 5): 0},
-            # a z^0 part with no factor 1 - u, one with three, and one with a factor left over
-            {(0, 0): 1, (0, 1): 2, (0, 2): -1, (1, 1): 1},
-            {(0, 0): 1, (0, 1): -3, (0, 2): 3, (0, 3): -1, (1, 0): -1},
-            {(0, 0): 1, (0, 1): -1, (0, 2): 1, (0, 3): -1, (2, 1): 1},
-            # each cross-row coefficient branch: 1, -1 and the multiplied ones, at shifts 0..2
-            *({(0, 0): 1, (0, 1): -1, (1, j): c} for c in (1, -1, 2, -3) for j in (0, 1, 2)),
-            # f's shape: D0 = (1 - u)^2 and D1 = -(1 - u)(1 - u + u^2) share one factor
-            {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): -1, (1, 1): 2, (1, 2): -2, (1, 3): 1},
-            # D1 = (1 - u)^2 has more factors than D0 = 1 - u: only one cancels
-            {(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): -2, (1, 2): 1},
-            # h's D1 = -(1 - u), a multiple of D0 = 1 - u, beside D2 = -u, which shares none
-            {(0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1, (2, 1): -1},
-            # a cross row of zeros, farthest back: it is no term and reaches back to no row
-            {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 1): 3, (1, 2): -3, (4, 0): 0, (4, 2): 0},
-        ],
-    )
-    @pytest.mark.parametrize("z_order, u_order", [(0, 0), (0, 7), (7, 0), (7, 7)])
-    def test_divide_table_cases(self, denominator, z_order, u_order):
-        numerator = {(0, 0): 1, (1, 2): -2, (3, 1): 5}
-        got = series._divide_table(numerator, denominator, z_order, u_order).rows
-        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
-        assert all(type(c) is int for row in got for c in row)
-
-    @pytest.mark.parametrize("denominator, groups", HORNER_GROUPS.values(), ids=HORNER_GROUPS)
-    @pytest.mark.parametrize("z_order, u_order", [(0, 0), (1, 5), (7, 7)])
-    def test_cross_row_lowers_only_to_fewer_passes(self, denominator, groups, z_order, u_order):
-        assert series._horner_groups(denominator) == ([], groups)
-        numerator = {(0, 0): 1, (1, 2): -2, (3, 1): 5}
-        got = series._divide_table(numerator, denominator, z_order, u_order).rows
-        assert got == reference_divide_table(numerator, denominator, z_order, u_order)
-
-    def test_lowering_with_q1_of_the_wrong_sign_fails(self, monkeypatch):
-        wrong = mutated(series._horner_groups, "[(i, 0, q1)]", "[(i, 0, -q1)]")
-        monkeypatch.setattr(series, "_horner_groups", wrong)
-        numerator = {(0, 0): 1, (1, 2): -2, (3, 1): 5}
-        for name in ("f-like", "f"):
-            denominator = HORNER_GROUPS[name][0]
-            got = series._divide_table(numerator, denominator, 7, 7).rows
-            assert got != reference_divide_table(numerator, denominator, 7, 7)
-        # a cross row that does not lower is untouched
-        denominator = HORNER_GROUPS["h-like"][0]
-        got = series._divide_table(numerator, denominator, 7, 7).rows
-        assert got == reference_divide_table(numerator, denominator, 7, 7)
-
     @pytest.mark.parametrize("name", series.BIVARIATE_NAMES)
     @pytest.mark.parametrize("z_order, u_order", [(0, 0), (0, 9), (9, 0)])
     def test_bivariate_edge_orders(self, name, z_order, u_order):
@@ -304,22 +192,6 @@ class TestKernelsMatchReference:
         got = series.bivariate(name, z_order, u_order).rows
         assert got == reference_divide_table(numerator, denominator, z_order, u_order)
         assert all(type(c) is int for row in got for c in row)
-
-    @pytest.mark.parametrize("c", [1, -1, 2, -3])
-    @pytest.mark.parametrize("j", range(6))
-    def test_a_zero_row_takes_its_first_term_cut_to_the_row(self, c, j):
-        # rows 1.. start all zeros, so the term c z u^j writes -c F_(n-1) from u^j on.  From
-        # j = 3 on that is at or past the row's end, and at j = 4 and 5 a cut at the negative
-        # len(acc) - j alone would still leave terms to write there
-        numerator, denominator = {(0, 0): 1}, {(0, 0): 1, (0, 1): -1, (1, j): c}
-        got = series._divide_table(numerator, denominator, 5, 2).rows
-        assert got == reference_divide_table(numerator, denominator, 5, 2)
-        assert {len(row) for row in got} == {3}
-
-    @pytest.mark.parametrize("d00", [0, 2, -1])
-    def test_divide_table_requires_constant_one(self, d00):
-        with pytest.raises(DivByNonUnitError):
-            series._divide_table({(0, 0): 1}, {(0, 0): d00, (1, 0): 1}, 2, 2)
 
 
 class TestSparseKernels:
@@ -453,6 +325,35 @@ class TestBivariate:
         with pytest.raises(ValueError):
             series.bivariate("g", 3, 3)
 
+    @pytest.mark.parametrize("name", series.BIVARIATE_NAMES)
+    @pytest.mark.parametrize("z_order, u_order", [(0, 0), (0, 9), (9, 0), (40, 30), (30, 40)])
+    def test_tables_times_their_denominators_are_their_numerators(self, name, z_order, u_order):
+        assert series.cross_check(name, series.bivariate(name, z_order, u_order)) is None
+
+    def test_cross_check_names_the_first_wrong_entry(self):
+        rows = [list(row) for row in series.bivariate("f", 4, 4).rows]
+        rows[2][3] += 1
+        rows[3][1] += 1
+        # the denominator's constant term is 1, so the product is first off at (2, 3)
+        assert series.cross_check("f", series.BivarTable(tuple(map(tuple, rows)))) == (2, 3, 1, 0)
+
+    @pytest.mark.parametrize(
+        "name, term, delta",
+        [pytest.param(name, (i, j), delta, id=f"{name}-z{i}u{j}{delta:+d}")
+         for name in series.BIVARIATE_NAMES for i in range(3) for j in range(4)
+         for delta in (1, -1)],
+    )
+    def test_a_changed_denominator_term_fails_the_cross_check(self, monkeypatch, name, term, delta):
+        # every term +-1 over z^0..z^2, u^0..u^3, which holds both denominators.  The rows
+        # do not read _TABLES, so only the product with the denominator sees the change, at
+        # verify series' --max-n 6 and at its default cap, 30
+        numerator, denominator = series._TABLES[name]
+        changed = {**denominator, term: denominator.get(term, 0) + delta}
+        monkeypatch.setitem(series._TABLES, name, (numerator, changed))
+        for order in (6, 30):
+            assert series.cross_check(name, series.bivariate(name, order, order)) is not None
+        assert all(c.ok for c in series.check_identities(6))
+
     @pytest.mark.parametrize("n, k", [(-1, 2), (2, -1), (-6, 0), (6, 2), (2, 5)])
     def test_coefficient_beyond_the_orders(self, n, k):
         # a negative index must not wrap around to the last rows or columns
@@ -492,22 +393,6 @@ class TestIdentities:
         assert len(checks) == len(series.check_identities(2))
         assert all(c.ok for c in checks)
 
-    @pytest.mark.parametrize(
-        "name, term",
-        [(name, term) for name in series.BIVARIATE_NAMES for term in series._TABLES[name][1]
-         if term != (0, 0)],
-    )
-    def test_a_changed_denominator_term_fails_the_quadratic(self, monkeypatch, name, term):
-        # the third route checks the diagonal without Q's closed form or any square root
-        numerator, denominator = series._TABLES[name]
-        changed = {**denominator, term: denominator[term] + 1}
-        monkeypatch.setitem(series._TABLES, name, (numerator, changed))
-        failing = {c.name for c in series.check_identities(4) if not c.ok}
-        assert failing == {
-            f"diagonal({name}) = Q",
-            f"diagonal({name}) satisfies (1-3x)(1+2Y)^2 = 1+x",
-        }
-
     @pytest.mark.parametrize("order", range(6))
     def test_names_and_details_at_low_orders(self, order):
         assert series.check_identities(order) == [
@@ -546,7 +431,7 @@ class TestIdentities:
         assert {c.name for c in checks if not c.ok} == failing
 
     def test_diagonals_read_the_row_stream(self, monkeypatch):
-        # no whole table is built: the diagonals come off _table_rows, a row at a time
+        # no whole table is built: the diagonals come off the row generators, a row at a time
         def no_table(*args):
             pytest.fail("a whole table was built")
 

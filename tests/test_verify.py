@@ -143,7 +143,9 @@ class TestReports:
                     "series-identity: diagonal(f) satisfies (1-3x)(1+2Y)^2 = 1+x",
                     "series-identity: diagonal(h) satisfies (1-3x)(1+2Y)^2 = 1+x",
                     "table-f-counts-star-multisets",
+                    "table-f-matches-its-rational-function",
                     "table-h-counts-no-single-multisets",
+                    "table-h-matches-its-rational-function",
                 ],
             ),
             (
@@ -595,11 +597,60 @@ class TestMutationSmoke:
         from heapdyck import series
 
         numerator, denominator = series._TABLES["h"]
-        # the term -z^2 u raised by 1
+        # the term -z^2 u raised by 1: the rows do not read it, and their product with it does
         monkeypatch.setitem(series._TABLES, "h", (numerator, {**denominator, (2, 1): 0}))
-        failing = _failing("series")
-        assert failing["table-h-counts-no-single-multisets"] == "n=2, k=2: table 1, count 2"
-        assert "table-f-counts-star-multisets" not in failing
+        assert _failing("series") == {
+            "table-h-matches-its-rational-function": "n=2, k=2: product 1, numerator 0"
+        }
+
+    @pytest.mark.parametrize(
+        "name, old, new, check",
+        [
+            # f without its pass - u F_(n-1): F_n = prefix(F_(n-1))
+            ("f", "list(map(sub, accumulate(row), chain((0,), row)))", "list(accumulate(row))",
+             "table-f-counts-star-multisets"),
+            # h without its shift by u: H_n = H_(n-1) + prefix(H_(n-2))
+            ("h", "accumulate(before[:-1], initial=0)", "accumulate(before)",
+             "table-h-counts-no-single-multisets"),
+        ],
+        ids=["f-without-u-pass", "h-without-shift"],
+    )
+    def test_a_wrong_row_recurrence_is_caught(self, monkeypatch, name, old, new, check):
+        from heapdyck import series
+
+        monkeypatch.setitem(series._ROWS, name, oracles.mutated(series._ROWS[name], old, new))
+        assert _failing("series", 6).keys() == {
+            check,
+            f"table-{name}-matches-its-rational-function",
+            f"series-identity: diagonal({name}) = Q",
+            f"series-identity: diagonal({name}) satisfies (1-3x)(1+2Y)^2 = 1+x",
+        }
+
+    def test_a_root_off_by_an_odd_amount_fails_the_identities_alone(self, monkeypatch):
+        # 1 - 2z - root is then odd at z^3, and halving it leaves the integers: check_identities
+        # raises, which fails one check, and the table checks still run
+        from heapdyck import series
+
+        sqrt = series.Series.sqrt
+
+        def off(self):
+            coeffs = list(sqrt(self).coeffs)
+            if len(coeffs) > 3:
+                coeffs[3] += 1
+            return series.Series(coeffs)
+
+        monkeypatch.setattr(series.Series, "sqrt", off)
+        report = verify.run_suite("series", 6)
+        assert [(c.name, c.ok) for c in report.checks] == [
+            ("series-identities", False),
+            ("table-f-counts-star-multisets", True),
+            ("table-f-matches-its-rational-function", True),
+            ("table-h-counts-no-single-multisets", True),
+            ("table-h-matches-its-rational-function", True),
+        ]
+        assert report.checks[0].detail == (
+            "order 6: NotIntegralError: coefficient 2 is not an integer (remainder 1 mod 2)"
+        )
 
     def test_star_count_that_counts_every_multiset_is_caught(self, monkeypatch):
         orig = multisets.count_family

@@ -33,9 +33,11 @@ is not n.
 
 The result goes to BENCH_layers-<label>.json at the repository root, with
 the top-level keys of the line benchmarks/run.py prints: correct,
-attempted, failed and metrics of {value, unit}, and argv, the arguments
-the tool was run with.  The lines printed before it are for people.  The
-tool exits 1 when a run's result is wrong.
+attempted, failed and metrics of {value, unit}, argv, the arguments the
+tool was run with, and src_digest, the sha256 of the --src tree's .py
+files (each one's path relative to the tree, its size and its bytes, in
+path order).  The lines printed before it are for people.  The tool
+exits 1 when a run's result is wrong.
 
     python3 tools/layers.py --label pair --parent ../parent/src
 
@@ -46,13 +48,14 @@ same drift of a shared machine.  A ratio's quartiles need two pairs, so
 --parent takes --reps 2 or more.  Besides the change's metrics, the result
 then holds the parent's, named parent.<row>.n<N>.*, and per row and size
 the median change/parent CPU ratio over the pairs, <row>.n<N>.cpu_ratio,
-with its quartiles.
+with its quartiles, and the parent tree's digest, parent.src_digest.
 """
 
 from __future__ import annotations
 
 import argparse
 import fnmatch
+import hashlib
 import io
 import json
 import os
@@ -64,6 +67,7 @@ import sys
 import time
 from functools import cache, partial
 from math import comb, isqrt
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LISTING_SIZES = (9, 10)
@@ -332,6 +336,17 @@ def _one_run(row: str, n: int, src: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def src_digest(src: str) -> str:
+    """The sha256 of the tree's .py files: each one's path relative to src, its size and
+    its bytes, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(src).rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def run(src: str, parent: str | None = None, rows: list[str] | None = None,
         reps: int | None = None) -> dict:
     """The rows named (all of ROWS by default) at each size, reps times (REPS by default)
@@ -393,8 +408,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--rows {pattern!r} matches no row")
     rows = [row for row in ROWS if any(fnmatch.fnmatch(row, p) for p in patterns)]
     parent = os.path.abspath(args.parent) if args.parent else None
-    result = run(os.path.abspath(args.src), parent, rows, args.reps)
-    result["argv"] = argv
+    src = os.path.abspath(args.src)
+    # taken before the runs, of the trees they import
+    digests = {"src_digest": src_digest(src)}
+    if parent is not None:
+        digests["parent.src_digest"] = src_digest(parent)
+    result = {**run(src, parent, rows, args.reps), "argv": argv, **digests}
     with open(os.path.join(ROOT, f"BENCH_layers-{args.label}.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(result) + "\n")
     print(json.dumps(result))

@@ -3,9 +3,10 @@
 The multiset side is a staircase encoding: a multiset over {1..k} with n
 values becomes the word U^{v1} D U^{v2-v1} D ... D U^{k-vn}, one D per
 value and one U per unit of growth.  With k = n this lands exactly on the
-balanced words starting with U, and the subfamilies line up: superdiagonal
-multisets give Dyck words, star multisets give DUD-free words, and
-multisets repeating every value below the bound give UDU-free words.
+balanced words starting with U, and the subfamilies line up as the rows
+of `DIAGRAM`: each row's multisets give its words, whose heaps are its
+heap class and lattice animals, if it has them, and its counts at size
+n are below base^n.
 
 The heap side peels a word into maximal same-sign runs, each read as a
 Dyck word (below-axis runs are reversed first) and shifted one column
@@ -37,6 +38,7 @@ constructor.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import NamedTuple
 
 from . import counting, heaps, multisets, paths
@@ -59,6 +61,17 @@ class GrammarDuplicateError(HeapdyckError, RuntimeError):
 class Factorization(NamedTuple):
     case: str
     parts: tuple[Heap, ...]
+
+
+# image_check names verify's check of the row's words' heaps against its class
+DiagramRow = namedtuple("DiagramRow", "multisets words klass lattice subdiagonal base image_check")
+DIAGRAM = tuple(map(DiagramRow._make, (  # in the order verify's staircase phase walks them
+    ("all", "grand_dyck", "T", "triangular", False, 4, "run-heap-image-is-grammar-T"),
+    ("super", "dyck", "Ts", "triangular", True, 4, "dyck-image-is-grammar-Ts"),
+    ("star", "grand_dyck_star", "Q", "square", False, 3, "dud-free-image-is-grammar-Q"),
+    ("no_single_except_k", "grand_dyck_udu_free", None, None, False, 3, None),
+    ("super_star", "dyck_star", "Qs", "square", True, 3, "dud-free-dyck-image-is-grammar-Qs"),
+)))
 
 
 # --- multiset <-> word -------------------------------------------------

@@ -28,18 +28,17 @@ from .errors import HeapdyckError
 
 _MS_FAMILIES = {f"multiset-{f}".replace("_", "-"): f for f in multisets.FAMILIES}
 # family -> the kind it lists, the word family whose images it lists, and the
-# heap class it counts as (None: it counts its words)
+# heap class it counts as (None: it counts its words); animal families in name order
 _WORD_FAMILIES = {
     **{f.replace("_", "-"): ("path", f, None) for f in paths.FAMILIES},
-    "heap-T": ("heap", "grand_dyck", "T"),
-    "heap-Ts": ("heap", "dyck", "Ts"),
-    "heap-Q": ("heap", "grand_dyck_star", "Q"),
-    "heap-Qs": ("heap", "dyck_star", "Qs"),
-    "animal-square": ("animal", "grand_dyck_star", "Q"),
-    "animal-square-subdiagonal": ("animal", "dyck_star", "Qs"),
-    "animal-triangular": ("animal", "grand_dyck", "T"),
-    "animal-triangular-subdiagonal": ("animal", "dyck", "Ts"),
+    **{f"heap-{r.klass}": ("heap", r.words, r.klass) for r in bijections.DIAGRAM if r.klass},
+    **dict(sorted(
+        (f"animal-{r.lattice}{'-subdiagonal' * r.subdiagonal}", ("animal", r.words, r.klass))
+        for r in bijections.DIAGRAM if r.klass
+    )),
 }
+# a word family or heap class -> the base b of the bound b^n on its counts at size n
+_BASES = {key: r.base for r in bijections.DIAGRAM for key in (r.words, r.klass) if key}
 FAMILIES = (*_MS_FAMILIES, *_WORD_FAMILIES)
 # how the command line reads, prints and measures a kind, and maps it through its word
 _Kind = namedtuple("_Kind", "parse text stats to_word from_word")
@@ -107,9 +106,9 @@ def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
 
 def _check_count_reach(family: str, n: int, k: int | None) -> None:
     """Refuse a count that may not print, and a listing of as many objects, which
-    would not end, before any work.  The words of dyck and grand-dyck, and the heaps
-    and animals counted as them, number less than 4^n, those of the pattern-avoiding
-    word families less than 3^n, and the multisets of n values from 1..k at most
+    would not end, before any work.  The words of a family, and the heaps and animals
+    counted as them, number less than base^n, their base in `bijections.DIAGRAM` (4 for
+    dyck and grand-dyck, else 3), and the multisets of n values from 1..k at most
     C(n + k - 1, n), whose digits lgamma estimates."""
     limit = _digit_reach(10)
     if not limit:
@@ -124,7 +123,7 @@ def _check_count_reach(family: str, n: int, k: int | None) -> None:
                     f"C(n + k - 1, n) has {int(log10) + 1} digits, past the limit of {limit}"
                 )
         return
-    reach = _digit_reach(4 if _WORD_FAMILIES[family][1] in ("dyck", "grand_dyck") else 3)
+    reach = _digit_reach(_BASES[_WORD_FAMILIES[family][1]])
     if n > reach:
         raise ValueError(f"--n {n} is beyond the count reach of {family} ({reach})")
 
@@ -193,11 +192,11 @@ def _digit_reach(base: int) -> int | None:
 
 
 def _series_reach(name: str) -> int | None:
-    """The largest order `series` prints: Ts_n, T_n < 4^n and Qs_n, Q_n < 3^n print within
-    their digit reach, and Mdiag's table rows, computed one at a time in about 20 MB, one
-    prefix sum and one whole-row pass each, take about 2 s at order 3000: their time sets
-    that reach."""
-    reach = _digit_reach(4 if name in ("Ts", "T") else 3)
+    """The largest order `series` prints: Ts_n, T_n < 4^n and Qs_n, Q_n = Mdiag_n < 3^n
+    (`bijections.DIAGRAM`) print within their digit reach, and Mdiag's table rows, computed
+    one at a time in about 20 MB, one prefix sum and one whole-row pass each, take about
+    2 s at order 3000: their time sets that reach."""
+    reach = _digit_reach(_BASES["Q" if name == "Mdiag" else name])
     return min(reach or 3000, 3000) if name == "Mdiag" else reach
 
 

@@ -41,8 +41,11 @@ from . import bijections, counting, heaps, multisets, paths, series
 from .errors import HeapdyckError
 
 ANIMAL_ORACLE_CAP = 7
+FACTORIZE_CAP = 6  # of factorize-recomposes: 637 heaps, 0.02 s CPU; 8 788 and 0.3 s at 8
 COUNT_ORDER = 300  # sizes of the counts suite's recurrence totals
 WIDTH_ORDER = 60  # sizes of the symmetry suite's width tables
+_CLASS_ROWS = [row for row in bijections.DIAGRAM if row.klass]
+_FULL_ROWS = [row for row in _CLASS_ROWS if not row.subdiagonal]
 
 
 class CheckResult(NamedTuple):
@@ -147,10 +150,7 @@ def _motzkin_row(n: int) -> list[int]:
 
 
 def _suite_counts(rec: _Recorder, max_n: int) -> None:
-    q = series.closed_form("Q", max_n)
-    ts = series.closed_form("Ts", max_n)
-    t = series.closed_form("T", max_n)
-    qs = series.closed_form("Qs", max_n)
+    closed = {row.klass: series.closed_form(row.klass, max_n) for row in _CLASS_ROWS}
     motzkin = _motzkin_row(COUNT_ORDER)
     for n in range(1, max_n + 1):
         star = multisets.count_family("star", n)
@@ -172,11 +172,11 @@ def _suite_counts(rec: _Recorder, max_n: int) -> None:
                 multisets.count_family("no_single_except_k", n),
                 udu_free,
             ),
-            ("star-count-matches-series-Q", star, q[n]),
+            ("star-count-matches-series-Q", star, closed["Q"][n]),
         )
         for name, got, want in identities:
             rec.require(name, got == want, "n=%d: %s vs %s", n, got, want)
-        for klass, ser in (("T", t), ("Ts", ts), ("Q", q), ("Qs", qs)):
+        for klass, ser in closed.items():
             rec.require(
                 "grammar-counts-match-series",
                 bijections.grammar_count(n, klass) == ser[n],
@@ -229,6 +229,8 @@ def _suite_bijections(rec: _Recorder, max_n: int) -> None:
         rec.note(name, f"{animals}, sizes 1..{oracle_n}")
     animal_n = min(max_n, ANIMAL_ORACLE_CAP - 1)
     rec.note("animal-round-trip", f"every triangular animal, sizes 1..{animal_n}")
+    factorize_n = min(max_n, FACTORIZE_CAP)
+    rec.note("factorize-recomposes", f"every run-heap image, sizes 1..{factorize_n}")
 
 
 def _bijections_at(rec: _Recorder, n: int) -> None:
@@ -272,14 +274,9 @@ def _staircase_phase(rec: _Recorder, n: int) -> tuple[dict, dict[str, list[str]]
         image == words.keys(),
         f"n={n}: image size {len(image)}, target {len(words)}",
     )
-    for family, target in (
-        ("super", "dyck"),
-        ("star", "grand_dyck_star"),
-        ("no_single_except_k", "grand_dyck_udu_free"),
-        ("super_star", "dyck_star"),
-    ):
-        name = f"staircase-{family.replace('_', '-')}-image"
-        members = dict.fromkeys(multisets.enumerate_family(family, n))
+    for row in bijections.DIAGRAM[1:]:  # the first row, every multiset and word, is above
+        name = f"staircase-{row.multisets.replace('_', '-')}-image"
+        members = dict.fromkeys(multisets.enumerate_family(row.multisets, n))
         # a multiset multiset_to_path failed on is mapped again, to fail this check too
         found = rec.images(
             name,
@@ -288,20 +285,22 @@ def _staircase_phase(rec: _Recorder, n: int) -> tuple[dict, dict[str, list[str]]
             f"n={n}, multiset",
         )
         got = set(found.values())
-        targets[target] = list(paths.enumerate_family(target, n))
-        want = set(targets[target])
+        targets[row.words] = list(paths.enumerate_family(row.words, n))
+        want = set(targets[row.words])
         rec.require(name, got == want, f"n={n}: {len(got)} words vs {len(want)}")
-        listed[multisets, family] = len(members)
-        listed[paths, target] = len(want)
+        listed[multisets, row.multisets] = len(members)
+        listed[paths, row.words] = len(want)
     return listed, targets
 
 
 def _word_heap_phase(
     rec: _Recorder, n: int, targets: dict[str, list[str]], grammar: Callable[[str], frozenset]
 ) -> None:
-    """The run-heap round trips at size n, and the images of the grand-Dyck words and
-    of three target families against the grammar's T, Ts, Q and Qs."""
-    words = targets["grand_dyck"]
+    """The run-heap round trips at size n, their heaps factorized and composed back up
+    to FACTORIZE_CAP, and the images of the grand-Dyck words and of three target families
+    against the grammar's T, Ts, Q and Qs."""
+    top, *rows = _CLASS_ROWS  # the first row's words are every word
+    words = targets[top.words]
     word_heaps = rec.images("run-heap-round-trip", bijections.path_to_heap, words, f"n={n}, word")
     rec.holds(
         "run-heap-round-trip",
@@ -309,26 +308,30 @@ def _word_heap_phase(
         word_heaps,
         f"n={n}, word",
     )
+    if n <= FACTORIZE_CAP:
+        rec.holds(
+            "factorize-recomposes",
+            lambda w: bijections.compose(*bijections.factorize(word_heaps[w])) == word_heaps[w],
+            word_heaps,
+            f"n={n}, word",
+        )
     heaps_seen = set(word_heaps.values())
-    name, where = "run-heap-image-is-grammar-T", f"n={n}: {len(heaps_seen)} heaps"
+    name, where = top.image_check, f"n={n}: {len(heaps_seen)} heaps"
     try:
-        rec.require(name, len(heaps_seen) == len(words) and heaps_seen == grammar("T"), where)
+        rec.require(name, len(heaps_seen) == len(words) and heaps_seen == grammar(top.klass), where)
     except HeapdyckError as exc:
         rec.fail(name, where, exc)
-    for family, name, klass in (
-        ("dyck", "dyck-image-is-grammar-Ts", "Ts"),
-        ("grand_dyck_star", "dud-free-image-is-grammar-Q", "Q"),
-        ("dyck_star", "dud-free-dyck-image-is-grammar-Qs", "Qs"),
-    ):
+    for row in rows:
+        name = row.image_check
         # a word path_to_heap failed on is mapped again, to fail this check too
         images = rec.images(
             name,
             lambda w: word_heaps[w] if w in word_heaps else bijections.path_to_heap(w),
-            targets[family],
+            targets[row.words],
             f"n={n}, word",
         )
         try:
-            rec.require(name, set(images.values()) == grammar(klass), f"n={n}")
+            rec.require(name, set(images.values()) == grammar(row.klass), f"n={n}")
         except HeapdyckError as exc:
             rec.fail(name, f"n={n}", exc)
 
@@ -337,20 +340,16 @@ def _animal_phase(rec: _Recorder, n: int, grammar: Callable[[str], frozenset]) -
     """The brute-force and subdiagonal animals at size n against the grammar, the square
     ones as the diagonal-free triangular ones, and, below the cap, the animal round trip."""
     animals, animal_heaps = {}, {}  # by class: the brute force's animals, and their heaps
-    for name, lattice, subdiagonal, klass in (
-        ("grammar-matches-brute-force-animals", "triangular", False, "T"),
-        ("grammar-matches-brute-force-animals", "square", False, "Q"),
-        ("grammar-matches-subdiagonal-animals", "triangular", True, "Ts"),
-        ("grammar-matches-subdiagonal-animals", "square", True, "Qs"),
-    ):
-        where = f"{lattice}{' subdiagonal' if subdiagonal else ''}, n={n}"
-        animals[klass] = heaps.animal_enumerate_bruteforce(n, lattice, subdiagonal)
-        images = rec.images(name, heaps.animal_to_heap, animals[klass], f"{where}, animal")
+    for row in _CLASS_ROWS:
+        name = f"grammar-matches-{'subdiagonal' if row.subdiagonal else 'brute-force'}-animals"
+        where = f"{row.lattice}{' subdiagonal' if row.subdiagonal else ''}, n={n}"
+        animals[row.klass] = heaps.animal_enumerate_bruteforce(n, row.lattice, row.subdiagonal)
+        images = rec.images(name, heaps.animal_to_heap, animals[row.klass], f"{where}, animal")
         try:
-            rec.require(name, set(images.values()) == grammar(klass), where)
+            rec.require(name, set(images.values()) == grammar(row.klass), where)
         except HeapdyckError as exc:
             rec.fail(name, where, exc)
-        animal_heaps[klass] = images
+        animal_heaps[row.klass] = images
     # the images above, not a second enumeration; a failed animal is mapped again here
     name = "square-animals-are-diagonal-free-heaps"
     square, triangular = animal_heaps["Q"], animal_heaps["T"]
@@ -517,7 +516,7 @@ def _suite_series(rec: _Recorder, max_n: int) -> None:
 
 def _suite_symmetry(rec: _Recorder, max_n: int) -> None:
     for n in range(1, max_n + 1):
-        for klass in ("T", "Q"):
+        for klass in (row.klass for row in _FULL_ROWS):
             name, where = "left-plus-one-matches-right-width", f"class {klass}, n={n}"
             try:
                 stats = [heaps.heap_stats(h) for h in bijections.grammar_enumerate(n, klass)]
@@ -525,7 +524,7 @@ def _suite_symmetry(rec: _Recorder, max_n: int) -> None:
                 rec.require(name, ok, where)
             except HeapdyckError as exc:
                 rec.fail(name, where, exc)
-        for family in ("grand_dyck", "grand_dyck_star"):
+        for family in (row.words for row in _FULL_ROWS):
             stats = [paths.height_stats(w) for w in paths.enumerate_family(family, n)]
             rec.require(
                 "crossings-plus-one-matches-height",
@@ -552,7 +551,7 @@ def _reflection_swaps_widths(a: heaps.PointAnimal) -> bool:
 
 def _width_tier(rec: _Recorder) -> None:
     name = "left-width-counts-match-right-width-counts"
-    left = {klass: counting.by_left_width(klass, WIDTH_ORDER) for klass in ("T", "Q")}
+    left = {row.klass: counting.by_left_width(row.klass, WIDTH_ORDER) for row in _FULL_ROWS}
     for klass, by_lw in left.items():
         by_rw = counting.by_right_width(klass, WIDTH_ORDER)
         for a in range(WIDTH_ORDER):

@@ -348,6 +348,19 @@ class TestFactorize:
                 assert f.case != "iii"
 
 
+class TestDiagram:
+    @pytest.mark.parametrize("row", bijections.DIAGRAM, ids=lambda row: row.multisets)
+    def test_every_counter_of_a_row_agrees_below_its_base(self, row):
+        for n in range(1, 8):
+            counts = {multisets.count_family(row.multisets, n), paths.count_family(row.words, n)}
+            if row.klass:
+                counts.add(bijections.grammar_count(n, row.klass))
+            if row.lattice and n <= 6:
+                counts.add(len(heaps.animal_enumerate_bruteforce(n, row.lattice, row.subdiagonal)))
+            assert len(counts) == 1, (n, counts)
+            assert counts.pop() < row.base**n, n
+
+
 class TestGrammar:
     def test_smallest_classes(self):
         assert bijections.grammar_enumerate(1, "T") == {heap_of((0, 0))}

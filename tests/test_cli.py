@@ -87,8 +87,30 @@ MULTISET_FAMILIES = [
     "multiset-no-single-except-k",
 ]
 
+# every word, heap and animal family, in --help order, with the kind it lists, the word
+# family whose images it lists and the heap class it counts as
+WORD_FAMILIES = {
+    "dyck": ("path", "dyck", None),
+    "dyck-star": ("path", "dyck_star", None),
+    "grand-dyck": ("path", "grand_dyck", None),
+    "grand-dyck-star": ("path", "grand_dyck_star", None),
+    "grand-dyck-udu-free": ("path", "grand_dyck_udu_free", None),
+    "heap-T": ("heap", "grand_dyck", "T"),
+    "heap-Ts": ("heap", "dyck", "Ts"),
+    "heap-Q": ("heap", "grand_dyck_star", "Q"),
+    "heap-Qs": ("heap", "dyck_star", "Qs"),
+    "animal-square": ("animal", "grand_dyck_star", "Q"),
+    "animal-square-subdiagonal": ("animal", "dyck_star", "Qs"),
+    "animal-triangular": ("animal", "grand_dyck", "T"),
+    "animal-triangular-subdiagonal": ("animal", "dyck", "Ts"),
+}
+
 
 class TestEnumerate:
+    def test_families_read_off_the_diagram_keep_their_order(self):
+        assert cli.FAMILIES == (*MULTISET_FAMILIES, *WORD_FAMILIES)
+        assert list(cli._WORD_FAMILIES.items()) == list(WORD_FAMILIES.items())
+
     def test_grand_dyck_listing(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--family", "grand-dyck", "--n", "2")
         assert code == 0

@@ -102,6 +102,7 @@ class TestReports:
                     "staircase-no-single-except-k-image",
                     "staircase-super-star-image",
                     "run-heap-round-trip",
+                    "factorize-recomposes",
                     "run-heap-image-is-grammar-T",
                     "dyck-image-is-grammar-Ts",
                     "dud-free-image-is-grammar-Q",
@@ -351,7 +352,8 @@ class TestMutationSmoke:
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     def test_failure_names_the_same_word_under_any_hash_seed(self, seed):
-        # every size-4 heap read back as its word reversed, in a process of its own hash seed
+        # every size-4 heap read back as its word reversed, in a process of its own hash seed;
+        # factorize reads that word too
         probe = textwrap.dedent(
             """
             from heapdyck import bijections, verify
@@ -366,7 +368,11 @@ class TestMutationSmoke:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         failing = [line for line in done.stdout.splitlines() if not line.startswith("OK ")]
-        assert failing == ["FAIL run-heap-round-trip: n=4, word UUUUDDDD"]
+        assert failing == [
+            "FAIL run-heap-round-trip: n=4, word UUUUDDDD",
+            "FAIL factorize-recomposes: n=4, word UUUUDDDD: NotGrandDyckError: "
+            "need a balanced word starting with U: 'DDDDUUUU'",
+        ]
 
     def test_miscounted_diagonals_name_the_animal(self, monkeypatch):
         orig = heaps.heap_stats
@@ -424,6 +430,7 @@ class TestMutationSmoke:
         assert _failing("bijections").keys() == {
             "animal-round-trip",
             "run-heap-round-trip",
+            "factorize-recomposes",
             "run-heap-image-is-grammar-T",
             "dyck-image-is-grammar-Ts",
             "dud-free-image-is-grammar-Q",
@@ -454,6 +461,17 @@ class TestMutationSmoke:
 
         _drop_with(monkeypatch, lopsided)
         assert _failing("symmetry").keys() == {"reflection-swaps-widths"}
+
+    @pytest.mark.parametrize("offsets", [(1, -1), (-1, -1)])
+    def test_case_v_base_off_its_column_fails_factorize_alone(self, monkeypatch, offsets):
+        # the listing walk reads case v's second offset alone, and the counts read neither,
+        # so only factorize and compose see where the base part drops
+        monkeypatch.setitem(counting.CASES, "v", offsets)
+        failing = {c.name: c.detail for r in verify.run_all(3) for c in r.checks if not c.ok}
+        assert failing == {
+            "factorize-recomposes": "n=2, word UDDU: FactorizationFailedError: no constructor "
+            "case drops parts at (0, -1) in Heap('(0,0);(-1,1)')"
+        }
 
     def test_square_grammar_with_a_bare_c_part_is_caught(self, monkeypatch):
         # a square node may take a part straight above it alone, as a triangular node
@@ -705,9 +723,8 @@ class TestOneMapRaises:
     def test_word_of_a_heap(self, monkeypatch):
         hit = "(0,0);(1,1);(0,2)"
         _raise_at(monkeypatch, bijections, "heap_to_path", lambda h: heaps.to_text(h) == hit)
-        assert _failing("bijections") == {
-            "run-heap-round-trip": "n=3, word UDUUDD: NotAHeapError: planted"
-        }
+        at = "n=3, word UDUUDD: NotAHeapError: planted"
+        assert _failing("bijections") == {"run-heap-round-trip": at, "factorize-recomposes": at}
 
     def test_heap_of_a_triangular_animal(self, monkeypatch):
         # a subdiagonal animal with a diagonal step, so no square one
